@@ -128,16 +128,10 @@ def born_table(ma0: BinaryPovm, ma1: BinaryPovm, mb0: BinaryPovm, mb1: BinaryPov
 
     Outcome index 0 maps to a=+1 and 1 to a=-1; each (x, y) slice sums to 1.
     """
-    a = check_state(rho)
-    alice = ((ma0.effect_plus, ma0.effect_minus), (ma1.effect_plus, ma1.effect_minus))
-    bob = ((mb0.effect_plus, mb0.effect_minus), (mb1.effect_plus, mb1.effect_minus))
-    table = np.empty((2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            for i in range(2):
-                for j in range(2):
-                    table[x, y, i, j] = float(np.trace(a @ kron(alice[x][i], bob[y][j])).real)
-    return table
+    a = check_state(rho).reshape(2, 2, 2, 2)  # a[i, k, j, l] = <i k|ρ|j l>
+    alice = np.array([[ma0.effect_plus, ma0.effect_minus], [ma1.effect_plus, ma1.effect_minus]])
+    bob = np.array([[mb0.effect_plus, mb0.effect_minus], [mb1.effect_plus, mb1.effect_minus]])
+    return np.einsum("ikjl,xaji,yblk->xyab", a, alice, bob).real
 
 
 def correlators_from_table(table: np.ndarray) -> np.ndarray:

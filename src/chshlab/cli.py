@@ -101,6 +101,8 @@ def parse_axis(token: str) -> np.ndarray:
         v = np.array([float(p) for p in parts])
     except ValueError:
         raise UsageError(f"axis {token!r}: non-numeric component") from None
+    if not np.isfinite(v).all():
+        raise UsageError(f"axis {token!r}: non-finite component")
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise UsageError(f"axis {token!r} has zero norm")

@@ -114,8 +114,8 @@ def parent_povm_search(
     1e-12 over 500 iterations) at more than 10·tol; anything else is
     reported Undecided rather than guessed.
     """
-    if tol <= 0.0:
-        raise InvalidToleranceError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise InvalidToleranceError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise InvalidToleranceError(f"max_iter must be >= 1, got {max_iter}")
     m = pauli_coords(p.effect_plus)
@@ -154,8 +154,8 @@ def sharpness_threshold(n1, n2, tol: float = 1e-9) -> float:
     The pair (I ± λ n·σ)/2 is compatible for λ <= λ* and incompatible
     above; located by bisection with the analytic criterion as oracle.
     """
-    if tol <= 0.0:
-        raise InvalidToleranceError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise InvalidToleranceError(f"tol must be positive and finite, got {tol}")
     axis1 = unit_axis(n1)
     axis2 = unit_axis(n2)
 

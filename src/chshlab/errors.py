@@ -22,7 +22,7 @@ class NotUnbiasedError(ChshLabError, ValueError):
 
 
 class InvalidToleranceError(ChshLabError, ValueError):
-    """Non-positive tolerance or iteration budget."""
+    """Non-positive or non-finite tolerance, or non-positive iteration budget."""
 
 
 class NotInvolutiveError(ChshLabError, ValueError):

@@ -1,9 +1,10 @@
 """Dense complex linear algebra for small operators.
 
-Everything in the CHSH scenario lives in dimension 2 or 4 (16 at most),
-so the eigensolver is a cyclic Jacobi iteration: guaranteed convergence,
-no external solver, and accuracy near machine precision at these sizes.
-numpy arrays are the universal carrier; matrices are row-major complex.
+Everything in the CHSH scenario lives in dimension 2 or 4 (16 at most).
+Every spectrum goes through one path, numpy's LAPACK Hermitian solver
+(`numpy.linalg.eigh`), after the input is checked for finite entries and
+Hermiticity.  numpy arrays are the universal carrier; matrices are
+row-major complex.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import numpy as np
 from .errors import NotHermitianError
 
 HERMITICITY_TOL = 1e-10
-JACOBI_OFF_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -51,6 +50,8 @@ def hermiticity_defect(m) -> float:
 
 def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     a = as_matrix(m)
+    if not np.isfinite(a).all():
+        raise NotHermitianError("matrix has a non-finite entry")
     defect = hermiticity_defect(a)
     if defect > tol:
         raise NotHermitianError(
@@ -87,51 +88,14 @@ class Spectrum:
         return v @ v.conj().T
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    apq = a[p, q]
-    g = abs(apq)
-    if g == 0.0:
-        return
-    phase = apq / g
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * g)
-    t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    # 2x2 unitary diagonalizing the (p,q) Hermitian block
-    r = np.array([[c * phase, s * phase], [-s, c]], dtype=complex)
-    a[:, [p, q]] = a[:, [p, q]] @ r
-    a[[p, q], :] = r.conj().T @ a[[p, q], :]
-    v[:, [p, q]] = v[:, [p, q]] @ r
-    # the block is diagonalized exactly; stamp out roundoff residue
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def eig_hermitian(m, tol: float = HERMITICITY_TOL) -> Spectrum:
-    """Full spectrum of a Hermitian matrix via cyclic Jacobi sweeps.
+    """Full spectrum of a Hermitian matrix, eigenvalues ascending.
 
-    Raises NotHermitianError if the asymmetry exceeds `tol`.
+    Raises NotHermitianError if an entry is not finite or the asymmetry
+    exceeds `tol`.
     """
-    a = require_hermitian(m, tol)
-    n = a.shape[0]
-    a = hermitize(a).astype(complex)
-    v = np.eye(n, dtype=complex)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _off_diagonal_norm(a) <= JACOBI_OFF_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _jacobi_rotate(a, v, p, q)
-    vals = np.diag(a).real.copy()
-    order = np.argsort(vals, kind="stable")
-    return Spectrum(eigenvalues=vals[order], eigenvectors=v[:, order])
+    vals, vecs = np.linalg.eigh(hermitize(require_hermitian(m, tol)))
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
 def operator_norm(m) -> float:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chshlab.chsh import (
     born_table,
@@ -181,6 +183,47 @@ class TestBornTable:
         assert np.all(table >= -1e-12)
         assert np.all(table <= 1 + 1e-12)
         assert np.allclose(table.sum(axis=(2, 3)), 1.0, atol=1e-12)
+
+
+def born_table_by_definition(povms, rho):
+    """p[x, y, i, j] = tr(ρ M_{i|x} ⊗ N_{j|y}), one trace per entry."""
+    alice = [(p.effect_plus, p.effect_minus) for p in povms[:2]]
+    bob = [(p.effect_plus, p.effect_minus) for p in povms[2:]]
+    table = np.empty((2, 2, 2, 2))
+    for x in range(2):
+        for y in range(2):
+            for i in range(2):
+                for j in range(2):
+                    table[x, y, i, j] = np.trace(rho @ np.kron(alice[x][i], bob[y][j])).real
+    return table
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+_axis = st.tuples(_unit, _unit, _unit).filter(lambda v: np.linalg.norm(v) > 0.1)
+_noisy_povm = st.builds(
+    lambda v, lam: noisy_pauli_povm(np.asarray(v) / np.linalg.norm(v), lam),
+    _axis,
+    st.floats(0.0, 1.0),
+)
+_gram_factor = st.lists(_unit, min_size=32, max_size=32).filter(
+    lambda xs: np.linalg.norm(xs) > 0.1
+)
+
+
+def _mixed_state(xs):
+    g = np.asarray(xs[:16]).reshape(4, 4) + 1j * np.asarray(xs[16:]).reshape(4, 4)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestBornTableProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(_noisy_povm, _noisy_povm, _noisy_povm, _noisy_povm), _gram_factor)
+    def test_matches_definition_and_normalizes(self, povms, xs):
+        rho = _mixed_state(xs)
+        table = born_table(*povms, rho)
+        assert np.max(np.abs(table - born_table_by_definition(povms, rho))) <= 1e-14
+        assert np.max(np.abs(table.sum(axis=(2, 3)) - 1.0)) <= 1e-14
 
 
 class TestSampleEstimate:

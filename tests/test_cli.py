@@ -70,6 +70,23 @@ class TestJm:
         assert rc == 2
         assert json.loads(err)["code"] == "usage"
 
+    def test_non_finite_axis_component(self, capsys):
+        rc, out, err = run(capsys, ["jm", "--axes=nan:0:0,z", "--lambda=0.5"])
+        assert rc == 2 and out == ""
+        assert json.loads(err)["code"] == "usage"
+
+    def test_infinite_tol_refused_by_feasibility(self, capsys):
+        rc, out, err = run(
+            capsys, ["jm", "--axes=z,x", "--lambda=0.9", "--method=feasibility", "--tol=inf"]
+        )
+        assert rc == 2 and out == ""
+        assert json.loads(err)["code"] == "invalid_tolerance"
+
+    def test_nan_tol_refused_by_threshold(self, capsys):
+        rc, out, err = run(capsys, ["jm", "--axes=z,x", "--threshold", "--tol=nan"])
+        assert rc == 2 and out == ""
+        assert json.loads(err)["code"] == "invalid_tolerance"
+
 
 class TestChsh:
     def test_tsirelson(self, capsys):

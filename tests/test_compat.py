@@ -101,6 +101,11 @@ class TestParentPovmSearch:
             parent_povm_search(p, p, tol=0.0)
         with pytest.raises(InvalidToleranceError):
             parent_povm_search(p, p, max_iter=0)
+        # an infinite tol would certify this incompatible pair as Compatible
+        z, x = noisy_pauli_povm(Z_AXIS, 0.9), noisy_pauli_povm(X_AXIS, 0.9)
+        for tol in (np.inf, np.nan):
+            with pytest.raises(InvalidToleranceError):
+                parent_povm_search(z, x, tol=tol)
 
     def test_agreement_with_analytic(self, rng):
         # margin-filtered random scan; the full 200-pair run lives in the
@@ -144,3 +149,6 @@ class TestSharpnessThreshold:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(InvalidToleranceError):
             sharpness_threshold(Z_AXIS, X_AXIS, tol=-1e-9)
+        for tol in (np.nan, np.inf):
+            with pytest.raises(InvalidToleranceError):
+                sharpness_threshold(Z_AXIS, X_AXIS, tol=tol)

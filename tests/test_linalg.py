@@ -1,7 +1,9 @@
-"""Kronecker products, Jacobi eigensolver and operator norms.
+"""Kronecker products, the LAPACK-backed eigensolver and operator norms.
 
-numpy.linalg is the independent oracle throughout: the library's own
-eigensolver never checks itself.
+eig_hermitian wraps numpy.linalg.eigh, so comparing it with
+numpy.linalg.eigvalsh checks the wrapper (validation, hermitizing,
+ascending order); the eigenpair-residual and reconstruction tests check
+the eigenvectors without any solver.
 """
 
 import numpy as np
@@ -101,6 +103,14 @@ class TestEigHermitian:
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NotHermitianError):
+            eig_hermitian(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        # eigh would return NaN eigenvalues without complaint
+        m = SZ.copy()
+        m[0, 0] = bad
         with pytest.raises(NotHermitianError):
             eig_hermitian(m)
 
