@@ -36,6 +36,7 @@ from .entanglement import (
     MonotonicityReport,
     SchmidtState,
     UnitaryParams,
+    canonical_axes,
     canonical_setting,
     entanglement_threshold,
     incompatibility_monotonicity,

@@ -13,6 +13,7 @@ from .measurement import BinaryPovm, ChshSetting
 STATE_TOL = 1e-10
 INVOLUTION_TOL = 1e-9
 VIOLATION_MARGIN = 1e-9
+MAX_SHOTS = 2**63 - 1  # numpy's multinomial draws take a C long
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,8 @@ def check_state(rho, dim: int = 4, tol: float = STATE_TOL) -> np.ndarray:
     a = np.asarray(rho, dtype=complex)
     if a.shape != (dim, dim):
         raise InvalidStateError(f"expected a {dim}x{dim} density matrix, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidStateError("density matrix has a non-finite entry")
     if float(np.max(np.abs(a - dagger(a)))) > tol:
         raise InvalidStateError("density matrix is not Hermitian")
     if abs(np.trace(a).real - 1.0) > tol or abs(np.trace(a).imag) > tol:
@@ -168,8 +171,10 @@ def sample_estimate(
     order, so results do not depend on evaluation order and repeat exactly
     for equal seeds.
     """
-    if shots_per_pair < 1:
-        raise OutOfRangeError(f"shots_per_pair must be >= 1, got {shots_per_pair}")
+    if not 1 <= shots_per_pair <= MAX_SHOTS:
+        raise OutOfRangeError(f"shots_per_pair must be in [1, {MAX_SHOTS}], got {shots_per_pair}")
+    if seed < 0:
+        raise OutOfRangeError(f"seed must be >= 0, got {seed}")
     table = born_table(*povms, rho)
     streams = np.random.SeedSequence(seed).spawn(4)
     corr = np.empty((2, 2))

@@ -12,16 +12,14 @@ import argparse
 import json
 import re
 import sys
-from math import pi, sqrt
+from math import isfinite, pi
 
 import numpy as np
 
 from .chsh import (
     born_table,
     chsh_from_table,
-    chsh_operator,
     chsh_value,
-    commutator_tensor,
     landau_bound,
     max_over_states,
     sample_estimate,
@@ -34,14 +32,13 @@ from .compat import (
 )
 from .entanglement import (
     CanonicalAngles,
+    canonical_axes,
     canonical_setting,
     entanglement_threshold,
     max_chsh_closed_form,
-    max_chsh_over_unitaries,
     schmidt_state,
 )
 from .errors import ChshLabError
-from .linalg import eig_hermitian
 from .measurement import (
     ChshSetting,
     X_AXIS,
@@ -61,6 +58,19 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """argparse with JSON diagnostics, keeping its arguments by dest so a
+    config file's keys can be mapped back to the tokens they stand for."""
+
+    def __init__(self, *args, **kwargs):
+        self.arguments: dict[str, argparse.Action] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.dest != "help":
+            self.arguments[action.dest] = action
+        return action
+
     def error(self, message):  # JSON diagnostics instead of argparse's exit
         raise UsageError(message)
 
@@ -119,6 +129,8 @@ def parse_grid(token: str) -> np.ndarray:
         steps = int(parts[2])
     except ValueError:
         raise UsageError(f"grid {token!r}: non-numeric field") from None
+    if not (isfinite(start) and isfinite(stop)):
+        raise UsageError(f"grid {token!r}: non-finite field")
     if steps < 1:
         raise UsageError(f"grid {token!r}: steps must be >= 1")
     if start > stop:
@@ -191,15 +203,7 @@ def _setting_from_args(args) -> tuple[ChshSetting, dict, bool, tuple | None]:
         theta, phi = (parse_angle(t) for t in tokens)
         angles = CanonicalAngles(theta=theta, phi=phi)
         setting = canonical_setting(angles)
-        povms = tuple(
-            noisy_pauli_povm(ax, 1.0)
-            for ax in (
-                Z_AXIS,
-                np.array([np.sin(phi), 0.0, np.cos(phi)]),
-                np.array([np.sin(theta / 2), 0.0, np.cos(theta / 2)]),
-                np.array([-np.sin(theta / 2), 0.0, np.cos(theta / 2)]),
-            )
-        )
+        povms = tuple(noisy_pauli_povm(ax, 1.0) for ax in canonical_axes(angles))
         desc = {"kind": "canonical", "theta": theta, "phi": phi, "delta": angles.delta}
         return setting, desc, True, povms
     if args.noisy is not None:
@@ -231,7 +235,7 @@ def _state_from_spec(spec: str) -> np.ndarray:
     entries = payload.get("rho") if isinstance(payload, dict) else payload
     try:
         rho = np.array([[complex(c[0], c[1]) for c in row] for row in entries])
-    except (TypeError, IndexError):
+    except (TypeError, IndexError, ValueError):  # ValueError: ragged rows
         raise UsageError(
             f"state file {spec!r}: expected a 4x4 matrix of [re, im] pairs"
         ) from None
@@ -262,7 +266,13 @@ def cmd_jm(args, em: Emitter) -> int:
         return 0
     if args.lam is None:
         raise UsageError("jm requires --lambda VALUE, --lambda START:STOP:STEPS or --threshold")
-    lams = parse_grid(args.lam) if ":" in args.lam else [float(args.lam)]
+    if ":" in args.lam:
+        lams = parse_grid(args.lam)
+    else:
+        try:
+            lams = [float(args.lam)]
+        except ValueError:
+            raise UsageError(f"--lambda {args.lam!r}: expected a number or START:STOP:STEPS") from None
 
     def decide(lam):
         p = noisy_pauli_povm(axis1, lam)
@@ -384,94 +394,21 @@ def cmd_sample(args, em: Emitter) -> int:
     return 0
 
 
-# ---------- verify suites ----------
-
-
-def _suite_f1(seed: int) -> list[dict]:
-    worst = 0.0
-    for e in np.linspace(0.0, 0.5, 5):
-        for th in np.linspace(0.0, pi / 2, 5):
-            for ph in np.linspace(0.0, pi / 2, 5):
-                angles = CanonicalAngles(theta=float(th), phi=float(ph))
-                got, _ = max_chsh_over_unitaries(float(e), angles, restarts=20, seed=seed)
-                want = max_chsh_closed_form(float(e), angles.delta)
-                worst = max(worst, abs(got - want))
-    return [{"check": "closed_vs_numeric", "max_dev": worst, "tol": 1e-6}]
-
-
-def _random_projective_setting(rng) -> ChshSetting:
-    axes = rng.normal(size=(4, 3))
-    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    return ChshSetting.from_axes(*axes)
-
-
-def _suite_landau(seed: int) -> list[dict]:
-    rng = np.random.default_rng(seed)
-    worst_identity = 0.0
-    worst_bound = 0.0
-    violations = 0
-    for _ in range(500):
-        setting = _random_projective_setting(rng)
-        s = chsh_operator(setting)
-        j = commutator_tensor(setting)
-        worst_identity = max(
-            worst_identity, float(np.max(np.abs(s @ s - 4 * np.eye(4) - 4 * j)))
-        )
-        rep = landau_bound(setting)
-        spectral = float(np.max(np.abs(eig_hermitian(s).eigenvalues)))
-        worst_bound = max(worst_bound, abs(rep.bound - spectral))
-        comm_a = setting.a0 @ setting.a1 - setting.a1 @ setting.a0
-        comm_b = setting.b0 @ setting.b1 - setting.b1 @ setting.b0
-        if np.max(np.abs(comm_a)) > 1e-9 and np.max(np.abs(comm_b)) > 1e-9:
-            if not rep.bound > 2.0 + 1e-12:
-                violations += 1
-    return [
-        {"check": "squared_identity", "max_dev": worst_identity, "tol": 1e-9},
-        {"check": "bound_vs_spectrum", "max_dev": worst_bound, "tol": 1e-9},
-        {"check": "noncommuting_violates", "max_dev": float(violations), "tol": 0.0},
-    ]
-
-
-def _suite_jm(seed: int) -> list[dict]:
-    rng = np.random.default_rng(seed)
-    disagreements = 0
-    tested = 0
-    while tested < 200:
-        axes = rng.normal(size=(2, 3))
-        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-        lam = rng.uniform(0.0, 1.0)
-        p = noisy_pauli_povm(axes[0], lam)
-        q = noisy_pauli_povm(axes[1], lam)
-        analytic = busch_criterion(p, q)
-        if abs(analytic.margin) < 5e-3:
-            continue
-        tested += 1
-        numeric = parent_povm_search(p, q)
-        if numeric.status is not analytic.status:
-            disagreements += 1
-    threshold_dev = abs(sharpness_threshold(Z_AXIS, X_AXIS, 1e-9) - 1.0 / sqrt(2.0))
-    return [
-        {"check": "analytic_vs_feasibility", "max_dev": float(disagreements), "tol": 0.0},
-        {"check": "threshold_z_x", "max_dev": threshold_dev, "tol": 1e-6},
-    ]
-
-
-_SUITES = {"f1": _suite_f1, "landau": _suite_landau, "jm": _suite_jm}
-
-
 def cmd_verify(args, em: Emitter) -> int:
+    from .verify import SUITES  # on use: every other subcommand starts without it
+
     if args.list:
         if em.fmt == "json":
-            em.json({"suites": sorted(_SUITES)})
+            em.json({"suites": sorted(SUITES)})
         else:
-            for name in sorted(_SUITES):
+            for name in sorted(SUITES):
                 print(name, file=em.out)
         return 0
     if not args.suite:
         raise UsageError("verify requires a suite name or --list")
-    if args.suite not in _SUITES:
-        raise UsageError(f"unknown suite {args.suite!r}; available: {', '.join(sorted(_SUITES))}")
-    checks = _SUITES[args.suite](args.seed)
+    if args.suite not in SUITES:
+        raise UsageError(f"unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}")
+    checks = SUITES[args.suite](args.seed)
     all_passed = True
     for c in checks:
         c["passed"] = bool(c["max_dev"] <= c["tol"])
@@ -501,17 +438,17 @@ def _add_common(sp, formats=("json", "csv"), default_format="json") -> None:
 
 
 def _require(value, flag: str):
-    # required flags stay optional at the argparse level so a config file
-    # can supply them; presence is enforced here instead
+    # required flags stay optional at the argparse level: main() first parses
+    # the command line alone, before a config file can supply them
     if value is None:
         raise UsageError(f"{flag} is required (flag or config file)")
     return value
 
 
-def build_parser() -> tuple[_Parser, dict[str, set[str]]]:
+def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and the subcommand parsers by name."""
     parser = _Parser(prog=PROG, description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    dests: dict[str, set[str]] = {}
 
     jm = sub.add_parser("jm", description="joint measurability of a noisy-Pauli pair")
     jm.add_argument("--axes", default=None, help="two axes, e.g. z,x or z,0.6:0:0.8")
@@ -553,23 +490,10 @@ def build_parser() -> tuple[_Parser, dict[str, set[str]]]:
     _add_common(vf, formats=("text", "json"), default_format="text")
     vf.set_defaults(func=cmd_verify)
 
-    for name, sp in sub.choices.items():
-        dests[name] = {a.dest for a in sp._actions if a.dest not in ("help",)}
-    return parser, dests
+    return parser, sub.choices
 
 
-def _load_config(argv: list[str]) -> dict | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise UsageError("--config expects a path")
-            path = argv[i + 1]
-            break
-        if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            break
-    else:
-        return None
+def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -582,25 +506,52 @@ def _load_config(argv: list[str]) -> dict | None:
     return cfg
 
 
+def _config_tokens(cfg: dict, commands: dict[str, _Parser], args) -> list[str]:
+    """The command-line tokens a config file's entries stand for.
+
+    They go ahead of the user's own tokens, so argparse converts and checks
+    them like flags and a flag on the command line still wins.  Keys of
+    other subcommands are ignored; keys of none are refused.
+    """
+    unknown = set(cfg).difference(*(sp.arguments for sp in commands.values()))
+    if unknown:
+        raise UsageError(f"config: unknown keys {sorted(unknown)}")
+    tokens = []
+    for key, value in cfg.items():
+        action = commands[args.command].arguments.get(key)
+        if action is None:
+            continue
+        if action.nargs == 0:  # on/off flag
+            if not isinstance(value, bool):
+                raise UsageError(f"config: {key!r} must be true or false")
+            if value:
+                tokens.append(action.option_strings[0])
+        elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise UsageError(f"config: {key!r} must be a string or a number")
+        elif action.option_strings:
+            tokens.append(f"{action.option_strings[0]}={value}")
+        elif getattr(args, key) is None:  # positional not given on the command line
+            tokens.append(str(value))
+    return tokens
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        parser, dests = build_parser()
-        cfg = _load_config(argv)
-        if cfg:
-            known = set().union(*dests.values())
-            unknown = set(cfg) - known
-            if unknown:
-                raise UsageError(f"config: unknown keys {sorted(unknown)}")
-            for sp in parser._subparsers._group_actions[0].choices.values():
-                sp.set_defaults(**{k: v for k, v in cfg.items() if k in dests[sp.prog.split()[-1]]})
+        parser, commands = build_parser()
         args = parser.parse_args(argv)
-        precision = int(args.precision)
-        if not 1 <= precision <= MAX_PRECISION:
+        if args.config is not None:
+            # the top-level parser takes no options, so argv[0] is the subcommand
+            tokens = _config_tokens(_load_config(args.config), commands, args)
+            args = parser.parse_args([argv[0], *tokens, *argv[1:]])
+        if not 1 <= args.precision <= MAX_PRECISION:
             raise UsageError(f"--precision must be in [1, {MAX_PRECISION}]")
-        out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
         try:
-            em = Emitter(args.format, precision, out)
+            out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+        except OSError as exc:
+            raise UsageError(f"--output: {exc}") from None
+        try:
+            em = Emitter(args.format, args.precision, out)
             return args.func(args, em)
         finally:
             if args.output:

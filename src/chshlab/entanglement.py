@@ -12,7 +12,7 @@ import numpy as np
 from . import _kernels
 from .chsh import chsh_operator, state_from_vector
 from .errors import DegenerateDeltaError, NonRealTraceError, OutOfRangeError
-from .measurement import ChshSetting, X_AXIS, Z_AXIS, bloch_observable
+from .measurement import ChshSetting, X_AXIS, Z_AXIS
 
 TRACE_IMAG_DISCARD = 1e-10
 TRACE_IMAG_ERROR = 1e-8
@@ -62,13 +62,19 @@ class CanonicalAngles:
         return sin(self.theta) * sin(self.phi)
 
 
-def canonical_setting(angles: CanonicalAngles) -> ChshSetting:
+def canonical_axes(angles: CanonicalAngles) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Bloch axes (a0, a1, b0, b1) of the canonical setting."""
     th, ph = angles.theta, angles.phi
-    a0 = bloch_observable(Z_AXIS)
-    a1 = bloch_observable(cos(ph) * Z_AXIS + sin(ph) * X_AXIS)
-    b0 = bloch_observable(cos(th / 2) * Z_AXIS + sin(th / 2) * X_AXIS)
-    b1 = bloch_observable(cos(th / 2) * Z_AXIS - sin(th / 2) * X_AXIS)
-    return ChshSetting(a0=a0, a1=a1, b0=b0, b1=b1)
+    return (
+        Z_AXIS.copy(),
+        cos(ph) * Z_AXIS + sin(ph) * X_AXIS,
+        cos(th / 2) * Z_AXIS + sin(th / 2) * X_AXIS,
+        cos(th / 2) * Z_AXIS - sin(th / 2) * X_AXIS,
+    )
+
+
+def canonical_setting(angles: CanonicalAngles) -> ChshSetting:
+    return ChshSetting.from_axes(*canonical_axes(angles))
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,11 @@ import time
 import numpy as np
 import pytest
 
+from chshlab import verify
 from chshlab._kernels import BACKEND
 from chshlab.chsh import (
     born_table,
     chsh_from_table,
-    chsh_operator,
-    commutator_tensor,
-    landau_bound,
     max_over_states,
     sample_estimate,
 )
@@ -27,14 +25,12 @@ from chshlab.entanglement import (
     entanglement_threshold,
     incompatibility_monotonicity,
     max_chsh_closed_form,
-    max_chsh_over_unitaries,
     nonlocality_region,
     rotated_chsh,
     schmidt_state,
     stationarity_ratios,
     stationary_unitary_params,
 )
-from chshlab.linalg import I2
 from chshlab.measurement import ChshSetting, X_AXIS, Z_AXIS, noisy_family_povms, noisy_pauli_povm
 
 TSIRELSON = 2.8284271247461903
@@ -43,6 +39,11 @@ INV_SQRT2 = 0.7071067811865475
 
 def report(n, text):
     print(f"\nACCEPTANCE {n}: PASS — {text}")
+
+
+def max_devs(checks):
+    """{check name: max_dev} of a verify suite's result."""
+    return {c["check"]: c["max_dev"] for c in checks}
 
 
 def test_c1_tsirelson_reproduction(capsys):
@@ -56,30 +57,13 @@ def test_c1_tsirelson_reproduction(capsys):
 
 
 def test_c2_spectral_identity(capsys):
-    rng = np.random.default_rng(501)
-    worst_identity = 0.0
-    worst_bound = 0.0
-    for _ in range(500):
-        axes = rng.normal(size=(4, 3))
-        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-        setting = ChshSetting.from_axes(*axes)
-        s = chsh_operator(setting)
-        j = commutator_tensor(setting)
-        worst_identity = max(
-            worst_identity, float(np.max(np.abs(s @ s - 4 * np.eye(4) - 4 * j)))
-        )
-        rep = landau_bound(setting)
-        spectral = float(np.max(np.abs(np.linalg.eigvalsh(s))))  # independent oracle
-        worst_bound = max(worst_bound, abs(rep.bound - spectral))
-        comm_a = setting.a0 @ setting.a1 - setting.a1 @ setting.a0
-        comm_b = setting.b0 @ setting.b1 - setting.b1 @ setting.b0
-        if np.max(np.abs(comm_a)) > 1e-9 and np.max(np.abs(comm_b)) > 1e-9:
-            assert rep.bound > 2.0 + 1e-12
-    assert worst_identity <= 1e-9
-    assert worst_bound <= 1e-9
+    dev = max_devs(verify.landau(501))  # bound checked against eigvalsh
+    assert dev["squared_identity"] <= 1e-9
+    assert dev["bound_vs_spectrum"] <= 1e-9
+    assert dev["noncommuting_violates"] == 0
     with capsys.disabled():
-        report(2, f"500 settings: |S²-4I-4J| <= {worst_identity:.2e}, "
-                  f"|bound-||S||| <= {worst_bound:.2e}")
+        report(2, f"500 settings: |S²-4I-4J| <= {dev['squared_identity']:.2e}, "
+                  f"|bound-||S||| <= {dev['bound_vs_spectrum']:.2e}, every noncommuting one > 2")
 
 
 def test_c3_povm_window(capsys):
@@ -115,45 +99,18 @@ def test_c3_povm_window(capsys):
 
 
 def test_c4_feasibility_soundness(capsys):
-    rng = np.random.default_rng(502)
-    tested = 0
-    compatible_count = 0
-    while tested < 200:
-        axes = rng.normal(size=(2, 3))
-        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-        lam = float(rng.uniform(0.0, 1.0))
-        p = noisy_pauli_povm(axes[0], lam)
-        q = noisy_pauli_povm(axes[1], lam)
-        analytic = busch_criterion(p, q)
-        if abs(analytic.margin) < 5e-3:
-            continue
-        tested += 1
-        numeric = parent_povm_search(p, q)
-        assert numeric.status is analytic.status
-        if numeric.status is JmStatus.COMPATIBLE:
-            compatible_count += 1
-            parent = numeric.parent
-            effects = [parent.g_pp, parent.g_pm, parent.g_mp, parent.g_mm]
-            assert np.max(np.abs(sum(effects) - I2)) <= 1e-8
-            assert np.max(np.abs(parent.g_pp + parent.g_pm - p.effect_plus)) <= 1e-8
-            assert np.max(np.abs(parent.g_pp + parent.g_mp - q.effect_plus)) <= 1e-8
-            for g in effects:
-                sym = (g + g.conj().T) / 2
-                assert float(np.min(np.linalg.eigvalsh(sym))) >= -1e-8
+    dev = max_devs(verify.jm(502))
+    assert dev["analytic_vs_feasibility"] == 0
+    assert dev["certificate_defect"] <= 1e-8  # sum to I, marginals, PSD by eigvalsh
+    assert dev["threshold_z_x"] <= 1e-6
     with capsys.disabled():
-        report(4, f"200/200 agreement ({compatible_count} compatible, all parents re-verified)")
+        report(4, "200/200 agreement, every compatible parent re-verified "
+                  f"(worst defect {dev['certificate_defect']:.2e})")
 
 
 def test_c5_closed_form_vs_optimizer(capsys):
     start = time.perf_counter()
-    worst = 0.0
-    for e in np.linspace(0.0, 0.5, 5):
-        for theta in np.linspace(0.0, np.pi / 2, 5):
-            for phi in np.linspace(0.0, np.pi / 2, 5):
-                angles = CanonicalAngles(theta=float(theta), phi=float(phi))
-                value, _ = max_chsh_over_unitaries(float(e), angles, restarts=20, seed=801)
-                dev = abs(value - max_chsh_closed_form(float(e), angles.delta))
-                worst = max(worst, dev)
+    worst = max_devs(verify.f1(801))["closed_vs_numeric"]
     elapsed = time.perf_counter() - start
     assert worst <= 1e-6
     assert elapsed <= 300.0

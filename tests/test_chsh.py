@@ -154,6 +154,13 @@ class TestChshValue:
         with pytest.raises(InvalidStateError):
             chsh_value(OPTIMAL, bad)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, entry):
+        bad = np.eye(4, dtype=complex) / 4
+        bad[1, 2] = entry  # NaN fails every comparison, so Hermiticity and trace pass
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            chsh_value(OPTIMAL, bad)
+
 
 class TestBornTable:
     def test_mixed_state_uniform(self):
@@ -254,3 +261,9 @@ class TestSampleEstimate:
 
         with pytest.raises(OutOfRangeError):
             sample_estimate(self.POVMS, PHI_PLUS, 0, seed=0)
+
+    def test_rejects_negative_seed(self):
+        from chshlab.errors import OutOfRangeError
+
+        with pytest.raises(OutOfRangeError):
+            sample_estimate(self.POVMS, PHI_PLUS, 10, seed=-1)

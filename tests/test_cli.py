@@ -1,13 +1,19 @@
 """CLI surface: subcommands, formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chshlab import verify
 from chshlab.cli import main
 
 TSIRELSON = 2.8284271247461903
@@ -17,6 +23,22 @@ def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def run_process(argv):
+    """`python -m chshlab.cli ARGV` in a fresh interpreter, for what only a
+    whole process shows (warnings written to stderr, the entry point)."""
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    return subprocess.run(
+        [sys.executable, "-m", "chshlab.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def write_state(path, entries):
+    path.write_text(json.dumps({"rho": entries}))
+    return str(path)
 
 
 class TestJm:
@@ -87,6 +109,11 @@ class TestJm:
         assert rc == 2 and out == ""
         assert json.loads(err)["code"] == "invalid_tolerance"
 
+    def test_non_numeric_lambda(self, capsys):
+        rc, out, err = run(capsys, ["jm", "--axes=z,x", "--lambda=abc"])
+        assert rc == 2 and out == ""
+        assert json.loads(err)["code"] == "usage"
+
 
 class TestChsh:
     def test_tsirelson(self, capsys):
@@ -137,6 +164,20 @@ class TestChsh:
         path.write_text(json.dumps(payload))
         rc, _, err = run(capsys, ["chsh", "--canonical", "pi/2,pi/2", "--state", str(path)])
         assert rc == 2
+        assert json.loads(err)["code"] == "invalid_state"
+
+    def test_ragged_state_file(self, capsys, tmp_path):
+        state = write_state(tmp_path / "rho.json", [[[0.25, 0.0]] * 4] * 3 + [[[0.25, 0.0]]])
+        rc, out, err = run(capsys, ["chsh", "--canonical=pi/2,pi/2", f"--state={state}"])
+        assert rc == 2 and out == ""
+        assert json.loads(err)["code"] == "usage"
+
+    def test_non_finite_state_entry(self, capsys, tmp_path):
+        entries = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        entries[0][1] = [float("nan"), 0.0]
+        state = write_state(tmp_path / "rho.json", entries)
+        rc, out, err = run(capsys, ["chsh", "--canonical=pi/2,pi/2", f"--state={state}"])
+        assert rc == 2 and out == ""
         assert json.loads(err)["code"] == "invalid_state"
 
     def test_degrees_rejected(self, capsys):
@@ -204,6 +245,13 @@ class TestRegion:
         rc, _, _ = run(capsys, ["region", "--e-grid", "0:0.9:3", "--delta-grid", "0:1:3"])
         assert rc == 2
 
+    def test_non_finite_grid_writes_one_json_line(self):
+        proc = run_process(["region", "--e-grid=0:0.5:3", "--delta-grid=0:inf:2"])
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["code"] == "usage"
+
 
 class TestSample:
     ARGS = ["sample", "--canonical", "pi/2,pi/2", "--state", "phi+", "--shots", "20000"]
@@ -226,6 +274,12 @@ class TestSample:
         _, out2, _ = run(capsys, self.ARGS + ["--seed", "2"])
         assert out1 != out2
 
+    @pytest.mark.parametrize("flag", ["--seed=-1", f"--shots={2**63}"])
+    def test_draw_out_of_range(self, capsys, flag):
+        rc, out, err = run(capsys, self.ARGS + [flag])
+        assert rc == 2 and out == ""
+        assert json.loads(err)["code"] == "out_of_range"
+
 
 class TestVerify:
     def test_list(self, capsys):
@@ -240,7 +294,11 @@ class TestVerify:
         assert rc == 0
         doc = json.loads(out)
         assert doc["passed"] is True
-        assert {c["check"] for c in doc["checks"]} == {"analytic_vs_feasibility", "threshold_z_x"}
+        assert {c["check"] for c in doc["checks"]} == {
+            "analytic_vs_feasibility",
+            "certificate_defect",
+            "threshold_z_x",
+        }
 
     def test_text_output_lines(self, capsys):
         rc, out, _ = run(capsys, ["verify", "jm", "--seed", "7"])
@@ -262,10 +320,8 @@ class TestVerify:
         assert json.loads(err)["code"] == "usage"
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
-        from chshlab import cli as cli_mod
-
         monkeypatch.setitem(
-            cli_mod._SUITES, "stub", lambda seed: [{"check": "broken", "max_dev": 1.0, "tol": 0.0}]
+            verify.SUITES, "stub", lambda seed: [{"check": "broken", "max_dev": 1.0, "tol": 0.0}]
         )
         rc, out, _ = run(capsys, ["verify", "stub"])
         assert rc == 1
@@ -273,6 +329,12 @@ class TestVerify:
 
 
 class TestPlumbing:
+    def test_output_into_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "out.json"
+        rc, out, err = run(capsys, ["chsh", "--canonical=0,0", "--max", f"--output={path}"])
+        assert rc == 2 and out == ""
+        assert json.loads(err)["code"] == "usage"
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         rc, out, _ = run(
@@ -299,6 +361,48 @@ class TestPlumbing:
         assert rc == 2
         assert "no_such_flag" in json.loads(err)["message"]
 
+    def test_config_fractional_shots_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"shots": 1.5}))
+        argv = ["sample", "--canonical=pi/2,pi/2", "--state=phi+", f"--config={cfg}"]
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert "--shots" in json.loads(err)["message"]
+
+    def test_config_method_checked_against_choices(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "bogus"}))
+        rc, out, err = run(capsys, ["jm", "--axes=z,x", "--lambda=0.8", f"--config={cfg}"])
+        assert rc == 2 and out == ""
+        assert "--method" in json.loads(err)["message"]
+
+    def test_config_on_off_flag_takes_json_bool(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max": "false"}))
+        rc, out, err = run(capsys, ["chsh", "--canonical=0,0", f"--config={cfg}"])
+        assert rc == 2 and out == ""
+        assert "max" in json.loads(err)["message"]
+        cfg.write_text(json.dumps({"max": True}))
+        rc, out, _ = run(capsys, ["chsh", "--canonical=0,0", f"--config={cfg}"])
+        assert rc == 0
+        assert json.loads(out)["value"] == 2
+
+    def test_config_positional_suite(self, capsys, tmp_path, monkeypatch):
+        for name in ("stub_a", "stub_b"):
+            monkeypatch.setitem(
+                verify.SUITES, name, lambda seed, name=name: [{"check": name, "max_dev": 0.0, "tol": 0.0}]
+            )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": "stub_a", "seed": 3}))
+        rc, out, _ = run(capsys, ["verify", f"--config={cfg}", "--format=json"])
+        assert rc == 0
+        doc = json.loads(out)
+        assert (doc["suite"], doc["seed"], doc["checks"][0]["check"]) == ("stub_a", 3, "stub_a")
+        # a suite named on the command line wins over the config file's
+        rc, out, _ = run(capsys, ["verify", "stub_b", f"--config={cfg}", "--format=json"])
+        assert rc == 0
+        assert json.loads(out)["suite"] == "stub_b"
+
     def test_precision_flag_width(self, capsys):
         _, out6, _ = run(capsys, ["chsh", "--canonical", "pi/2,pi/2", "--state", "phi+"])
         _, out15, _ = run(
@@ -318,14 +422,94 @@ class TestPlumbing:
         assert json.loads(json.dumps(doc)) == doc
 
     def test_module_entrypoint(self):
-        env = dict(os.environ)
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env["PYTHONPATH"] = os.path.join(root, "src")
-        proc = subprocess.run(
-            [sys.executable, "-m", "chshlab.cli", "chsh", "--canonical", "0,0", "--max"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_process(["chsh", "--canonical", "0,0", "--max"])
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == 2
+
+
+def _grid(lo, hi):
+    bound = st.floats(lo, hi).map(lambda v: round(v, 6))
+    return st.tuples(bound, bound, st.integers(1, 4)).map(
+        lambda t: f"{min(t[:2])!r}:{max(t[:2])!r}:{t[2]}"
+    )
+
+
+_PRECISION = st.integers(1, 15).map(lambda p: ("precision", "--precision", p))
+_FORMAT = st.sampled_from(["json", "csv"]).map(lambda f: ("format", "--format", f))
+_AXIS = st.sampled_from(["x", "y", "z", "0.6:0:0.8", "-0.6:0:0.8", "1:1:0"])
+_UNIT = st.floats(0.0, 1.0).map(lambda v: round(v, 6))
+_ANGLE = st.floats(0.0, 1.5707).map(lambda v: round(v, 4))
+
+# (subcommand, [(dest, flag, value)]): value True stands for a bare on/off flag
+_REGION = st.tuples(
+    st.just("region"),
+    st.tuples(
+        _grid(0.0, 0.5).map(lambda g: ("e_grid", "--e-grid", g)),
+        _grid(0.0, 1.0).map(lambda g: ("delta_grid", "--delta-grid", g)),
+        _PRECISION,
+        _FORMAT,
+    ),
+)
+_JM = st.tuples(
+    st.just("jm"),
+    st.tuples(
+        st.tuples(_AXIS, _AXIS).map(lambda a: ("axes", "--axes", ",".join(a))),
+        st.one_of(
+            _UNIT.map(lambda v: ("lam", "--lambda", repr(v))),
+            _grid(0.0, 1.0).map(lambda g: ("lam", "--lambda", g)),
+            st.just(("threshold", "--threshold", True)),
+        ),
+        st.sampled_from(["analytic", "feasibility"]).map(lambda m: ("method", "--method", m)),
+        st.sampled_from([1e-9, 1e-6, 1e-3]).map(lambda t: ("tol", "--tol", t)),
+        _PRECISION,
+        _FORMAT,
+    ),
+)
+_SAMPLE = st.tuples(
+    st.just("sample"),
+    st.tuples(
+        st.one_of(
+            st.tuples(_ANGLE, _ANGLE).map(lambda a: ("canonical", "--canonical", f"{a[0]!r},{a[1]!r}")),
+            _UNIT.map(lambda v: ("noisy", "--noisy", v)),
+        ),
+        st.one_of(
+            st.just("phi+"), st.floats(0.0, 0.5).map(lambda e: f"schmidt:{round(e, 6)!r}")
+        ).map(lambda s: ("state", "--state", s)),
+        st.integers(1, 5000).map(lambda n: ("shots", "--shots", n)),
+        st.integers(0, 2**31).map(lambda n: ("seed", "--seed", n)),
+        _PRECISION,
+        _FORMAT,
+    ),
+)
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+class TestConfigMatchesFlags:
+    """A config file is one more way to write the same tokens: any split of
+    valid options between the file and the command line prints the same
+    bytes as passing every option as a flag."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(_REGION, _JM, _SAMPLE), st.data())
+    def test_same_stdout(self, command, data):
+        name, options = command
+        in_config = data.draw(st.lists(st.booleans(), min_size=len(options), max_size=len(options)))
+
+        def token(flag, value):
+            return flag if value is True else f"{flag}={value}"
+
+        flags_run = _main_output([name, *(token(f, v) for _, f, v in options)])
+        assert flags_run[0] == 0, flags_run[2]
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "cfg.json")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump({d: v for (d, _, v), c in zip(options, in_config) if c}, fh)
+            argv = [name, *(token(f, v) for (_, f, v), c in zip(options, in_config) if not c)]
+            config_run = _main_output([*argv, f"--config={cfg}"])
+        assert config_run == flags_run

@@ -7,6 +7,7 @@ from chshlab.chsh import chsh_value, landau_bound
 from chshlab.entanglement import (
     CanonicalAngles,
     UnitaryParams,
+    canonical_axes,
     canonical_setting,
     entanglement_threshold,
     incompatibility_monotonicity,
@@ -22,7 +23,7 @@ from chshlab.entanglement import (
 )
 from chshlab.errors import DegenerateDeltaError, NonRealTraceError, OutOfRangeError
 from chshlab.linalg import SZ
-from chshlab.measurement import incompatibility_degree
+from chshlab.measurement import bloch_observable, incompatibility_degree
 
 TSIRELSON = 2.8284271247461903
 IDENTITY_PARAMS = UnitaryParams(0.0, 0.0, 0.0)
@@ -59,6 +60,21 @@ class TestCanonicalSetting:
         for obs in setting.observables():
             assert np.allclose(obs, SZ)
         assert incompatibility_degree(setting) == pytest.approx(0.0, abs=1e-12)
+
+    def test_axes_in_xz_plane(self):
+        th, ph = 1.1, 0.4
+        angles = CanonicalAngles(theta=th, phi=ph)
+        axes = canonical_axes(angles)
+        expected = (
+            [0.0, 0.0, 1.0],
+            [np.sin(ph), 0.0, np.cos(ph)],
+            [np.sin(th / 2), 0.0, np.cos(th / 2)],
+            [-np.sin(th / 2), 0.0, np.cos(th / 2)],
+        )
+        for got, want in zip(axes, expected):
+            assert np.allclose(got, want, atol=1e-15)
+        for obs, axis in zip(canonical_setting(angles).observables(), axes):
+            assert np.array_equal(obs, bloch_observable(axis))
 
     def test_delta_property(self):
         angles = CanonicalAngles(theta=np.pi / 3, phi=np.pi / 4)
