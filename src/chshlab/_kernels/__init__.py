@@ -1,49 +1,9 @@
-"""Kernel backend selection.
+"""Hot kernels: the compiled extension when it is built, else the pure
+Python twin.  BACKEND names the one that imported."""
 
-Tries the compiled extension first and silently falls back to the pure
-Python implementation.  Set CHSHLAB_BACKEND=python (or =compiled) to
-force a choice; forcing "compiled" raises if the extension is missing
-instead of degrading quietly.
-"""
-
-import os
-
-from . import _pure
-
-
-def load_backend(name: str):
-    """Return the kernel module for an explicit backend name."""
-    if name == "python":
-        return _pure
-    if name == "compiled":
-        from . import _fast
-
-        return _fast
-    raise ValueError(f"unknown backend {name!r} (expected 'python' or 'compiled')")
-
-
-def _select():
-    forced = os.environ.get("CHSHLAB_BACKEND")
-    if forced:
-        return load_backend(forced)
-    try:
-        from . import _fast
-    except ImportError:
-        return _pure
-    return _fast
-
-
-def available_backends() -> tuple[str, ...]:
-    try:
-        from . import _fast  # noqa: F401
-    except ImportError:
-        return ("python",)
-    return ("python", "compiled")
-
-
-_impl = _select()
-
-BACKEND = _impl.BACKEND_NAME
-chsh_objective = _impl.chsh_objective
-maximize_chsh = _impl.maximize_chsh
-dykstra_feasibility = _impl.dykstra_feasibility
+try:
+    from ._fast import BACKEND_NAME as BACKEND
+    from ._fast import chsh_objective, dykstra_feasibility, maximize_chsh
+except ImportError:
+    from ._pure import BACKEND_NAME as BACKEND
+    from ._pure import chsh_objective, dykstra_feasibility, maximize_chsh

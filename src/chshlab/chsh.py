@@ -33,6 +33,11 @@ class ChshReport:
     optimal_state: np.ndarray | None = None
 
 
+def violates(value: float) -> bool:
+    """True iff a CHSH value exceeds the local bound 2 by more than the margin."""
+    return bool(value > 2.0 + VIOLATION_MARGIN)
+
+
 def chsh_operator(setting: ChshSetting) -> np.ndarray:
     """S = A0 x (B0 + B1) + A1 x (B0 - B1), a 4x4 Hermitian operator."""
     return kron(setting.a0, setting.b0 + setting.b1) + kron(setting.a1, setting.b0 - setting.b1)
@@ -99,7 +104,7 @@ def landau_bound(setting: ChshSetting) -> ChshReport:
     return ChshReport(
         value=bound,
         bound=bound,
-        violates=bound > 2.0 + VIOLATION_MARGIN,
+        violates=violates(bound),
         mu=mu,
         optimal_state=projector,
     )
@@ -115,7 +120,7 @@ def max_over_states(setting: ChshSetting) -> ChshReport:
     return ChshReport(
         value=top,
         bound=top,
-        violates=top > 2.0 + VIOLATION_MARGIN,
+        violates=violates(top),
         optimal_state=projector,
     )
 

@@ -23,6 +23,7 @@ from .chsh import (
     landau_bound,
     max_over_states,
     sample_estimate,
+    violates,
 )
 from .compat import (
     busch_criterion,
@@ -36,6 +37,7 @@ from .entanglement import (
     canonical_setting,
     entanglement_threshold,
     max_chsh_closed_form,
+    nonlocality_region,
     schmidt_state,
 )
 from .errors import ChshLabError
@@ -51,6 +53,7 @@ from .measurement import (
 PROG = "chshlab"
 DEFAULT_PRECISION = 6
 MAX_PRECISION = 15
+MAX_GRID_STEPS = 10**6  # numpy.linspace allocates all steps at once
 
 
 class UsageError(Exception):
@@ -120,7 +123,7 @@ def parse_axis(token: str) -> np.ndarray:
 
 
 def parse_grid(token: str) -> np.ndarray:
-    """start:stop:steps with steps >= 1 and start <= stop."""
+    """start:stop:steps with 1 <= steps <= MAX_GRID_STEPS and start <= stop."""
     parts = token.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid {token!r}: expected start:stop:steps")
@@ -131,8 +134,8 @@ def parse_grid(token: str) -> np.ndarray:
         raise UsageError(f"grid {token!r}: non-numeric field") from None
     if not (isfinite(start) and isfinite(stop)):
         raise UsageError(f"grid {token!r}: non-finite field")
-    if steps < 1:
-        raise UsageError(f"grid {token!r}: steps must be >= 1")
+    if not 1 <= steps <= MAX_GRID_STEPS:
+        raise UsageError(f"grid {token!r}: steps must be in [1, {MAX_GRID_STEPS}]")
     if start > stop:
         raise UsageError(f"grid {token!r}: start must be <= stop")
     return np.linspace(start, stop, steps)
@@ -166,27 +169,25 @@ class Emitter:
     def json(self, doc: dict) -> None:
         print(json.dumps(self._rounded(doc)), file=self.out)
 
-    def csv(self, header: list[str], rows: list[list], comments: list[str] = ()) -> None:
+    def text(self, v) -> str:
+        """v as written in CSV cells, CSV comments and verify's text lines."""
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, (float, np.floating)):
+            return f"{self.num(v):.{self.precision}g}"
+        return str(v)
+
+    def table(self, doc: dict, header: list[str], rows: list[list] | None = None, comments=()) -> None:
+        """Tabular result: JSON writes doc; CSV writes the comments, the header
+        and the rows, which default to one row of doc's own header fields."""
+        if self.fmt != "csv":
+            self.json(doc)
+            return
         for c in comments:
             print(f"# {c}", file=self.out)
         print(",".join(header), file=self.out)
-        for row in rows:
-            cells = []
-            for v in row:
-                if isinstance(v, bool):
-                    cells.append("true" if v else "false")
-                elif isinstance(v, (float, np.floating)):
-                    cells.append(f"{self.num(v):.{self.precision}g}")
-                else:
-                    cells.append(str(v))
-            print(",".join(cells), file=self.out)
-
-    def table(self, header: list[str], rows: list[list], doc: dict, comments: list[str] = ()) -> None:
-        """Tabular result: doc carries the same data for JSON output."""
-        if self.fmt == "csv":
-            self.csv(header, rows, comments)
-        else:
-            self.json(doc)
+        for row in [[doc[k] for k in header]] if rows is None else rows:
+            print(",".join(self.text(v) for v in row), file=self.out)
 
 
 # ---------- setting construction shared by chsh/sample ----------
@@ -258,11 +259,7 @@ def cmd_jm(args, em: Emitter) -> int:
             "closed_form": sharpness_threshold_closed_form(axis1, axis2),
             "tol": tol,
         }
-        em.table(
-            ["threshold", "closed_form", "tol"],
-            [[doc["threshold"], doc["closed_form"], doc["tol"]]],
-            doc,
-        )
+        em.table(doc, ["threshold", "closed_form", "tol"])
         return 0
     if args.lam is None:
         raise UsageError("jm requires --lambda VALUE, --lambda START:STOP:STEPS or --threshold")
@@ -296,9 +293,9 @@ def cmd_jm(args, em: Emitter) -> int:
     comments = []
     if len(verdicts) > 1:
         doc["threshold"] = sharpness_threshold(axis1, axis2, tol)
-        comments.append(f"threshold = {em.num(doc['threshold']):.{em.precision}g}")
-    rows = [[v["lambda"], v["status"], v["margin"], v["method"]] for v in verdicts]
-    em.table(["lambda", "status", "margin", "method"], rows, doc, comments)
+        comments.append(f"threshold = {em.text(doc['threshold'])}")
+    header = ["lambda", "status", "margin", "method"]
+    em.table(doc, header, [[v[k] for k in header] for v in verdicts], comments)
     return 0
 
 
@@ -314,39 +311,29 @@ def cmd_chsh(args, em: Emitter) -> int:
         doc["bound"] = rep.bound
         doc["mu"] = rep.mu
     else:
-        rep = max_over_states(setting)
-        doc["bound"] = rep.bound
+        doc["bound"] = max_over_states(setting).bound
     if args.max:
-        rep = max_over_states(setting)
-        doc["value"] = rep.value
-        doc["violates"] = bool(rep.value > 2.0 + 1e-9)
+        doc["value"] = max_over_states(setting).value
     else:
         rho = _state_from_spec(args.state)
-        value = chsh_value(setting, rho)
         doc["state"] = args.state
-        doc["value"] = value
-        doc["violates"] = bool(value > 2.0 + 1e-9)
-    header = ["value", "bound", "violates"]
-    row = [doc["value"], doc["bound"], doc["violates"]]
-    em.table(header, [row], doc)
+        doc["value"] = chsh_value(setting, rho)
+    doc["violates"] = violates(doc["value"])
+    em.table(doc, ["value", "bound", "violates"])
     return 0
 
 
 def cmd_region(args, em: Emitter) -> int:
     e_grid = parse_grid(_require(args.e_grid, "--e-grid"))
     d_grid = parse_grid(_require(args.delta_grid, "--delta-grid"))
-    for e in e_grid:
-        if not 0.0 <= e <= 0.5:
-            raise UsageError(f"entanglement grid value {e} outside [0, 0.5]")
-    for d in d_grid:
-        if not 0.0 <= d <= 1.0:
-            raise UsageError(f"incompatibility grid value {d} outside [0, 1]")
+    if e_grid.size * d_grid.size > MAX_GRID_STEPS:
+        raise UsageError(f"region: {e_grid.size}x{d_grid.size} cells, more than {MAX_GRID_STEPS}")
     threshold = entanglement_threshold()
-    rows = []
-    for e in e_grid:
-        for d in d_grid:
-            f = max_chsh_closed_form(float(e), float(d))
-            rows.append([float(e), float(d), f, bool(f > 2.0 + 1e-12)])
+    rows = [
+        [e, d, max_chsh_closed_form(e, d), nonlocality_region(e, d)]
+        for e in e_grid.tolist()
+        for d in d_grid.tolist()
+    ]
     doc = {
         "entanglement_threshold": threshold,
         "rows": [
@@ -354,10 +341,10 @@ def cmd_region(args, em: Emitter) -> int:
         ],
     }
     em.table(
+        doc,
         ["E", "delta", "chsh_max", "nonlocal"],
         rows,
-        doc,
-        comments=[f"entanglement_threshold = {em.num(threshold):.{em.precision}g}"],
+        comments=[f"entanglement_threshold = {em.text(threshold)}"],
     )
     return 0
 
@@ -386,11 +373,7 @@ def cmd_sample(args, em: Emitter) -> int:
         "exact": exact,
         "n_sigma": n_sigma,
     }
-    em.table(
-        ["estimate", "std_error", "exact", "n_sigma"],
-        [[doc["estimate"], doc["std_error"], doc["exact"], doc["n_sigma"]]],
-        doc,
-    )
+    em.table(doc, ["estimate", "std_error", "exact", "n_sigma"])
     return 0
 
 
@@ -420,7 +403,7 @@ def cmd_verify(args, em: Emitter) -> int:
             status = "PASS" if c["passed"] else "FAIL"
             print(
                 f"{status} {args.suite}.{c['check']} "
-                f"max_dev={em.num(c['max_dev']):.{em.precision}g} tol={c['tol']:g}",
+                f"max_dev={em.text(c['max_dev'])} tol={em.text(c['tol'])}",
                 file=em.out,
             )
         print("OK" if all_passed else "FAILED", file=em.out)

@@ -14,7 +14,6 @@ from .chsh import chsh_operator, state_from_vector
 from .errors import DegenerateDeltaError, NonRealTraceError, OutOfRangeError
 from .measurement import ChshSetting, X_AXIS, Z_AXIS
 
-TRACE_IMAG_DISCARD = 1e-10
 TRACE_IMAG_ERROR = 1e-8
 DELTA_SINGULAR_TOL = 1e-12
 DEFAULT_RESTARTS = 20
@@ -89,9 +88,6 @@ class UnitaryParams:
     psi: float
     phi: float
     theta: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.psi, self.phi, self.theta])
 
 
 def local_unitary(params: UnitaryParams) -> np.ndarray:

@@ -79,10 +79,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.eigenvalues)))
-
     def projector(self, index: int) -> np.ndarray:
         v = self.eigenvectors[:, index].reshape(-1, 1)
         return v @ v.conj().T

@@ -10,7 +10,6 @@ from .errors import NonUnitAxisError, OutOfRangeError
 from .linalg import I2, SX, SY, SZ, as_matrix, comm, hermitize, is_psd, kron, operator_norm
 
 UNIT_AXIS_TOL = 1e-9
-EFFECT_SUM_TOL = 1e-12
 PSD_TOL = 1e-12
 
 X_AXIS = np.array([1.0, 0.0, 0.0])

@@ -242,8 +242,9 @@ class TestRegion:
         assert json.loads(err)["code"] == "usage"
         rc, _, _ = run(capsys, ["region", "--e-grid", "0:0.5:0", "--delta-grid", "0:1:3"])
         assert rc == 2
-        rc, _, _ = run(capsys, ["region", "--e-grid", "0:0.9:3", "--delta-grid", "0:1:3"])
+        rc, _, err = run(capsys, ["region", "--e-grid", "0:0.9:3", "--delta-grid", "0:1:3"])
         assert rc == 2
+        assert json.loads(err)["code"] == "out_of_range"
 
     def test_non_finite_grid_writes_one_json_line(self):
         proc = run_process(["region", "--e-grid=0:0.5:3", "--delta-grid=0:inf:2"])
@@ -329,6 +330,22 @@ class TestVerify:
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["jm", "--axes=z,x", "--lambda=0:1:100000000000000"],
+            ["region", "--e-grid=0:0.5:100000000000000", "--delta-grid=0:1:2"],
+            ["region", "--e-grid=0:0.5:1001", "--delta-grid=0:1:1000"],
+        ],
+        ids=["jm-lambda", "region-e", "region-cells"],
+    )
+    def test_grid_size_bounded(self, argv):
+        proc = run_process(argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["code"] == "usage"
+
     def test_output_into_missing_directory(self, capsys, tmp_path):
         path = tmp_path / "missing" / "out.json"
         rc, out, err = run(capsys, ["chsh", "--canonical=0,0", "--max", f"--output={path}"])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chshlab.compat import (
     JmMethod,
@@ -13,7 +15,7 @@ from chshlab.compat import (
 )
 from chshlab.errors import InvalidToleranceError, NotUnbiasedError
 from chshlab.linalg import I2
-from chshlab.measurement import BinaryPovm, X_AXIS, Z_AXIS, noisy_pauli_povm
+from chshlab.measurement import BinaryPovm, X_AXIS, Z_AXIS, from_pauli_coords, noisy_pauli_povm
 
 from conftest import random_axis
 
@@ -30,6 +32,17 @@ def verify_parent(parent, p, q, tol):
     for g in effects:
         sym = (g + g.conj().T) / 2
         assert float(np.min(np.linalg.eigvalsh(sym))) >= -tol
+
+
+@st.composite
+def _biased_povm(draw):
+    """(c0·I + r·n·σ)/2 with eigenvalues (c0 ± r)/2 inside [0, 1]."""
+    c0 = draw(st.floats(0.0, 2.0))
+    r = draw(st.floats(0.0, 1.0)) * min(c0, 2.0 - c0)
+    v = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+    norm = float(np.linalg.norm(v))
+    n = v / norm if norm > 1e-3 else Z_AXIS
+    return BinaryPovm.from_effect(from_pauli_coords([c0, *(r * n)]))
 
 
 class TestBuschCriterion:
@@ -94,6 +107,14 @@ class TestParentPovmSearch:
         v = parent_povm_search(p, q)
         assert v.status is JmStatus.COMPATIBLE
         verify_parent(v.parent, p, q, 1e-8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_biased_povm(), _biased_povm())
+    def test_biased_compatible_certificates_verify(self, p, q):
+        tol = 1e-9
+        v = parent_povm_search(p, q, tol=tol)
+        if v.status is JmStatus.COMPATIBLE:
+            verify_parent(v.parent, p, q, tol + 1e-12)
 
     def test_rejects_bad_tolerance(self):
         p = noisy_pauli_povm(Z_AXIS, 0.5)

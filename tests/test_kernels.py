@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from chshlab._kernels import BACKEND, available_backends, load_backend
+import chshlab
+from chshlab import _kernels
+from chshlab._kernels import _pure as pure
 from chshlab.chsh import chsh_operator
 from chshlab.entanglement import (
     CanonicalAngles,
@@ -12,10 +14,12 @@ from chshlab.entanglement import (
     rotated_chsh,
 )
 
-pure = load_backend("python")
+try:
+    from chshlab._kernels import _fast as fast
+except ImportError:
+    fast = None
 
-HAS_COMPILED = "compiled" in available_backends()
-needs_compiled = pytest.mark.skipif(not HAS_COMPILED, reason="compiled extension not built")
+needs_compiled = pytest.mark.skipif(fast is None, reason="compiled extension not built")
 
 
 def _operator(theta, phi):
@@ -33,7 +37,13 @@ def _random_case(rng):
 
 
 def test_selected_backend_is_known():
-    assert BACKEND in ("python", "compiled")
+    assert _kernels.BACKEND in ("python", "compiled")
+
+
+def test_backend_matches_kernels():
+    assert chshlab.BACKEND == _kernels.BACKEND
+    compiled = _kernels.maximize_chsh.__module__.endswith("_fast")
+    assert compiled == (_kernels.BACKEND == "compiled")
 
 
 def test_pure_objective_matches_dense_route(rng):
@@ -52,7 +62,6 @@ def test_pure_objective_matches_dense_route(rng):
 
 @needs_compiled
 def test_objective_parity(rng):
-    fast = load_backend("compiled")
     for _ in range(500):
         s, e, x, *_ = _random_case(rng)
         assert fast.chsh_objective(s, e, x) == pytest.approx(
@@ -65,7 +74,6 @@ def test_maximize_parity(rng):
     # objective values occasionally differ by 1-2 ulp between backends,
     # which can flip a simplex branch at a near-tie; converged values must
     # still agree even when the paths do not
-    fast = load_backend("compiled")
     for _ in range(25):
         s, e, x, *_ = _random_case(rng)
         vp, xp, _ = pure.maximize_chsh(s, e, x)
@@ -77,7 +85,6 @@ def test_maximize_parity(rng):
 
 @needs_compiled
 def test_dykstra_parity(rng):
-    fast = load_backend("compiled")
     for _ in range(50):
         axes = rng.normal(size=(2, 3))
         axes /= np.linalg.norm(axes, axis=1, keepdims=True)
@@ -95,7 +102,6 @@ def test_dykstra_parity(rng):
 
 def test_dykstra_feasible_point_within_tolerance(rng):
     # the x returned on success is PSD-feasible for all four blocks
-    impl = load_backend(BACKEND)
     for _ in range(20):
         axes = rng.normal(size=(2, 3))
         axes /= np.linalg.norm(axes, axis=1, keepdims=True)
@@ -103,7 +109,7 @@ def test_dykstra_feasible_point_within_tolerance(rng):
         m = np.array([1.0, *(lam * axes[0])])
         n = np.array([1.0, *(lam * axes[1])])
         x0 = (m + n) / 2 - np.array([0.5, 0.0, 0.0, 0.0])
-        x, res, _, _ = impl.dykstra_feasibility(m, n, x0, 1e-9, 200_000)
+        x, res, _, _ = _kernels.dykstra_feasibility(m, n, x0, 1e-9, 200_000)
         assert res <= 1e-9
 
         def min_eig(c):
@@ -113,17 +119,3 @@ def test_dykstra_feasible_point_within_tolerance(rng):
         x = np.asarray(x)
         for block in (x, m - x, n - x, x - (m + n - e4)):
             assert min_eig(block) >= -1e-9
-
-
-def test_backend_env_override(monkeypatch):
-    import importlib
-
-    import chshlab._kernels as kernels
-
-    monkeypatch.setenv("CHSHLAB_BACKEND", "python")
-    reloaded = importlib.reload(kernels)
-    try:
-        assert reloaded.BACKEND == "python"
-    finally:
-        monkeypatch.delenv("CHSHLAB_BACKEND")
-        importlib.reload(kernels)
