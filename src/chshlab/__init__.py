@@ -29,7 +29,6 @@ from .compat import (
     busch_criterion,
     parent_povm_search,
     sharpness_threshold,
-    sharpness_threshold_closed_form,
 )
 from .entanglement import (
     CanonicalAngles,

@@ -80,10 +80,7 @@ def state_from_vector(v) -> np.ndarray:
 
 def _top_modulus_projector(spectrum) -> tuple[float, np.ndarray]:
     vals = spectrum.eigenvalues
-    idx = 0
-    for i in range(1, len(vals)):
-        if abs(vals[i]) > abs(vals[idx]):  # ties keep the lowest index
-            idx = i
+    idx = int(np.argmax(np.abs(vals)))  # ties keep the lowest index
     return float(abs(vals[idx])), spectrum.projector(idx)
 
 

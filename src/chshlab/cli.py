@@ -25,12 +25,7 @@ from .chsh import (
     sample_estimate,
     violates,
 )
-from .compat import (
-    busch_criterion,
-    parent_povm_search,
-    sharpness_threshold,
-    sharpness_threshold_closed_form,
-)
+from .compat import busch_criterion, check_tolerance, parent_povm_search, sharpness_threshold
 from .entanglement import (
     CanonicalAngles,
     canonical_axes,
@@ -251,12 +246,13 @@ def cmd_jm(args, em: Emitter) -> int:
     if len(axes_tokens) != 2:
         raise UsageError("--axes expects two comma-separated axes, e.g. z,x")
     axis1, axis2 = (parse_axis(t) for t in axes_tokens)
-    tol = float(args.tol)
+    tol = check_tolerance(args.tol)
+    threshold = sharpness_threshold(axis1, axis2)
     if args.threshold:
         doc = {
             "axes": [list(axis1), list(axis2)],
-            "threshold": sharpness_threshold(axis1, axis2, tol),
-            "closed_form": sharpness_threshold_closed_form(axis1, axis2),
+            "threshold": threshold,
+            "closed_form": threshold,
             "tol": tol,
         }
         em.table(doc, ["threshold", "closed_form", "tol"])
@@ -292,8 +288,8 @@ def cmd_jm(args, em: Emitter) -> int:
     doc = {"axes": [list(axis1), list(axis2)], "verdicts": verdicts}
     comments = []
     if len(verdicts) > 1:
-        doc["threshold"] = sharpness_threshold(axis1, axis2, tol)
-        comments.append(f"threshold = {em.text(doc['threshold'])}")
+        doc["threshold"] = threshold
+        comments.append(f"threshold = {em.text(threshold)}")
     header = ["lambda", "status", "margin", "method"]
     em.table(doc, header, [[v[k] for k in header] for v in verdicts], comments)
     return 0
@@ -436,9 +432,9 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     jm = sub.add_parser("jm", description="joint measurability of a noisy-Pauli pair")
     jm.add_argument("--axes", default=None, help="two axes, e.g. z,x or z,0.6:0:0.8")
     jm.add_argument("--lambda", dest="lam", default=None, help="sharpness value or START:STOP:STEPS")
-    jm.add_argument("--threshold", action="store_true", help="bisect the critical sharpness")
+    jm.add_argument("--threshold", action="store_true", help="critical sharpness (closed form)")
     jm.add_argument("--method", choices=("analytic", "feasibility"), default="analytic")
-    jm.add_argument("--tol", type=float, default=1e-9)
+    jm.add_argument("--tol", type=float, default=1e-9, help="residual tolerance of --method feasibility")
     _add_common(jm)
     jm.set_defaults(func=cmd_jm)
 
@@ -462,7 +458,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sm.add_argument("--state", default=None)
     sm.add_argument("--shots", type=int, default=1_000_000)
     sm.add_argument("--seed", type=int, default=0)
-    sm.set_defaults(max=False)
     _add_common(sm)
     sm.set_defaults(func=cmd_sample)
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels
 from .errors import InvalidToleranceError, NotUnbiasedError
 from .linalg import I2
-from .measurement import BinaryPovm, from_pauli_coords, noisy_pauli_povm, pauli_coords, unit_axis
+from .measurement import BinaryPovm, from_pauli_coords, pauli_coords, unit_axis
 
 UNBIASED_TOL = 1e-9
 DEFAULT_TOL = 1e-9
@@ -24,7 +24,6 @@ DEFAULT_MAX_ITER = 200_000
 PLATEAU_WINDOW = 500
 PLATEAU_RTOL = 1e-12
 INCOMPATIBLE_FACTOR = 10.0
-BISECT_ITERATIONS = 60
 
 
 class JmStatus(enum.Enum):
@@ -99,6 +98,13 @@ def busch_criterion(p: BinaryPovm, q: BinaryPovm) -> JmVerdict:
     return JmVerdict(status=status, margin=margin, method=JmMethod.ANALYTIC_UNBIASED)
 
 
+def check_tolerance(tol: float) -> float:
+    """tol itself if it is positive and finite, else InvalidToleranceError."""
+    if not 0.0 < tol < np.inf:
+        raise InvalidToleranceError(f"tol must be positive and finite, got {tol}")
+    return tol
+
+
 def parent_povm_search(
     p: BinaryPovm,
     q: BinaryPovm,
@@ -114,8 +120,7 @@ def parent_povm_search(
     1e-12 over 500 iterations) at more than 10·tol; anything else is
     reported Undecided rather than guessed.
     """
-    if not 0.0 < tol < np.inf:
-        raise InvalidToleranceError(f"tol must be positive and finite, got {tol}")
+    check_tolerance(tol)
     if max_iter < 1:
         raise InvalidToleranceError(f"max_iter must be >= 1, got {max_iter}")
     m = pauli_coords(p.effect_plus)
@@ -148,37 +153,10 @@ def parent_povm_search(
     return JmVerdict(status=status, margin=-float(residual), method=JmMethod.FEASIBILITY)
 
 
-def sharpness_threshold(n1, n2, tol: float = 1e-9) -> float:
-    """Critical sharpness λ* of the noisy-Pauli pair along two axes.
-
-    The pair (I ± λ n·σ)/2 is compatible for λ <= λ* and incompatible
-    above; located by bisection with the analytic criterion as oracle.
-    """
-    if not 0.0 < tol < np.inf:
-        raise InvalidToleranceError(f"tol must be positive and finite, got {tol}")
-    axis1 = unit_axis(n1)
-    axis2 = unit_axis(n2)
-
-    def compatible(lam: float) -> bool:
-        verdict = busch_criterion(noisy_pauli_povm(axis1, lam), noisy_pauli_povm(axis2, lam))
-        return verdict.status is JmStatus.COMPATIBLE
-
-    if compatible(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(BISECT_ITERATIONS):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if compatible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def sharpness_threshold_closed_form(n1, n2) -> float:
-    """2 / (|n1+n2| + |n1-n2|), capped at 1: the analytic λ* for unit axes."""
+def sharpness_threshold(n1, n2) -> float:
+    """Critical sharpness λ* = min(1, 2/(|n1+n2| + |n1-n2|)) of the noisy-Pauli
+    pair (I ± λ n·σ)/2 along two axes: compatible for λ <= λ*, incompatible
+    above (Busch, Phys. Rev. D 33, 2253 (1986)).  1/√2 for orthogonal axes."""
     a = unit_axis(n1)
     b = unit_axis(n2)
     return min(1.0, 2.0 / float(np.linalg.norm(a + b) + np.linalg.norm(a - b)))

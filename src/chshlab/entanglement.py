@@ -10,7 +10,7 @@ from math import atan2, cos, pi, sin, sqrt
 import numpy as np
 
 from . import _kernels
-from .chsh import chsh_operator, state_from_vector
+from .chsh import chsh_operator, state_from_vector, violates
 from .errors import DegenerateDeltaError, NonRealTraceError, OutOfRangeError
 from .measurement import ChshSetting, X_AXIS, Z_AXIS
 
@@ -214,8 +214,8 @@ def stationary_unitary_params(angles: CanonicalAngles) -> tuple[UnitaryParams, U
 
 
 def nonlocality_region(e: float, delta: float) -> bool:
-    """True iff the closed-form maximum exceeds the LHV bound 2."""
-    return max_chsh_closed_form(e, delta) > 2.0 + 1e-12
+    """True iff the closed-form maximum violates the LHV bound 2."""
+    return violates(max_chsh_closed_form(e, delta))
 
 
 def entanglement_threshold() -> float:
@@ -228,9 +228,8 @@ def entanglement_threshold() -> float:
 class MonotonicityReport:
     """Direction of the closed-form maximum as a function of Δ on [0, 1].
 
-    monotone is False when successive differences change sign; then
-    extremum_delta locates the interior extremum on the scan grid and
-    increasing is None.
+    monotone is False when the maximum lies inside (0, 1); then
+    extremum_delta is that Δ* and increasing is None.
     """
 
     monotone: bool
@@ -238,24 +237,19 @@ class MonotonicityReport:
     extremum_delta: float | None
 
 
-def incompatibility_monotonicity(e: float, grid: int) -> MonotonicityReport:
-    """Sign-scan of the closed form over a uniform Δ-grid of `grid` points."""
-    if grid < 3:
-        raise OutOfRangeError(f"grid must be >= 3, got {grid}")
-    deltas = np.linspace(0.0, 1.0, grid)
-    values = np.array([max_chsh_closed_form(e, d) for d in deltas])
-    diffs = np.diff(values)
-    signs = np.sign(diffs)
-    signs = signs[signs != 0.0]
-    if signs.size == 0:
-        return MonotonicityReport(monotone=True, increasing=None, extremum_delta=None)
-    flips = np.nonzero(np.diff(signs) != 0.0)[0]
-    if flips.size == 0:
-        return MonotonicityReport(monotone=True, increasing=bool(signs[0] > 0), extremum_delta=None)
-    nonzero_positions = np.nonzero(np.sign(diffs) != 0.0)[0]
-    flip_at = nonzero_positions[flips[0] + 1]
-    return MonotonicityReport(
-        monotone=False,
-        increasing=None,
-        extremum_delta=float(deltas[flip_at]),
-    )
+def incompatibility_monotonicity(e: float) -> MonotonicityReport:
+    """Shape of f(Δ) = (2-X)√(1+Δ) + X√(1-Δ) at entanglement E.
+
+    f is concave with f'(Δ*) = 0 at Δ* = 2C/(1+C²), where C = 1-X =
+    2√(E(1-E)) is the concurrence: increasing for E = 1/2 (Δ* = 1),
+    decreasing for E = 0 (Δ* = 0), an interior maximum in between.
+    """
+    if not 0.0 <= e <= 0.5:
+        raise OutOfRangeError(f"entanglement parameter {e!r} outside [0, 1/2]")
+    c = 2.0 * sqrt(e * (1.0 - e))
+    d_star = 2.0 * c / (1.0 + c * c)
+    if d_star == 1.0:
+        return MonotonicityReport(monotone=True, increasing=True, extremum_delta=None)
+    if d_star == 0.0:
+        return MonotonicityReport(monotone=True, increasing=False, extremum_delta=None)
+    return MonotonicityReport(monotone=False, increasing=None, extremum_delta=d_star)

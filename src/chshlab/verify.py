@@ -58,7 +58,7 @@ def landau(seed: int) -> list[dict]:
         comm_a = setting.a0 @ setting.a1 - setting.a1 @ setting.a0
         comm_b = setting.b0 @ setting.b1 - setting.b1 @ setting.b0
         if np.max(np.abs(comm_a)) > 1e-9 and np.max(np.abs(comm_b)) > 1e-9:
-            if not rep.bound > 2.0 + 1e-12:
+            if not rep.violates:
                 violations += 1
     return [
         {"check": "squared_identity", "max_dev": worst_identity, "tol": 1e-9},
@@ -81,7 +81,7 @@ def _certificate_defect(parent, p, q) -> float:
 def jm(seed: int) -> list[dict]:
     """Analytic criterion vs feasibility search on 200 random unbiased pairs
     away from the boundary, every Compatible parent re-verified, and the
-    z/x threshold bisection."""
+    z/x critical sharpness."""
     rng = np.random.default_rng(seed)
     disagreements = 0
     worst_defect = 0.0
@@ -101,7 +101,7 @@ def jm(seed: int) -> list[dict]:
             disagreements += 1
         if numeric.status is JmStatus.COMPATIBLE:
             worst_defect = max(worst_defect, _certificate_defect(numeric.parent, p, q))
-    threshold_dev = abs(sharpness_threshold(Z_AXIS, X_AXIS, 1e-9) - 1.0 / sqrt(2.0))
+    threshold_dev = abs(sharpness_threshold(Z_AXIS, X_AXIS) - 1.0 / sqrt(2.0))
     return [
         {"check": "analytic_vs_feasibility", "max_dev": float(disagreements), "tol": 0.0},
         {"check": "certificate_defect", "max_dev": worst_defect, "tol": 1e-8},

@@ -74,7 +74,7 @@ def test_c3_povm_window(capsys):
         worst = max(worst, abs(value - TSIRELSON * lam * lam))
     assert worst <= 1e-9
 
-    threshold = sharpness_threshold(Z_AXIS, X_AXIS, tol=1e-9)
+    threshold = sharpness_threshold(Z_AXIS, X_AXIS)
     assert abs(threshold - INV_SQRT2) <= 1e-6
     # feasibility oracle agrees on both sides of the threshold
     for lam, expected in ((threshold - 5e-3, JmStatus.COMPATIBLE),
@@ -162,10 +162,10 @@ def test_c7_entanglement_threshold(capsys):
 
 
 def test_c8_monotonicity(capsys):
-    max_ent = incompatibility_monotonicity(0.5, 10_000)
+    max_ent = incompatibility_monotonicity(0.5)
     assert max_ent.monotone
     assert max_ent.increasing is True
-    partial = incompatibility_monotonicity(0.25, 10_000)
+    partial = incompatibility_monotonicity(0.25)
     assert not partial.monotone
     assert partial.extremum_delta is not None
     assert max_chsh_closed_form(0.03, 0.1) > 2.0 > max_chsh_closed_form(0.03, 1.0)

@@ -109,6 +109,18 @@ class TestJm:
         assert rc == 2 and out == ""
         assert json.loads(err)["code"] == "invalid_tolerance"
 
+    def test_nan_tol_refused_by_analytic(self, capsys):
+        rc, out, err = run(capsys, ["jm", "--axes=z,x", "--lambda=0.5", "--tol=nan"])
+        assert rc == 2 and out == ""
+        assert json.loads(err)["code"] == "invalid_tolerance"
+
+    def test_tol_does_not_move_threshold(self, capsys):
+        rc, out, _ = run(capsys, ["jm", "--axes=z,x", "--threshold", "--tol=0.3"])
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["threshold"] == doc["closed_form"] == 0.707107
+        assert doc["tol"] == 0.3
+
     def test_non_numeric_lambda(self, capsys):
         rc, out, err = run(capsys, ["jm", "--axes=z,x", "--lambda=abc"])
         assert rc == 2 and out == ""

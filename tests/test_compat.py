@@ -9,9 +9,9 @@ from chshlab.compat import (
     JmMethod,
     JmStatus,
     busch_criterion,
+    check_tolerance,
     parent_povm_search,
     sharpness_threshold,
-    sharpness_threshold_closed_form,
 )
 from chshlab.errors import InvalidToleranceError, NotUnbiasedError
 from chshlab.linalg import I2
@@ -35,13 +35,18 @@ def verify_parent(parent, p, q, tol):
 
 
 @st.composite
+def _axis(draw):
+    v = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+    norm = float(np.linalg.norm(v))
+    return v / norm if norm > 1e-3 else Z_AXIS
+
+
+@st.composite
 def _biased_povm(draw):
     """(c0·I + r·n·σ)/2 with eigenvalues (c0 ± r)/2 inside [0, 1]."""
     c0 = draw(st.floats(0.0, 2.0))
     r = draw(st.floats(0.0, 1.0)) * min(c0, 2.0 - c0)
-    v = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
-    norm = float(np.linalg.norm(v))
-    n = v / norm if norm > 1e-3 else Z_AXIS
+    n = draw(_axis())
     return BinaryPovm.from_effect(from_pauli_coords([c0, *(r * n)]))
 
 
@@ -157,19 +162,34 @@ class TestSharpnessThreshold:
 
     def test_sixty_degrees(self):
         axis = np.array([np.sin(np.pi / 3), 0.0, np.cos(np.pi / 3)])
-        # closed form 2/(sqrt(3)+1) = sqrt(3)-1, confirmed by bisection
+        # 2/(sqrt(3)+1) = sqrt(3)-1
         assert sharpness_threshold(Z_AXIS, axis) == pytest.approx(0.7320508075688772, abs=1e-9)
 
     def test_matches_closed_form(self, rng):
+        # the analytic criterion's margin vanishes exactly at the threshold
         for _ in range(25):
             n1, n2 = random_axis(rng), random_axis(rng)
-            assert sharpness_threshold(n1, n2, tol=1e-10) == pytest.approx(
-                sharpness_threshold_closed_form(n1, n2), abs=1e-9
-            )
+            lam = sharpness_threshold(n1, n2)
+            margin = busch_criterion(noisy_pauli_povm(n1, lam), noisy_pauli_povm(n2, lam)).margin
+            assert margin == pytest.approx(0.0, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(_axis(), _axis())
+    def test_feasibility_oracle_brackets_threshold(self, n1, n2):
+        # Dykstra's search shares no code with the formula
+        lam = sharpness_threshold(n1, n2)
+        below = parent_povm_search(noisy_pauli_povm(n1, 0.99 * lam), noisy_pauli_povm(n2, 0.99 * lam))
+        assert below.status is JmStatus.COMPATIBLE
+        if 1.01 * lam <= 1.0:
+            above = parent_povm_search(
+                noisy_pauli_povm(n1, 1.01 * lam), noisy_pauli_povm(n2, 1.01 * lam)
+            )
+            assert above.status is JmStatus.INCOMPATIBLE
+
+
+class TestCheckTolerance:
     def test_rejects_bad_tolerance(self):
-        with pytest.raises(InvalidToleranceError):
-            sharpness_threshold(Z_AXIS, X_AXIS, tol=-1e-9)
-        for tol in (np.nan, np.inf):
+        assert check_tolerance(1e-9) == 1e-9
+        for tol in (-1e-9, 0.0, np.nan, np.inf):
             with pytest.raises(InvalidToleranceError):
-                sharpness_threshold(Z_AXIS, X_AXIS, tol=tol)
+                check_tolerance(tol)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chshlab.chsh import chsh_value, landau_bound
+from chshlab.chsh import chsh_value, landau_bound, violates
 from chshlab.entanglement import (
     CanonicalAngles,
     UnitaryParams,
@@ -290,6 +292,11 @@ class TestNonlocalityRegion:
         assert max_chsh_closed_form(0.03, 1.0) == pytest.approx(1.896707085645688, abs=1e-12)
         assert max_chsh_closed_form(0.03, 0.1) == pytest.approx(2.031652424931163, abs=1e-12)
 
+    def test_margin_matches_violates(self):
+        # at E = 1/2 and delta = 5e-10 the maximum is 2 + 5e-10, inside the margin
+        value = max_chsh_closed_form(0.5, 5e-10)
+        assert nonlocality_region(0.5, 5e-10) == violates(value)
+
     def test_small_delta_expansion(self):
         # first order in delta: any positive entanglement goes nonlocal
         for e in (0.01, 0.1, 0.3, 0.5):
@@ -314,24 +321,31 @@ class TestEntanglementThreshold:
 
 class TestMonotonicity:
     def test_maximal_entanglement_increasing(self):
-        report = incompatibility_monotonicity(0.5, 101)
+        report = incompatibility_monotonicity(0.5)
         assert report.monotone
         assert report.increasing is True
 
     def test_quarter_has_interior_maximum(self):
-        report = incompatibility_monotonicity(0.25, 101)
+        report = incompatibility_monotonicity(0.25)
         assert not report.monotone
         assert report.extremum_delta is not None
         assert 0.0 < report.extremum_delta < 1.0
 
     def test_product_state_decreasing(self):
-        report = incompatibility_monotonicity(0.0, 101)
+        report = incompatibility_monotonicity(0.0)
         assert report.monotone
         assert report.increasing is False
 
-    def test_grid_check(self):
-        with pytest.raises(OutOfRangeError):
-            incompatibility_monotonicity(0.25, 2)
+    def test_range_check(self):
+        for e in (-1e-9, 0.5 + 1e-9, float("nan")):
+            with pytest.raises(OutOfRangeError):
+                incompatibility_monotonicity(e)
+
+    def test_weak_entanglement_rises_first(self):
+        # C = 2√(E(1-E)) ≈ 0.002: the maximum sits near delta = 2C ≈ 0.004
+        report = incompatibility_monotonicity(1e-6)
+        assert not report.monotone
+        assert report.extremum_delta == pytest.approx(0.0039999, abs=1e-7)
 
     def test_extremum_matches_calculus(self):
         # stationary delta solves (2-X)/sqrt(1+d) = X/sqrt(1-d)
@@ -342,5 +356,17 @@ class TestMonotonicity:
         a = (2 - x) ** 2
         b = x * x
         d_star = (a - b) / (a + b)
-        report = incompatibility_monotonicity(e, 100001)
-        assert report.extremum_delta == pytest.approx(d_star, abs=1e-4)
+        report = incompatibility_monotonicity(e)
+        assert report.extremum_delta == pytest.approx(d_star, rel=1e-14)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(0.0, 0.5))
+    def test_extremum_beats_grid(self, e):
+        report = incompatibility_monotonicity(e)
+        if report.monotone:
+            d_star = 1.0 if report.increasing else 0.0
+        else:
+            d_star = report.extremum_delta
+        best = max_chsh_closed_form(e, d_star)
+        grid = max(max_chsh_closed_form(e, float(d)) for d in np.linspace(0.0, 1.0, 10_000))
+        assert best >= grid - 1e-14

@@ -1,5 +1,8 @@
 """Backend parity: the compiled core must reproduce the pure fallback."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -119,3 +122,24 @@ def test_dykstra_feasible_point_within_tolerance(rng):
         x = np.asarray(x)
         for block in (x, m - x, n - x, x - (m + n - e4)):
             assert min_eig(block) >= -1e-9
+
+
+def test_generated_c_quotes_current_pyx():
+    # Cython quotes every source line it compiles in _fast.c, marked with
+    # "# <<<<<<<<<<<<<<" under a '/* "<file>.pyx":<line>' header; a .pyx edited
+    # without regenerating the .c leaves a stale quote
+    kernels = Path(__file__).resolve().parents[1] / "src" / "chshlab" / "_kernels"
+    pyx = (kernels / "_fast.pyx").read_text(encoding="utf-8").splitlines()
+    header = re.compile(r'/\* "chshlab/_kernels/_fast\.pyx":(\d+)$')
+    marker = "             # <<<<<<<<<<<<<<"
+    line = None
+    quoted = 0
+    for text in (kernels / "_fast.c").read_text(encoding="utf-8").splitlines():
+        found = header.search(text)
+        if found:
+            line = int(found.group(1))
+        elif text.endswith(marker):
+            assert line is not None
+            assert text.removeprefix(" * ").removesuffix(marker) == pyx[line - 1], line
+            quoted += 1
+    assert quoted > 0
