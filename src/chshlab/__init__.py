@@ -27,6 +27,7 @@ from .compat import (
     JmVerdict,
     ParentPovm,
     busch_criterion,
+    coexistence_criterion,
     parent_povm_search,
     sharpness_threshold,
 )

@@ -111,10 +111,13 @@ def parse_axis(token: str) -> np.ndarray:
         raise UsageError(f"axis {token!r}: non-numeric component") from None
     if not np.isfinite(v).all():
         raise UsageError(f"axis {token!r}: non-finite component")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
+    top = float(np.max(np.abs(v)))
+    if top == 0.0:
         raise UsageError(f"axis {token!r} has zero norm")
-    return v / norm
+    # scaled by the power of two at the largest component: the norm can no
+    # longer overflow, and where v/|v| did not, it is unchanged bit for bit
+    v = np.ldexp(v, -np.frexp(top)[1])
+    return v / float(np.linalg.norm(v))
 
 
 def parse_grid(token: str) -> np.ndarray:
@@ -211,6 +214,13 @@ def _setting_from_args(args) -> tuple[ChshSetting, dict, bool, tuple | None]:
     raise UsageError("a setting is required: --canonical theta,phi or --noisy lambda")
 
 
+def _entry(pair) -> complex:
+    """re + i·im of a state-file entry [re, im]; TypeError for anything else."""
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise TypeError(f"expected [re, im], got {pair!r}")
+    return complex(*pair)
+
+
 def _state_from_spec(spec: str) -> np.ndarray:
     s = spec.strip()
     if s == "phi+":
@@ -230,8 +240,8 @@ def _state_from_spec(spec: str) -> np.ndarray:
         raise UsageError(f"state file {spec!r}: invalid JSON ({exc})") from None
     entries = payload.get("rho") if isinstance(payload, dict) else payload
     try:
-        rho = np.array([[complex(c[0], c[1]) for c in row] for row in entries])
-    except (TypeError, IndexError, ValueError):  # ValueError: ragged rows
+        rho = np.array([[_entry(c) for c in row] for row in entries])
+    except (TypeError, ValueError, OverflowError):  # ragged rows; ints beyond float
         raise UsageError(
             f"state file {spec!r}: expected a 4x4 matrix of [re, im] pairs"
         ) from None
@@ -387,6 +397,8 @@ def cmd_verify(args, em: Emitter) -> int:
         raise UsageError("verify requires a suite name or --list")
     if args.suite not in SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     checks = SUITES[args.suite](args.seed)
     all_passed = True
     for c in checks:

@@ -1,15 +1,18 @@
 """Joint measurability of binary qubit POVM pairs.
 
-Two routes certify (in)compatibility: the exact analytic criterion for
-unbiased pairs, and a parent-POVM feasibility search by Dykstra's
-alternating projections for arbitrary pairs.  The two are independent
-and cross-validated in the test suite.
+Two exact criteria decide (in)compatibility: Busch's for unbiased pairs,
+and the coexistence criterion of Yu, Liu, Li and Oh for any pair.  A
+parent-POVM search by Dykstra's alternating projections builds the
+certificate of a compatible pair; it decides nothing the criterion has
+ruled out.  The raw Dykstra kernel, which shares no code with either
+formula, is their independent oracle in `verify` and the test suite.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -23,7 +26,6 @@ DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200_000
 PLATEAU_WINDOW = 500
 PLATEAU_RTOL = 1e-12
-INCOMPATIBLE_FACTOR = 10.0
 
 
 class JmStatus(enum.Enum):
@@ -34,6 +36,7 @@ class JmStatus(enum.Enum):
 
 class JmMethod(enum.Enum):
     ANALYTIC_UNBIASED = "AnalyticUnbiased"
+    ANALYTIC = "Analytic"
     FEASIBILITY = "Feasibility"
 
 
@@ -65,9 +68,14 @@ class ParentPovm:
 class JmVerdict:
     """Compatibility decision with its certificate.
 
-    margin is the signed slack: for the analytic criterion it is
-    2 - (|a+b| + |a-b|), nonnegative iff compatible; for the feasibility
-    route it is minus the final residual.
+    margin is the signed slack of the method that decided, nonnegative
+    iff that method calls the pair compatible:
+    - AnalyticUnbiased (busch_criterion): 2 - (|a+b| + |a-b|);
+    - Analytic (coexistence_criterion): (m·n - xy)² minus
+      (1 - Fx² - Fy²)(1 - x²/Fx² - y²/Fy²), or -‖[E, F]‖ when the
+      effects commute or one is a sharp unbiased projector (F = 0);
+    - Feasibility (parent_povm_search's Compatible and Undecided): minus
+      the final residual of the search.
     """
 
     status: JmStatus
@@ -98,6 +106,54 @@ def busch_criterion(p: BinaryPovm, q: BinaryPovm) -> JmVerdict:
     return JmVerdict(status=status, margin=margin, method=JmMethod.ANALYTIC_UNBIASED)
 
 
+def _sharpness(x: float, r: float) -> float:
+    """F = ½(√((1+x)² - r²) + √((1-x)² - r²)) of the effect ((1+x)I + m·σ)/2
+    with |m| = r; each radicand is factored, and clipped at the -1e-12 an
+    effect's eigenvalues may reach."""
+    return 0.5 * (
+        sqrt(max(0.0, (1.0 + x - r) * (1.0 + x + r)))
+        + sqrt(max(0.0, (1.0 - x - r) * (1.0 - x + r)))
+    )
+
+
+def _coexistence(m: np.ndarray, n: np.ndarray) -> JmVerdict:
+    """coexistence_criterion on the Pauli coordinates of the two plus-effects."""
+    c0, a1, a2, a3 = m.tolist()
+    d0, b1, b2, b3 = n.tolist()
+    x, y = c0 - 1.0, d0 - 1.0
+    fx = _sharpness(x, sqrt(a1 * a1 + a2 * a2 + a3 * a3))
+    fy = _sharpness(y, sqrt(b1 * b1 + b2 * b2 + b3 * b3))
+    cross = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+    if fx == 0.0 or fy == 0.0 or cross == (0.0, 0.0, 0.0):
+        # commuting effects are jointly measurable (by their product), and a
+        # sharp unbiased projector only with the effects it commutes with;
+        # the margin is -‖[E, F]‖ = -|m × n|/2, exact where the formula
+        # would round a zero
+        margin = 0.0 - 0.5 * sqrt(sum(c * c for c in cross))  # 0.0, never -0.0
+    else:
+        dot = a1 * b1 + a2 * b2 + a3 * b3
+        lhs = (1.0 - fx * fx - fy * fy) * (1.0 - (x / fx) ** 2 - (y / fy) ** 2)
+        margin = (dot - x * y) ** 2 - lhs
+    status = JmStatus.COMPATIBLE if margin >= 0.0 else JmStatus.INCOMPATIBLE
+    return JmVerdict(status=status, margin=margin, method=JmMethod.ANALYTIC)
+
+
+def coexistence_criterion(p: BinaryPovm, q: BinaryPovm) -> JmVerdict:
+    """Exact compatibility test for any two binary qubit POVMs.
+
+    With plus-effects E = ((1+x)I + m·σ)/2 and F = ((1+y)I + n·σ)/2 the
+    pair is jointly measurable iff
+    (1 - Fx² - Fy²)(1 - x²/Fx² - y²/Fy²) <= (m·n - xy)², where
+    Fx = ½(√((1+x)² - |m|²) + √((1-x)² - |m|²))
+    (Yu, Liu, Li, Oh, Phys. Rev. A 81, 062116 (2010)).  Fx = 0 only for a
+    sharp unbiased projector, which is jointly measurable exactly with the
+    effects it commutes with; commuting effects (m × n = 0) are decided as
+    such, since the formula puts many of them on its zero set, where
+    roundoff picks the sign.  x = y = 0 is Busch's criterion.
+    """
+    return _coexistence(pauli_coords(p.effect_plus), pauli_coords(q.effect_plus))
+
+
 def check_tolerance(tol: float) -> float:
     """tol itself if it is positive and finite, else InvalidToleranceError."""
     if not 0.0 < tol < np.inf:
@@ -111,46 +167,47 @@ def parent_povm_search(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> JmVerdict:
-    """Search for a parent POVM by alternating projections.
+    """Decide by coexistence_criterion; certify compatibility with a parent POVM.
 
-    The free block G(++) has four real Pauli coordinates; the four
-    constraints G, M-G, N-G and I-M-N+G must be simultaneously PSD.
-    Compatible verdicts ship an explicit ParentPovm with residual <= tol.
-    Incompatible requires the residual to plateau (relative change below
-    1e-12 over 500 iterations) at more than 10·tol; anything else is
-    reported Undecided rather than guessed.
+    A pair that violates the criterion by more than tol is Incompatible,
+    with the criterion's verdict and no search.  Any other pair goes to
+    Dykstra's alternating projections: the free block G(++) has four real
+    Pauli coordinates, and the four constraints G, M-G, N-G and I-M-N+G
+    must be simultaneously PSD.  Compatible verdicts ship an explicit
+    ParentPovm with residual <= tol.  Undecided means the pair is
+    compatible, or within tol of the boundary, but the search stopped
+    (its residual plateaued, or max_iter ran out) above tol.
     """
     check_tolerance(tol)
     if max_iter < 1:
         raise InvalidToleranceError(f"max_iter must be >= 1, got {max_iter}")
     m = pauli_coords(p.effect_plus)
     n = pauli_coords(q.effect_plus)
+    verdict = _coexistence(m, n)
+    if verdict.margin < -tol:
+        return verdict
     x0 = (m + n) / 2.0 - np.array([0.5, 0.0, 0.0, 0.0])
-    x, residual, _, plateaued = _kernels.dykstra_feasibility(
+    x, residual, _, _ = _kernels.dykstra_feasibility(
         m, n, x0, tol, max_iter, PLATEAU_WINDOW, PLATEAU_RTOL
     )
-    if residual <= tol:
-        g = from_pauli_coords(x)
-        m_plus = p.effect_plus
-        n_plus = q.effect_plus
-        parent = ParentPovm(
-            g_pp=g,
-            g_pm=m_plus - g,
-            g_mp=n_plus - g,
-            g_mm=I2 - m_plus - n_plus + g,
-            residual=float(residual),
-        )
-        return JmVerdict(
-            status=JmStatus.COMPATIBLE,
-            margin=-float(residual),
-            method=JmMethod.FEASIBILITY,
-            parent=parent,
-        )
-    if plateaued and residual > INCOMPATIBLE_FACTOR * tol:
-        status = JmStatus.INCOMPATIBLE
-    else:
-        status = JmStatus.UNDECIDED
-    return JmVerdict(status=status, margin=-float(residual), method=JmMethod.FEASIBILITY)
+    if residual > tol:
+        return JmVerdict(JmStatus.UNDECIDED, margin=-float(residual), method=JmMethod.FEASIBILITY)
+    g = from_pauli_coords(x)
+    m_plus = p.effect_plus
+    n_plus = q.effect_plus
+    parent = ParentPovm(
+        g_pp=g,
+        g_pm=m_plus - g,
+        g_mp=n_plus - g,
+        g_mm=I2 - m_plus - n_plus + g,
+        residual=float(residual),
+    )
+    return JmVerdict(
+        status=JmStatus.COMPATIBLE,
+        margin=-float(residual),
+        method=JmMethod.FEASIBILITY,
+        parent=parent,
+    )
 
 
 def sharpness_threshold(n1, n2) -> float:

@@ -12,11 +12,32 @@ from math import pi, sqrt
 
 import numpy as np
 
+from . import _kernels
 from .chsh import chsh_operator, commutator_tensor, landau_bound
-from .compat import JmStatus, busch_criterion, parent_povm_search, sharpness_threshold
+from .compat import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    PLATEAU_RTOL,
+    PLATEAU_WINDOW,
+    JmStatus,
+    busch_criterion,
+    coexistence_criterion,
+    parent_povm_search,
+    sharpness_threshold,
+)
 from .entanglement import CanonicalAngles, max_chsh_closed_form, max_chsh_over_unitaries
 from .linalg import I2
-from .measurement import ChshSetting, X_AXIS, Z_AXIS, noisy_pauli_povm
+from .measurement import (
+    BinaryPovm,
+    ChshSetting,
+    X_AXIS,
+    Z_AXIS,
+    from_pauli_coords,
+    noisy_pauli_povm,
+    pauli_coords,
+)
+
+INCOMPATIBLE_FACTOR = 10.0
 
 
 def f1(seed: int) -> list[dict]:
@@ -67,8 +88,12 @@ def landau(seed: int) -> list[dict]:
     ]
 
 
-def _certificate_defect(parent, p, q) -> float:
-    """Worst defect of a parent POVM: sum to I, both marginals, PSD by eigvalsh."""
+def _certificate_defect(p, q) -> float:
+    """Worst defect of the parent POVM parent_povm_search returns for (p, q),
+    0 without one: sum to I, both marginals, PSD by eigvalsh."""
+    parent = parent_povm_search(p, q).parent
+    if parent is None:
+        return 0.0
     effects = (parent.g_pp, parent.g_pm, parent.g_mp, parent.g_mm)
     return max(
         float(np.max(np.abs(sum(effects) - I2))),
@@ -78,10 +103,38 @@ def _certificate_defect(parent, p, q) -> float:
     )
 
 
+def feasibility_status(p: BinaryPovm, q: BinaryPovm, tol: float = DEFAULT_TOL) -> JmStatus:
+    """The raw Dykstra kernel's own verdict, sharing no code with either
+    criterion: Compatible at residual <= tol, Incompatible once the
+    residual plateaus above 10·tol, Undecided otherwise."""
+    m = pauli_coords(p.effect_plus)
+    n = pauli_coords(q.effect_plus)
+    x0 = (m + n) / 2.0 - np.array([0.5, 0.0, 0.0, 0.0])
+    _, residual, _, plateaued = _kernels.dykstra_feasibility(
+        m, n, x0, tol, DEFAULT_MAX_ITER, PLATEAU_WINDOW, PLATEAU_RTOL
+    )
+    if residual <= tol:
+        return JmStatus.COMPATIBLE
+    if plateaued and residual > INCOMPATIBLE_FACTOR * tol:
+        return JmStatus.INCOMPATIBLE
+    return JmStatus.UNDECIDED
+
+
+def _random_biased_povm(rng) -> BinaryPovm:
+    """(c0·I + r·n·σ)/2 with c0 uniform in [0, 2] and r uniform in
+    [0.8, 1]·min(c0, 2-c0): sharp enough that about one pair in seven
+    is incompatible (one in a hundred with r from 0)."""
+    c0 = rng.uniform(0.0, 2.0)
+    r = rng.uniform(0.8, 1.0) * min(c0, 2.0 - c0)
+    n = rng.normal(size=3)
+    return BinaryPovm.from_effect(from_pauli_coords([c0, *(r * n / np.linalg.norm(n))]))
+
+
 def jm(seed: int) -> list[dict]:
-    """Analytic criterion vs feasibility search on 200 random unbiased pairs
-    away from the boundary, every Compatible parent re-verified, and the
-    z/x critical sharpness."""
+    """Busch's criterion vs the raw Dykstra kernel on 200 random unbiased
+    pairs away from the boundary, the coexistence criterion vs the kernel
+    on 200 random biased pairs wherever the kernel decides, every
+    Compatible parent re-verified, and the z/x critical sharpness."""
     rng = np.random.default_rng(seed)
     disagreements = 0
     worst_defect = 0.0
@@ -96,14 +149,20 @@ def jm(seed: int) -> list[dict]:
         if abs(analytic.margin) < 5e-3:
             continue
         tested += 1
-        numeric = parent_povm_search(p, q)
-        if numeric.status is not analytic.status:
+        if feasibility_status(p, q) is not analytic.status:
             disagreements += 1
-        if numeric.status is JmStatus.COMPATIBLE:
-            worst_defect = max(worst_defect, _certificate_defect(numeric.parent, p, q))
+        worst_defect = max(worst_defect, _certificate_defect(p, q))
+    biased_disagreements = 0
+    for _ in range(200):
+        p, q = _random_biased_povm(rng), _random_biased_povm(rng)
+        oracle = feasibility_status(p, q)
+        if oracle is not JmStatus.UNDECIDED and oracle is not coexistence_criterion(p, q).status:
+            biased_disagreements += 1
+        worst_defect = max(worst_defect, _certificate_defect(p, q))
     threshold_dev = abs(sharpness_threshold(Z_AXIS, X_AXIS) - 1.0 / sqrt(2.0))
     return [
         {"check": "analytic_vs_feasibility", "max_dev": float(disagreements), "tol": 0.0},
+        {"check": "criterion_vs_feasibility", "max_dev": float(biased_disagreements), "tol": 0.0},
         {"check": "certificate_defect", "max_dev": worst_defect, "tol": 1e-8},
         {"check": "threshold_z_x", "max_dev": threshold_dev, "tol": 1e-6},
     ]

@@ -101,10 +101,12 @@ def test_c3_povm_window(capsys):
 def test_c4_feasibility_soundness(capsys):
     dev = max_devs(verify.jm(502))
     assert dev["analytic_vs_feasibility"] == 0
+    assert dev["criterion_vs_feasibility"] == 0
     assert dev["certificate_defect"] <= 1e-8  # sum to I, marginals, PSD by eigvalsh
     assert dev["threshold_z_x"] <= 1e-6
     with capsys.disabled():
-        report(4, "200/200 agreement, every compatible parent re-verified "
+        report(4, "200/200 unbiased and every decided biased pair agree with the raw kernel, "
+                  "every compatible parent re-verified "
                   f"(worst defect {dev['certificate_defect']:.2e})")
 
 

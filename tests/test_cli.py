@@ -70,13 +70,23 @@ class TestJm:
         assert doc["threshold"] == pytest.approx(0.707107, abs=1e-5)
 
     def test_feasibility_method(self, capsys):
+        # Incompatible comes from the exact criterion, Compatible from a certificate
         rc, out, _ = run(
-            capsys, ["jm", "--axes", "z,x", "--lambda", "0.9", "--method", "feasibility"]
+            capsys, ["jm", "--axes", "z,x", "--lambda", "0.5:0.9:2", "--method", "feasibility"]
         )
         assert rc == 0
-        doc = json.loads(out)
-        assert doc["verdicts"][0]["status"] == "Incompatible"
-        assert doc["verdicts"][0]["method"] == "Feasibility"
+        compatible, incompatible = json.loads(out)["verdicts"]
+        assert compatible["status"] == "Compatible"
+        assert compatible["method"] == "Feasibility"
+        assert incompatible["status"] == "Incompatible"
+        assert incompatible["method"] == "Analytic"
+        assert incompatible["margin"] == pytest.approx(1 - 2 * 0.9**2, abs=1e-6)
+
+    def test_huge_axis_components(self):
+        # the norm of 1e308:1e308:0 overflows unless the axis is scaled first
+        proc = run_process(["jm", "--axes=1e308:1e308:0,z", "--threshold"])
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["threshold"] == 0.707107
 
     def test_triple_axis_token(self, capsys):
         rc, out, _ = run(capsys, ["jm", "--axes", "z,1:0:1", "--threshold", "--precision", "12"])
@@ -183,6 +193,18 @@ class TestChsh:
         rc, out, err = run(capsys, ["chsh", "--canonical=pi/2,pi/2", f"--state={state}"])
         assert rc == 2 and out == ""
         assert json.loads(err)["code"] == "usage"
+
+    @pytest.mark.parametrize(
+        "entry", [[0.25, 0.0, 7.0], [0.25], {"re": 0.25}, "0.25", [10**400, 0]]
+    )
+    def test_state_entry_not_a_pair(self, capsys, tmp_path, entry):
+        entries = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        entries[0][0] = entry
+        state = write_state(tmp_path / "rho.json", entries)
+        rc, out, err = run(capsys, ["chsh", "--canonical=1,0.7", f"--state={state}"])
+        assert rc == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["code"] == "usage" and state in doc["message"]
 
     def test_non_finite_state_entry(self, capsys, tmp_path):
         entries = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
@@ -309,6 +331,7 @@ class TestVerify:
         assert doc["passed"] is True
         assert {c["check"] for c in doc["checks"]} == {
             "analytic_vs_feasibility",
+            "criterion_vs_feasibility",
             "certificate_defect",
             "threshold_z_x",
         }
@@ -326,6 +349,12 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["passed"] is True
         assert len(doc["checks"]) == 3
+
+    @pytest.mark.parametrize("suite", ["f1", "landau", "jm"])
+    def test_negative_seed_refused(self, capsys, suite):
+        rc, out, err = run(capsys, ["verify", suite, "--seed=-1"])
+        assert rc == 2 and out == ""
+        assert json.loads(err)["code"] == "usage"
 
     def test_unknown_suite(self, capsys):
         rc, _, err = run(capsys, ["verify", "nope"])

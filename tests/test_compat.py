@@ -5,21 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chshlab import _kernels
 from chshlab.compat import (
     JmMethod,
     JmStatus,
     busch_criterion,
     check_tolerance,
+    coexistence_criterion,
     parent_povm_search,
     sharpness_threshold,
 )
 from chshlab.errors import InvalidToleranceError, NotUnbiasedError
 from chshlab.linalg import I2
 from chshlab.measurement import BinaryPovm, X_AXIS, Z_AXIS, from_pauli_coords, noisy_pauli_povm
+from chshlab.verify import feasibility_status
 
 from conftest import random_axis
 
 INV_SQRT2 = 0.7071067811865475
+ROUNDED_ZERO = 1e-12  # the criterion's O(1) terms cancel to this on its boundary
 
 
 def verify_parent(parent, p, q, tol):
@@ -42,12 +46,24 @@ def _axis(draw):
 
 
 @st.composite
-def _biased_povm(draw):
-    """(c0·I + r·n·σ)/2 with eigenvalues (c0 ± r)/2 inside [0, 1]."""
+def _biased_povm(draw, spread=st.floats(0.0, 1.0)):
+    """(c0·I + r·n·σ)/2 with eigenvalues (c0 ± r)/2 inside [0, 1]; r is the
+    drawn spread times its largest value min(c0, 2 - c0)."""
     c0 = draw(st.floats(0.0, 2.0))
-    r = draw(st.floats(0.0, 1.0)) * min(c0, 2.0 - c0)
+    r = draw(spread) * min(c0, 2.0 - c0)
     n = draw(_axis())
     return BinaryPovm.from_effect(from_pauli_coords([c0, *(r * n)]))
+
+
+def _near_sharp_povm():
+    """Eigenvalues within 10% of the edges of [0, 1] but not on them; about
+    a quarter of such pairs are incompatible."""
+    return _biased_povm(spread=st.floats(0.9, 0.999))
+
+
+def _commutator_norm(p, q):
+    c = p.effect_plus @ q.effect_plus - q.effect_plus @ p.effect_plus
+    return float(np.linalg.norm(c, 2))
 
 
 class TestBuschCriterion:
@@ -80,6 +96,87 @@ class TestBuschCriterion:
             assert busch_criterion(p, q).status is busch_criterion(q, p).status
 
 
+def _agrees_with_kernel(p, q):
+    """The criterion's status is the raw kernel's wherever the kernel
+    decides and the margin is not a rounded zero."""
+    verdict = coexistence_criterion(p, q)
+    oracle = feasibility_status(p, q)
+    if oracle is not JmStatus.UNDECIDED and abs(verdict.margin) > ROUNDED_ZERO:
+        assert verdict.status is oracle
+
+
+class TestCoexistenceCriterion:
+    """The exact criterion for any pair, against the raw Dykstra kernel
+    (verify.feasibility_status), which shares no code with the formula."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_biased_povm(), _biased_povm())
+    def test_agrees_with_kernel_on_biased_pairs(self, p, q):
+        _agrees_with_kernel(p, q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_near_sharp_povm(), _near_sharp_povm())
+    def test_agrees_with_kernel_on_near_sharp_pairs(self, p, q):
+        _agrees_with_kernel(p, q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_axis(), _axis(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_matches_busch_on_unbiased_pairs(self, n1, n2, lam1, lam2):
+        p, q = noisy_pauli_povm(n1, lam1), noisy_pauli_povm(n2, lam2)
+        busch = busch_criterion(p, q)
+        verdict = coexistence_criterion(p, q)
+        assert verdict.method is JmMethod.ANALYTIC
+        if abs(busch.margin) > 1e-9:  # both margins vanish on the boundary
+            assert verdict.status is busch.status
+
+    def test_commuting_sharp_projectors(self):
+        z = noisy_pauli_povm(Z_AXIS, 1.0)
+        for q in (z, noisy_pauli_povm(-Z_AXIS, 1.0), BinaryPovm.from_effect(np.diag([0.9, 0.3]))):
+            v = coexistence_criterion(z, q)
+            assert v.status is JmStatus.COMPATIBLE
+            assert v.margin == 0.0
+            assert feasibility_status(z, q) is JmStatus.COMPATIBLE
+
+    def test_noncommuting_sharp_projector(self):
+        z = noisy_pauli_povm(Z_AXIS, 1.0)
+        # a sharp projector is compatible with no effect it fails to commute
+        # with, however unsharp
+        for q in (noisy_pauli_povm(X_AXIS, 1.0), noisy_pauli_povm(X_AXIS, 0.3)):
+            v = coexistence_criterion(z, q)
+            assert v.status is JmStatus.INCOMPATIBLE
+            assert v.margin == pytest.approx(-_commutator_norm(z, q), abs=1e-15)
+            assert feasibility_status(z, q) is JmStatus.INCOMPATIBLE
+
+    def test_zero_and_identity_effects(self, rng):
+        for effect in (np.zeros((2, 2)), np.eye(2)):
+            trivial = BinaryPovm.from_effect(effect)
+            for q in (
+                noisy_pauli_povm(X_AXIS, 1.0),
+                noisy_pauli_povm(random_axis(rng), 0.8),
+                BinaryPovm.from_effect(np.diag([0.9, 0.3])),
+            ):
+                assert coexistence_criterion(trivial, q).status is JmStatus.COMPATIBLE
+                assert coexistence_criterion(q, trivial).status is JmStatus.COMPATIBLE
+                assert feasibility_status(trivial, q) is JmStatus.COMPATIBLE
+
+    def test_identical_effects(self, rng):
+        for p in (
+            noisy_pauli_povm(random_axis(rng), 0.9),
+            noisy_pauli_povm(X_AXIS, 1.0),
+            BinaryPovm.from_effect(from_pauli_coords([0.7, 0.0, 0.5, 0.0])),
+        ):
+            assert coexistence_criterion(p, p).status is JmStatus.COMPATIBLE
+            assert feasibility_status(p, p) is JmStatus.COMPATIBLE
+
+    def test_symmetric_in_arguments(self, rng):
+        for _ in range(20):
+            p = noisy_pauli_povm(random_axis(rng), float(rng.uniform(0, 1)))
+            q = BinaryPovm.from_effect(from_pauli_coords([0.8, *(0.6 * random_axis(rng))]))
+            assert coexistence_criterion(p, q).margin == pytest.approx(
+                coexistence_criterion(q, p).margin, abs=1e-15
+            )
+
+
 class TestParentPovmSearch:
     def test_compatible_pair_ships_verified_parent(self):
         p = noisy_pauli_povm(Z_AXIS, 0.5)
@@ -104,6 +201,28 @@ class TestParentPovmSearch:
         assert v.parent is None
         # cross-checked against the analytic criterion
         assert busch_criterion(p, q).status is JmStatus.INCOMPATIBLE
+
+    def test_incompatible_verdict_needs_no_kernel_call(self, monkeypatch):
+        def kernel(*args):
+            raise AssertionError("Dykstra ran on a pair the criterion rules out")
+
+        monkeypatch.setattr(_kernels, "dykstra_feasibility", kernel)
+        p = noisy_pauli_povm(Z_AXIS, 0.9)
+        q = noisy_pauli_povm(X_AXIS, 0.9)
+        v = parent_povm_search(p, q)
+        assert v.status is JmStatus.INCOMPATIBLE
+        assert v.method is JmMethod.ANALYTIC
+        assert v.margin == coexistence_criterion(p, q).margin < -1e-9
+
+    def test_violation_within_tol_is_not_incompatible(self):
+        # a hair above the z/x threshold the criterion is violated by about
+        # 2e-12, well inside tol: the search runs and may only certify or
+        # stay Undecided
+        lam = INV_SQRT2 * (1.0 + 1e-12)
+        p = noisy_pauli_povm(Z_AXIS, lam)
+        q = noisy_pauli_povm(X_AXIS, lam)
+        assert -1e-9 < coexistence_criterion(p, q).margin < 0.0
+        assert parent_povm_search(p, q, tol=1e-9).status is not JmStatus.INCOMPATIBLE
 
     def test_biased_pair_compatible(self):
         # commuting biased effects: diagonal matrices always admit a parent
@@ -176,15 +295,13 @@ class TestSharpnessThreshold:
     @settings(max_examples=200, deadline=None)
     @given(_axis(), _axis())
     def test_feasibility_oracle_brackets_threshold(self, n1, n2):
-        # Dykstra's search shares no code with the formula
+        # the raw Dykstra kernel shares no code with the formula
         lam = sharpness_threshold(n1, n2)
-        below = parent_povm_search(noisy_pauli_povm(n1, 0.99 * lam), noisy_pauli_povm(n2, 0.99 * lam))
-        assert below.status is JmStatus.COMPATIBLE
+        below = feasibility_status(noisy_pauli_povm(n1, 0.99 * lam), noisy_pauli_povm(n2, 0.99 * lam))
+        assert below is JmStatus.COMPATIBLE
         if 1.01 * lam <= 1.0:
-            above = parent_povm_search(
-                noisy_pauli_povm(n1, 1.01 * lam), noisy_pauli_povm(n2, 1.01 * lam)
-            )
-            assert above.status is JmStatus.INCOMPATIBLE
+            above = feasibility_status(noisy_pauli_povm(n1, 1.01 * lam), noisy_pauli_povm(n2, 1.01 * lam))
+            assert above is JmStatus.INCOMPATIBLE
 
 
 class TestCheckTolerance:
