@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError, NotInvolutiveError, OutOfRangeError
-from .linalg import I2, comm, dagger, eig_hermitian, hermitize, kron
+from .linalg import I2, comm, eig_hermitian, kron
 from .measurement import BinaryPovm, ChshSetting
 
 STATE_TOL = 1e-10
@@ -62,11 +62,12 @@ def check_state(rho, dim: int = 4, tol: float = STATE_TOL) -> np.ndarray:
         raise InvalidStateError(f"expected a {dim}x{dim} density matrix, got {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidStateError("density matrix has a non-finite entry")
-    if float(np.max(np.abs(a - dagger(a)))) > tol:
+    if float(abs(a - a.conj().T).max()) > tol:
         raise InvalidStateError("density matrix is not Hermitian")
-    if abs(np.trace(a).real - 1.0) > tol or abs(np.trace(a).imag) > tol:
-        raise InvalidStateError(f"trace {np.trace(a)} != 1")
-    low = eig_hermitian(hermitize(a)).eigenvalues[0]
+    trace = a.trace()
+    if abs(trace.real - 1.0) > tol or abs(trace.imag) > tol:
+        raise InvalidStateError(f"trace {trace} != 1")
+    low = eig_hermitian(a, tol).eigenvalues[0]
     if low < -tol:
         raise InvalidStateError(f"negative eigenvalue {low:.3e}")
     return a
@@ -92,7 +93,7 @@ def landau_bound(setting: ChshSetting) -> ChshReport:
     observables are rejected, use max_over_states for those.
     """
     for name, obs in zip(("a0", "a1", "b0", "b1"), setting.observables()):
-        defect = float(np.max(np.abs(obs @ obs - I2)))
+        defect = float(abs(obs @ obs - I2).max())
         if defect > INVOLUTION_TOL:
             raise NotInvolutiveError(f"observable {name}: ||O² - I|| = {defect:.3e}")
     mu = float(eig_hermitian(commutator_tensor(setting)).eigenvalues[-1])
@@ -178,15 +179,15 @@ def sample_estimate(
     if seed < 0:
         raise OutOfRangeError(f"seed must be >= 0, got {seed}")
     table = born_table(*povms, rho)
+    probs = np.clip(table.reshape(4, 4), 0.0, None)  # row 2x + y is pair (x, y)
+    probs /= probs.sum(axis=1, keepdims=True)
     streams = np.random.SeedSequence(seed).spawn(4)
     corr = np.empty((2, 2))
     variance = 0.0
     for x in range(2):
         for y in range(2):
-            probs = np.clip(table[x, y].ravel(), 0.0, None)
-            probs = probs / probs.sum()
             rng = np.random.Generator(np.random.Philox(streams[2 * x + y]))
-            counts = rng.multinomial(shots_per_pair, probs)
+            counts = rng.multinomial(shots_per_pair, probs[2 * x + y])
             e_hat = (counts[0] - counts[1] - counts[2] + counts[3]) / shots_per_pair
             corr[x, y] = e_hat
             variance += max(1.0 - e_hat * e_hat, 0.0) / shots_per_pair

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from math import isfinite, pi
@@ -542,10 +543,20 @@ def main(argv=None) -> int:
             raise UsageError(f"--output: {exc}") from None
         try:
             em = Emitter(args.format, args.precision, out)
-            return args.func(args, em)
+            code = args.func(args, em)
+            out.flush()  # a closed pipe shows here, not at interpreter exit
+            return code
         finally:
             if args.output:
                 out.close()
+    except BrokenPipeError:
+        # The reader stopped reading (`chshlab ... | head -1`): what it read
+        # is all it wants.  Point stdout at devnull so that the interpreter's
+        # last flush of what is still buffered cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except UsageError as exc:
         print(json.dumps({"code": "usage", "message": str(exc)}), file=sys.stderr)
         return 2

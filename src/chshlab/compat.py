@@ -191,7 +191,7 @@ def parent_povm_search(
         m, n, x0, tol, max_iter, PLATEAU_WINDOW, PLATEAU_RTOL
     )
     if residual > tol:
-        return JmVerdict(JmStatus.UNDECIDED, margin=-float(residual), method=JmMethod.FEASIBILITY)
+        return JmVerdict(JmStatus.UNDECIDED, margin=0.0 - float(residual), method=JmMethod.FEASIBILITY)
     g = from_pauli_coords(x)
     m_plus = p.effect_plus
     n_plus = q.effect_plus
@@ -204,7 +204,7 @@ def parent_povm_search(
     )
     return JmVerdict(
         status=JmStatus.COMPATIBLE,
-        margin=-float(residual),
+        margin=0.0 - float(residual),  # 0.0, never -0.0, at residual 0
         method=JmMethod.FEASIBILITY,
         parent=parent,
     )

@@ -2,9 +2,15 @@
 
 Everything in the CHSH scenario lives in dimension 2 or 4 (16 at most).
 Every spectrum goes through one path, numpy's LAPACK Hermitian solver
-(`numpy.linalg.eigh`), after the input is checked for finite entries and
-Hermiticity.  numpy arrays are the universal carrier; matrices are
-row-major complex.
+(`numpy.linalg.eigh`).  numpy arrays are the universal carrier; matrices
+are row-major complex.
+
+Validation happens in one place.  `eig_hermitian` converts its input
+once, refuses a non-finite entry before any arithmetic, measures the
+Hermiticity defect once against its `tol`, and hands (M + M†)/2 to the
+solver.  Callers do not symmetrize first: `is_psd` and `operator_norm`
+pass `tol=inf`, so they accept any finite square input and see its
+Hermitian part.
 """
 
 from __future__ import annotations
@@ -31,38 +37,44 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
-
-
 def hermitize(m) -> np.ndarray:
     """Symmetrize (M + M†)/2, absorbing roundoff asymmetry."""
     a = as_matrix(m)
-    return (a + dagger(a)) / 2
+    return (a + a.conj().T) / 2
 
 
-def hermiticity_defect(m) -> float:
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        return float("inf")
-    return float(np.max(np.abs(a - dagger(a))))
-
-
-def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def _finite_matrix(m) -> np.ndarray:
     a = as_matrix(m)
     if not np.isfinite(a).all():
         raise NotHermitianError("matrix has a non-finite entry")
-    defect = hermiticity_defect(a)
+    return a
+
+
+def _with_adjoint(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(M, M†) for a finite M whose Hermiticity defect is at most tol.
+
+    A non-square M has defect inf.
+    """
+    a = _finite_matrix(m)
+    adj = a.conj().T
+    defect = float(abs(a - adj).max()) if a.shape[0] == a.shape[1] else float("inf")
     if defect > tol:
         raise NotHermitianError(
             f"matrix deviates from Hermitian by {defect:.3e} (tol {tol:.1e})"
         )
-    return a
+    return a, adj
+
+
+def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    return _with_adjoint(m, tol)[0]
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product; dims multiply."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product; dims multiply.  Equal to numpy.kron bit for bit."""
+    a = as_matrix(a)
+    b = as_matrix(b)
+    out = a[:, None, :, None] * b[None, :, None, :]
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def comm(a, b) -> np.ndarray:
@@ -88,17 +100,17 @@ def eig_hermitian(m, tol: float = HERMITICITY_TOL) -> Spectrum:
     """Full spectrum of a Hermitian matrix, eigenvalues ascending.
 
     Raises NotHermitianError if an entry is not finite or the asymmetry
-    exceeds `tol`.
+    exceeds `tol`.  The spectrum is that of (M + M†)/2.
     """
-    vals, vecs = np.linalg.eigh(hermitize(require_hermitian(m, tol)))
+    a, adj = _with_adjoint(m, tol)
+    vals, vecs = np.linalg.eigh((a + adj) / 2)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
 def operator_norm(m) -> float:
     """Largest singular value; equals max |eigenvalue| for Hermitian input."""
-    a = as_matrix(m)
-    gram = dagger(a) @ a
-    top = eig_hermitian(hermitize(gram)).eigenvalues[-1]
+    a = _finite_matrix(m)  # before the product, which would warn on inf
+    top = eig_hermitian(a.conj().T @ a, np.inf).eigenvalues[-1]
     return float(np.sqrt(max(top, 0.0)))
 
 
@@ -108,5 +120,5 @@ def min_eigenvalue(m) -> float:
 
 
 def is_psd(m, tol: float = 1e-12) -> bool:
-    """PSD within tolerance, after symmetrizing away roundoff."""
-    return min_eigenvalue(hermitize(m)) >= -tol
+    """The Hermitian part (M + M†)/2 is PSD within tolerance."""
+    return bool(eig_hermitian(m, np.inf).eigenvalues[0] >= -tol)

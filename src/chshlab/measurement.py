@@ -22,7 +22,7 @@ _PAULIS = (SX, SY, SZ)
 def unit_axis(v) -> np.ndarray:
     """Validate a Bloch direction; must have unit Euclidean norm."""
     a = np.asarray(v, dtype=float).reshape(3)
-    norm = float(np.linalg.norm(a))
+    norm = float(np.sqrt(a.dot(a)))  # numpy.linalg.norm of a real vector, bit for bit
     if abs(norm - 1.0) > UNIT_AXIS_TOL:
         raise NonUnitAxisError(f"axis norm {norm!r} deviates from 1 beyond {UNIT_AXIS_TOL:.0e}")
     return a

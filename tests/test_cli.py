@@ -25,14 +25,18 @@ def run(capsys, argv):
     return rc, captured.out, captured.err
 
 
-def run_process(argv):
-    """`python -m chshlab.cli ARGV` in a fresh interpreter, for what only a
-    whole process shows (warnings written to stderr, the entry point)."""
+def _process_env():
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env["PYTHONPATH"] = os.path.join(root, "src")
+    return env
+
+
+def run_process(argv):
+    """`python -m chshlab.cli ARGV` in a fresh interpreter, for what only a
+    whole process shows (warnings written to stderr, the entry point)."""
     return subprocess.run(
-        [sys.executable, "-m", "chshlab.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "chshlab.cli", *argv], capture_output=True, text=True, env=_process_env()
     )
 
 
@@ -81,6 +85,31 @@ class TestJm:
         assert incompatible["status"] == "Incompatible"
         assert incompatible["method"] == "Analytic"
         assert incompatible["margin"] == pytest.approx(1 - 2 * 0.9**2, abs=1e-6)
+
+    def test_feasibility_margin_zero_is_not_negative(self, capsys):
+        # a certificate with residual 0 has margin 0.0, which prints as 0, never -0
+        argv = ["jm", "--axes=z,x", "--lambda=0:1:5", "--method=feasibility"]
+        _, out, _ = run(capsys, argv + ["--format=csv"])
+        assert out.splitlines()[2:5] == [
+            "0,Compatible,0,Feasibility",
+            "0.25,Compatible,0,Feasibility",
+            "0.5,Compatible,0,Feasibility",
+        ]
+        _, out, _ = run(capsys, argv + ["--format=json"])
+        assert '"margin": -0.0' not in out
+        assert [v["margin"] for v in json.loads(out)["verdicts"][:3]] == [0.0, 0.0, 0.0]
+
+    def test_analytic_margins_unchanged(self, capsys):
+        _, out, _ = run(capsys, ["jm", "--axes=z,x", "--lambda=0:1:5", "--format=csv"])
+        assert out == (
+            "# threshold = 0.707107\n"
+            "lambda,status,margin,method\n"
+            "0,Compatible,2,AnalyticUnbiased\n"
+            "0.25,Compatible,1.29289,AnalyticUnbiased\n"
+            "0.5,Compatible,0.585786,AnalyticUnbiased\n"
+            "0.75,Incompatible,-0.12132,AnalyticUnbiased\n"
+            "1,Incompatible,-0.828427,AnalyticUnbiased\n"
+        )
 
     def test_huge_axis_components(self):
         # the norm of 1e308:1e308:0 overflows unless the axis is scaled first
@@ -478,6 +507,22 @@ class TestPlumbing:
         _, out, _ = run(capsys, ["region", "--e-grid", "0:0.5:3", "--delta-grid", "0:1:3"])
         doc = json.loads(out)
         assert json.loads(json.dumps(doc)) == doc
+
+    def test_reader_closes_pipe_early(self):
+        # `chshlab region ... | head -1`: the 1.2 MB table overfills the pipe,
+        # so the writer is blocked when the reader goes away
+        argv = ["region", "--e-grid=0:0.5:200", "--delta-grid=0:1:200", "--format=csv"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "chshlab.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_process_env(),
+        ) as proc:
+            assert proc.stdout.readline().startswith(b"# ")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        assert err == b""
 
     def test_module_entrypoint(self):
         proc = run_process(["chsh", "--canonical", "0,0", "--max"])

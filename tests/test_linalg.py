@@ -8,8 +8,11 @@ the eigenvectors without any solver.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chshlab.linalg import (
+    HERMITICITY_TOL,
     I2,
     SX,
     SY,
@@ -154,3 +157,95 @@ def test_psd_helpers(rng):
     m = rng.normal(size=(2, 2))
     sym = hermitize(m)
     assert np.max(np.abs(sym - sym.conj().T)) == 0.0
+
+
+# ------------------------------------------------- the lean path pinned to numpy
+
+_entry = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _complex_matrix(draw, rows, cols):
+    n, m = draw(rows), draw(cols)
+    re = draw(st.lists(_entry, min_size=n * m, max_size=n * m))
+    im = draw(st.lists(_entry, min_size=n * m, max_size=n * m))
+    return (np.array(re) + 1j * np.array(im)).reshape(n, m)
+
+
+@st.composite
+def _near_hermitian(draw):
+    """A Hermitian matrix plus an asymmetry inside HERMITICITY_TOL."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = random_hermitian(rng, n) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    noise = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+    return h + (HERMITICITY_TOL / 4) * noise
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestLeanPathMatchesNumpy:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _complex_matrix(st.integers(1, 4), st.integers(1, 4)),
+        _complex_matrix(st.integers(1, 4), st.integers(1, 4)),
+    )
+    def test_kron_is_numpy_kron(self, a, b):
+        assert _same_bits(kron(a, b), np.kron(a, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_near_hermitian())
+    def test_eig_hermitian_is_eigh_of_hermitian_part(self, m):
+        vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+        spec = eig_hermitian(m)
+        assert _same_bits(spec.eigenvalues, vals)
+        assert _same_bits(spec.eigenvectors, vecs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(lambda n: _complex_matrix(st.just(n), st.just(n))),
+        st.sampled_from([0.0, 1e-12, 1e-3]),
+    )
+    def test_is_psd_reads_hermitian_part(self, m, tol):
+        # any finite square matrix is accepted, however far from Hermitian
+        low = np.linalg.eigvalsh((m + m.conj().T) / 2)[0]
+        assert is_psd(m, tol) == bool(low >= -tol)
+
+
+class TestErrorParity:
+    """Each refusal keeps its exception class and message."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1), (1, 0)])
+    @pytest.mark.parametrize("fn", [eig_hermitian, is_psd, operator_norm])
+    def test_non_finite_entry(self, fn, where, bad):
+        # refused before any arithmetic, so numpy has no inf to warn about
+        # (warnings are errors in this suite)
+        m = SZ.copy()
+        m[where] = bad
+        with pytest.raises(NotHermitianError) as exc:
+            fn(m)
+        assert str(exc.value) == "matrix has a non-finite entry"
+
+    def test_non_square(self):
+        with pytest.raises(NotHermitianError) as exc:
+            eig_hermitian(np.zeros((2, 3)))
+        assert str(exc.value) == "matrix deviates from Hermitian by inf (tol 1.0e-10)"
+
+    def test_not_a_matrix(self):
+        for fn in (eig_hermitian, is_psd, operator_norm, lambda m: kron(m, I2)):
+            with pytest.raises(ValueError) as exc:
+                fn(np.zeros(3))
+            assert str(exc.value) == "expected a 2-D matrix, got shape (3,)"
+
+    def test_asymmetry_above_tol(self):
+        m = SZ.copy()
+        m[0, 1] = 1e-9
+        with pytest.raises(NotHermitianError) as exc:
+            eig_hermitian(m)
+        assert str(exc.value) == "matrix deviates from Hermitian by 1.000e-09 (tol 1.0e-10)"
+        # the callers read the Hermitian part instead of refusing
+        assert is_psd(m) is False
+        assert operator_norm(m) == pytest.approx(1.0, abs=1e-9)
