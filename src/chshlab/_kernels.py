@@ -1,9 +1,6 @@
-"""Pure-Python hot kernels.
+"""Hot kernels, in plain Python.
 
-Fallback backend used when the compiled extension is unavailable.  The
-Cython module _fast.pyx is a line-for-line transliteration of this file:
-any algorithmic change must be made in both, and tests/test_kernels.py
-holds the two to near-bitwise agreement.
+BACKEND names the implementation; perfbench/run.py records it.
 
 Kernels:
   chsh_objective      CHSH expectation of a locally rotated Schmidt state
@@ -15,7 +12,7 @@ from __future__ import annotations
 
 from math import cos, sin, sqrt
 
-BACKEND_NAME = "python"
+BACKEND = "python"
 
 _NM_REFLECT = 1.0
 _NM_EXPAND = 2.0

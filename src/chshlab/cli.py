@@ -9,6 +9,7 @@ identical seeds produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -91,6 +92,8 @@ def parse_angle(token: str) -> float:
         coef = m.group(1)
         num = float(coef) if coef not in ("", "+", "-") else float(coef + "1")
         den = float(m.group(2)) if m.group(2) else 1.0
+        if den == 0.0:
+            raise UsageError(f"angle {token!r}: zero denominator")
         return num * pi / den
     try:
         return float(t)
@@ -542,13 +545,14 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise UsageError(f"--output: {exc}") from None
         try:
-            em = Emitter(args.format, args.precision, out)
-            code = args.func(args, em)
-            out.flush()  # a closed pipe shows here, not at interpreter exit
-            return code
-        finally:
-            if args.output:
-                out.close()
+            with out if args.output else contextlib.nullcontext(out):
+                code = args.func(args, Emitter(args.format, args.precision, out))
+                out.flush()  # a closed pipe shows here, not at interpreter exit
+                return code
+        except OSError as exc:  # a full disk shows at a write, the flush or the close
+            if not args.output or isinstance(exc, BrokenPipeError):
+                raise
+            raise UsageError(f"--output: {exc}") from None
     except BrokenPipeError:
         # The reader stopped reading (`chshlab ... | head -1`): what it read
         # is all it wants.  Point stdout at devnull so that the interpreter's

@@ -107,8 +107,8 @@ def local_unitary(params: UnitaryParams) -> np.ndarray:
 def rotated_chsh(e: float, angles: CanonicalAngles, p1: UnitaryParams, p2: UnitaryParams) -> float:
     """CHSH expectation of (U1 ⊗ U2)|ψ_E> under the canonical setting.
 
-    Straightforward dense computation; the compiled kernel evaluates the
-    same quantity in the optimizer's inner loop and is tested against this.
+    Straightforward dense computation; the kernel `chsh_objective` evaluates
+    the same quantity in the optimizer's inner loop and is tested against this.
     """
     state = schmidt_state(e)
     u = np.kron(local_unitary(p1), local_unitary(p2))

@@ -5,12 +5,13 @@ Every spectrum goes through one path, numpy's LAPACK Hermitian solver
 (`numpy.linalg.eigh`).  numpy arrays are the universal carrier; matrices
 are row-major complex.
 
-Validation happens in one place.  `eig_hermitian` converts its input
-once, refuses a non-finite entry before any arithmetic, measures the
-Hermiticity defect once against its `tol`, and hands (M + M†)/2 to the
-solver.  Callers do not symmetrize first: `is_psd` and `operator_norm`
-pass `tol=inf`, so they accept any finite square input and see its
-Hermitian part.
+Validation happens in one place, `_with_adjoint`.  `eig_hermitian`
+converts its input once, refuses a non-finite entry before any
+arithmetic and a non-square one at any `tol`, measures the Hermiticity
+defect once against a finite `tol`, and hands (M + M†)/2 to the solver.
+Callers do not symmetrize first: `hermitize`, `is_psd` and
+`operator_norm` pass `tol=inf`, so they accept any finite square input
+and see its Hermitian part.
 """
 
 from __future__ import annotations
@@ -38,9 +39,12 @@ def as_matrix(m) -> np.ndarray:
 
 
 def hermitize(m) -> np.ndarray:
-    """Symmetrize (M + M†)/2, absorbing roundoff asymmetry."""
-    a = as_matrix(m)
-    return (a + a.conj().T) / 2
+    """Symmetrize (M + M†)/2, absorbing roundoff asymmetry.
+
+    Raises NotHermitianError if M is not square or an entry is not finite.
+    """
+    a, adj = _with_adjoint(m, np.inf)
+    return (a + adj) / 2
 
 
 def _finite_matrix(m) -> np.ndarray:
@@ -53,16 +57,22 @@ def _finite_matrix(m) -> np.ndarray:
 def _with_adjoint(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(M, M†) for a finite M whose Hermiticity defect is at most tol.
 
-    A non-square M has defect inf.
+    A non-square M has defect inf and is refused at every tol, inf included:
+    (M + M†)/2 would broadcast a 1×n M to n×n.
     """
     a = _finite_matrix(m)
     adj = a.conj().T
-    defect = float(abs(a - adj).max()) if a.shape[0] == a.shape[1] else float("inf")
-    if defect > tol:
-        raise NotHermitianError(
-            f"matrix deviates from Hermitian by {defect:.3e} (tol {tol:.1e})"
-        )
-    return a, adj
+    if a.shape[0] != a.shape[1]:
+        defect = float("inf")
+    elif tol == np.inf:  # every finite square M passes: nothing to measure
+        return a, adj
+    else:
+        defect = float(abs(a - adj).max())
+        if defect <= tol:
+            return a, adj
+    raise NotHermitianError(
+        f"matrix deviates from Hermitian by {defect:.3e} (tol {tol:.1e})"
+    )
 
 
 def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:

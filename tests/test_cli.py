@@ -248,6 +248,14 @@ class TestChsh:
         assert rc == 2
         assert json.loads(err)["code"] == "usage"
 
+    @pytest.mark.parametrize("angle", ["pi/0", "pi/0.0"])
+    def test_zero_denominator_refused(self, angle):
+        proc = run_process(["chsh", f"--canonical={angle},0", "--max"])
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["code"] == "usage"
+
     def test_needs_state_or_max(self, capsys):
         rc, _, err = run(capsys, ["chsh", "--canonical", "0,0"])
         assert rc == 2
@@ -421,6 +429,16 @@ class TestPlumbing:
         rc, out, err = run(capsys, ["chsh", "--canonical=0,0", "--max", f"--output={path}"])
         assert rc == 2 and out == ""
         assert json.loads(err)["code"] == "usage"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+    def test_output_write_fails(self):
+        # /dev/full opens fine and refuses every write with ENOSPC
+        proc = run_process(["jm", "--axes=z,x", "--lambda=0.5", "--output=/dev/full"])
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["code"] == "usage" and doc["message"].startswith("--output:")
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"

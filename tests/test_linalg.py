@@ -25,6 +25,7 @@ from chshlab.linalg import (
     operator_norm,
 )
 from chshlab.errors import NotHermitianError
+from chshlab.measurement import BinaryPovm
 
 from conftest import random_hermitian
 
@@ -233,6 +234,18 @@ class TestErrorParity:
         with pytest.raises(NotHermitianError) as exc:
             eig_hermitian(np.zeros((2, 3)))
         assert str(exc.value) == "matrix deviates from Hermitian by inf (tol 1.0e-10)"
+
+    @pytest.mark.parametrize("shape", [(1, 2), (1, 3), (2, 1), (3, 1), (2, 3), (3, 2)])
+    @pytest.mark.parametrize(
+        "fn",
+        [hermitize, is_psd, eig_hermitian, lambda m: eig_hermitian(m, np.inf), BinaryPovm.from_effect],
+        ids=["hermitize", "is_psd", "eig_hermitian", "eig_hermitian-tol-inf", "from_effect"],
+    )
+    def test_non_square_any_tol(self, fn, shape):
+        # at tol=inf, (M + M†)/2 would broadcast a 1×n M to n×n
+        with pytest.raises(NotHermitianError) as exc:
+            fn(np.zeros(shape))
+        assert str(exc.value).startswith("matrix deviates from Hermitian by inf (tol ")
 
     def test_not_a_matrix(self):
         for fn in (eig_hermitian, is_psd, operator_norm, lambda m: kron(m, I2)):
