@@ -55,6 +55,7 @@ from .errors import (
     DegenerateDeltaError,
     InvalidStateError,
     InvalidToleranceError,
+    NonFiniteOutputError,
     NonRealTraceError,
     NonUnitAxisError,
     NotHermitianError,

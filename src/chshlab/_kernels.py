@@ -6,10 +6,19 @@ Kernels:
   chsh_objective      CHSH expectation of a locally rotated Schmidt state
   maximize_chsh       Nelder-Mead ascent of chsh_objective from one start
   dykstra_feasibility parent-POVM feasibility by cyclic Dykstra projections
+
+The CHSH objective works in the rotation picture (Horodecki et al., Phys.
+Lett. A 200, 340 (1995)).  A two-qubit expectation <S> is sum_mn r_mn c_mn
+over Pauli coordinates r_mn = tr(rho s_m x s_n) and c_mn = tr(S s_m x s_n)/4.
+The Schmidt state has local z components 2E-1 and correlations
+diag(C, -C, 1), C = 2 sqrt(E(1-E)), and a local unitary rotates each
+party's Bloch coordinates by an SO(3) matrix.  So one evaluation is a few
+3x3 real products; the 4x4 complex amplitudes are never formed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import cos, sin, sqrt
 
 BACKEND = "python"
@@ -21,44 +30,49 @@ _NM_SHRINK = 0.5
 _NM_STEP = 0.5
 
 
-def _objective(s, e, x):
-    psi1, phi1, th1, psi2, phi2, th2 = x
-    ca = 0.5 * (psi1 + phi1)
-    cb = 0.5 * (psi1 - phi1)
-    c1 = cos(0.5 * th1)
-    s1 = sin(0.5 * th1)
-    u1_00 = complex(c1 * cos(ca), c1 * sin(ca))
-    u1_01 = complex(s1 * cos(cb), -s1 * sin(cb))
-    u1_10 = complex(-s1 * cos(cb), -s1 * sin(cb))
-    u1_11 = complex(c1 * cos(ca), -c1 * sin(ca))
+def _rotated_objective(s, e):
+    """x -> <v|S|v>, v = (U1 x U2)(sqrt(E)|00> + sqrt(1-E)|11>), for real 16-float S.
 
-    da = 0.5 * (psi2 + phi2)
-    db = 0.5 * (psi2 - phi2)
-    c2 = cos(0.5 * th2)
-    s2 = sin(0.5 * th2)
-    u2_00 = complex(c2 * cos(da), c2 * sin(da))
-    u2_01 = complex(s2 * cos(db), -s2 * sin(db))
-    u2_10 = complex(-s2 * cos(db), -s2 * sin(db))
-    u2_11 = complex(c2 * cos(da), -c2 * sin(da))
+    U(psi, phi, theta) rotates Bloch vectors by M^T, M = Rz(psi) Ry(theta)
+    Rz(phi).  With p_k, q_k the rows of M1, M2 the value is
+    c_00 + (2E-1)(c_A . p_z + c_B . q_z) + C(p_x.Kq_x - p_y.Kq_y) + p_z.Kq_z,
+    K = (c_ij).  For real S every coefficient with a single Y vanishes, so
+    c_A, c_B have no y component and K's y row and column hold only c_yy.
+    """
+    s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14, s15 = s
+    # c_mn = tr(S s_m x s_n)/4, Alice's Pauli first; k_ij = c_ij
+    c00 = 0.25 * (s0 + s5 + s10 + s15)
+    c0x = 0.25 * (s1 + s4 + s11 + s14)
+    c0z = 0.25 * (s0 - s5 + s10 - s15)
+    cx0 = 0.25 * (s2 + s7 + s8 + s13)
+    cz0 = 0.25 * (s0 + s5 - s10 - s15)
+    kxx = 0.25 * (s3 + s6 + s9 + s12)
+    kxz = 0.25 * (s2 - s7 + s8 - s13)
+    kzx = 0.25 * (s1 + s4 - s11 - s14)
+    kzz = 0.25 * (s0 - s5 - s10 + s15)
+    kyy = 0.25 * (-s3 + s6 + s9 - s12)
+    w = 2.0 * e - 1.0
+    conc = 2.0 * sqrt(e * (1.0 - e))
+    ax, az, bx, bz = w * cx0, w * cz0, w * c0x, w * c0z
 
-    w0 = sqrt(e)
-    w1 = sqrt(1.0 - e)
-    # (U1 x U2) applied to sqrt(E)|00> + sqrt(1-E)|11>
-    v0 = w0 * u1_00 * u2_00 + w1 * u1_01 * u2_01
-    v1 = w0 * u1_00 * u2_10 + w1 * u1_01 * u2_11
-    v2 = w0 * u1_10 * u2_00 + w1 * u1_11 * u2_01
-    v3 = w0 * u1_10 * u2_10 + w1 * u1_11 * u2_11
+    def objective(x):
+        psi1, phi1, th1, psi2, phi2, th2 = x
+        cp, sp, ct, st, cf, sf = cos(psi1), sin(psi1), cos(th1), sin(th1), cos(phi1), sin(phi1)
+        u, v = cp * ct, sp * ct
+        p0, p1, p2 = u * cf - sp * sf, -u * sf - sp * cf, cp * st
+        p3, p4, p5 = v * cf + cp * sf, cp * cf - v * sf, sp * st
+        p6, p7, p8 = -st * cf, st * sf, ct
+        cp, sp, ct, st, cf, sf = cos(psi2), sin(psi2), cos(th2), sin(th2), cos(phi2), sin(phi2)
+        u, v = cp * ct, sp * ct
+        q0, q1, q2 = u * cf - sp * sf, -u * sf - sp * cf, cp * st
+        q3, q4, q5 = v * cf + cp * sf, cp * cf - v * sf, sp * st
+        q6, q7, q8 = -st * cf, st * sf, ct
+        xx = p0 * (kxx * q0 + kxz * q2) + kyy * p1 * q1 + p2 * (kzx * q0 + kzz * q2)
+        yy = p3 * (kxx * q3 + kxz * q5) + kyy * p4 * q4 + p5 * (kzx * q3 + kzz * q5)
+        zz = p6 * (kxx * q6 + kxz * q8) + kyy * p7 * q7 + p8 * (kzx * q6 + kzz * q8)
+        return c00 + ax * p6 + az * p8 + bx * q6 + bz * q8 + conc * (xx - yy) + zz
 
-    vr = (v0.real, v1.real, v2.real, v3.real)
-    vi = (v0.imag, v1.imag, v2.imag, v3.imag)
-    acc = 0.0
-    for k in range(4):
-        rk = vr[k]
-        ik = vi[k]
-        row = 4 * k
-        for l in range(4):
-            acc += s[row + l] * (rk * vr[l] + ik * vi[l])
-    return acc
+    return objective
 
 
 def chsh_objective(s, e, x):
@@ -67,7 +81,23 @@ def chsh_objective(s, e, x):
     s: 16 floats, the real-symmetric CHSH operator row-major.
     x: 6 floats (psi1, phi1, theta1, psi2, phi2, theta2).
     """
-    return _objective(tuple(map(float, s)), float(e), tuple(map(float, x)))
+    return _rotated_objective(tuple(map(float, s)), float(e))(tuple(map(float, x)))
+
+
+def _spread(verts, tol):
+    """True once some coordinate of a vertex lies tol or more from the best one's."""
+    best = verts[0]
+    for pt in verts[1:]:
+        for a, b in zip(pt, best):
+            if abs(a - b) >= tol:
+                return True
+    return False
+
+
+def _by_value(verts, vals):
+    """verts and vals sorted by value; ties keep their order."""
+    order = sorted(range(len(vals)), key=vals.__getitem__)
+    return [verts[k] for k in order], [vals[k] for k in order]
 
 
 def maximize_chsh(s, e, x0, diameter_tol=1e-9, max_iter=5000):
@@ -77,80 +107,63 @@ def maximize_chsh(s, e, x0, diameter_tol=1e-9, max_iter=5000):
     diameter_tol or after max_iter iterations.  Returns
     (best_value, best_params[6], evaluations).
     """
-    st = tuple(map(float, s))
-    e = float(e)
+    f = _rotated_objective(tuple(map(float, s)), float(e))
     n = 6
 
-    def g(pt):  # minimize the negated objective
-        return -_objective(st, e, pt)
-
+    # minimize the negated objective; verts/vals stay sorted, ties in age order
     verts = [list(map(float, x0))]
     for i in range(n):
         pt = list(verts[0])
         pt[i] += _NM_STEP
         verts.append(pt)
-    vals = [g(pt) for pt in verts]
+    vals = [-f(pt) for pt in verts]
     n_eval = n + 1
+    verts, vals = _by_value(verts, vals)
 
     for _ in range(int(max_iter)):
-        order = sorted(range(n + 1), key=lambda k: vals[k])
-        verts = [verts[k] for k in order]
-        vals = [vals[k] for k in order]
-
-        diam = 0.0
-        best = verts[0]
-        for j in range(1, n + 1):
-            for i in range(n):
-                d = abs(verts[j][i] - best[i])
-                if d > diam:
-                    diam = d
-        if diam < diameter_tol:
+        if not _spread(verts, diameter_tol):
             break
 
-        centroid = [0.0] * n
-        for j in range(n):
-            for i in range(n):
-                centroid[i] += verts[j][i]
-        for i in range(n):
-            centroid[i] /= n
-
+        centroid = [sum(col) / n for col in zip(*verts[:n])]
         worst = verts[n]
-        xr = [centroid[i] + _NM_REFLECT * (centroid[i] - worst[i]) for i in range(n)]
-        gr = g(xr)
+        xr = [c + _NM_REFLECT * (c - w) for c, w in zip(centroid, worst)]
+        gr = -f(xr)
         n_eval += 1
 
         if vals[0] <= gr < vals[n - 1]:
-            verts[n] = xr
-            vals[n] = gr
+            x_new, g_new = xr, gr
         elif gr < vals[0]:
-            xe = [centroid[i] + _NM_EXPAND * (centroid[i] - worst[i]) for i in range(n)]
-            ge = g(xe)
+            xe = [c + _NM_EXPAND * (c - w) for c, w in zip(centroid, worst)]
+            ge = -f(xe)
             n_eval += 1
-            if ge < gr:
-                verts[n] = xe
-                vals[n] = ge
-            else:
-                verts[n] = xr
-                vals[n] = gr
+            x_new, g_new = (xe, ge) if ge < gr else (xr, gr)
         else:
             if gr < vals[n]:
-                xc = [centroid[i] + _NM_CONTRACT * (xr[i] - centroid[i]) for i in range(n)]
+                xc = [c + _NM_CONTRACT * (r - c) for c, r in zip(centroid, xr)]
             else:
-                xc = [centroid[i] - _NM_CONTRACT * (centroid[i] - worst[i]) for i in range(n)]
-            gc = g(xc)
+                xc = [c - _NM_CONTRACT * (c - w) for c, w in zip(centroid, worst)]
+            gc = -f(xc)
             n_eval += 1
             if gc < min(gr, vals[n]):
-                verts[n] = xc
-                vals[n] = gc
+                x_new, g_new = xc, gc
             else:
+                best = verts[0]
                 for j in range(1, n + 1):
+                    pt = verts[j]
                     for i in range(n):
-                        verts[j][i] = best[i] + _NM_SHRINK * (verts[j][i] - best[i])
-                    vals[j] = g(verts[j])
+                        pt[i] = best[i] + _NM_SHRINK * (pt[i] - best[i])
+                    vals[j] = -f(pt)
                 n_eval += n
+                verts, vals = _by_value(verts, vals)
+                continue
 
-    k_best = min(range(n + 1), key=lambda k: vals[k])
-    return -vals[k_best], list(verts[k_best]), n_eval
+        # the replaced worst vertex goes after every vertex it ties with
+        del verts[n], vals[n]
+        k = bisect_right(vals, g_new)
+        verts.insert(k, x_new)
+        vals.insert(k, g_new)
+
+    return -vals[0], list(verts[0]), n_eval
 
 
 def _proj_cone(y0, y1, y2, y3):

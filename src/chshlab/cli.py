@@ -37,7 +37,7 @@ from .entanglement import (
     nonlocality_region,
     schmidt_state,
 )
-from .errors import ChshLabError
+from .errors import ChshLabError, NonFiniteOutputError
 from .measurement import (
     ChshSetting,
     X_AXIS,
@@ -153,7 +153,12 @@ class Emitter:
         self.out = out
 
     def num(self, v) -> float:
-        return float(f"{float(v):.{self.precision}g}")
+        """v to `precision` significant digits; NaN and ±inf are refused, so
+        no format ever writes them."""
+        v = float(v)
+        if not isfinite(v):
+            raise NonFiniteOutputError(f"result holds the non-finite number {v!r}")
+        return float(f"{v:.{self.precision}g}")
 
     def _rounded(self, obj):
         if isinstance(obj, bool) or obj is None:
@@ -169,7 +174,7 @@ class Emitter:
         return obj
 
     def json(self, doc: dict) -> None:
-        print(json.dumps(self._rounded(doc)), file=self.out)
+        print(json.dumps(self._rounded(doc), allow_nan=False), file=self.out)
 
     def text(self, v) -> str:
         """v as written in CSV cells, CSV comments and verify's text lines."""
@@ -185,11 +190,11 @@ class Emitter:
         if self.fmt != "csv":
             self.json(doc)
             return
-        for c in comments:
-            print(f"# {c}", file=self.out)
-        print(",".join(header), file=self.out)
+        lines = [f"# {c}" for c in comments]
+        lines.append(",".join(header))
         for row in [[doc[k] for k in header]] if rows is None else rows:
-            print(",".join(self.text(v) for v in row), file=self.out)
+            lines.append(",".join(self.text(v) for v in row))
+        print("\n".join(lines), file=self.out)  # formatted in full first: a refusal writes nothing
 
 
 # ---------- setting construction shared by chsh/sample ----------
@@ -411,14 +416,13 @@ def cmd_verify(args, em: Emitter) -> int:
     if em.fmt == "json":
         em.json({"suite": args.suite, "seed": args.seed, "checks": checks, "passed": all_passed})
     else:
-        for c in checks:
-            status = "PASS" if c["passed"] else "FAIL"
-            print(
-                f"{status} {args.suite}.{c['check']} "
-                f"max_dev={em.text(c['max_dev'])} tol={em.text(c['tol'])}",
-                file=em.out,
-            )
-        print("OK" if all_passed else "FAILED", file=em.out)
+        lines = [
+            f"{'PASS' if c['passed'] else 'FAIL'} {args.suite}.{c['check']} "
+            f"max_dev={em.text(c['max_dev'])} tol={em.text(c['tol'])}"
+            for c in checks
+        ]
+        lines.append("OK" if all_passed else "FAILED")
+        print("\n".join(lines), file=em.out)
     return 0 if all_passed else 1
 
 
@@ -529,6 +533,14 @@ def _config_tokens(cfg: dict, commands: dict[str, _Parser], args) -> list[str]:
     return tokens
 
 
+def _silence_stdout() -> None:
+    """Point stdout at devnull, so that the interpreter's last flush of what
+    is still buffered cannot fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -550,16 +562,16 @@ def main(argv=None) -> int:
                 out.flush()  # a closed pipe shows here, not at interpreter exit
                 return code
         except OSError as exc:  # a full disk shows at a write, the flush or the close
-            if not args.output or isinstance(exc, BrokenPipeError):
+            if isinstance(exc, BrokenPipeError):
                 raise
-            raise UsageError(f"--output: {exc}") from None
+            if args.output:
+                raise UsageError(f"--output: {exc}") from None
+            _silence_stdout()
+            raise UsageError(f"stdout: {exc}") from None
     except BrokenPipeError:
         # The reader stopped reading (`chshlab ... | head -1`): what it read
-        # is all it wants.  Point stdout at devnull so that the interpreter's
-        # last flush of what is still buffered cannot fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # is all it wants.
+        _silence_stdout()
         return 0
     except UsageError as exc:
         print(json.dumps({"code": "usage", "message": str(exc)}), file=sys.stderr)

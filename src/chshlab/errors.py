@@ -40,5 +40,9 @@ class NonRealTraceError(ChshLabError, ArithmeticError):
     """
 
 
+class NonFiniteOutputError(ChshLabError, ValueError):
+    """Result holds NaN or ±inf, which the output formats do not write."""
+
+
 class DegenerateDeltaError(ChshLabError, ValueError):
     """Stationarity relations are singular at full incompatibility."""

@@ -58,10 +58,13 @@ def _with_adjoint(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(M, M†) for a finite M whose Hermiticity defect is at most tol.
 
     A non-square M has defect inf and is refused at every tol, inf included:
-    (M + M†)/2 would broadcast a 1×n M to n×n.
+    (M + M†)/2 would broadcast a 1×n M to n×n.  So is a 0×0 M, which has
+    no spectrum.
     """
     a = _finite_matrix(m)
     adj = a.conj().T
+    if a.shape == (0, 0):
+        raise NotHermitianError(f"matrix of shape {a.shape} is empty")
     if a.shape[0] != a.shape[1]:
         defect = float("inf")
     elif tol == np.inf:  # every finite square M passes: nothing to measure

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonUnitAxisError, OutOfRangeError
+from .errors import NonUnitAxisError, NotHermitianError, OutOfRangeError
 from .linalg import I2, SX, SY, SZ, as_matrix, comm, hermitize, is_psd, kron, operator_norm
 
 UNIT_AXIS_TOL = 1e-9
@@ -66,6 +66,8 @@ class BinaryPovm:
     @classmethod
     def from_effect(cls, effect_plus, sharpness: float | None = None) -> "BinaryPovm":
         e_plus = hermitize(effect_plus)
+        if e_plus.shape != (2, 2):
+            raise NotHermitianError(f"qubit POVM effect must be 2x2, got shape {e_plus.shape}")
         e_minus = I2 - e_plus
         for eff in (e_plus, e_minus):
             if not is_psd(eff, PSD_TOL):

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chshlab import verify
-from chshlab.cli import main
+from chshlab import cli, verify
+from chshlab.cli import Emitter, main
+from chshlab.errors import NonFiniteOutputError
 
 TSIRELSON = 2.8284271247461903
 
@@ -407,6 +408,41 @@ class TestVerify:
         assert out.strip().splitlines()[-1] == "FAILED"
 
 
+class TestNonFiniteOutput:
+    """NaN and ±inf are refused in every format: exit 2, one JSON line on
+    stderr, nothing on stdout."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+    def test_json_refuses(self, bad):
+        buf = io.StringIO()
+        with pytest.raises(NonFiniteOutputError):
+            Emitter("json", 6, buf).json({"ok": 1.0, "rows": [[0.5, bad]]})
+        assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_csv_refuses(self, bad):
+        em = Emitter("csv", 6, io.StringIO())
+        with pytest.raises(NonFiniteOutputError):
+            em.text(bad)
+        with pytest.raises(NonFiniteOutputError):
+            em.table({}, ["a", "b"], [[0.5, 1.0], [bad, 2.0]], comments=["c = 1"])
+        assert em.out.getvalue() == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_exit_code(self, capsys, monkeypatch, fmt):
+        def emits_nan(args, em):
+            em.table({"value": float("nan")}, ["value"])
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_chsh", emits_nan)
+        rc, out, err = run(capsys, ["chsh", "--canonical=0,0", "--max", f"--format={fmt}"])
+        assert rc == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["code"] == "non_finite_output"
+        assert "nan" in lines[0] and "NaN" not in lines[0]
+
+
 class TestPlumbing:
     @pytest.mark.parametrize(
         "argv",
@@ -439,6 +475,19 @@ class TestPlumbing:
         assert len(lines) == 1
         doc = json.loads(lines[0])
         assert doc["code"] == "usage" and doc["message"].startswith("--output:")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+    def test_stdout_write_fails(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "chshlab.cli", "jm", "--axes=z,x", "--lambda=0.5"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=_process_env(),
+            )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["code"] == "usage" and doc["message"].startswith("stdout:")
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"

@@ -24,7 +24,7 @@ from chshlab.linalg import (
     min_eigenvalue,
     operator_norm,
 )
-from chshlab.errors import NotHermitianError
+from chshlab.errors import ChshLabError, NotHermitianError
 from chshlab.measurement import BinaryPovm
 
 from conftest import random_hermitian
@@ -246,6 +246,19 @@ class TestErrorParity:
         with pytest.raises(NotHermitianError) as exc:
             fn(np.zeros(shape))
         assert str(exc.value).startswith("matrix deviates from Hermitian by inf (tol ")
+
+    @pytest.mark.parametrize("fn", [hermitize, is_psd, eig_hermitian, operator_norm, BinaryPovm.from_effect])
+    def test_empty_matrix(self, fn):
+        with pytest.raises(NotHermitianError) as exc:
+            fn(np.zeros((0, 0)))
+        assert str(exc.value) == "matrix of shape (0, 0) is empty"
+
+    @pytest.mark.parametrize("m", [np.eye(3) / 2, np.eye(4) / 2, np.array([[0.5]])], ids=["3x3", "4x4", "1x1"])
+    def test_effect_of_wrong_size(self, m):
+        with pytest.raises(NotHermitianError) as exc:
+            BinaryPovm.from_effect(m)
+        assert str(exc.value) == f"qubit POVM effect must be 2x2, got shape {m.shape}"
+        assert isinstance(exc.value, ChshLabError) and isinstance(exc.value, ValueError)
 
     def test_not_a_matrix(self):
         for fn in (eig_hermitian, is_psd, operator_norm, lambda m: kron(m, I2)):
