@@ -28,6 +28,10 @@ _NM_EXPAND = 2.0
 _NM_CONTRACT = 0.5
 _NM_SHRINK = 0.5
 _NM_STEP = 0.5
+_NM_DIAMETER_TOL = 1e-9
+_NM_MAX_ITER = 5000
+_PLATEAU_WINDOW = 500
+_PLATEAU_RTOL = 1e-12
 
 
 def _rotated_objective(s, e):
@@ -100,11 +104,11 @@ def _by_value(verts, vals):
     return [verts[k] for k in order], [vals[k] for k in order]
 
 
-def maximize_chsh(s, e, x0, diameter_tol=1e-9, max_iter=5000):
+def maximize_chsh(s, e, x0):
     """Nelder-Mead maximization of chsh_objective from a single start.
 
     Stops when the max-coordinate diameter of the simplex drops below
-    diameter_tol or after max_iter iterations.  Returns
+    _NM_DIAMETER_TOL or after _NM_MAX_ITER iterations.  Returns
     (best_value, best_params[6], evaluations).
     """
     f = _rotated_objective(tuple(map(float, s)), float(e))
@@ -120,8 +124,8 @@ def maximize_chsh(s, e, x0, diameter_tol=1e-9, max_iter=5000):
     n_eval = n + 1
     verts, vals = _by_value(verts, vals)
 
-    for _ in range(int(max_iter)):
-        if not _spread(verts, diameter_tol):
+    for _ in range(_NM_MAX_ITER):
+        if not _spread(verts, _NM_DIAMETER_TOL):
             break
 
         centroid = [sum(col) / n for col in zip(*verts[:n])]
@@ -184,13 +188,15 @@ def _cone_defect(y0, y1, y2, y3):
     return -lo if lo < 0.0 else 0.0
 
 
-def dykstra_feasibility(m, n, x0, tol, max_iter, plateau_window=500, plateau_rtol=1e-12):
+def dykstra_feasibility(m, n, x0, tol, max_iter):
     """Cyclic Dykstra projections for the parent-POVM feasibility problem.
 
     Coordinates are Pauli coordinates of the free effect G; the four PSD
     constraints are G, M-G, N-G and I-M-N+G where m, n are the coordinates
     of the two plus-effects.  Returns (x[4], residual, iterations, plateaued);
     residual is the worst negative-eigenvalue defect over the four blocks.
+    It plateaus when it has moved by at most _PLATEAU_RTOL relative over
+    the last _PLATEAU_WINDOW iterations.
     """
     m0, m1, m2, m3 = map(float, m)
     n0, n1, n2, n3 = map(float, n)
@@ -200,7 +206,7 @@ def dykstra_feasibility(m, n, x0, tol, max_iter, plateau_window=500, plateau_rto
     c3 = m3 + n3
     x = list(map(float, x0))
     corr = [[0.0, 0.0, 0.0, 0.0] for _ in range(4)]
-    hist = [0.0] * plateau_window
+    hist = [0.0] * _PLATEAU_WINDOW
     res = float("inf")
 
     for it in range(1, int(max_iter) + 1):
@@ -243,10 +249,10 @@ def dykstra_feasibility(m, n, x0, tol, max_iter, plateau_window=500, plateau_rto
 
         if res <= tol:
             return x, res, it, False
-        slot = it % plateau_window
-        if it > plateau_window:
+        slot = it % _PLATEAU_WINDOW
+        if it > _PLATEAU_WINDOW:
             prev = hist[slot]
-            if abs(res - prev) <= plateau_rtol * (res if res > 1e-300 else 1e-300):
+            if abs(res - prev) <= _PLATEAU_RTOL * (res if res > 1e-300 else 1e-300):
                 return x, res, it, True
         hist[slot] = res
 

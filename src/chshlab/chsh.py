@@ -22,8 +22,9 @@ class ChshReport:
 
     value is the CHSH expression being reported, bound the certified
     maximum over states (they coincide for the spectral maximizers),
-    mu the top eigenvalue of the commutator tensor when it was used,
-    and optimal_state the eigenprojector attaining the maximum.
+    mu the top eigenvalue of the commutator tensor (set by landau_bound),
+    and optimal_state the eigenprojector attaining the maximum (set by
+    max_over_states).
     """
 
     value: float
@@ -98,14 +99,7 @@ def landau_bound(setting: ChshSetting) -> ChshReport:
             raise NotInvolutiveError(f"observable {name}: ||O² - I|| = {defect:.3e}")
     mu = float(eig_hermitian(commutator_tensor(setting)).eigenvalues[-1])
     bound = 2.0 * np.sqrt(1.0 + mu)
-    _, projector = _top_modulus_projector(eig_hermitian(chsh_operator(setting)))
-    return ChshReport(
-        value=bound,
-        bound=bound,
-        violates=violates(bound),
-        mu=mu,
-        optimal_state=projector,
-    )
+    return ChshReport(value=bound, bound=bound, violates=violates(bound), mu=mu)
 
 
 def max_over_states(setting: ChshSetting) -> ChshReport:

@@ -27,14 +27,13 @@ from .chsh import (
     sample_estimate,
     violates,
 )
-from .compat import busch_criterion, check_tolerance, parent_povm_search, sharpness_threshold
+from .compat import MAX_TOL, busch_criterion, check_tolerance, parent_povm_search, sharpness_threshold
 from .entanglement import (
     CanonicalAngles,
     canonical_axes,
     canonical_setting,
     entanglement_threshold,
     max_chsh_closed_form,
-    nonlocality_region,
     schmidt_state,
 )
 from .errors import ChshLabError, NonFiniteOutputError
@@ -320,15 +319,12 @@ def cmd_chsh(args, em: Emitter) -> int:
         raise UsageError("--state and --max are mutually exclusive")
     if not args.max and not args.state:
         raise UsageError("chsh requires --state SPEC or --max")
-    doc: dict = {"setting": desc}
+    rep = landau_bound(setting) if projective else max_over_states(setting)
+    doc: dict = {"setting": desc, "bound": rep.bound}
     if projective:
-        rep = landau_bound(setting)
-        doc["bound"] = rep.bound
         doc["mu"] = rep.mu
-    else:
-        doc["bound"] = max_over_states(setting).bound
     if args.max:
-        doc["value"] = max_over_states(setting).value
+        doc["value"] = max_over_states(setting).value if projective else rep.value
     else:
         rho = _state_from_spec(args.state)
         doc["state"] = args.state
@@ -344,11 +340,11 @@ def cmd_region(args, em: Emitter) -> int:
     if e_grid.size * d_grid.size > MAX_GRID_STEPS:
         raise UsageError(f"region: {e_grid.size}x{d_grid.size} cells, more than {MAX_GRID_STEPS}")
     threshold = entanglement_threshold()
-    rows = [
-        [e, d, max_chsh_closed_form(e, d), nonlocality_region(e, d)]
-        for e in e_grid.tolist()
-        for d in d_grid.tolist()
-    ]
+    rows = []
+    for e in e_grid.tolist():
+        for d in d_grid.tolist():
+            chsh_max = max_chsh_closed_form(e, d)
+            rows.append([e, d, chsh_max, violates(chsh_max)])
     doc = {
         "entanglement_threshold": threshold,
         "rows": [
@@ -454,7 +450,10 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     jm.add_argument("--lambda", dest="lam", default=None, help="sharpness value or START:STOP:STEPS")
     jm.add_argument("--threshold", action="store_true", help="critical sharpness (closed form)")
     jm.add_argument("--method", choices=("analytic", "feasibility"), default="analytic")
-    jm.add_argument("--tol", type=float, default=1e-9, help="residual tolerance of --method feasibility")
+    jm.add_argument(
+        "--tol", type=float, default=1e-9,
+        help=f"residual tolerance of --method feasibility, in (0, {MAX_TOL:g}]",
+    )
     _add_common(jm)
     jm.set_defaults(func=cmd_jm)
 

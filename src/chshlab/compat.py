@@ -19,13 +19,15 @@ import numpy as np
 from . import _kernels
 from .errors import InvalidToleranceError, NotUnbiasedError
 from .linalg import I2
-from .measurement import BinaryPovm, from_pauli_coords, pauli_coords, unit_axis
+from .measurement import BinaryPovm, from_pauli_coords, unit_axis
 
 UNBIASED_TOL = 1e-9
 DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITER = 200_000
-PLATEAU_WINDOW = 500
-PLATEAU_RTOL = 1e-12
+# a certificate's effects may have eigenvalues down to -tol: at tol 0.3 the
+# z/x pair at λ = 0.8, which both criteria call Incompatible, was
+# "certified" by a parent with an eigenvalue of -0.052
+MAX_TOL = 1e-3
+DYKSTRA_MAX_ITER = 200_000
 
 
 class JmStatus(enum.Enum):
@@ -85,7 +87,7 @@ class JmVerdict:
 
 
 def _unbiased_bloch(povm: BinaryPovm) -> np.ndarray:
-    coords = pauli_coords(povm.effect_plus)
+    coords = povm.coords
     if abs(coords[0] - 1.0) > UNBIASED_TOL:
         raise NotUnbiasedError(
             f"effect trace {coords[0]!r} != 1: POVM is biased, analytic criterion does not apply"
@@ -116,10 +118,21 @@ def _sharpness(x: float, r: float) -> float:
     )
 
 
-def _coexistence(m: np.ndarray, n: np.ndarray) -> JmVerdict:
-    """coexistence_criterion on the Pauli coordinates of the two plus-effects."""
-    c0, a1, a2, a3 = m.tolist()
-    d0, b1, b2, b3 = n.tolist()
+def coexistence_criterion(p: BinaryPovm, q: BinaryPovm) -> JmVerdict:
+    """Exact compatibility test for any two binary qubit POVMs.
+
+    With plus-effects E = ((1+x)I + m·σ)/2 and F = ((1+y)I + n·σ)/2 the
+    pair is jointly measurable iff
+    (1 - Fx² - Fy²)(1 - x²/Fx² - y²/Fy²) <= (m·n - xy)², where
+    Fx = ½(√((1+x)² - |m|²) + √((1-x)² - |m|²))
+    (Yu, Liu, Li, Oh, Phys. Rev. A 81, 062116 (2010)).  Fx = 0 only for a
+    sharp unbiased projector, which is jointly measurable exactly with the
+    effects it commutes with; commuting effects (m × n = 0) are decided as
+    such, since the formula puts many of them on its zero set, where
+    roundoff picks the sign.  x = y = 0 is Busch's criterion.
+    """
+    c0, a1, a2, a3 = p.coords.tolist()
+    d0, b1, b2, b3 = q.coords.tolist()
     x, y = c0 - 1.0, d0 - 1.0
     fx = _sharpness(x, sqrt(a1 * a1 + a2 * a2 + a3 * a3))
     fy = _sharpness(y, sqrt(b1 * b1 + b2 * b2 + b3 * b3))
@@ -138,35 +151,14 @@ def _coexistence(m: np.ndarray, n: np.ndarray) -> JmVerdict:
     return JmVerdict(status=status, margin=margin, method=JmMethod.ANALYTIC)
 
 
-def coexistence_criterion(p: BinaryPovm, q: BinaryPovm) -> JmVerdict:
-    """Exact compatibility test for any two binary qubit POVMs.
-
-    With plus-effects E = ((1+x)I + m·σ)/2 and F = ((1+y)I + n·σ)/2 the
-    pair is jointly measurable iff
-    (1 - Fx² - Fy²)(1 - x²/Fx² - y²/Fy²) <= (m·n - xy)², where
-    Fx = ½(√((1+x)² - |m|²) + √((1-x)² - |m|²))
-    (Yu, Liu, Li, Oh, Phys. Rev. A 81, 062116 (2010)).  Fx = 0 only for a
-    sharp unbiased projector, which is jointly measurable exactly with the
-    effects it commutes with; commuting effects (m × n = 0) are decided as
-    such, since the formula puts many of them on its zero set, where
-    roundoff picks the sign.  x = y = 0 is Busch's criterion.
-    """
-    return _coexistence(pauli_coords(p.effect_plus), pauli_coords(q.effect_plus))
-
-
 def check_tolerance(tol: float) -> float:
-    """tol itself if it is positive and finite, else InvalidToleranceError."""
-    if not 0.0 < tol < np.inf:
-        raise InvalidToleranceError(f"tol must be positive and finite, got {tol}")
+    """tol itself if it lies in (0, MAX_TOL], else InvalidToleranceError."""
+    if not 0.0 < tol <= MAX_TOL:
+        raise InvalidToleranceError(f"tol must be in (0, {MAX_TOL:g}], got {tol}")
     return tol
 
 
-def parent_povm_search(
-    p: BinaryPovm,
-    q: BinaryPovm,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> JmVerdict:
+def parent_povm_search(p: BinaryPovm, q: BinaryPovm, tol: float = DEFAULT_TOL) -> JmVerdict:
     """Decide by coexistence_criterion; certify compatibility with a parent POVM.
 
     A pair that violates the criterion by more than tol is Incompatible,
@@ -176,20 +168,15 @@ def parent_povm_search(
     must be simultaneously PSD.  Compatible verdicts ship an explicit
     ParentPovm with residual <= tol.  Undecided means the pair is
     compatible, or within tol of the boundary, but the search stopped
-    (its residual plateaued, or max_iter ran out) above tol.
+    (its residual plateaued, or DYKSTRA_MAX_ITER ran out) above tol.
     """
     check_tolerance(tol)
-    if max_iter < 1:
-        raise InvalidToleranceError(f"max_iter must be >= 1, got {max_iter}")
-    m = pauli_coords(p.effect_plus)
-    n = pauli_coords(q.effect_plus)
-    verdict = _coexistence(m, n)
+    verdict = coexistence_criterion(p, q)
     if verdict.margin < -tol:
         return verdict
+    m, n = p.coords, q.coords
     x0 = (m + n) / 2.0 - np.array([0.5, 0.0, 0.0, 0.0])
-    x, residual, _, _ = _kernels.dykstra_feasibility(
-        m, n, x0, tol, max_iter, PLATEAU_WINDOW, PLATEAU_RTOL
-    )
+    x, residual, _, _ = _kernels.dykstra_feasibility(m, n, x0, tol, DYKSTRA_MAX_ITER)
     if residual > tol:
         return JmVerdict(JmStatus.UNDECIDED, margin=0.0 - float(residual), method=JmMethod.FEASIBILITY)
     g = from_pauli_coords(x)

@@ -17,8 +17,6 @@ from .measurement import ChshSetting, X_AXIS, Z_AXIS
 TRACE_IMAG_ERROR = 1e-8
 DELTA_SINGULAR_TOL = 1e-12
 DEFAULT_RESTARTS = 20
-NM_DIAMETER_TOL = 1e-9
-NM_MAX_ITER = 5000
 
 # search box per unitary: psi in [0,4pi), phi in [0,2pi], theta in [0,pi]
 _PARAM_BOX = np.array([4 * pi, 2 * pi, pi, 4 * pi, 2 * pi, pi])
@@ -146,7 +144,7 @@ def max_chsh_over_unitaries(
     best_x: list[float] | None = None
     for _ in range(restarts):
         x0 = rng.uniform(0.0, 1.0, 6) * _PARAM_BOX
-        value, x, _ = _kernels.maximize_chsh(s_flat, e, x0, NM_DIAMETER_TOL, NM_MAX_ITER)
+        value, x, _ = _kernels.maximize_chsh(s_flat, e, x0)
         if value > best_value:
             best_value = value
             best_x = x

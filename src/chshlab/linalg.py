@@ -78,10 +78,6 @@ def _with_adjoint(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    return _with_adjoint(m, tol)[0]
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product; dims multiply.  Equal to numpy.kron bit for bit."""
     a = as_matrix(a)

@@ -16,8 +16,6 @@ X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
-_PAULIS = (SX, SY, SZ)
-
 
 def unit_axis(v) -> np.ndarray:
     """Validate a Bloch direction; must have unit Euclidean norm."""
@@ -38,10 +36,12 @@ def pauli_coords(m) -> np.ndarray:
     """Real coordinates (tr M, tr Mσx, tr Mσy, tr Mσz) of a 2x2 Hermitian M.
 
     The inverse is from_pauli_coords; M = (c0·I + c1·σx + c2·σy + c3·σz)/2.
+    Read off the four entries; this equals the traces bit for bit, up to
+    the sign of a zero coordinate.
     """
-    a = as_matrix(m)
+    (a00, a01), (a10, a11) = as_matrix(m).tolist()
     return np.array(
-        [np.trace(a).real] + [np.trace(a @ s).real for s in _PAULIS]
+        [a00.real + a11.real, a01.real + a10.real, a10.imag - a01.imag, a00.real - a11.real]
     )
 
 
@@ -54,13 +54,14 @@ def from_pauli_coords(c) -> np.ndarray:
 class BinaryPovm:
     """Two-effect qubit POVM {E+, E- = I - E+}.
 
-    bias is tr(E+) - 1 (zero for the unbiased family).  sharpness is the
-    noise parameter of noisy-Pauli POVMs, None for anything else.
+    coords are the Pauli coordinates (c0, c1, c2, c3) of E+, so
+    E+ = (c0·I + c·σ)/2.  sharpness is the noise parameter of noisy-Pauli
+    POVMs, None for anything else.
     """
 
     effect_plus: np.ndarray
     effect_minus: np.ndarray
-    bias: float
+    coords: np.ndarray
     sharpness: float | None = None
 
     @classmethod
@@ -72,8 +73,12 @@ class BinaryPovm:
         for eff in (e_plus, e_minus):
             if not is_psd(eff, PSD_TOL):
                 raise OutOfRangeError("POVM effect has an eigenvalue below -1e-12")
-        bias = float(np.trace(e_plus).real - 1.0)
-        return cls(effect_plus=e_plus, effect_minus=e_minus, bias=bias, sharpness=sharpness)
+        return cls(effect_plus=e_plus, effect_minus=e_minus, coords=pauli_coords(e_plus), sharpness=sharpness)
+
+    @property
+    def bias(self) -> float:
+        """tr(E+) - 1, zero for the unbiased family."""
+        return float(self.coords[0] - 1.0)
 
     def observable(self) -> np.ndarray:
         """Dichotomic observable E+ - E-."""

@@ -15,10 +15,8 @@ import numpy as np
 from . import _kernels
 from .chsh import chsh_operator, commutator_tensor, landau_bound
 from .compat import (
-    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    PLATEAU_RTOL,
-    PLATEAU_WINDOW,
+    DYKSTRA_MAX_ITER,
     JmStatus,
     busch_criterion,
     coexistence_criterion,
@@ -34,7 +32,6 @@ from .measurement import (
     Z_AXIS,
     from_pauli_coords,
     noisy_pauli_povm,
-    pauli_coords,
 )
 
 INCOMPATIBLE_FACTOR = 10.0
@@ -103,19 +100,16 @@ def _certificate_defect(p, q) -> float:
     )
 
 
-def feasibility_status(p: BinaryPovm, q: BinaryPovm, tol: float = DEFAULT_TOL) -> JmStatus:
+def feasibility_status(p: BinaryPovm, q: BinaryPovm) -> JmStatus:
     """The raw Dykstra kernel's own verdict, sharing no code with either
-    criterion: Compatible at residual <= tol, Incompatible once the
-    residual plateaus above 10·tol, Undecided otherwise."""
-    m = pauli_coords(p.effect_plus)
-    n = pauli_coords(q.effect_plus)
+    criterion: Compatible at residual <= DEFAULT_TOL, Incompatible once the
+    residual plateaus above 10·DEFAULT_TOL, Undecided otherwise."""
+    m, n = p.coords, q.coords
     x0 = (m + n) / 2.0 - np.array([0.5, 0.0, 0.0, 0.0])
-    _, residual, _, plateaued = _kernels.dykstra_feasibility(
-        m, n, x0, tol, DEFAULT_MAX_ITER, PLATEAU_WINDOW, PLATEAU_RTOL
-    )
-    if residual <= tol:
+    _, residual, _, plateaued = _kernels.dykstra_feasibility(m, n, x0, DEFAULT_TOL, DYKSTRA_MAX_ITER)
+    if residual <= DEFAULT_TOL:
         return JmStatus.COMPATIBLE
-    if plateaued and residual > INCOMPATIBLE_FACTOR * tol:
+    if plateaued and residual > INCOMPATIBLE_FACTOR * DEFAULT_TOL:
         return JmStatus.INCOMPATIBLE
     return JmStatus.UNDECIDED
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chshlab import cli, verify
-from chshlab.cli import Emitter, main
+from chshlab.cli import MAX_GRID_STEPS, Emitter, main
 from chshlab.errors import NonFiniteOutputError
 
 TSIRELSON = 2.8284271247461903
@@ -144,6 +144,17 @@ class TestJm:
         assert rc == 2 and out == ""
         assert json.loads(err)["code"] == "invalid_tolerance"
 
+    @pytest.mark.parametrize("lam,tol", [("0.9", "1e308"), ("0.72", "0.3"), ("0.75", "0.3"), ("0.8", "0.3")])
+    def test_tol_above_cap_refused(self, capsys, lam, tol):
+        # both criteria call these pairs Incompatible; at such a tol the
+        # search used to print Compatible, with a parent whose effects have
+        # eigenvalues down to -tol
+        rc, out, err = run(
+            capsys, ["jm", "--axes=z,x", f"--lambda={lam}", "--method=feasibility", f"--tol={tol}"]
+        )
+        assert rc == 2 and out == ""
+        assert json.loads(err)["code"] == "invalid_tolerance"
+
     def test_nan_tol_refused_by_threshold(self, capsys):
         rc, out, err = run(capsys, ["jm", "--axes=z,x", "--threshold", "--tol=nan"])
         assert rc == 2 and out == ""
@@ -155,11 +166,11 @@ class TestJm:
         assert json.loads(err)["code"] == "invalid_tolerance"
 
     def test_tol_does_not_move_threshold(self, capsys):
-        rc, out, _ = run(capsys, ["jm", "--axes=z,x", "--threshold", "--tol=0.3"])
+        rc, out, _ = run(capsys, ["jm", "--axes=z,x", "--threshold", "--tol=1e-4"])
         assert rc == 0
         doc = json.loads(out)
         assert doc["threshold"] == doc["closed_form"] == 0.707107
-        assert doc["tol"] == 0.3
+        assert doc["tol"] == 1e-4
 
     def test_non_numeric_lambda(self, capsys):
         rc, out, err = run(capsys, ["jm", "--axes=z,x", "--lambda=abc"])
@@ -683,3 +694,79 @@ class TestConfigMatchesFlags:
             argv = [name, *(token(f, v) for (_, f, v), c in zip(options, in_config) if not c)]
             config_run = _main_output([*argv, f"--config={cfg}"])
         assert config_run == flags_run
+
+
+# jm options drawn valid, edge values included; then at most one is
+# replaced by an odd one
+_COMPONENT = st.one_of(
+    st.floats(-2.0, 2.0).map(repr), st.sampled_from(["0", "-0", "5e-324", "-5e-324", "1e308", "-1e308"])
+)
+_AXIS_TOKEN = st.one_of(st.sampled_from(["x", "y", "z"]), st.tuples(*[_COMPONENT] * 3).map(":".join))
+_UNIT_TOKEN = st.floats(0.0, 1.0).map(repr)
+_BAD_NUMBER = st.sampled_from(["nan", "inf", "-inf", "1e999", "1e308", "-1e308", "-0.5", "abc", ""])
+_ODD_AXIS_TOKEN = st.one_of(
+    st.sampled_from(["w", "", "1:2", "1:2:3:4", "0:-0:0"]),
+    st.tuples(_BAD_NUMBER, _COMPONENT, _COMPONENT).map(":".join),
+)
+_OPTIONS = {
+    "axes": st.tuples(_AXIS_TOKEN, _AXIS_TOKEN).map(",".join),
+    "lambda": st.none() | _UNIT_TOKEN | st.tuples(_UNIT_TOKEN, _UNIT_TOKEN, st.integers(1, 50)).map(
+        lambda t: f"{min(t[:2], key=float)}:{max(t[:2], key=float)}:{t[2]}"
+    ),
+    "tol": st.none() | st.sampled_from(["1e-9", "1e-6", "1e-3"]),
+    "precision": st.none() | st.integers(1, 15).map(str),
+}
+_ODD_OPTIONS = {
+    "axes": st.one_of(
+        st.tuples(_ODD_AXIS_TOKEN, _AXIS_TOKEN).map(",".join),
+        st.tuples(_AXIS_TOKEN, _ODD_AXIS_TOKEN).map(",".join),
+    ),
+    "lambda": st.one_of(
+        _BAD_NUMBER,
+        st.tuples(
+            _BAD_NUMBER | _UNIT_TOKEN,
+            _BAD_NUMBER | _UNIT_TOKEN,
+            st.sampled_from(["0", "-1", "1.5", "x", str(MAX_GRID_STEPS + 1)]),
+        ).map(":".join),
+    ),
+    "tol": st.sampled_from(["0", "-1e-9", "0.3", "1e308", "nan", "inf", "x"]),
+    "precision": st.sampled_from(["0", "16", "x"]),
+}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+class TestJmExitContract:
+    """Whatever the jm command line, main() returns 0 with parseable stdout
+    and an empty stderr, or 2 with an empty stdout and one JSON line on
+    stderr.  No exception escapes it, and the suite turns warnings into
+    exceptions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_exits_0_or_2(self, data):
+        options = {name: data.draw(strategy, label=name) for name, strategy in _OPTIONS.items()}
+        odd = data.draw(st.sampled_from([None, *_ODD_OPTIONS]), label="odd")
+        if odd is not None:
+            options[odd] = data.draw(_ODD_OPTIONS[odd], label=f"odd {odd}")
+        fmt = data.draw(st.sampled_from(["json", "csv"]), label="format")
+        argv = ["jm", f"--method={data.draw(st.sampled_from(['analytic', 'feasibility']))}", f"--format={fmt}"]
+        argv += ["--threshold"] if data.draw(st.booleans(), label="threshold") else []
+        argv += [f"--{name}={value}" for name, value in options.items() if value is not None]
+        rc, out, err = _main_output(argv)
+        assert rc in (0, 2)
+        if rc == 2:
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1
+            assert set(json.loads(lines[0])) == {"code", "message"}
+            return
+        assert err == ""
+        if fmt == "json":
+            assert len(out.splitlines()) == 1
+            json.loads(out, parse_constant=_refuse_constant)
+        else:
+            header, *rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+            assert rows and all(len(row) == len(header) for row in rows)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from chshlab import _kernels
 from chshlab.compat import (
+    MAX_TOL,
     JmMethod,
     JmStatus,
     busch_criterion,
@@ -233,9 +234,9 @@ class TestParentPovmSearch:
         verify_parent(v.parent, p, q, 1e-8)
 
     @settings(max_examples=200, deadline=None)
-    @given(_biased_povm(), _biased_povm())
-    def test_biased_compatible_certificates_verify(self, p, q):
-        tol = 1e-9
+    @given(_biased_povm(), _biased_povm(), st.floats(-9.0, np.log10(MAX_TOL)))
+    def test_biased_compatible_certificates_verify(self, p, q, log_tol):
+        tol = 10.0**log_tol
         v = parent_povm_search(p, q, tol=tol)
         if v.status is JmStatus.COMPATIBLE:
             verify_parent(v.parent, p, q, tol + 1e-12)
@@ -244,11 +245,10 @@ class TestParentPovmSearch:
         p = noisy_pauli_povm(Z_AXIS, 0.5)
         with pytest.raises(InvalidToleranceError):
             parent_povm_search(p, p, tol=0.0)
-        with pytest.raises(InvalidToleranceError):
-            parent_povm_search(p, p, max_iter=0)
-        # an infinite tol would certify this incompatible pair as Compatible
+        # a tol of 1e308 or inf would certify this incompatible pair as
+        # Compatible, with a parent effect of eigenvalue -0.113
         z, x = noisy_pauli_povm(Z_AXIS, 0.9), noisy_pauli_povm(X_AXIS, 0.9)
-        for tol in (np.inf, np.nan):
+        for tol in (np.inf, np.nan, 1e308):
             with pytest.raises(InvalidToleranceError):
                 parent_povm_search(z, x, tol=tol)
 
@@ -307,6 +307,7 @@ class TestSharpnessThreshold:
 class TestCheckTolerance:
     def test_rejects_bad_tolerance(self):
         assert check_tolerance(1e-9) == 1e-9
-        for tol in (-1e-9, 0.0, np.nan, np.inf):
+        assert check_tolerance(MAX_TOL) == MAX_TOL
+        for tol in (-1e-9, 0.0, np.nan, np.inf, np.nextafter(MAX_TOL, 1.0)):
             with pytest.raises(InvalidToleranceError):
                 check_tolerance(tol)

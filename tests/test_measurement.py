@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chshlab.errors import NonUnitAxisError, OutOfRangeError
-from chshlab.linalg import I2, SX, SZ, eig_hermitian, is_psd, operator_norm
+from chshlab.linalg import I2, SX, SY, SZ, eig_hermitian, is_psd, operator_norm
 from chshlab.measurement import (
+    BinaryPovm,
     ChshSetting,
     X_AXIS,
     Z_AXIS,
@@ -86,6 +89,57 @@ def test_pauli_coords_roundtrip(rng):
     for _ in range(10):
         c = rng.normal(size=4)
         assert np.allclose(pauli_coords(from_pauli_coords(c)), c, atol=1e-12)
+
+
+def pauli_coords_by_definition(m) -> np.ndarray:
+    """(tr M, tr Mσx, tr Mσy, tr Mσz), each a trace of a complex matrix product."""
+    a = np.asarray(m, dtype=complex)
+    return np.array([np.trace(a).real] + [np.trace(a @ s).real for s in (SX, SY, SZ)])
+
+
+def same_bits(got, want) -> bool:
+    """Bit-for-bit equality, except for the sign of a zero.  The products with
+    the zero entries of σ add signed zeros to each trace, so a zero coordinate
+    may read 0.0 on one side and -0.0 on the other; adding 0.0 turns -0.0
+    into 0.0 and leaves every other float as it is."""
+    return (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+_ENTRY = st.floats(-1e300, 1e300)  # a sum of two stays finite
+
+
+@st.composite
+def _unit_axis(draw):
+    v = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+    norm = float(np.linalg.norm(v))
+    return v / norm if norm > 1e-3 else Z_AXIS
+
+
+@st.composite
+def _effect(draw):
+    """(c0·I + r·n·σ)/2 with eigenvalues (c0 ± r)/2 inside [0, 1]."""
+    c0 = draw(st.floats(0.0, 2.0))
+    r = draw(st.floats(0.0, 1.0)) * min(c0, 2.0 - c0)
+    return from_pauli_coords([c0, *(r * draw(_unit_axis()))])
+
+
+class TestPauliCoords:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ENTRY, min_size=8, max_size=8))
+    def test_entries_equal_traces(self, parts):
+        m = np.reshape(parts[:4], (2, 2)) + 1j * np.reshape(parts[4:], (2, 2))
+        assert same_bits(pauli_coords(m), pauli_coords_by_definition(m))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            _effect().map(BinaryPovm.from_effect),
+            st.builds(noisy_pauli_povm, _unit_axis(), st.floats(0.0, 1.0)),
+        )
+    )
+    def test_povm_carries_coords(self, povm):
+        assert same_bits(povm.coords, pauli_coords_by_definition(povm.effect_plus))
+        assert povm.bias == povm.coords[0] - 1
 
 
 class TestIncompatibilityDegree:
