@@ -16,7 +16,7 @@ VIOLATION_MARGIN = 1e-9
 MAX_SHOTS = 2**63 - 1  # numpy's multinomial draws take a C long
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChshReport:
     """Outcome of a spectral CHSH computation.
 
@@ -24,7 +24,8 @@ class ChshReport:
     maximum over states (they coincide for the spectral maximizers),
     mu the top eigenvalue of the commutator tensor (set by landau_bound),
     and optimal_state the eigenprojector attaining the maximum (set by
-    max_over_states).
+    max_over_states).  Compared and hashed by identity, since
+    optimal_state is an array.
     """
 
     value: float
@@ -68,7 +69,7 @@ def check_state(rho, dim: int = 4, tol: float = STATE_TOL) -> np.ndarray:
     trace = a.trace()
     if abs(trace.real - 1.0) > tol or abs(trace.imag) > tol:
         raise InvalidStateError(f"trace {trace} != 1")
-    low = eig_hermitian(a, tol).eigenvalues[0]
+    low = eig_hermitian(a, np.inf).eigenvalues[0]  # the defect is measured above
     if low < -tol:
         raise InvalidStateError(f"negative eigenvalue {low:.3e}")
     return a
@@ -93,8 +94,9 @@ def landau_bound(setting: ChshSetting) -> ChshReport:
     observable squares to the identity (S² = 4I + 4J needs it); non-involutive
     observables are rejected, use max_over_states for those.
     """
-    for name, obs in zip(("a0", "a1", "b0", "b1"), setting.observables()):
-        defect = float(abs(obs @ obs - I2).max())
+    obs = np.array(setting.observables())
+    defects = abs(obs @ obs - I2).max(axis=(1, 2)).tolist()
+    for name, defect in zip(("a0", "a1", "b0", "b1"), defects):
         if defect > INVOLUTION_TOL:
             raise NotInvolutiveError(f"observable {name}: ||O² - I|| = {defect:.3e}")
     mu = float(eig_hermitian(commutator_tensor(setting)).eigenvalues[-1])
@@ -146,8 +148,11 @@ def chsh_from_table(table: np.ndarray) -> float:
     return float(abs(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleEstimate:
+    """A finite-shot CHSH estimate; compared and hashed by identity, since
+    correlators is an array."""
+
     estimate: float
     std_error: float
     correlators: np.ndarray

@@ -139,6 +139,8 @@ def parse_grid(token: str) -> np.ndarray:
         raise UsageError(f"grid {token!r}: steps must be in [1, {MAX_GRID_STEPS}]")
     if start > stop:
         raise UsageError(f"grid {token!r}: start must be <= stop")
+    if not isfinite(stop - start):  # numpy.linspace would overflow, with a warning
+        raise UsageError(f"grid {token!r}: stop - start overflows")
     return np.linspace(start, stop, steps)
 
 

@@ -42,13 +42,14 @@ class JmMethod(enum.Enum):
     FEASIBILITY = "Feasibility"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParentPovm:
     """Four-outcome joint measurement whose marginals recover both POVMs.
 
     g[a][b] for outcomes (a, b) in {+,-}²: row sums give the first POVM,
     column sums the second.  residual is the worst PSD defect certified
     by the solver; the marginal identities hold by construction.
+    Compared and hashed by identity: its blocks are arrays.
     """
 
     g_pp: np.ndarray
@@ -174,8 +175,9 @@ def parent_povm_search(p: BinaryPovm, q: BinaryPovm, tol: float = DEFAULT_TOL) -
     verdict = coexistence_criterion(p, q)
     if verdict.margin < -tol:
         return verdict
-    m, n = p.coords, q.coords
-    x0 = (m + n) / 2.0 - np.array([0.5, 0.0, 0.0, 0.0])
+    m, n = p.coords.tolist(), q.coords.tolist()
+    x0 = [(a + b) / 2.0 for a, b in zip(m, n)]
+    x0[0] -= 0.5
     x, residual, _, _ = _kernels.dykstra_feasibility(m, n, x0, tol, DYKSTRA_MAX_ITER)
     if residual > tol:
         return JmVerdict(JmStatus.UNDECIDED, margin=0.0 - float(residual), method=JmMethod.FEASIBILITY)

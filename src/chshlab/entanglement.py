@@ -22,9 +22,10 @@ DEFAULT_RESTARTS = 20
 _PARAM_BOX = np.array([4 * pi, 2 * pi, pi, 4 * pi, 2 * pi, pi])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtState:
-    """sqrt(E)|00> + sqrt(1-E)|11> with E in [0, 1/2] (E=1/2 maximal)."""
+    """sqrt(E)|00> + sqrt(1-E)|11> with E in [0, 1/2] (E=1/2 maximal).
+    Compared and hashed by identity: vector is an array."""
 
     e: float
     vector: np.ndarray

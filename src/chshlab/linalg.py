@@ -12,6 +12,12 @@ defect once against a finite `tol`, and hands (M + M†)/2 to the solver.
 Callers do not symmetrize first: `hermitize`, `is_psd` and
 `operator_norm` pass `tol=inf`, so they accept any finite square input
 and see its Hermitian part.
+
+Some constructors write matrices that are Hermitian by construction and
+skip `hermitize`: `measurement.bloch_observable`, `from_pauli_coords` and
+`noisy_pauli_povm` set the entries (i, j) and (j, i) as complex
+conjugates, with real diagonals.  The effects of `noisy_pauli_povm`
+still pass both PSD checks through `is_psd`.
 """
 
 from __future__ import annotations
@@ -49,7 +55,9 @@ def hermitize(m) -> np.ndarray:
 
 def _finite_matrix(m) -> np.ndarray:
     a = as_matrix(m)
-    if not np.isfinite(a).all():
+    # min() over the flags: .all() costs twice as much on a small matrix,
+    # and an empty one has no minimum
+    if a.size and not np.isfinite(a).min():
         raise NotHermitianError("matrix has a non-finite entry")
     return a
 
@@ -93,9 +101,10 @@ def comm(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues sorted ascending with matching orthonormal columns."""
+    """Eigenvalues sorted ascending with matching orthonormal columns.
+    Compared and hashed by identity: its fields are arrays."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -112,14 +121,22 @@ def eig_hermitian(m, tol: float = HERMITICITY_TOL) -> Spectrum:
     exceeds `tol`.  The spectrum is that of (M + M†)/2.
     """
     a, adj = _with_adjoint(m, tol)
-    vals, vecs = np.linalg.eigh((a + adj) / 2)
+    h = a + adj
+    h /= 2
+    vals, vecs = np.linalg.eigh(h)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
 def operator_norm(m) -> float:
-    """Largest singular value; equals max |eigenvalue| for Hermitian input."""
-    a = _finite_matrix(m)  # before the product, which would warn on inf
-    top = eig_hermitian(a.conj().T @ a, np.inf).eigenvalues[-1]
+    """Largest singular value; equals max |eigenvalue| for Hermitian input.
+
+    Finiteness is checked once, on M†M: a non-finite entry of M leaves a
+    non-finite entry on its diagonal, and so does an overflow.
+    """
+    a = as_matrix(m)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        gram = a.conj().T @ a
+    top = eig_hermitian(gram, np.inf).eigenvalues[-1]
     return float(np.sqrt(max(top, 0.0)))
 
 

@@ -10,7 +10,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chshlab import cli, verify
@@ -328,6 +328,21 @@ class TestRegion:
         rc, _, err = run(capsys, ["region", "--e-grid", "0:0.9:3", "--delta-grid", "0:1:3"])
         assert rc == 2
         assert json.loads(err)["code"] == "out_of_range"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["region", "--e-grid=0:0:1", "--delta-grid=-1e308:1e308:1"],
+            ["region", "--e-grid=-1e308:1e308:3", "--delta-grid=0:1:2"],
+            ["jm", "--axes=z,x", "--lambda=-1e308:1e308:3"],
+        ],
+    )
+    def test_grid_span_overflow_refused(self, capsys, argv):
+        # numpy.linspace warned "overflow encountered in subtract" on stderr
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        grid = next(a.split("=")[1] for a in argv if "1e308" in a)
+        assert json.loads(err) == {"code": "usage", "message": f"grid {grid!r}: stop - start overflows"}
 
     def test_non_finite_grid_writes_one_json_line(self):
         proc = run_process(["region", "--e-grid=0:0.5:3", "--delta-grid=0:inf:2"])
@@ -738,6 +753,26 @@ def _refuse_constant(name):
     raise ValueError(f"{name} in JSON output")
 
 
+def _assert_exit_contract(argv, fmt):
+    """main(argv) returns 0 with parseable stdout and an empty stderr, or 2
+    with an empty stdout and one JSON line on stderr."""
+    rc, out, err = _main_output(argv)
+    assert rc in (0, 2)
+    if rc == 2:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"code", "message"}
+        return
+    assert err == ""
+    if fmt == "json":
+        assert len(out.splitlines()) == 1
+        json.loads(out, parse_constant=_refuse_constant)
+    else:
+        header, *rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+        assert rows and all(len(row) == len(header) for row in rows)
+
+
 class TestJmExitContract:
     """Whatever the jm command line, main() returns 0 with parseable stdout
     and an empty stderr, or 2 with an empty stdout and one JSON line on
@@ -755,18 +790,81 @@ class TestJmExitContract:
         argv = ["jm", f"--method={data.draw(st.sampled_from(['analytic', 'feasibility']))}", f"--format={fmt}"]
         argv += ["--threshold"] if data.draw(st.booleans(), label="threshold") else []
         argv += [f"--{name}={value}" for name, value in options.items() if value is not None]
-        rc, out, err = _main_output(argv)
-        assert rc in (0, 2)
-        if rc == 2:
-            assert out == ""
-            lines = err.splitlines()
-            assert len(lines) == 1
-            assert set(json.loads(lines[0])) == {"code", "message"}
-            return
-        assert err == ""
-        if fmt == "json":
-            assert len(out.splitlines()) == 1
-            json.loads(out, parse_constant=_refuse_constant)
+        _assert_exit_contract(argv, fmt)
+
+
+# odd numbers for every numeric token of chsh and region
+_ODD_NUMBER = st.sampled_from(
+    ["nan", "-nan", "inf", "-inf", "1e999", "1e308", "-1e308", "5e-324", "-0", "-1e-300", "x", ""]
+)
+
+
+def _number(lo, hi):
+    return st.one_of(st.floats(lo, hi).map(repr), _ODD_NUMBER)
+
+
+_ANGLE_TOKEN = st.one_of(
+    _number(0.0, 1.5707963267948966),
+    st.sampled_from(["pi/2", "0.5pi", "pi/4", "2pi", "-pi", "pi/0", "1e308pi", "90deg", "pi/1e-300"]),
+)
+_STATE_TOKEN = st.one_of(
+    st.just("phi+"),
+    _number(0.0, 0.5).map(lambda v: f"schmidt:{v}"),
+    st.sampled_from(["schmidt:0.5000000001", "schmidt:", "nope", "no/such/state.json"]),
+)
+# step counts at the cell limit pair with a second grid that pushes the
+# product past it, so no accepted grid holds more than 50 x 50 cells
+_STEPS = st.one_of(
+    st.integers(1, 50).map(str),
+    st.sampled_from(["0", "-1", "1.5", "x", str(MAX_GRID_STEPS - 1), str(MAX_GRID_STEPS), str(MAX_GRID_STEPS + 1)]),
+)
+
+
+def _grid_token(lo, hi):
+    return st.tuples(_number(lo, hi), _number(lo, hi), _STEPS).map(":".join)
+
+
+def _small_enough(e_grid, d_grid):
+    counts = []
+    for grid in (e_grid, d_grid):
+        try:
+            counts.append(int(grid.rsplit(":", 1)[1]))
+        except ValueError:
+            return True  # refused while parsing
+    return max(counts) <= 50 or counts[0] * counts[1] > MAX_GRID_STEPS
+
+
+class TestChshExitContract:
+    """The jm exit contract, for chsh: odd angles, sharpness and states."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_exits_0_or_2(self, data):
+        fmt = data.draw(st.sampled_from(["json", "csv"]), label="format")
+        argv = ["chsh", f"--format={fmt}"]
+        if data.draw(st.booleans(), label="canonical"):
+            angles = data.draw(st.tuples(_ANGLE_TOKEN, _ANGLE_TOKEN), label="angles")
+            argv.append(f"--canonical={','.join(angles)}")
         else:
-            header, *rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
-            assert rows and all(len(row) == len(header) for row in rows)
+            argv.append(f"--noisy={data.draw(_number(0.0, 1.0), label='noisy')}")
+        mode = data.draw(st.sampled_from(["max", "state", "both"]), label="mode")
+        if mode != "state":
+            argv.append("--max")
+        if mode != "max":
+            argv.append(f"--state={data.draw(_STATE_TOKEN, label='state')}")
+        precision = data.draw(st.none() | st.integers(0, 16), label="precision")
+        argv += [] if precision is None else [f"--precision={precision}"]
+        _assert_exit_contract(argv, fmt)
+
+
+class TestRegionExitContract:
+    """The jm exit contract, for region: odd grid bounds and step counts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_exits_0_or_2(self, data):
+        e_grid = data.draw(_grid_token(0.0, 0.5), label="e-grid")
+        d_grid = data.draw(_grid_token(0.0, 1.0), label="delta-grid")
+        assume(_small_enough(e_grid, d_grid))
+        fmt = data.draw(st.sampled_from(["json", "csv"]), label="format")
+        _assert_exit_contract(["region", f"--e-grid={e_grid}", f"--delta-grid={d_grid}", f"--format={fmt}"], fmt)

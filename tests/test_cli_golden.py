@@ -62,6 +62,18 @@ def _cases() -> list[list[str]]:
         ["verify", "landau", "--seed=1", "--format=json"],
         ["verify", "jm", "--seed=9", "--format=json"],
     ]
+    # signed zeros and subnormal sharpness
+    cases += [
+        ["jm", "--axes=z,x", "--lambda=5e-324", "--precision=15"],
+        ["jm", "--axes=-0.6:-0.8:-0,-1:-0:-0", "--lambda=5e-324:1e-323:3", "--method=feasibility"],
+        ["jm", "--axes=1:5e-324:0,-0:-1:-0", "--lambda=0:1:4", "--method=feasibility", "--format=csv"],
+        ["jm", "--axes=0.6:0.8:0,-0.6:-0.8:0", "--lambda=0:1:5", "--method=feasibility"],
+        ["chsh", "--canonical=-0,-0", "--max"],
+        ["chsh", "--canonical=-0,pi/2", "--state=schmidt:-0"],
+        ["chsh", "--noisy=1", "--state=schmidt:0.3", "--format=csv"],
+        ["region", "--e-grid=-0:0.5:3", "--delta-grid=-0:-0:1", "--precision=15"],
+        ["sample", "--canonical=-0,1", "--state=phi+", "--shots=100"],
+    ]
     # refusals: the exit code and the one JSON line on stderr
     cases += [
         ["jm", "--axes=z", "--lambda=0.5"],

@@ -230,6 +230,13 @@ class TestErrorParity:
             fn(m)
         assert str(exc.value) == "matrix has a non-finite entry"
 
+    def test_operator_norm_gram_overflow(self):
+        # M is finite but M†M is not: refused like a non-finite entry, where
+        # numpy used to warn "overflow encountered in matmul" first
+        with pytest.raises(NotHermitianError) as exc:
+            operator_norm(np.full((2, 2), 1e200))
+        assert str(exc.value) == "matrix has a non-finite entry"
+
     def test_non_square(self):
         with pytest.raises(NotHermitianError) as exc:
             eig_hermitian(np.zeros((2, 3)))

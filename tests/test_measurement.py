@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chshlab.chsh import max_over_states, sample_estimate
+from chshlab.compat import parent_povm_search, sharpness_threshold
 from chshlab.errors import NonUnitAxisError, OutOfRangeError
-from chshlab.linalg import I2, SX, SY, SZ, eig_hermitian, is_psd, operator_norm
+from chshlab.linalg import I2, SX, SY, SZ, eig_hermitian, hermitize, is_psd, operator_norm
 from chshlab.measurement import (
     BinaryPovm,
     ChshSetting,
@@ -18,8 +20,9 @@ from chshlab.measurement import (
     noisy_family_povms,
     noisy_pauli_povm,
     pauli_coords,
+    unit_axis,
 )
-from chshlab.entanglement import CanonicalAngles, canonical_setting
+from chshlab.entanglement import CanonicalAngles, canonical_setting, schmidt_state
 
 from conftest import random_axes
 
@@ -140,6 +143,117 @@ class TestPauliCoords:
     def test_povm_carries_coords(self, povm):
         assert same_bits(povm.coords, pauli_coords_by_definition(povm.effect_plus))
         assert povm.bias == povm.coords[0] - 1
+
+
+def _pauli_sum(c0, c1, c2, c3):
+    return c0 * I2 + c1 * SX + c2 * SY + c3 * SZ
+
+
+def _bloch_sum(n):
+    return n[0] * SX + n[1] * SY + n[2] * SZ
+
+
+@st.composite
+def _signed_zero_axis(draw):
+    """A unit axis with at least one component 0.0 or -0.0."""
+    v = draw(st.lists(st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0]), min_size=3, max_size=3))
+    v[draw(st.integers(0, 2))] = draw(st.sampled_from([0.0, -0.0]))
+    norm = float(np.linalg.norm(v))
+    return np.array(v) / norm if norm > 1e-3 else np.array([-0.0, -1.0, 0.0])
+
+
+_ANY_AXIS = _unit_axis() | _signed_zero_axis()
+
+
+class TestEntryByEntry:
+    """The matrices written entry by entry equal the Pauli sums they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ANY_AXIS)
+    def test_bloch_observable_signed_zeros_included(self, axis):
+        assert bloch_observable(axis).tobytes() == _bloch_sum(axis).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ANY_AXIS, st.floats(0.0, 1.0))
+    def test_noisy_effects(self, axis, lam):
+        # the sign of a zero may differ only where λn_k/2 underflows
+        povm = noisy_pauli_povm(axis, lam)
+        e_plus = hermitize((I2 + lam * _bloch_sum(axis)) / 2)
+        assert same_bits(povm.effect_plus, e_plus)
+        assert same_bits(povm.effect_minus, I2 - e_plus)
+        if all(x == 0.0 or abs(lam * x) >= 1e-300 or lam == 0.0 for x in axis):
+            assert povm.effect_plus.tobytes() == e_plus.tobytes()
+            assert povm.coords.tobytes() == pauli_coords(e_plus).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 2.0, exclude_min=True), *[st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0])] * 3)
+    def test_from_pauli_coords(self, c0, c1, c2, c3):
+        assert from_pauli_coords([c0, c1, c2, c3]).tobytes() == (_pauli_sum(c0, c1, c2, c3) / 2).tobytes()
+        assert np.array_equal(from_pauli_coords([-c0, c1, c2, c3]), _pauli_sum(-c0, c1, c2, c3) / 2)
+
+
+_NON_FINITE = st.sampled_from([np.nan, -np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def _non_finite_axis(draw):
+    v = draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    for i in draw(st.sets(st.integers(0, 2), min_size=1)):
+        v[i] = draw(_NON_FINITE)
+    return v
+
+
+@settings(max_examples=100, deadline=None)
+@given(_non_finite_axis(), st.integers(0, 3))
+def test_non_finite_axis_is_not_unit(axis, slot):
+    """A NaN norm passed the old `abs(norm - 1) > tol` test, and
+    sharpness_threshold read 1.0 ("compatible at every λ") off a NaN axis."""
+    with pytest.raises(NonUnitAxisError):
+        unit_axis(axis)
+    with pytest.raises(NonUnitAxisError):
+        noisy_pauli_povm(axis, 0.5)
+    with pytest.raises(NonUnitAxisError):
+        sharpness_threshold(axis, Z_AXIS)
+    with pytest.raises(NonUnitAxisError):
+        sharpness_threshold(Z_AXIS, axis)
+    axes = [Z_AXIS, X_AXIS, Z_AXIS, X_AXIS]
+    axes[slot] = axis
+    with pytest.raises(NonUnitAxisError):
+        ChshSetting.from_axes(*axes)
+
+
+def test_results_holding_arrays_compare_by_identity():
+    """Field-wise == on ndarray fields raised 'truth value ... ambiguous',
+    and hash raised too."""
+    p, q = noisy_pauli_povm(Z_AXIS, 0.5), noisy_pauli_povm(X_AXIS, 0.5)
+    verdict = parent_povm_search(p, q)
+    assert verdict.parent is not None
+    setting = ChshSetting.from_povms(*noisy_family_povms(1.0))
+    state = schmidt_state(0.3)
+    results = [
+        p,
+        setting,
+        verdict.parent,
+        verdict,
+        eig_hermitian(SZ),
+        state,
+        sample_estimate(noisy_family_povms(1.0), state.density_matrix(), 10, 0),
+        max_over_states(setting),
+    ]
+    twins = [
+        noisy_pauli_povm(Z_AXIS, 0.5),
+        ChshSetting.from_povms(*noisy_family_povms(1.0)),
+        parent_povm_search(p, q).parent,
+        parent_povm_search(p, q),
+        eig_hermitian(SZ),
+        schmidt_state(0.3),
+        sample_estimate(noisy_family_povms(1.0), state.density_matrix(), 10, 0),
+        max_over_states(setting),
+    ]
+    for result, twin in zip(results, twins):
+        assert result == result
+        assert result != twin  # distinct objects holding equal arrays
+        assert isinstance(hash(result), int)
 
 
 class TestIncompatibilityDegree:
