@@ -14,6 +14,14 @@ The Schmidt state has local z components 2E-1 and correlations
 diag(C, -C, 1), C = 2 sqrt(E(1-E)), and a local unitary rotates each
 party's Bloch coordinates by an SO(3) matrix.  So one evaluation is a few
 3x3 real products; the 4x4 complex amplitudes are never formed.
+
+Of the six unitary parameters the objective sees five.  U(psi, phi, theta)
+= U(0, phi, theta) diag(e^{i psi/2}, e^{-i psi/2}), and on the Schmidt state
+the two diagonal factors give e^{i(psi1+psi2)/2} sqrt(E)|00> +
+e^{-i(psi1+psi2)/2} sqrt(1-E)|11>: only psi1 + psi2 enters, for every
+operator S.  So the search runs over y = (psi1 + psi2, phi1, theta1, phi2,
+theta2), with Bob's psi fixed at 0, and never walks the flat direction
+psi1 - psi2.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ from math import cos, sin, sqrt
 
 BACKEND = "python"
 
-_NM_REFLECT = 1.0
 _NM_EXPAND = 2.0
 _NM_CONTRACT = 0.5
 _NM_SHRINK = 0.5
@@ -35,13 +42,19 @@ _PLATEAU_RTOL = 1e-12
 
 
 def _rotated_objective(s, e):
-    """x -> <v|S|v>, v = (U1 x U2)(sqrt(E)|00> + sqrt(1-E)|11>), for real 16-float S.
+    """y -> <v|S|v>, v = (U1 x U2)(sqrt(E)|00> + sqrt(1-E)|11>), for real 16-float S.
+
+    y = (psi1 + psi2, phi1, theta1, phi2, theta2) stands for U1 = U(psi1 +
+    psi2, phi1, theta1) and U2 = U(0, phi2, theta2), which give the same
+    vector as the six parameters (module docstring).
 
     U(psi, phi, theta) rotates Bloch vectors by M^T, M = Rz(psi) Ry(theta)
     Rz(phi).  With p_k, q_k the rows of M1, M2 the value is
     c_00 + (2E-1)(c_A . p_z + c_B . q_z) + C(p_x.Kq_x - p_y.Kq_y) + p_z.Kq_z,
     K = (c_ij).  For real S every coefficient with a single Y vanishes, so
     c_A, c_B have no y component and K's y row and column hold only c_yy.
+    At psi = 0 Bob's rows are (ct cf, -ct sf, st), (sf, cf, 0) and
+    (-st cf, st sf, ct), so his rotation takes four trig calls.
     """
     s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14, s15 = s
     # c_mn = tr(S s_m x s_n)/4, Alice's Pauli first; k_ij = c_ij
@@ -59,22 +72,19 @@ def _rotated_objective(s, e):
     conc = 2.0 * sqrt(e * (1.0 - e))
     ax, az, bx, bz = w * cx0, w * cz0, w * c0x, w * c0z
 
-    def objective(x):
-        psi1, phi1, th1, psi2, phi2, th2 = x
-        cp, sp, ct, st, cf, sf = cos(psi1), sin(psi1), cos(th1), sin(th1), cos(phi1), sin(phi1)
+    def objective(y):
+        psi, phi1, th1, phi2, th2 = y
+        cp, sp, ct, st, cf, sf = cos(psi), sin(psi), cos(th1), sin(th1), cos(phi1), sin(phi1)
         u, v = cp * ct, sp * ct
         p0, p1, p2 = u * cf - sp * sf, -u * sf - sp * cf, cp * st
         p3, p4, p5 = v * cf + cp * sf, cp * cf - v * sf, sp * st
         p6, p7, p8 = -st * cf, st * sf, ct
-        cp, sp, ct, st, cf, sf = cos(psi2), sin(psi2), cos(th2), sin(th2), cos(phi2), sin(phi2)
-        u, v = cp * ct, sp * ct
-        q0, q1, q2 = u * cf - sp * sf, -u * sf - sp * cf, cp * st
-        q3, q4, q5 = v * cf + cp * sf, cp * cf - v * sf, sp * st
-        q6, q7, q8 = -st * cf, st * sf, ct
-        xx = p0 * (kxx * q0 + kxz * q2) + kyy * p1 * q1 + p2 * (kzx * q0 + kzz * q2)
-        yy = p3 * (kxx * q3 + kxz * q5) + kyy * p4 * q4 + p5 * (kzx * q3 + kzz * q5)
-        zz = p6 * (kxx * q6 + kxz * q8) + kyy * p7 * q7 + p8 * (kzx * q6 + kzz * q8)
-        return c00 + ax * p6 + az * p8 + bx * q6 + bz * q8 + conc * (xx - yy) + zz
+        ct, st, cf, sf = cos(th2), sin(th2), cos(phi2), sin(phi2)
+        q0, q1, q6, q7 = ct * cf, -ct * sf, -st * cf, st * sf  # q2, q3, q4, q5, q8 = st, sf, cf, 0, ct
+        xx = p0 * (kxx * q0 + kxz * st) + kyy * p1 * q1 + p2 * (kzx * q0 + kzz * st)
+        yy = (kxx * p3 + kzx * p5) * sf + kyy * p4 * cf
+        zz = p6 * (kxx * q6 + kxz * ct) + kyy * p7 * q7 + p8 * (kzx * q6 + kzz * ct)
+        return c00 + ax * p6 + az * p8 + bx * q6 + bz * ct + conc * (xx - yy) + zz
 
     return objective
 
@@ -83,19 +93,11 @@ def chsh_objective(s, e, x):
     """CHSH expectation <v|S|v>, v = (U1 x U2)(sqrt(E)|00> + sqrt(1-E)|11>).
 
     s: 16 floats, the real-symmetric CHSH operator row-major.
-    x: 6 floats (psi1, phi1, theta1, psi2, phi2, theta2).
+    x: 6 floats (psi1, phi1, theta1, psi2, phi2, theta2); only psi1 + psi2
+    enters (module docstring).
     """
-    return _rotated_objective(tuple(map(float, s)), float(e))(tuple(map(float, x)))
-
-
-def _spread(verts, tol):
-    """True once some coordinate of a vertex lies tol or more from the best one's."""
-    best = verts[0]
-    for pt in verts[1:]:
-        for a, b in zip(pt, best):
-            if abs(a - b) >= tol:
-                return True
-    return False
+    psi1, phi1, th1, psi2, phi2, th2 = map(float, x)
+    return _rotated_objective(tuple(map(float, s)), float(e))((psi1 + psi2, phi1, th1, phi2, th2))
 
 
 def _by_value(verts, vals):
@@ -107,67 +109,87 @@ def _by_value(verts, vals):
 def maximize_chsh(s, e, x0):
     """Nelder-Mead maximization of chsh_objective from a single start.
 
+    The simplex lives in the five gauge-fixed parameters y = (psi1 + psi2,
+    phi1, theta1, phi2, theta2) of _rotated_objective: the start is x0
+    folded to y, and the flat direction psi1 - psi2 is never searched.
     Stops when the max-coordinate diameter of the simplex drops below
     _NM_DIAMETER_TOL or after _NM_MAX_ITER iterations.  Returns
-    (best_value, best_params[6], evaluations).
+    (best_value, best_params[6], evaluations), with psi2 = 0.0 in params.
     """
     f = _rotated_objective(tuple(map(float, s)), float(e))
-    n = 6
+    psi1, phi1, th1, psi2, phi2, th2 = map(float, x0)
+    y0 = (psi1 + psi2, phi1, th1, phi2, th2)
+    tol = _NM_DIAMETER_TOL
 
     # minimize the negated objective; verts/vals stay sorted, ties in age order
-    verts = [list(map(float, x0))]
-    for i in range(n):
-        pt = list(verts[0])
+    verts = [y0]
+    for i in range(5):
+        pt = list(y0)
         pt[i] += _NM_STEP
-        verts.append(pt)
+        verts.append(tuple(pt))
     vals = [-f(pt) for pt in verts]
-    n_eval = n + 1
+    n_eval = 6
     verts, vals = _by_value(verts, vals)
 
     for _ in range(_NM_MAX_ITER):
-        if not _spread(verts, _NM_DIAMETER_TOL):
-            break
+        (a0, a1, a2, a3, a4), v1, v2, v3, v4, (w0, w1, w2, w3, w4) = verts
+        for p0, p1, p2, p3, p4 in verts[1:]:
+            if (abs(p0 - a0) >= tol or abs(p1 - a1) >= tol or abs(p2 - a2) >= tol
+                    or abs(p3 - a3) >= tol or abs(p4 - a4) >= tol):
+                break
+        else:
+            break  # every vertex within tol of the best, coordinate by coordinate
 
-        centroid = [sum(col) / n for col in zip(*verts[:n])]
-        worst = verts[n]
-        xr = [c + _NM_REFLECT * (c - w) for c, w in zip(centroid, worst)]
+        # centroid of all but the worst, added in vertex order as sum() adds
+        m0 = (a0 + v1[0] + v2[0] + v3[0] + v4[0]) / 5
+        m1 = (a1 + v1[1] + v2[1] + v3[1] + v4[1]) / 5
+        m2 = (a2 + v1[2] + v2[2] + v3[2] + v4[2]) / 5
+        m3 = (a3 + v1[3] + v2[3] + v3[3] + v4[3]) / 5
+        m4 = (a4 + v1[4] + v2[4] + v3[4] + v4[4]) / 5
+        d0, d1, d2, d3, d4 = m0 - w0, m1 - w1, m2 - w2, m3 - w3, m4 - w4
+        xr = (m0 + d0, m1 + d1, m2 + d2, m3 + d3, m4 + d4)
         gr = -f(xr)
         n_eval += 1
 
-        if vals[0] <= gr < vals[n - 1]:
+        if vals[0] <= gr < vals[4]:
             x_new, g_new = xr, gr
         elif gr < vals[0]:
-            xe = [c + _NM_EXPAND * (c - w) for c, w in zip(centroid, worst)]
+            t = _NM_EXPAND
+            xe = (m0 + t * d0, m1 + t * d1, m2 + t * d2, m3 + t * d3, m4 + t * d4)
             ge = -f(xe)
             n_eval += 1
             x_new, g_new = (xe, ge) if ge < gr else (xr, gr)
         else:
-            if gr < vals[n]:
-                xc = [c + _NM_CONTRACT * (r - c) for c, r in zip(centroid, xr)]
+            t = _NM_CONTRACT
+            if gr < vals[5]:
+                r0, r1, r2, r3, r4 = xr
+                xc = (m0 + t * (r0 - m0), m1 + t * (r1 - m1), m2 + t * (r2 - m2),
+                      m3 + t * (r3 - m3), m4 + t * (r4 - m4))
             else:
-                xc = [c - _NM_CONTRACT * (c - w) for c, w in zip(centroid, worst)]
+                xc = (m0 - t * d0, m1 - t * d1, m2 - t * d2, m3 - t * d3, m4 - t * d4)
             gc = -f(xc)
             n_eval += 1
-            if gc < min(gr, vals[n]):
+            if gc < min(gr, vals[5]):
                 x_new, g_new = xc, gc
             else:
-                best = verts[0]
-                for j in range(1, n + 1):
-                    pt = verts[j]
-                    for i in range(n):
-                        pt[i] = best[i] + _NM_SHRINK * (pt[i] - best[i])
-                    vals[j] = -f(pt)
-                n_eval += n
-                verts, vals = _by_value(verts, vals)
+                t = _NM_SHRINK
+                shrunk = [
+                    (a0 + t * (p0 - a0), a1 + t * (p1 - a1), a2 + t * (p2 - a2),
+                     a3 + t * (p3 - a3), a4 + t * (p4 - a4))
+                    for p0, p1, p2, p3, p4 in verts[1:]
+                ]
+                verts, vals = _by_value([verts[0], *shrunk], [vals[0], *(-f(pt) for pt in shrunk)])
+                n_eval += 5
                 continue
 
         # the replaced worst vertex goes after every vertex it ties with
-        del verts[n], vals[n]
+        del verts[5], vals[5]
         k = bisect_right(vals, g_new)
         verts.insert(k, x_new)
         vals.insert(k, g_new)
 
-    return -vals[0], list(verts[0]), n_eval
+    y0, y1, y2, y3, y4 = verts[0]
+    return -vals[0], [y0, y1, y2, 0.0, y3, y4], n_eval
 
 
 def _proj_cone(y0, y1, y2, y3):

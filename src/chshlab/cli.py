@@ -224,6 +224,12 @@ def _setting_from_args(args) -> tuple[ChshSetting, dict, bool, tuple | None]:
     raise UsageError("a setting is required: --canonical theta,phi or --noisy lambda")
 
 
+# what json.load raises on a file it cannot turn into a value: ValueError
+# covers JSONDecodeError, bytes that are not UTF-8 (UnicodeDecodeError) and
+# an integer past Python's digit limit; RecursionError, nesting too deep
+_UNREADABLE_JSON = (ValueError, RecursionError)
+
+
 def _entry(pair) -> complex:
     """re + i·im of a state-file entry [re, im]; TypeError for anything else."""
     if not (isinstance(pair, list) and len(pair) == 2):
@@ -246,7 +252,7 @@ def _state_from_spec(spec: str) -> np.ndarray:
             payload = json.load(fh)
     except OSError as exc:
         raise UsageError(f"state {spec!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except _UNREADABLE_JSON as exc:
         raise UsageError(f"state file {spec!r}: invalid JSON ({exc})") from None
     entries = payload.get("rho") if isinstance(payload, dict) else payload
     try:
@@ -498,7 +504,7 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise UsageError(f"config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except _UNREADABLE_JSON as exc:
         raise UsageError(f"config {path!r}: invalid JSON ({exc})") from None
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path!r}: expected a JSON object")

@@ -81,7 +81,9 @@ class UnitaryParams:
 
     The fundamental domain is psi in [0,4pi), phi in [0,2pi], theta in
     [0,pi]; the generated matrix is 4pi-periodic so out-of-range values
-    wrap rather than error.
+    wrap rather than error.  On a Schmidt state only the sum of the two
+    parties' psi matters, so the pair max_chsh_over_unitaries returns
+    has psi = 0 for Bob.
     """
 
     psi: float
@@ -134,7 +136,9 @@ def max_chsh_over_unitaries(
     Multistart Nelder-Mead: `restarts` seeded random starts in the
     6-parameter box, best value wins (ties keep the earliest start).
     The landscape has symmetric local optima, so multistart is mandatory.
-    Deterministic for fixed (restarts, seed).
+    Deterministic for fixed (restarts, seed).  Each search runs over the
+    five parameters the value depends on (`_kernels.maximize_chsh`), so
+    the returned p2 has psi = 0 and p1's psi carries the pair's sum.
     """
     if restarts < 1:
         raise OutOfRangeError(f"restarts must be >= 1, got {restarts}")

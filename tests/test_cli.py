@@ -10,7 +10,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from chshlab import cli, verify
@@ -44,6 +44,15 @@ def run_process(argv):
 def write_state(path, entries):
     path.write_text(json.dumps({"rho": entries}))
     return str(path)
+
+
+# files json.load cannot read: not UTF-8, nested past the recursion limit,
+# an integer past Python's 4300-digit limit
+UNREADABLE_JSON = pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000, b'{"seed": ' + b"1" * 5000 + b"}"],
+    ids=["not_utf8", "nested_too_deep", "int_past_digit_limit"],
+)
 
 
 class TestJm:
@@ -246,6 +255,15 @@ class TestChsh:
         assert rc == 2 and out == ""
         doc = json.loads(err)
         assert doc["code"] == "usage" and state in doc["message"]
+
+    @UNREADABLE_JSON
+    def test_unreadable_state_file(self, capsys, tmp_path, content):
+        path = tmp_path / "s.json"
+        path.write_bytes(content)
+        rc, out, err = run(capsys, ["chsh", "--canonical=1,1", f"--state={path}"])
+        assert rc == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["code"] == "usage" and "invalid JSON" in doc["message"]
 
     def test_non_finite_state_entry(self, capsys, tmp_path):
         entries = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
@@ -541,6 +559,15 @@ class TestPlumbing:
         assert rc == 2
         assert "no_such_flag" in json.loads(err)["message"]
 
+    @UNREADABLE_JSON
+    def test_unreadable_config_file(self, capsys, tmp_path, content):
+        cfg = tmp_path / "f.json"
+        cfg.write_bytes(content)
+        rc, out, err = run(capsys, ["sample", "--canonical=1,1", "--state=phi+", f"--config={cfg}"])
+        assert rc == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["code"] == "usage" and "invalid JSON" in doc["message"]
+
     def test_config_fractional_shots_refused(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"shots": 1.5}))
@@ -834,6 +861,14 @@ def _small_enough(e_grid, d_grid):
     return max(counts) <= 50 or counts[0] * counts[1] > MAX_GRID_STEPS
 
 
+def _draw_setting(data):
+    """--canonical with odd angle tokens, or --noisy with an odd sharpness."""
+    if data.draw(st.booleans(), label="canonical"):
+        angles = data.draw(st.tuples(_ANGLE_TOKEN, _ANGLE_TOKEN), label="angles")
+        return f"--canonical={','.join(angles)}"
+    return f"--noisy={data.draw(_number(0.0, 1.0), label='noisy')}"
+
+
 class TestChshExitContract:
     """The jm exit contract, for chsh: odd angles, sharpness and states."""
 
@@ -841,12 +876,7 @@ class TestChshExitContract:
     @given(st.data())
     def test_exits_0_or_2(self, data):
         fmt = data.draw(st.sampled_from(["json", "csv"]), label="format")
-        argv = ["chsh", f"--format={fmt}"]
-        if data.draw(st.booleans(), label="canonical"):
-            angles = data.draw(st.tuples(_ANGLE_TOKEN, _ANGLE_TOKEN), label="angles")
-            argv.append(f"--canonical={','.join(angles)}")
-        else:
-            argv.append(f"--noisy={data.draw(_number(0.0, 1.0), label='noisy')}")
+        argv = ["chsh", f"--format={fmt}", _draw_setting(data)]
         mode = data.draw(st.sampled_from(["max", "state", "both"]), label="mode")
         if mode != "state":
             argv.append("--max")
@@ -868,3 +898,98 @@ class TestRegionExitContract:
         assume(_small_enough(e_grid, d_grid))
         fmt = data.draw(st.sampled_from(["json", "csv"]), label="format")
         _assert_exit_contract(["region", f"--e-grid={e_grid}", f"--delta-grid={d_grid}", f"--format={fmt}"], fmt)
+
+
+_SHOTS_TOKEN = st.one_of(
+    st.integers(1, 5000).map(str), st.sampled_from(["0", "-1", str(2**63 - 1), str(2**63), "1e5", "x"])
+)
+_SEED_TOKEN = st.one_of(
+    st.integers(0, 2**32).map(str), st.sampled_from(["-1", str(2**64), str(10**50), "1.5"])
+)
+
+
+class TestSampleExitContract:
+    """The jm exit contract, for sample: odd angles, states, shot counts and seeds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_exits_0_or_2(self, data):
+        fmt = data.draw(st.sampled_from(["json", "csv"]), label="format")
+        argv = ["sample", f"--format={fmt}", _draw_setting(data)]
+        state = data.draw(st.none() | _STATE_TOKEN, label="state")
+        argv += [] if state is None else [f"--state={state}"]
+        argv.append(f"--shots={data.draw(_SHOTS_TOKEN, label='shots')}")
+        argv.append(f"--seed={data.draw(_SEED_TOKEN, label='seed')}")
+        precision = data.draw(st.none() | st.integers(0, 16), label="precision")
+        argv += [] if precision is None else [f"--precision={precision}"]
+        _assert_exit_contract(argv, fmt)
+
+
+# Strings in the drawn files come from an alphabet without "/", so that no
+# drawn --state value can name a device such as /dev/zero, which never ends.
+_FILE_TEXT = st.one_of(
+    st.text(alphabet="0123456789+-.,: abcehimnopstx", max_size=12),
+    st.sampled_from(["phi+", "schmidt:0.25", "pi/2,pi/4", "0.8", "json", "csv", "NaN"]),
+)
+_HUGE_INT = st.sampled_from([2**63, -(2**64), 10**50, 10**400, -(10**4000)])
+_JSON_NUMBER = st.one_of(st.floats(), st.integers(), _HUGE_INT)
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | _JSON_NUMBER | _FILE_TEXT,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_FILE_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+_PAIR = st.tuples(_JSON_NUMBER, _JSON_NUMBER).map(list)
+# a maximally mixed state with one entry replaced, or a matrix of any shape
+_RHO = st.one_of(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), _PAIR | _JSON_VALUE).map(
+        lambda t: [
+            [t[2] if (i, j) == t[:2] else [0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)
+        ]
+    ),
+    st.lists(st.lists(_PAIR | _JSON_VALUE, max_size=5), max_size=5),
+)
+_STATE_DOC = st.one_of(_RHO, _RHO.map(lambda rho: {"rho": rho}), _JSON_VALUE)
+# every flag of every subcommand but --output, which would write a file
+_CONFIG_KEYS = [
+    "canonical", "noisy", "state", "max", "shots", "seed", "precision", "format", "config",
+    "axes", "lam", "threshold", "method", "tol", "e_grid", "delta_grid", "suite", "list", "no_such_key",
+]
+_CONFIG_DOC = st.one_of(st.dictionaries(st.sampled_from(_CONFIG_KEYS), _JSON_VALUE, max_size=6), _JSON_VALUE)
+
+
+def _file_bytes(doc):
+    """Raw bytes, a drawn JSON document, or brackets nested n deep."""
+    return st.one_of(
+        st.binary(max_size=64),
+        doc.map(lambda d: json.dumps(d).encode()),
+        st.integers(1, 3000).map(lambda n: b"[" * n + b"]" * n),
+    )
+
+
+class TestFileInputExitContract:
+    """The jm exit contract, for what chsh and sample read from files:
+    arbitrary bytes and JSON values in --config and --state files."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_exits_0_or_2(self, tmp_path, data):
+        # each example writes both files afresh, so sharing tmp_path is safe
+        command = data.draw(st.sampled_from(["chsh", "sample"]), label="command")
+        fmt = data.draw(st.sampled_from(["json", "csv"]), label="format")
+        argv = [command, f"--format={fmt}"]
+        if data.draw(st.booleans(), label="setting on command line"):
+            argv.append("--canonical=pi/2,pi/4")
+        if command == "chsh" and data.draw(st.booleans(), label="max"):
+            argv.append("--max")
+        if command == "sample":
+            argv.append("--shots=100")
+        target = data.draw(st.sampled_from(["state", "config", "both"]), label="target")
+        if target != "config":
+            state = tmp_path / "state.json"
+            state.write_bytes(data.draw(_file_bytes(_STATE_DOC), label="state file"))
+            argv.append(f"--state={state}")
+        if target != "state":
+            config = tmp_path / "config.json"
+            config.write_bytes(data.draw(_file_bytes(_CONFIG_DOC), label="config file"))
+            argv.append(f"--config={config}")
+        _assert_exit_contract(argv, fmt)

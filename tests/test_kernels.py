@@ -57,6 +57,12 @@ def test_public_callables():
 _ANGLE = st.floats(-4 * np.pi, 4 * np.pi)
 
 
+def _dense_expectation(s, e, x):
+    u = np.kron(local_unitary(UnitaryParams(*x[:3])), local_unitary(UnitaryParams(*x[3:])))
+    v = u @ schmidt_state(e).vector
+    return float((v.conj() @ s @ v).real)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     entries=st.lists(st.floats(-3.0, 3.0), min_size=16, max_size=16),
@@ -67,10 +73,7 @@ def test_objective_is_dense_expectation(entries, e, x):
     # any real-symmetric S, not only CHSH operators: <v|S|v> with v = (U1 x U2)|psi_E>
     a = np.array(entries).reshape(4, 4)
     s = (a + a.T) / 2
-    u = np.kron(local_unitary(UnitaryParams(*x[:3])), local_unitary(UnitaryParams(*x[3:])))
-    v = u @ schmidt_state(e).vector
-    want = float((v.conj() @ s @ v).real)
-    assert _kernels.chsh_objective(s.ravel(), e, x) == pytest.approx(want, abs=1e-12)
+    assert _kernels.chsh_objective(s.ravel(), e, x) == pytest.approx(_dense_expectation(s, e, x), abs=1e-12)
 
 
 def test_pure_objective_matches_dense_route(rng):
@@ -95,7 +98,46 @@ def test_maximize_returns_its_own_value(rng):
         value, best, evals = _kernels.maximize_chsh(s, e, x)
         assert _kernels.chsh_objective(s, e, best) == pytest.approx(value, abs=1e-12)
         assert value >= _kernels.chsh_objective(s, e, x)
-        assert evals >= 7  # the initial simplex alone costs n + 1 evaluations
+        # the start simplex costs 6 evaluations (n + 1 over the 5 gauge-fixed
+        # parameters), and its 0.5 diameter forces at least one iteration more
+        assert evals >= 7
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=st.lists(st.floats(-3.0, 3.0), min_size=16, max_size=16),
+    e=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+    x=st.lists(_ANGLE, min_size=6, max_size=6),
+    alpha=_ANGLE,
+)
+def test_objective_sees_only_psi_sum(entries, e, x, alpha):
+    # U(psi,phi,theta) = U(0,phi,theta) diag(e^{i psi/2}, e^{-i psi/2}): on a
+    # Schmidt state only psi1 + psi2 enters, whatever the operator
+    a = np.array(entries).reshape(4, 4)
+    s = (a + a.T) / 2
+    shifted = [x[0] + alpha, x[1], x[2], x[3] - alpha, x[4], x[5]]
+    assert _kernels.chsh_objective(s.ravel(), e, shifted) == pytest.approx(
+        _kernels.chsh_objective(s.ravel(), e, x), abs=1e-12
+    )
+    assert _dense_expectation(s, e, shifted) == pytest.approx(_dense_expectation(s, e, x), abs=1e-12)
+
+
+def test_maximize_fixes_bobs_psi(rng):
+    for _ in range(10):
+        s, e, x, *_ = _random_case(rng)
+        _, best, _ = _kernels.maximize_chsh(s, e, x)
+        assert len(best) == 6 and best[3] == 0.0
+
+
+def test_maximize_is_gauge_invariant(rng):
+    # the start is folded to psi1 + psi2, so a start moved along the flat
+    # direction searches the same landscape from the same point
+    for _ in range(25):
+        s, e, x, *_ = _random_case(rng)
+        alpha = float(rng.uniform(-4 * np.pi, 4 * np.pi))
+        shifted = x + np.array([alpha, 0.0, 0.0, -alpha, 0.0, 0.0])
+        value, _, _ = _kernels.maximize_chsh(s, e, x)
+        assert _kernels.maximize_chsh(s, e, shifted)[0] == pytest.approx(value, abs=1e-12)
 
 
 def test_dykstra_feasible_point_within_tolerance(rng):
