@@ -511,17 +511,19 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _config_tokens(cfg: dict, commands: dict[str, _Parser], args) -> list[str]:
-    """The command-line tokens a config file's entries stand for.
+def _config_tokens(cfg: dict, commands: dict[str, _Parser], args) -> tuple[list[str], dict[str, str]]:
+    """The command-line tokens a config file's flags stand for, and the
+    positional values the command line left unset.
 
-    They go ahead of the user's own tokens, so argparse converts and checks
-    them like flags and a flag on the command line still wins.  Keys of
-    other subcommands are ignored; keys of none are refused.
+    Tokens go ahead of the user's own, so argparse converts and checks them
+    like flags and a flag on the command line still wins.  Positional values
+    are assigned after the parse, so "--help" names a suite, not an option.
+    Keys of other subcommands are ignored; keys of none are refused.
     """
     unknown = set(cfg).difference(*(sp.arguments for sp in commands.values()))
     if unknown:
         raise UsageError(f"config: unknown keys {sorted(unknown)}")
-    tokens = []
+    tokens, positionals = [], {}
     for key, value in cfg.items():
         action = commands[args.command].arguments.get(key)
         if action is None:
@@ -536,8 +538,8 @@ def _config_tokens(cfg: dict, commands: dict[str, _Parser], args) -> list[str]:
         elif action.option_strings:
             tokens.append(f"{action.option_strings[0]}={value}")
         elif getattr(args, key) is None:  # positional not given on the command line
-            tokens.append(str(value))
-    return tokens
+            positionals[key] = str(value)
+    return tokens, positionals
 
 
 def _silence_stdout() -> None:
@@ -555,8 +557,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config is not None:
             # the top-level parser takes no options, so argv[0] is the subcommand
-            tokens = _config_tokens(_load_config(args.config), commands, args)
+            tokens, positionals = _config_tokens(_load_config(args.config), commands, args)
             args = parser.parse_args([argv[0], *tokens, *argv[1:]])
+            vars(args).update(positionals)
         if not 1 <= args.precision <= MAX_PRECISION:
             raise UsageError(f"--precision must be in [1, {MAX_PRECISION}]")
         try:

@@ -4,8 +4,10 @@ Two exact criteria decide (in)compatibility: Busch's for unbiased pairs,
 and the coexistence criterion of Yu, Liu, Li and Oh for any pair.  A
 parent-POVM search by Dykstra's alternating projections builds the
 certificate of a compatible pair; it decides nothing the criterion has
-ruled out.  The raw Dykstra kernel, which shares no code with either
-formula, is their independent oracle in `verify` and the test suite.
+ruled out.  That search, `_search_parent`, is the one place that runs
+the Dykstra kernel.  `verify` reads each of its runs two ways: as the
+kernel's own verdict, which shares no code with either formula and is
+their independent oracle, and as the certificate it re-checks.
 """
 
 from __future__ import annotations
@@ -159,14 +161,27 @@ def check_tolerance(tol: float) -> float:
     return tol
 
 
+def _search_parent(p: BinaryPovm, q: BinaryPovm, tol: float) -> tuple[ParentPovm | None, float, bool]:
+    """(parent, residual, plateaued) of one Dykstra run: the free block G(++)
+    has four Pauli coordinates, and G, M-G, N-G and I-M-N+G must all be
+    PSD.  parent is None unless the residual reached tol."""
+    m, n = p.coords.tolist(), q.coords.tolist()
+    x0 = [(a + b) / 2.0 for a, b in zip(m, n)]
+    x0[0] -= 0.5
+    x, residual, _, plateaued = _kernels.dykstra_feasibility(m, n, x0, tol, DYKSTRA_MAX_ITER)
+    if residual > tol:
+        return None, residual, plateaued
+    g = from_pauli_coords(x)
+    m_plus, n_plus = p.effect_plus, q.effect_plus
+    return ParentPovm(g, m_plus - g, n_plus - g, I2 - m_plus - n_plus + g, residual), residual, plateaued
+
+
 def parent_povm_search(p: BinaryPovm, q: BinaryPovm, tol: float = DEFAULT_TOL) -> JmVerdict:
     """Decide by coexistence_criterion; certify compatibility with a parent POVM.
 
     A pair that violates the criterion by more than tol is Incompatible,
     with the criterion's verdict and no search.  Any other pair goes to
-    Dykstra's alternating projections: the free block G(++) has four real
-    Pauli coordinates, and the four constraints G, M-G, N-G and I-M-N+G
-    must be simultaneously PSD.  Compatible verdicts ship an explicit
+    one _search_parent run.  Compatible verdicts ship an explicit
     ParentPovm with residual <= tol.  Undecided means the pair is
     compatible, or within tol of the boundary, but the search stopped
     (its residual plateaued, or DYKSTRA_MAX_ITER ran out) above tol.
@@ -175,28 +190,10 @@ def parent_povm_search(p: BinaryPovm, q: BinaryPovm, tol: float = DEFAULT_TOL) -
     verdict = coexistence_criterion(p, q)
     if verdict.margin < -tol:
         return verdict
-    m, n = p.coords.tolist(), q.coords.tolist()
-    x0 = [(a + b) / 2.0 for a, b in zip(m, n)]
-    x0[0] -= 0.5
-    x, residual, _, _ = _kernels.dykstra_feasibility(m, n, x0, tol, DYKSTRA_MAX_ITER)
-    if residual > tol:
-        return JmVerdict(JmStatus.UNDECIDED, margin=0.0 - float(residual), method=JmMethod.FEASIBILITY)
-    g = from_pauli_coords(x)
-    m_plus = p.effect_plus
-    n_plus = q.effect_plus
-    parent = ParentPovm(
-        g_pp=g,
-        g_pm=m_plus - g,
-        g_mp=n_plus - g,
-        g_mm=I2 - m_plus - n_plus + g,
-        residual=float(residual),
-    )
-    return JmVerdict(
-        status=JmStatus.COMPATIBLE,
-        margin=0.0 - float(residual),  # 0.0, never -0.0, at residual 0
-        method=JmMethod.FEASIBILITY,
-        parent=parent,
-    )
+    parent, residual, _ = _search_parent(p, q, tol)
+    status = JmStatus.UNDECIDED if parent is None else JmStatus.COMPATIBLE
+    # 0.0 - residual: 0.0, never -0.0, at residual 0
+    return JmVerdict(status, margin=0.0 - residual, method=JmMethod.FEASIBILITY, parent=parent)
 
 
 def sharpness_threshold(n1, n2) -> float:

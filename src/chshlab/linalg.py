@@ -140,11 +140,6 @@ def operator_norm(m) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
-def min_eigenvalue(m) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (used for PSD checks)."""
-    return float(eig_hermitian(m).eigenvalues[0])
-
-
 def is_psd(m, tol: float = 1e-12) -> bool:
     """The Hermitian part (M + M†)/2 is PSD within tolerance."""
     return bool(eig_hermitian(m, np.inf).eigenvalues[0] >= -tol)

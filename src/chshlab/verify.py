@@ -3,7 +3,8 @@
 Each suite takes a seed and returns its checks as dicts
 {"check", "max_dev", "tol"}: the worst deviation from an independent
 oracle and the tolerance it must stay within.  The acceptance tests run
-the same functions with their own seeds and pinned tolerances.
+the same functions with their own seeds and pinned tolerances.  `jm`
+reaches the Dykstra kernel only through compat's search, once per pair.
 """
 
 from __future__ import annotations
@@ -12,15 +13,14 @@ from math import pi, sqrt
 
 import numpy as np
 
-from . import _kernels
 from .chsh import chsh_operator, commutator_tensor, landau_bound
 from .compat import (
     DEFAULT_TOL,
-    DYKSTRA_MAX_ITER,
     JmStatus,
+    ParentPovm,
+    _search_parent,
     busch_criterion,
     coexistence_criterion,
-    parent_povm_search,
     sharpness_threshold,
 )
 from .entanglement import CanonicalAngles, max_chsh_closed_form, max_chsh_over_unitaries
@@ -85,10 +85,9 @@ def landau(seed: int) -> list[dict]:
     ]
 
 
-def _certificate_defect(p, q) -> float:
-    """Worst defect of the parent POVM parent_povm_search returns for (p, q),
-    0 without one: sum to I, both marginals, PSD by eigvalsh."""
-    parent = parent_povm_search(p, q).parent
+def _certificate_defect(p, q, parent: ParentPovm | None) -> float:
+    """Worst defect of a parent POVM of (p, q), 0 without one: sum to I,
+    both marginals, PSD by eigvalsh."""
     if parent is None:
         return 0.0
     effects = (parent.g_pp, parent.g_pm, parent.g_mp, parent.g_mm)
@@ -100,18 +99,22 @@ def _certificate_defect(p, q) -> float:
     )
 
 
-def feasibility_status(p: BinaryPovm, q: BinaryPovm) -> JmStatus:
+def _kernel_verdict(p: BinaryPovm, q: BinaryPovm) -> tuple[JmStatus, ParentPovm | None]:
     """The raw Dykstra kernel's own verdict, sharing no code with either
-    criterion: Compatible at residual <= DEFAULT_TOL, Incompatible once the
-    residual plateaus above 10·DEFAULT_TOL, Undecided otherwise."""
-    m, n = p.coords, q.coords
-    x0 = (m + n) / 2.0 - np.array([0.5, 0.0, 0.0, 0.0])
-    _, residual, _, plateaued = _kernels.dykstra_feasibility(m, n, x0, DEFAULT_TOL, DYKSTRA_MAX_ITER)
-    if residual <= DEFAULT_TOL:
-        return JmStatus.COMPATIBLE
+    criterion (Compatible at residual <= DEFAULT_TOL, Incompatible once the
+    residual plateaus above 10·DEFAULT_TOL, Undecided otherwise), and the
+    parent the same search built, if any."""
+    parent, residual, plateaued = _search_parent(p, q, DEFAULT_TOL)
+    if parent is not None:
+        return JmStatus.COMPATIBLE, parent
     if plateaued and residual > INCOMPATIBLE_FACTOR * DEFAULT_TOL:
-        return JmStatus.INCOMPATIBLE
-    return JmStatus.UNDECIDED
+        return JmStatus.INCOMPATIBLE, None
+    return JmStatus.UNDECIDED, None
+
+
+def feasibility_status(p: BinaryPovm, q: BinaryPovm) -> JmStatus:
+    """The raw Dykstra kernel's own verdict on (p, q); see _kernel_verdict."""
+    return _kernel_verdict(p, q)[0]
 
 
 def _random_biased_povm(rng) -> BinaryPovm:
@@ -127,8 +130,8 @@ def _random_biased_povm(rng) -> BinaryPovm:
 def jm(seed: int) -> list[dict]:
     """Busch's criterion vs the raw Dykstra kernel on 200 random unbiased
     pairs away from the boundary, the coexistence criterion vs the kernel
-    on 200 random biased pairs wherever the kernel decides, every
-    Compatible parent re-verified, and the z/x critical sharpness."""
+    on 200 random biased pairs wherever the kernel decides, every parent
+    that search built re-verified, and the z/x critical sharpness."""
     rng = np.random.default_rng(seed)
     disagreements = 0
     worst_defect = 0.0
@@ -143,16 +146,17 @@ def jm(seed: int) -> list[dict]:
         if abs(analytic.margin) < 5e-3:
             continue
         tested += 1
-        if feasibility_status(p, q) is not analytic.status:
+        oracle, parent = _kernel_verdict(p, q)
+        if oracle is not analytic.status:
             disagreements += 1
-        worst_defect = max(worst_defect, _certificate_defect(p, q))
+        worst_defect = max(worst_defect, _certificate_defect(p, q, parent))
     biased_disagreements = 0
     for _ in range(200):
         p, q = _random_biased_povm(rng), _random_biased_povm(rng)
-        oracle = feasibility_status(p, q)
+        oracle, parent = _kernel_verdict(p, q)
         if oracle is not JmStatus.UNDECIDED and oracle is not coexistence_criterion(p, q).status:
             biased_disagreements += 1
-        worst_defect = max(worst_defect, _certificate_defect(p, q))
+        worst_defect = max(worst_defect, _certificate_defect(p, q, parent))
     threshold_dev = abs(sharpness_threshold(Z_AXIS, X_AXIS) - 1.0 / sqrt(2.0))
     return [
         {"check": "analytic_vs_feasibility", "max_dev": float(disagreements), "tol": 0.0},

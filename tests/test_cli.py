@@ -10,7 +10,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from chshlab import cli, verify
@@ -610,6 +610,16 @@ class TestPlumbing:
         assert rc == 0
         assert json.loads(out)["suite"] == "stub_b"
 
+    @pytest.mark.parametrize("suite", ["--help", "--list"])
+    def test_config_suite_is_not_an_option(self, capsys, tmp_path, suite):
+        # a config file's suite is assigned after the parse: one that starts
+        # with "-" names a suite, and argparse never reads it as an option
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": suite}))
+        rc, out, err = run(capsys, ["verify", f"--config={cfg}"])
+        assert rc == 2 and out == ""
+        assert json.loads(err)["message"].startswith(f"unknown suite {suite!r}")
+
     def test_precision_flag_width(self, capsys):
         _, out6, _ = run(capsys, ["chsh", "--canonical", "pi/2,pi/2", "--state", "phi+"])
         _, out15, _ = run(
@@ -780,16 +790,21 @@ def _refuse_constant(name):
     raise ValueError(f"{name} in JSON output")
 
 
+def _assert_refused(out, err):
+    """An empty stdout and one JSON line on stderr."""
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"code", "message"}
+
+
 def _assert_exit_contract(argv, fmt):
     """main(argv) returns 0 with parseable stdout and an empty stderr, or 2
     with an empty stdout and one JSON line on stderr."""
     rc, out, err = _main_output(argv)
     assert rc in (0, 2)
     if rc == 2:
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert set(json.loads(lines[0])) == {"code", "message"}
+        _assert_refused(out, err)
         return
     assert err == ""
     if fmt == "json":
@@ -993,3 +1008,78 @@ class TestFileInputExitContract:
             config.write_bytes(data.draw(_file_bytes(_CONFIG_DOC), label="config file"))
             argv.append(f"--config={config}")
         _assert_exit_contract(argv, fmt)
+
+
+_VERIFY_STUBS = {
+    "pass": lambda seed: [{"check": "ok", "max_dev": 0.0, "tol": 0.0}],
+    "fail": lambda seed: [{"check": "broken", "max_dev": 1.0, "tol": 0.0}],
+}
+# stub and real names, and names that argparse would read as options,
+# abbreviations included
+_SUITE_NAME = st.one_of(
+    st.sampled_from(["pass", "fail", "jm", "", "-", "--", "-h", "--help", "--he", "--list", "--li", "--seed=1", "-x"]),
+    st.text(max_size=8),
+)
+
+
+def _verify_stdout(out, fmt):
+    """("list", None) for a suite list, else ("pass" or "fail", passed) for
+    a verify document of one of the stub suites."""
+    if fmt == "json":
+        assert len(out.splitlines()) == 1
+        doc = json.loads(out, parse_constant=_refuse_constant)
+        if set(doc) == {"suites"}:
+            assert doc["suites"] == sorted(_VERIFY_STUBS)
+            return "list", None
+        assert set(doc) == {"suite", "seed", "checks", "passed"}
+        return doc["suite"], doc["passed"]
+    lines = out.splitlines()
+    if lines == sorted(_VERIFY_STUBS):
+        return "list", None
+    *checks, verdict = lines
+    assert len(checks) == 1 and verdict in ("OK", "FAILED")
+    return checks[0].split()[1].split(".")[0], verdict == "OK"
+
+
+class TestVerifyExitContract:
+    """The jm exit contract, for verify, with 1 for a failed check: odd
+    suite names, seeds, formats and precisions, on the command line or in a
+    --config file.  Two stub suites stand in for the real ones, so no drawn
+    example runs a real suite."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        fmt=st.sampled_from([None, "text", "json", "csv"]),
+        listed=st.booleans(),
+        seed=st.none() | _SEED_TOKEN | st.integers(-(2**64), -1).map(str),
+        precision=st.none() | st.integers(0, 16),
+        config=st.none()
+        | st.fixed_dictionaries({}, optional={"suite": _SUITE_NAME | _JSON_VALUE, "seed": _SEED_TOKEN | _JSON_VALUE}),
+        suite=st.none() | _SUITE_NAME,
+    )
+    # a config file's suite was once passed to argparse as a bare token
+    @example(fmt=None, listed=False, seed=None, precision=None, config={"suite": "--help"}, suite=None)
+    @example(fmt=None, listed=False, seed=None, precision=None, config={"suite": "--list"}, suite=None)
+    def test_exits_0_1_or_2(self, tmp_path, monkeypatch, fmt, listed, seed, precision, config, suite):
+        monkeypatch.setattr(verify, "SUITES", _VERIFY_STUBS)
+        argv = ["verify"] + ([] if fmt is None else [f"--format={fmt}"]) + (["--list"] if listed else [])
+        argv += [] if seed is None else [f"--seed={seed}"]
+        argv += [] if precision is None else [f"--precision={precision}"]
+        if config is not None:
+            # each example writes the file afresh, so sharing tmp_path is safe
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv.append(f"--config={path}")
+        argv += [] if suite is None else ["--", suite]
+        rc, out, err = _main_output(argv)
+        if rc == 2:
+            _assert_refused(out, err)
+            return
+        assert rc in (0, 1) and err == ""
+        kind, passed = _verify_stdout(out, fmt or "text")
+        if kind == "list":
+            assert rc == 0 and listed
+        else:
+            # a document only for a suite that exists, exit 1 only from its failed check
+            assert not listed and kind == ("pass" if rc == 0 else "fail")
+            assert passed is (rc == 0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chshlab import _kernels
+from chshlab import _kernels, verify
 from chshlab.compat import (
     MAX_TOL,
     JmMethod,
@@ -270,6 +270,21 @@ class TestParentPovmSearch:
             p = noisy_pauli_povm(random_axis(rng), float(rng.uniform(0, 1)))
             q = noisy_pauli_povm(random_axis(rng), float(rng.uniform(0, 1)))
             assert parent_povm_search(p, q).status is parent_povm_search(q, p).status
+
+
+@pytest.mark.parametrize("seed", [8, 9, 502])
+def test_verify_jm_searches_each_pair_once(monkeypatch, seed):
+    # the kernel's verdict and the re-verified certificate read one search:
+    # 200 unbiased and 200 biased pairs make 400 kernel calls
+    kernel, calls = _kernels.dykstra_feasibility, []
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "dykstra_feasibility", counting)
+    verify.jm(seed)
+    assert len(calls) == 400
 
 
 class TestSharpnessThreshold:

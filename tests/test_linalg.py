@@ -21,7 +21,6 @@ from chshlab.linalg import (
     hermitize,
     is_psd,
     kron,
-    min_eigenvalue,
     operator_norm,
 )
 from chshlab.errors import ChshLabError, NotHermitianError
@@ -154,7 +153,6 @@ class TestOperatorNorm:
 def test_psd_helpers(rng):
     assert is_psd(I2)
     assert not is_psd(-I2)
-    assert min_eigenvalue(SZ) == pytest.approx(-1.0, abs=1e-12)
     m = rng.normal(size=(2, 2))
     sym = hermitize(m)
     assert np.max(np.abs(sym - sym.conj().T)) == 0.0
