@@ -105,7 +105,8 @@ def busch_criterion(p: BinaryPovm, q: BinaryPovm) -> JmVerdict:
     """
     a = _unbiased_bloch(p)
     b = _unbiased_bloch(q)
-    total = float(np.linalg.norm(a + b) + np.linalg.norm(a - b))
+    s, d = a + b, a - b
+    total = float(np.sqrt(s.dot(s)) + np.sqrt(d.dot(d)))  # numpy.linalg.norm, bit for bit
     margin = 2.0 - total
     status = JmStatus.COMPATIBLE if margin >= 0.0 else JmStatus.INCOMPATIBLE
     return JmVerdict(status=status, margin=margin, method=JmMethod.ANALYTIC_UNBIASED)

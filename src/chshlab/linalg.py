@@ -16,8 +16,9 @@ and see its Hermitian part.
 Some constructors write matrices that are Hermitian by construction and
 skip `hermitize`: `measurement.bloch_observable`, `from_pauli_coords` and
 `noisy_pauli_povm` set the entries (i, j) and (j, i) as complex
-conjugates, with real diagonals.  The effects of `noisy_pauli_povm`
-still pass both PSD checks through `is_psd`.
+conjugates, with real diagonals.  `noisy_pauli_povm` checks E+ through
+`is_psd`; its E- = I - E+ shares that spectrum, so it gets no second
+eigensolve.  `BinaryPovm.from_effect` still checks both effects.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from .linalg import I2, as_matrix, comm, hermitize, is_psd, kron, operator_norm
 
 UNIT_AXIS_TOL = 1e-9
 PSD_TOL = 1e-12
+_BELOW_PSD_TOL = "POVM effect has an eigenvalue below -1e-12"
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -91,16 +92,11 @@ class BinaryPovm:
         e_plus = hermitize(effect_plus)
         if e_plus.shape != (2, 2):
             raise NotHermitianError(f"qubit POVM effect must be 2x2, got shape {e_plus.shape}")
-        return cls._from_hermitian(e_plus, sharpness)
-
-    @classmethod
-    def _from_hermitian(cls, e_plus: np.ndarray, sharpness: float | None) -> "BinaryPovm":
-        """The POVM of a finite Hermitian 2x2 E+, once both effects pass the
-        PSD check."""
+        # both effects: a biased E+ (tr ≠ 1) and I - E+ have different spectra
         e_minus = I2 - e_plus
         for eff in (e_plus, e_minus):
             if not is_psd(eff, PSD_TOL):
-                raise OutOfRangeError("POVM effect has an eigenvalue below -1e-12")
+                raise OutOfRangeError(_BELOW_PSD_TOL)
         return cls(effect_plus=e_plus, effect_minus=e_minus, coords=pauli_coords(e_plus), sharpness=sharpness)
 
     @property
@@ -120,7 +116,14 @@ def noisy_pauli_povm(axis, lam: float) -> BinaryPovm:
     entry by entry: it is Hermitian by construction, so it skips
     from_effect's symmetrization.  Each entry equals the one
     hermitize((I + λ·bloch_observable(n))/2) gives, bit for bit; only where
-    λn_k/2 underflows to zero may the sign of that zero differ.
+    λn_k/2 underflows to zero may the sign of that zero differ.  coords are
+    written from the same entries, as pauli_coords would read them back.
+
+    Only E+ goes through the PSD check.  tr E+ = 1, so E- = I - E+ has the
+    eigenvalues 1 - (1 ± λ|n|)/2 = (1 ∓ λ|n|)/2 of E+, and E- ≥ 0 ⇔ E+ ≥ 0
+    (Busch, Phys. Rev. D 33, 2253 (1986)).  The check refuses only a
+    λ|n| above 1 + 2e-12, which unit_axis's tolerance lets through near
+    λ = 1.
     """
     if not 0.0 <= lam <= 1.0:
         raise OutOfRangeError(f"sharpness λ={lam!r} outside [0, 1]")
@@ -128,7 +131,14 @@ def noisy_pauli_povm(axis, lam: float) -> BinaryPovm:
     d0, d1 = (1.0 + lam * n2) / 2, (1.0 - lam * n2) / 2
     re, im = (0.0 + lam * n0) / 2, (0.0 + lam * n1) / 2
     e_plus = np.array([[complex(d0, 0.0), complex(re, 0.0 - im)], [complex(re, im), complex(d1, 0.0)]])
-    return BinaryPovm._from_hermitian(e_plus, lam)
+    if not is_psd(e_plus, PSD_TOL):
+        raise OutOfRangeError(_BELOW_PSD_TOL)
+    return BinaryPovm(
+        effect_plus=e_plus,
+        effect_minus=I2 - e_plus,
+        coords=np.array([d0 + d1, re + re, im + im, d0 - d1]),
+        sharpness=lam,
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chshlab.measurement
 from chshlab.chsh import max_over_states, sample_estimate
 from chshlab.compat import parent_povm_search, sharpness_threshold
 from chshlab.errors import NonUnitAxisError, OutOfRangeError
@@ -72,6 +73,40 @@ class TestNoisyPauliPovm:
             noisy_pauli_povm(Z_AXIS, 1.2)
         with pytest.raises(OutOfRangeError):
             noisy_pauli_povm(Z_AXIS, -0.1)
+
+    def test_one_psd_check(self, monkeypatch):
+        # tr E+ = 1, so E- = I - E+ has the same spectrum and needs no eigensolve
+        tols = []
+
+        def counting(m, tol=1e-12):
+            tols.append(tol)
+            return is_psd(m, tol)
+
+        monkeypatch.setattr(chshlab.measurement, "is_psd", counting)
+        noisy_pauli_povm((X_AXIS + Z_AXIS) / np.sqrt(2), 0.6)
+        assert tols == [1e-12]
+
+    @pytest.mark.parametrize("direction", [Z_AXIS, np.array([0.48, -0.6, 0.64])], ids=["z", "tilted"])
+    @pytest.mark.parametrize("delta, refused", [(1e-11, True), (3e-12, True), (1e-12, False), (1e-13, False)])
+    def test_psd_boundary_at_full_sharpness(self, direction, delta, refused):
+        # |n| = 1 + δ passes unit_axis; E+ has eigenvalue (1 - |n|)/2 ≈ -δ/2
+        axis = (1.0 + delta) * direction
+        # from_effect checks E+ and E- separately; the one check must agree
+        builds = (
+            lambda: noisy_pauli_povm(axis, 1.0),
+            lambda: BinaryPovm.from_effect(from_pauli_coords([1.0, *axis])),
+        )
+        for build in builds:
+            if refused:
+                with pytest.raises(OutOfRangeError, match=r"^POVM effect has an eigenvalue below -1e-12$"):
+                    build()
+            else:
+                assert is_psd(build().effect_minus, 1e-12)
+
+    def test_biased_effect_checks_both(self):
+        # E+ ≥ 0, but tr E+ ≠ 1 and I - E+ has eigenvalue -0.1
+        with pytest.raises(OutOfRangeError, match="eigenvalue below"):
+            BinaryPovm.from_effect(np.diag([1.1, 0.5]))
 
     def test_completeness_and_positivity(self, rng):
         for axis in random_axes(rng, 10):
