@@ -19,15 +19,25 @@ Of the six unitary parameters the objective sees five.  U(psi, phi, theta)
 = U(0, phi, theta) diag(e^{i psi/2}, e^{-i psi/2}), and on the Schmidt state
 the two diagonal factors give e^{i(psi1+psi2)/2} sqrt(E)|00> +
 e^{-i(psi1+psi2)/2} sqrt(1-E)|11>: only psi1 + psi2 enters, for every
-operator S.  So the search runs over y = (psi1 + psi2, phi1, theta1, phi2,
-theta2), with Bob's psi fixed at 0, and never walks the flat direction
-psi1 - psi2.
+operator S.  So the objective takes y = (psi1 + psi2, phi1, theta1, phi2,
+theta2), with Bob's psi fixed at 0, and the flat direction psi1 - psi2 is
+never walked.
+
+Of those five, the search walks four.  The objective is linear in Bob's
+rotation rows, and each entry of those is linear in (cos phi2, sin phi2) or
+free of phi2, so the objective is a + b cos phi2 + c sin phi2 with a, b, c
+independent of phi2.  Its maximum over phi2 is a + hypot(b, c), reached at
+atan2(c, b) (the structure Rotosolve exploits: Ostaszewski, Grant,
+Benedetti, Quantum 5, 391 (2021)).  The simplex runs over z = (psi1 + psi2, phi1, theta1, theta2) on
+that profile and solves phi2 exactly once at its end.  The search stays
+derivative-free over every local unitary and never uses the closed-form
+maximum, so it remains an independent oracle for it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from math import cos, sin, sqrt
+from math import atan2, cos, hypot, sin, sqrt
 
 BACKEND = "python"
 
@@ -41,8 +51,35 @@ _PLATEAU_WINDOW = 500
 _PLATEAU_RTOL = 1e-12
 
 
-def _rotated_objective(s, e):
-    """y -> <v|S|v>, v = (U1 x U2)(sqrt(E)|00> + sqrt(1-E)|11>), for real 16-float S.
+def _pauli_coefficients(s, e):
+    """The constants both objectives read, for real 16-float S at entanglement E.
+
+    c_mn = tr(S s_m x s_n)/4 with Alice's Pauli first, and K = (c_ij).  For
+    real S every coefficient with a single Y vanishes, so c_A, c_B have no y
+    component and K's y row and column hold only c_yy.  Returns (c_00,
+    (2E-1) c_x0, (2E-1) c_z0, (2E-1) c_0x, (2E-1) c_0z, C, k_xx, k_xz, k_zx,
+    k_zz, k_yy).
+    """
+    s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14, s15 = map(float, s)
+    e = float(e)
+    w = 2.0 * e - 1.0
+    return (
+        0.25 * (s0 + s5 + s10 + s15),
+        w * 0.25 * (s2 + s7 + s8 + s13),
+        w * 0.25 * (s0 + s5 - s10 - s15),
+        w * 0.25 * (s1 + s4 + s11 + s14),
+        w * 0.25 * (s0 - s5 + s10 - s15),
+        2.0 * sqrt(e * (1.0 - e)),
+        0.25 * (s3 + s6 + s9 + s12),
+        0.25 * (s2 - s7 + s8 - s13),
+        0.25 * (s1 + s4 - s11 - s14),
+        0.25 * (s0 - s5 - s10 + s15),
+        0.25 * (-s3 + s6 + s9 - s12),
+    )
+
+
+def _rotated_objective(coef):
+    """y -> <v|S|v>, v = (U1 x U2)(sqrt(E)|00> + sqrt(1-E)|11>), coef from _pauli_coefficients.
 
     y = (psi1 + psi2, phi1, theta1, phi2, theta2) stands for U1 = U(psi1 +
     psi2, phi1, theta1) and U2 = U(0, phi2, theta2), which give the same
@@ -50,27 +87,11 @@ def _rotated_objective(s, e):
 
     U(psi, phi, theta) rotates Bloch vectors by M^T, M = Rz(psi) Ry(theta)
     Rz(phi).  With p_k, q_k the rows of M1, M2 the value is
-    c_00 + (2E-1)(c_A . p_z + c_B . q_z) + C(p_x.Kq_x - p_y.Kq_y) + p_z.Kq_z,
-    K = (c_ij).  For real S every coefficient with a single Y vanishes, so
-    c_A, c_B have no y component and K's y row and column hold only c_yy.
+    c_00 + (2E-1)(c_A . p_z + c_B . q_z) + C(p_x.Kq_x - p_y.Kq_y) + p_z.Kq_z.
     At psi = 0 Bob's rows are (ct cf, -ct sf, st), (sf, cf, 0) and
     (-st cf, st sf, ct), so his rotation takes four trig calls.
     """
-    s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14, s15 = s
-    # c_mn = tr(S s_m x s_n)/4, Alice's Pauli first; k_ij = c_ij
-    c00 = 0.25 * (s0 + s5 + s10 + s15)
-    c0x = 0.25 * (s1 + s4 + s11 + s14)
-    c0z = 0.25 * (s0 - s5 + s10 - s15)
-    cx0 = 0.25 * (s2 + s7 + s8 + s13)
-    cz0 = 0.25 * (s0 + s5 - s10 - s15)
-    kxx = 0.25 * (s3 + s6 + s9 + s12)
-    kxz = 0.25 * (s2 - s7 + s8 - s13)
-    kzx = 0.25 * (s1 + s4 - s11 - s14)
-    kzz = 0.25 * (s0 - s5 - s10 + s15)
-    kyy = 0.25 * (-s3 + s6 + s9 - s12)
-    w = 2.0 * e - 1.0
-    conc = 2.0 * sqrt(e * (1.0 - e))
-    ax, az, bx, bz = w * cx0, w * cz0, w * c0x, w * c0z
+    c00, ax, az, bx, bz, conc, kxx, kxz, kzx, kzz, kyy = coef
 
     def objective(y):
         psi, phi1, th1, phi2, th2 = y
@@ -89,6 +110,37 @@ def _rotated_objective(s, e):
     return objective
 
 
+def _azimuth_profile(coef):
+    """z -> a + hypot(b, c), the maximum over phi2 of the objective, or (a, b, c) with terms=True.
+
+    z = (psi1 + psi2, phi1, theta1, theta2), and objective(psi, phi1, theta1,
+    phi2, theta2) = a + b cos phi2 + c sin phi2.  Collecting the cos phi2 and
+    sin phi2 terms of _rotated_objective, with Alice's rows p_k as there
+    and ct, st = cos theta2, sin theta2:
+      a = c_00 + (2E-1)(c_A . p_z + c_0z ct) + C st (p_x.K_z) + ct (p_z.K_z),
+      b = C (ct (p_x.K_x) - k_yy p_y,y) - st ((2E-1) c_0x + p_z.K_x),
+      c = k_yy p_z,y st - C (k_yy p_x,y ct + p_y.K_x),
+    where K_x, K_z are K's x and z columns.  Six trig calls for Alice's
+    rotation and two for Bob's theta; the maximum is at phi2 = atan2(c, b).
+    """
+    c00, ax, az, bx, bz, conc, kxx, kxz, kzx, kzz, kyy = coef
+
+    def profile(z, terms=False):
+        psi, phi1, th1, th2 = z
+        cp, sp, ct, st, cf, sf = cos(psi), sin(psi), cos(th1), sin(th1), cos(phi1), sin(phi1)
+        u, v = cp * ct, sp * ct
+        p0, p1, p2 = u * cf - sp * sf, -u * sf - sp * cf, cp * st
+        p3, p4, p5 = v * cf + cp * sf, cp * cf - v * sf, sp * st
+        p6, p7, p8 = -st * cf, st * sf, ct
+        ct, st = cos(th2), sin(th2)
+        a = c00 + ax * p6 + az * p8 + bz * ct + conc * st * (kxz * p0 + kzz * p2) + ct * (kxz * p6 + kzz * p8)
+        b = conc * (ct * (kxx * p0 + kzx * p2) - kyy * p4) - st * (bx + kxx * p6 + kzx * p8)
+        c = kyy * p7 * st - conc * (kyy * p1 * ct + kxx * p3 + kzx * p5)
+        return (a, b, c) if terms else a + hypot(b, c)
+
+    return profile
+
+
 def chsh_objective(s, e, x):
     """CHSH expectation <v|S|v>, v = (U1 x U2)(sqrt(E)|00> + sqrt(1-E)|11>).
 
@@ -97,7 +149,7 @@ def chsh_objective(s, e, x):
     enters (module docstring).
     """
     psi1, phi1, th1, psi2, phi2, th2 = map(float, x)
-    return _rotated_objective(tuple(map(float, s)), float(e))((psi1 + psi2, phi1, th1, phi2, th2))
+    return _rotated_objective(_pauli_coefficients(s, e))((psi1 + psi2, phi1, th1, phi2, th2))
 
 
 def _by_value(verts, vals):
@@ -109,87 +161,91 @@ def _by_value(verts, vals):
 def maximize_chsh(s, e, x0):
     """Nelder-Mead maximization of chsh_objective from a single start.
 
-    The simplex lives in the five gauge-fixed parameters y = (psi1 + psi2,
-    phi1, theta1, phi2, theta2) of _rotated_objective: the start is x0
-    folded to y, and the flat direction psi1 - psi2 is never searched.
-    Stops when the max-coordinate diameter of the simplex drops below
-    _NM_DIAMETER_TOL or after _NM_MAX_ITER iterations.  Returns
-    (best_value, best_params[6], evaluations), with psi2 = 0.0 in params.
+    The simplex lives in the four coordinates z = (psi1 + psi2, phi1,
+    theta1, theta2) and maximizes the objective's exact maximum over phi2,
+    a + hypot(b, c) from _azimuth_profile (module docstring): the start is x0
+    folded to z, its phi2 is not read, and the flat direction psi1 - psi2
+    is never searched.  Stops when the max-coordinate diameter of the
+    simplex drops below _NM_DIAMETER_TOL or after _NM_MAX_ITER iterations.
+    Then phi2 = atan2(c, b) at the best vertex, and the value returned is
+    chsh_objective at the six returned parameters.  Returns (best_value,
+    best_params[6], evaluations), with psi2 = 0.0 in params; evaluations
+    counts the simplex's profile evaluations and that final objective.
     """
-    f = _rotated_objective(tuple(map(float, s)), float(e))
-    psi1, phi1, th1, psi2, phi2, th2 = map(float, x0)
-    y0 = (psi1 + psi2, phi1, th1, phi2, th2)
+    coef = _pauli_coefficients(s, e)
+    g = _azimuth_profile(coef)
+    psi1, phi1, th1, psi2, _, th2 = map(float, x0)
+    z0 = (psi1 + psi2, phi1, th1, th2)
     tol = _NM_DIAMETER_TOL
 
-    # minimize the negated objective; verts/vals stay sorted, ties in age order
-    verts = [y0]
-    for i in range(5):
-        pt = list(y0)
+    # minimize the negated profile; verts/vals stay sorted, ties in age order
+    verts = [z0]
+    for i in range(4):
+        pt = list(z0)
         pt[i] += _NM_STEP
         verts.append(tuple(pt))
-    vals = [-f(pt) for pt in verts]
-    n_eval = 6
+    vals = [-g(pt) for pt in verts]
+    n_eval = 5
     verts, vals = _by_value(verts, vals)
 
     for _ in range(_NM_MAX_ITER):
-        (a0, a1, a2, a3, a4), v1, v2, v3, v4, (w0, w1, w2, w3, w4) = verts
-        for p0, p1, p2, p3, p4 in verts[1:]:
-            if (abs(p0 - a0) >= tol or abs(p1 - a1) >= tol or abs(p2 - a2) >= tol
-                    or abs(p3 - a3) >= tol or abs(p4 - a4) >= tol):
+        (a0, a1, a2, a3), v1, v2, v3, (w0, w1, w2, w3) = verts
+        for p0, p1, p2, p3 in verts[1:]:
+            if abs(p0 - a0) >= tol or abs(p1 - a1) >= tol or abs(p2 - a2) >= tol or abs(p3 - a3) >= tol:
                 break
         else:
             break  # every vertex within tol of the best, coordinate by coordinate
 
         # centroid of all but the worst, added in vertex order as sum() adds
-        m0 = (a0 + v1[0] + v2[0] + v3[0] + v4[0]) / 5
-        m1 = (a1 + v1[1] + v2[1] + v3[1] + v4[1]) / 5
-        m2 = (a2 + v1[2] + v2[2] + v3[2] + v4[2]) / 5
-        m3 = (a3 + v1[3] + v2[3] + v3[3] + v4[3]) / 5
-        m4 = (a4 + v1[4] + v2[4] + v3[4] + v4[4]) / 5
-        d0, d1, d2, d3, d4 = m0 - w0, m1 - w1, m2 - w2, m3 - w3, m4 - w4
-        xr = (m0 + d0, m1 + d1, m2 + d2, m3 + d3, m4 + d4)
-        gr = -f(xr)
+        m0 = (a0 + v1[0] + v2[0] + v3[0]) / 4
+        m1 = (a1 + v1[1] + v2[1] + v3[1]) / 4
+        m2 = (a2 + v1[2] + v2[2] + v3[2]) / 4
+        m3 = (a3 + v1[3] + v2[3] + v3[3]) / 4
+        d0, d1, d2, d3 = m0 - w0, m1 - w1, m2 - w2, m3 - w3
+        xr = (m0 + d0, m1 + d1, m2 + d2, m3 + d3)
+        gr = -g(xr)
         n_eval += 1
 
-        if vals[0] <= gr < vals[4]:
+        if vals[0] <= gr < vals[3]:
             x_new, g_new = xr, gr
         elif gr < vals[0]:
             t = _NM_EXPAND
-            xe = (m0 + t * d0, m1 + t * d1, m2 + t * d2, m3 + t * d3, m4 + t * d4)
-            ge = -f(xe)
+            xe = (m0 + t * d0, m1 + t * d1, m2 + t * d2, m3 + t * d3)
+            ge = -g(xe)
             n_eval += 1
             x_new, g_new = (xe, ge) if ge < gr else (xr, gr)
         else:
             t = _NM_CONTRACT
-            if gr < vals[5]:
-                r0, r1, r2, r3, r4 = xr
-                xc = (m0 + t * (r0 - m0), m1 + t * (r1 - m1), m2 + t * (r2 - m2),
-                      m3 + t * (r3 - m3), m4 + t * (r4 - m4))
+            if gr < vals[4]:
+                r0, r1, r2, r3 = xr
+                xc = (m0 + t * (r0 - m0), m1 + t * (r1 - m1), m2 + t * (r2 - m2), m3 + t * (r3 - m3))
             else:
-                xc = (m0 - t * d0, m1 - t * d1, m2 - t * d2, m3 - t * d3, m4 - t * d4)
-            gc = -f(xc)
+                xc = (m0 - t * d0, m1 - t * d1, m2 - t * d2, m3 - t * d3)
+            gc = -g(xc)
             n_eval += 1
-            if gc < min(gr, vals[5]):
+            if gc < min(gr, vals[4]):
                 x_new, g_new = xc, gc
             else:
                 t = _NM_SHRINK
                 shrunk = [
-                    (a0 + t * (p0 - a0), a1 + t * (p1 - a1), a2 + t * (p2 - a2),
-                     a3 + t * (p3 - a3), a4 + t * (p4 - a4))
-                    for p0, p1, p2, p3, p4 in verts[1:]
+                    (a0 + t * (p0 - a0), a1 + t * (p1 - a1), a2 + t * (p2 - a2), a3 + t * (p3 - a3))
+                    for p0, p1, p2, p3 in verts[1:]
                 ]
-                verts, vals = _by_value([verts[0], *shrunk], [vals[0], *(-f(pt) for pt in shrunk)])
-                n_eval += 5
+                verts, vals = _by_value([verts[0], *shrunk], [vals[0], *(-g(pt) for pt in shrunk)])
+                n_eval += 4
                 continue
 
         # the replaced worst vertex goes after every vertex it ties with
-        del verts[5], vals[5]
+        del verts[4], vals[4]
         k = bisect_right(vals, g_new)
         verts.insert(k, x_new)
         vals.insert(k, g_new)
 
-    y0, y1, y2, y3, y4 = verts[0]
-    return -vals[0], [y0, y1, y2, 0.0, y3, y4], n_eval
+    psi, phi1, th1, th2 = verts[0]
+    _, b, c = g(verts[0], terms=True)
+    phi2 = atan2(c, b)
+    value = _rotated_objective(coef)((psi, phi1, th1, phi2, th2))
+    return value, [psi, phi1, th1, 0.0, phi2, th2], n_eval + 1
 
 
 def _proj_cone(y0, y1, y2, y3):

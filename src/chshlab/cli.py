@@ -82,7 +82,11 @@ _NAMED_AXES = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}
 
 
 def parse_angle(token: str) -> float:
-    """Radians; plain floats or pi expressions like 'pi/2', '0.25pi', '2pi'."""
+    """Radians; plain floats or pi expressions like 'pi/2', '0.25pi', '2pi'.
+
+    A negative zero reads as 0.0 (x + 0.0 is +0.0 for x = -0.0 and x for
+    every other x), so '-0' is not echoed as -0.0.
+    """
     t = token.strip().lower()
     if "deg" in t or t.endswith("d"):
         raise UsageError(f"angle {token!r}: degrees are not accepted, use radians")
@@ -93,9 +97,9 @@ def parse_angle(token: str) -> float:
         den = float(m.group(2)) if m.group(2) else 1.0
         if den == 0.0:
             raise UsageError(f"angle {token!r}: zero denominator")
-        return num * pi / den
+        return num * pi / den + 0.0
     try:
-        return float(t)
+        return float(t) + 0.0
     except ValueError:
         raise UsageError(f"cannot parse angle {token!r}") from None
 

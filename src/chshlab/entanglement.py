@@ -136,9 +136,10 @@ def max_chsh_over_unitaries(
     Multistart Nelder-Mead: `restarts` seeded random starts in the
     6-parameter box, best value wins (ties keep the earliest start).
     The landscape has symmetric local optima, so multistart is mandatory.
-    Deterministic for fixed (restarts, seed).  Each search runs over the
-    five parameters the value depends on (`_kernels.maximize_chsh`), so
-    the returned p2 has psi = 0 and p1's psi carries the pair's sum.
+    Deterministic for fixed (restarts, seed).  Each search walks four
+    coordinates (`_kernels.maximize_chsh`): only psi1 + psi2 enters, so
+    the returned p2 has psi = 0 and p1's psi carries the pair's sum, and
+    Bob's phi is solved exactly from the other four.
     """
     if restarts < 1:
         raise OutOfRangeError(f"restarts must be >= 1, got {restarts}")

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from chshlab import cli, verify
-from chshlab.cli import MAX_GRID_STEPS, Emitter, main
+from chshlab.cli import MAX_GRID_STEPS, Emitter, main, parse_angle
 from chshlab.errors import NonFiniteOutputError
 
 TSIRELSON = 2.8284271247461903
@@ -289,6 +290,11 @@ class TestChsh:
     def test_needs_state_or_max(self, capsys):
         rc, _, err = run(capsys, ["chsh", "--canonical", "0,0"])
         assert rc == 2
+
+    @pytest.mark.parametrize("token", ["-0", "-0.0", "-0pi", "-0pi/2"])
+    def test_negative_zero_angle_reads_as_zero(self, token):
+        angle = parse_angle(token)
+        assert angle == 0.0 and math.copysign(1.0, angle) == 1.0
 
 
 class TestRegion:

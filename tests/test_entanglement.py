@@ -212,6 +212,15 @@ class TestMaximizeOverUnitaries:
         value, (p1, p2) = max_chsh_over_unitaries(0.35, angles, restarts=10, seed=1)
         assert rotated_chsh(0.35, angles, p1, p2) == pytest.approx(value, abs=1e-9)
 
+    def test_matches_closed_form_on_f1_subgrid(self):
+        # every other point of verify f1's 5x5x5 grid, boundary faces included
+        for e in (0.0, 0.25, 0.5):
+            for theta in (0.0, np.pi / 4, np.pi / 2):
+                for phi in (0.0, np.pi / 4, np.pi / 2):
+                    angles = CanonicalAngles(theta=theta, phi=phi)
+                    value, _ = max_chsh_over_unitaries(e, angles, restarts=20)
+                    assert value == pytest.approx(max_chsh_closed_form(e, angles.delta), abs=1e-12)
+
     def test_rejects_bad_restarts(self):
         with pytest.raises(OutOfRangeError):
             max_chsh_over_unitaries(0.3, CanonicalAngles(1.0, 1.0), restarts=0)

@@ -98,8 +98,9 @@ def test_maximize_returns_its_own_value(rng):
         value, best, evals = _kernels.maximize_chsh(s, e, x)
         assert _kernels.chsh_objective(s, e, best) == pytest.approx(value, abs=1e-12)
         assert value >= _kernels.chsh_objective(s, e, x)
-        # the start simplex costs 6 evaluations (n + 1 over the 5 gauge-fixed
-        # parameters), and its 0.5 diameter forces at least one iteration more
+        # 5 start evaluations (n + 1 over the 4 searched coordinates), at
+        # least one iteration (the start simplex has diameter 0.5), and the
+        # final objective at the returned point
         assert evals >= 7
 
 
@@ -120,6 +121,36 @@ def test_objective_sees_only_psi_sum(entries, e, x, alpha):
         _kernels.chsh_objective(s.ravel(), e, x), abs=1e-12
     )
     assert _dense_expectation(s, e, shifted) == pytest.approx(_dense_expectation(s, e, x), abs=1e-12)
+
+
+_PHI2_GRID = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
+
+
+def _along_phi2(s, e, x):
+    return np.array([_kernels.chsh_objective(s, e, [*x[:4], phi2, x[5]]) for phi2 in _PHI2_GRID])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    entries=st.lists(st.floats(-3.0, 3.0), min_size=16, max_size=16),
+    e=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+    x=st.lists(_ANGLE, min_size=6, max_size=6),
+)
+def test_objective_is_first_order_in_phi2(entries, e, x):
+    # along Bob's phi2 the objective is a + b cos phi2 + c sin phi2, so the
+    # profile the simplex climbs, a + hypot(b, c), is its exact maximum there
+    m = np.array(entries).reshape(4, 4)
+    s = ((m + m.T) / 2).ravel()
+    psi1, phi1, th1, psi2, _, th2 = x
+    a, b, c = _kernels._azimuth_profile(_kernels._pauli_coefficients(s, e))(
+        (psi1 + psi2, phi1, th1, th2), terms=True
+    )
+    along = _along_phi2(s, e, x)
+    assert np.max(np.abs(along - (a + b * np.cos(_PHI2_GRID) + c * np.sin(_PHI2_GRID)))) <= 1e-12
+    assert a + np.hypot(b, c) >= np.max(along) - 1e-12
+    # the phi2 maximize_chsh returns tops the grid through its other five parameters
+    value, best, _ = _kernels.maximize_chsh(s, e, x)
+    assert value >= np.max(_along_phi2(s, e, best)) - 1e-12
 
 
 def test_maximize_fixes_bobs_psi(rng):
