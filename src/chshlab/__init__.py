@@ -14,7 +14,6 @@ from .chsh import (
     chsh_from_table,
     chsh_operator,
     chsh_value,
-    commutator_tensor,
     correlators_from_table,
     landau_bound,
     max_over_states,
@@ -68,6 +67,7 @@ from .measurement import (
     BinaryPovm,
     ChshSetting,
     bloch_observable,
+    commutator_tensor,
     incompatibility_degree,
     noisy_family_povms,
     noisy_pauli_povm,

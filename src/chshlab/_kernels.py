@@ -19,19 +19,20 @@ Of the six unitary parameters the objective sees five.  U(psi, phi, theta)
 = U(0, phi, theta) diag(e^{i psi/2}, e^{-i psi/2}), and on the Schmidt state
 the two diagonal factors give e^{i(psi1+psi2)/2} sqrt(E)|00> +
 e^{-i(psi1+psi2)/2} sqrt(1-E)|11>: only psi1 + psi2 enters, for every
-operator S.  So the objective takes y = (psi1 + psi2, phi1, theta1, phi2,
-theta2), with Bob's psi fixed at 0, and the flat direction psi1 - psi2 is
-never walked.
+operator S, so Bob's psi is fixed at 0 and psi1 - psi2 is never walked.
 
 Of those five, the search walks four.  The objective is linear in Bob's
 rotation rows, and each entry of those is linear in (cos phi2, sin phi2) or
 free of phi2, so the objective is a + b cos phi2 + c sin phi2 with a, b, c
-independent of phi2.  Its maximum over phi2 is a + hypot(b, c), reached at
-atan2(c, b) (the structure Rotosolve exploits: Ostaszewski, Grant,
-Benedetti, Quantum 5, 391 (2021)).  The simplex runs over z = (psi1 + psi2, phi1, theta1, theta2) on
-that profile and solves phi2 exactly once at its end.  The search stays
-derivative-free over every local unitary and never uses the closed-form
-maximum, so it remains an independent oracle for it.
+independent of phi2.  That is its one formula: _azimuth_profile gives (a,
+b, c) at z = (psi1 + psi2, phi1, theta1, theta2), and chsh_objective, like
+the value maximize_chsh returns, is a + b cos phi2 + c sin phi2 of them.
+The maximum over phi2 is a + hypot(b, c), reached at atan2(c, b) (the
+structure Rotosolve exploits: Ostaszewski, Grant, Benedetti, Quantum 5,
+391 (2021)), so the simplex climbs that profile over z and solves phi2
+exactly once at its end.  The search stays derivative-free over every
+local unitary and never uses the closed-form maximum, so it remains an
+independent oracle for it.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ _PLATEAU_RTOL = 1e-12
 
 
 def _pauli_coefficients(s, e):
-    """The constants both objectives read, for real 16-float S at entanglement E.
+    """The constants the objective reads, for real 16-float S at entanglement E.
 
     c_mn = tr(S s_m x s_n)/4 with Alice's Pauli first, and K = (c_ij).  For
     real S every coefficient with a single Y vanishes, so c_A, c_B have no y
@@ -78,49 +79,22 @@ def _pauli_coefficients(s, e):
     )
 
 
-def _rotated_objective(coef):
-    """y -> <v|S|v>, v = (U1 x U2)(sqrt(E)|00> + sqrt(1-E)|11>), coef from _pauli_coefficients.
-
-    y = (psi1 + psi2, phi1, theta1, phi2, theta2) stands for U1 = U(psi1 +
-    psi2, phi1, theta1) and U2 = U(0, phi2, theta2), which give the same
-    vector as the six parameters (module docstring).
-
-    U(psi, phi, theta) rotates Bloch vectors by M^T, M = Rz(psi) Ry(theta)
-    Rz(phi).  With p_k, q_k the rows of M1, M2 the value is
-    c_00 + (2E-1)(c_A . p_z + c_B . q_z) + C(p_x.Kq_x - p_y.Kq_y) + p_z.Kq_z.
-    At psi = 0 Bob's rows are (ct cf, -ct sf, st), (sf, cf, 0) and
-    (-st cf, st sf, ct), so his rotation takes four trig calls.
-    """
-    c00, ax, az, bx, bz, conc, kxx, kxz, kzx, kzz, kyy = coef
-
-    def objective(y):
-        psi, phi1, th1, phi2, th2 = y
-        cp, sp, ct, st, cf, sf = cos(psi), sin(psi), cos(th1), sin(th1), cos(phi1), sin(phi1)
-        u, v = cp * ct, sp * ct
-        p0, p1, p2 = u * cf - sp * sf, -u * sf - sp * cf, cp * st
-        p3, p4, p5 = v * cf + cp * sf, cp * cf - v * sf, sp * st
-        p6, p7, p8 = -st * cf, st * sf, ct
-        ct, st, cf, sf = cos(th2), sin(th2), cos(phi2), sin(phi2)
-        q0, q1, q6, q7 = ct * cf, -ct * sf, -st * cf, st * sf  # q2, q3, q4, q5, q8 = st, sf, cf, 0, ct
-        xx = p0 * (kxx * q0 + kxz * st) + kyy * p1 * q1 + p2 * (kzx * q0 + kzz * st)
-        yy = (kxx * p3 + kzx * p5) * sf + kyy * p4 * cf
-        zz = p6 * (kxx * q6 + kxz * ct) + kyy * p7 * q7 + p8 * (kzx * q6 + kzz * ct)
-        return c00 + ax * p6 + az * p8 + bx * q6 + bz * ct + conc * (xx - yy) + zz
-
-    return objective
-
-
 def _azimuth_profile(coef):
     """z -> a + hypot(b, c), the maximum over phi2 of the objective, or (a, b, c) with terms=True.
 
-    z = (psi1 + psi2, phi1, theta1, theta2), and objective(psi, phi1, theta1,
-    phi2, theta2) = a + b cos phi2 + c sin phi2.  Collecting the cos phi2 and
-    sin phi2 terms of _rotated_objective, with Alice's rows p_k as there
-    and ct, st = cos theta2, sin theta2:
+    coef is from _pauli_coefficients, z = (psi1 + psi2, phi1, theta1, theta2).
+    U(psi, phi, theta) rotates Bloch vectors by M^T, M = Rz(psi) Ry(theta)
+    Rz(phi), and U1 = U(psi1 + psi2, phi1, theta1), U2 = U(0, phi2, theta2)
+    give the same vector as the six parameters (module docstring).  With
+    p_k, q_k the rows of M1, M2 the objective is
+      c_00 + (2E-1)(c_A . p_z + c_B . q_z) + C(p_x.Kq_x - p_y.Kq_y) + p_z.Kq_z.
+    Bob's rows are (ct cf, -ct sf, st), (sf, cf, 0) and (-st cf, st sf, ct),
+    with ct, st, cf, sf the cosines and sines of theta2 and phi2.  Collecting
+    their cf and sf terms, the objective is a + b cos phi2 + c sin phi2, with
       a = c_00 + (2E-1)(c_A . p_z + c_0z ct) + C st (p_x.K_z) + ct (p_z.K_z),
       b = C (ct (p_x.K_x) - k_yy p_y,y) - st ((2E-1) c_0x + p_z.K_x),
       c = k_yy p_z,y st - C (k_yy p_x,y ct + p_y.K_x),
-    where K_x, K_z are K's x and z columns.  Six trig calls for Alice's
+    and K_x, K_z are K's x and z columns.  Six trig calls for Alice's
     rotation and two for Bob's theta; the maximum is at phi2 = atan2(c, b).
     """
     c00, ax, az, bx, bz, conc, kxx, kxz, kzx, kzz, kyy = coef
@@ -149,7 +123,8 @@ def chsh_objective(s, e, x):
     enters (module docstring).
     """
     psi1, phi1, th1, psi2, phi2, th2 = map(float, x)
-    return _rotated_objective(_pauli_coefficients(s, e))((psi1 + psi2, phi1, th1, phi2, th2))
+    a, b, c = _azimuth_profile(_pauli_coefficients(s, e))((psi1 + psi2, phi1, th1, th2), terms=True)
+    return a + b * cos(phi2) + c * sin(phi2)
 
 
 def _by_value(verts, vals):
@@ -172,8 +147,7 @@ def maximize_chsh(s, e, x0):
     best_params[6], evaluations), with psi2 = 0.0 in params; evaluations
     counts the simplex's profile evaluations and that final objective.
     """
-    coef = _pauli_coefficients(s, e)
-    g = _azimuth_profile(coef)
+    g = _azimuth_profile(_pauli_coefficients(s, e))
     psi1, phi1, th1, psi2, _, th2 = map(float, x0)
     z0 = (psi1 + psi2, phi1, th1, th2)
     tol = _NM_DIAMETER_TOL
@@ -242,10 +216,9 @@ def maximize_chsh(s, e, x0):
         vals.insert(k, g_new)
 
     psi, phi1, th1, th2 = verts[0]
-    _, b, c = g(verts[0], terms=True)
+    a, b, c = g(verts[0], terms=True)
     phi2 = atan2(c, b)
-    value = _rotated_objective(coef)((psi, phi1, th1, phi2, th2))
-    return value, [psi, phi1, th1, 0.0, phi2, th2], n_eval + 1
+    return a + b * cos(phi2) + c * sin(phi2), [psi, phi1, th1, 0.0, phi2, th2], n_eval + 1
 
 
 def _proj_cone(y0, y1, y2, y3):

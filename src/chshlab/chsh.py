@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError, NotInvolutiveError, OutOfRangeError
-from .linalg import I2, comm, eig_hermitian, kron
-from .measurement import BinaryPovm, ChshSetting
+from .linalg import I2, eig_hermitian, kron
+from .measurement import BinaryPovm, ChshSetting, commutator_tensor
 
 STATE_TOL = 1e-10
 INVOLUTION_TOL = 1e-9
@@ -45,32 +45,20 @@ def chsh_operator(setting: ChshSetting) -> np.ndarray:
     return kron(setting.a0, setting.b0 + setting.b1) + kron(setting.a1, setting.b0 - setting.b1)
 
 
-def commutator_tensor(setting: ChshSetting) -> np.ndarray:
-    """J = ¼ [A1, A0] ⊗ [B0, B1], oriented so S² = 4(I + J) holds entrywise
-    for involutive observables.
-
-    Reversing either commutator flips the sign of J but not its spectrum
-    (a tensor product of two anti-Hermitian factors is Hermitian with a
-    symmetric spectrum), so the top eigenvalue and the norm are
-    orientation-independent.
-    """
-    return 0.25 * kron(comm(setting.a1, setting.a0), comm(setting.b0, setting.b1))
-
-
-def check_state(rho, dim: int = 4, tol: float = STATE_TOL) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, PSD within tol."""
+def check_state(rho) -> np.ndarray:
+    """Validate a 4x4 density matrix: Hermitian, unit trace, PSD within STATE_TOL."""
     a = np.asarray(rho, dtype=complex)
-    if a.shape != (dim, dim):
-        raise InvalidStateError(f"expected a {dim}x{dim} density matrix, got {a.shape}")
+    if a.shape != (4, 4):
+        raise InvalidStateError(f"expected a 4x4 density matrix, got {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidStateError("density matrix has a non-finite entry")
-    if float(abs(a - a.conj().T).max()) > tol:
+    if float(abs(a - a.conj().T).max()) > STATE_TOL:
         raise InvalidStateError("density matrix is not Hermitian")
     trace = a.trace()
-    if abs(trace.real - 1.0) > tol or abs(trace.imag) > tol:
+    if abs(trace.real - 1.0) > STATE_TOL or abs(trace.imag) > STATE_TOL:
         raise InvalidStateError(f"trace {trace} != 1")
     low = eig_hermitian(a, np.inf).eigenvalues[0]  # the defect is measured above
-    if low < -tol:
+    if low < -STATE_TOL:
         raise InvalidStateError(f"negative eigenvalue {low:.3e}")
     return a
 

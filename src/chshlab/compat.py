@@ -98,16 +98,18 @@ def _unbiased_bloch(povm: BinaryPovm) -> np.ndarray:
     return coords[1:]
 
 
+def _busch_total(a: np.ndarray, b: np.ndarray) -> float:
+    """|a+b| + |a-b| of two real 3-vectors."""
+    s, d = a + b, a - b
+    return float(np.sqrt(s.dot(s)) + np.sqrt(d.dot(d)))  # numpy.linalg.norm, bit for bit
+
+
 def busch_criterion(p: BinaryPovm, q: BinaryPovm) -> JmVerdict:
     """Exact compatibility test for unbiased qubit POVMs (I ± a·σ)/2.
 
     The pair is jointly measurable iff |a+b| + |a-b| <= 2.
     """
-    a = _unbiased_bloch(p)
-    b = _unbiased_bloch(q)
-    s, d = a + b, a - b
-    total = float(np.sqrt(s.dot(s)) + np.sqrt(d.dot(d)))  # numpy.linalg.norm, bit for bit
-    margin = 2.0 - total
+    margin = 2.0 - _busch_total(_unbiased_bloch(p), _unbiased_bloch(q))
     status = JmStatus.COMPATIBLE if margin >= 0.0 else JmStatus.INCOMPATIBLE
     return JmVerdict(status=status, margin=margin, method=JmMethod.ANALYTIC_UNBIASED)
 
@@ -201,6 +203,4 @@ def sharpness_threshold(n1, n2) -> float:
     """Critical sharpness λ* = min(1, 2/(|n1+n2| + |n1-n2|)) of the noisy-Pauli
     pair (I ± λ n·σ)/2 along two axes: compatible for λ <= λ*, incompatible
     above (Busch, Phys. Rev. D 33, 2253 (1986)).  1/√2 for orthogonal axes."""
-    a = unit_axis(n1)
-    b = unit_axis(n2)
-    return min(1.0, 2.0 / float(np.linalg.norm(a + b) + np.linalg.norm(a - b)))
+    return min(1.0, 2.0 / _busch_total(unit_axis(n1), unit_axis(n2)))

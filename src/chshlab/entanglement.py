@@ -34,9 +34,15 @@ class SchmidtState:
         return state_from_vector(self.vector)
 
 
-def schmidt_state(e: float) -> SchmidtState:
+def _concurrence(e: float) -> float:
+    """Concurrence 2√(E(1-E)) of the Schmidt state; E must lie in [0, ½]."""
     if not 0.0 <= e <= 0.5:
         raise OutOfRangeError(f"entanglement parameter {e!r} outside [0, 1/2]")
+    return 2.0 * sqrt(e * (1.0 - e))
+
+
+def schmidt_state(e: float) -> SchmidtState:
+    _concurrence(e)  # range check
     vec = np.array([sqrt(e), 0.0, 0.0, sqrt(1.0 - e)], dtype=complex)
     return SchmidtState(e=float(e), vector=vec)
 
@@ -143,7 +149,7 @@ def max_chsh_over_unitaries(
     """
     if restarts < 1:
         raise OutOfRangeError(f"restarts must be >= 1, got {restarts}")
-    schmidt_state(e)  # range check
+    _concurrence(e)  # range check
     s_flat = _kernel_operator(angles)
     rng = np.random.default_rng(seed)
     best_value = -np.inf
@@ -166,11 +172,9 @@ def max_chsh_closed_form(e: float, delta: float) -> float:
     The maximal CHSH expression over local unitaries at entanglement E and
     incompatibility Δ; equals 2√2 at (1/2, 1) and 2 at Δ=0 for every E.
     """
-    if not 0.0 <= e <= 0.5:
-        raise OutOfRangeError(f"entanglement parameter {e!r} outside [0, 1/2]")
+    x = 1.0 - _concurrence(e)
     if not 0.0 <= delta <= 1.0:
         raise OutOfRangeError(f"incompatibility degree {delta!r} outside [0, 1]")
-    x = 1.0 - 2.0 * sqrt(e * (1.0 - e))
     return (2.0 - x) * sqrt(1.0 + delta) + x * sqrt(1.0 - delta)
 
 
@@ -248,9 +252,7 @@ def incompatibility_monotonicity(e: float) -> MonotonicityReport:
     2√(E(1-E)) is the concurrence: increasing for E = 1/2 (Δ* = 1),
     decreasing for E = 0 (Δ* = 0), an interior maximum in between.
     """
-    if not 0.0 <= e <= 0.5:
-        raise OutOfRangeError(f"entanglement parameter {e!r} outside [0, 1/2]")
-    c = 2.0 * sqrt(e * (1.0 - e))
+    c = _concurrence(e)
     d_star = 2.0 * c / (1.0 + c * c)
     if d_star == 1.0:
         return MonotonicityReport(monotone=True, increasing=True, extremum_delta=None)

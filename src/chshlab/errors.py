@@ -22,7 +22,7 @@ class NotUnbiasedError(ChshLabError, ValueError):
 
 
 class InvalidToleranceError(ChshLabError, ValueError):
-    """Non-positive or non-finite tolerance, or non-positive iteration budget."""
+    """Non-positive or non-finite tolerance."""
 
 
 class NotInvolutiveError(ChshLabError, ValueError):

@@ -13,12 +13,12 @@ Callers do not symmetrize first: `hermitize`, `is_psd` and
 `operator_norm` pass `tol=inf`, so they accept any finite square input
 and see its Hermitian part.
 
-Some constructors write matrices that are Hermitian by construction and
-skip `hermitize`: `measurement.bloch_observable`, `from_pauli_coords` and
-`noisy_pauli_povm` set the entries (i, j) and (j, i) as complex
-conjugates, with real diagonals.  `noisy_pauli_povm` checks E+ through
-`is_psd`; its E- = I - E+ shares that spectrum, so it gets no second
-eigensolve.  `BinaryPovm.from_effect` still checks both effects.
+Two constructors write matrices that are Hermitian by construction and
+skip `hermitize`: `measurement.bloch_observable`, and
+`measurement._from_pauli_coords` behind `from_pauli_coords` and the E+ of
+`noisy_pauli_povm`.  Both set the entries (i, j) and (j, i) as complex
+conjugates, with real diagonals.  `noisy_pauli_povm` checks only E+
+through `is_psd` (its docstring says why); `from_effect` checks both.
 """
 
 from __future__ import annotations

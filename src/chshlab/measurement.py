@@ -57,19 +57,23 @@ def pauli_coords(m) -> np.ndarray:
     )
 
 
-def from_pauli_coords(c) -> np.ndarray:
+def _from_pauli_coords(c0: float, c1: float, c2: float, c3: float) -> np.ndarray:
     """(c0·I + c1·σx + c2·σy + c3·σz)/2, written entry by entry.
 
     Equal to that sum bit for bit when c0 > 0; otherwise up to the sign of
     a zero entry.
     """
-    c0, c1, c2, c3 = np.asarray(c, dtype=float).reshape(4).tolist()
     return np.array(
         [
             [complex((c0 + c3) / 2, 0.0), complex((0.0 + c1) / 2, (0.0 - c2) / 2)],
             [complex((0.0 + c1) / 2, (0.0 + c2) / 2), complex((c0 - c3) / 2, 0.0)],
         ]
     )
+
+
+def from_pauli_coords(c) -> np.ndarray:
+    """(c0·I + c1·σx + c2·σy + c3·σz)/2 for c = (c0, c1, c2, c3); see _from_pauli_coords."""
+    return _from_pauli_coords(*np.asarray(c, dtype=float).reshape(4).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,12 +116,11 @@ class BinaryPovm:
 def noisy_pauli_povm(axis, lam: float) -> BinaryPovm:
     """Noisy Pauli POVM with effects (I ± λ n·σ)/2.
 
-    E+ = [[1 + λn_z, λn_x - iλn_y], [λn_x + iλn_y, 1 - λn_z]]/2 is written
-    entry by entry: it is Hermitian by construction, so it skips
-    from_effect's symmetrization.  Each entry equals the one
-    hermitize((I + λ·bloch_observable(n))/2) gives, bit for bit; only where
-    λn_k/2 underflows to zero may the sign of that zero differ.  coords are
-    written from the same entries, as pauli_coords would read them back.
+    E+ is from_pauli_coords((1, λn)), written entry by entry and Hermitian
+    by construction, so it skips from_effect's symmetrization.  Each entry
+    equals the one hermitize((I + λ·bloch_observable(n))/2) gives, bit for
+    bit; only where λn_k/2 underflows to zero may the sign of that zero
+    differ.  coords are read back from those entries by pauli_coords.
 
     Only E+ goes through the PSD check.  tr E+ = 1, so E- = I - E+ has the
     eigenvalues 1 - (1 ± λ|n|)/2 = (1 ∓ λ|n|)/2 of E+, and E- ≥ 0 ⇔ E+ ≥ 0
@@ -128,17 +131,10 @@ def noisy_pauli_povm(axis, lam: float) -> BinaryPovm:
     if not 0.0 <= lam <= 1.0:
         raise OutOfRangeError(f"sharpness λ={lam!r} outside [0, 1]")
     n0, n1, n2 = unit_axis(axis).tolist()
-    d0, d1 = (1.0 + lam * n2) / 2, (1.0 - lam * n2) / 2
-    re, im = (0.0 + lam * n0) / 2, (0.0 + lam * n1) / 2
-    e_plus = np.array([[complex(d0, 0.0), complex(re, 0.0 - im)], [complex(re, im), complex(d1, 0.0)]])
+    e_plus = _from_pauli_coords(1.0, lam * n0, lam * n1, lam * n2)
     if not is_psd(e_plus, PSD_TOL):
         raise OutOfRangeError(_BELOW_PSD_TOL)
-    return BinaryPovm(
-        effect_plus=e_plus,
-        effect_minus=I2 - e_plus,
-        coords=np.array([d0 + d1, re + re, im + im, d0 - d1]),
-        sharpness=lam,
-    )
+    return BinaryPovm(effect_plus=e_plus, effect_minus=I2 - e_plus, coords=pauli_coords(e_plus), sharpness=lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,12 +175,23 @@ def noisy_family_povms(lam: float) -> tuple[BinaryPovm, BinaryPovm, BinaryPovm, 
     )
 
 
+def commutator_tensor(setting: ChshSetting) -> np.ndarray:
+    """J = ¼ [A1, A0] ⊗ [B0, B1], oriented so S² = 4(I + J) holds entrywise
+    for involutive observables.
+
+    Reversing either commutator flips the sign of J but not its spectrum
+    (a tensor product of two anti-Hermitian factors is Hermitian with a
+    symmetric spectrum), so the top eigenvalue and the norm are
+    orientation-independent.
+    """
+    return 0.25 * kron(comm(setting.a1, setting.a0), comm(setting.b0, setting.b1))
+
+
 def incompatibility_degree(setting: ChshSetting) -> float:
-    """Δ = ¼‖[A0,A1] ⊗ [B0,B1]‖, zero iff either party's pair commutes.
+    """Δ = ‖J‖ = ¼‖[A0,A1] ⊗ [B0,B1]‖, zero iff either party's pair commutes.
 
     Computed from the explicit 4x4 tensor product so the definition applies
     to non-projective observables too; the factorized form ¼‖[A0,A1]‖·‖[B0,B1]‖
     is only used as a test oracle.
     """
-    j4 = kron(comm(setting.a0, setting.a1), comm(setting.b0, setting.b1))
-    return 0.25 * operator_norm(j4)
+    return operator_norm(commutator_tensor(setting))

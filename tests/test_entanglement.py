@@ -31,6 +31,22 @@ TSIRELSON = 2.8284271247461903
 IDENTITY_PARAMS = UnitaryParams(0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("e", [-1e-9, 0.5 + 1e-9, float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        schmidt_state,
+        lambda e: max_chsh_closed_form(e, 0.5),
+        incompatibility_monotonicity,
+        lambda e: max_chsh_over_unitaries(e, CanonicalAngles(theta=1.0, phi=1.0), restarts=1),
+    ],
+    ids=["schmidt_state", "max_chsh_closed_form", "incompatibility_monotonicity", "max_chsh_over_unitaries"],
+)
+def test_every_entry_point_refuses_e_outside_range(entry, e):
+    with pytest.raises(OutOfRangeError, match=r"^entanglement parameter .* outside \[0, 1/2\]$"):
+        entry(e)
+
+
 class TestSchmidtState:
     def test_maximally_entangled(self):
         state = schmidt_state(0.5)
