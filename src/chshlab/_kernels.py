@@ -257,7 +257,7 @@ def dykstra_feasibility(m, n, x0, tol, max_iter):
     c3 = m3 + n3
     x = list(map(float, x0))
     corr = [[0.0, 0.0, 0.0, 0.0] for _ in range(4)]
-    hist = [0.0] * _PLATEAU_WINDOW
+    hist = None  # allocated once a run outlasts its first iteration; most do not
     res = float("inf")
 
     for it in range(1, int(max_iter) + 1):
@@ -300,6 +300,8 @@ def dykstra_feasibility(m, n, x0, tol, max_iter):
 
         if res <= tol:
             return x, res, it, False
+        if hist is None:
+            hist = [0.0] * _PLATEAU_WINDOW
         slot = it % _PLATEAU_WINDOW
         if it > _PLATEAU_WINDOW:
             prev = hist[slot]

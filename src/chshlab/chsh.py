@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStateError, NotInvolutiveError, OutOfRangeError
+from .errors import InvalidStateError, NotHermitianError, NotInvolutiveError, OutOfRangeError
 from .linalg import I2, eig_hermitian, kron
 from .measurement import BinaryPovm, ChshSetting, commutator_tensor
 
@@ -46,18 +46,27 @@ def chsh_operator(setting: ChshSetting) -> np.ndarray:
 
 
 def check_state(rho) -> np.ndarray:
-    """Validate a 4x4 density matrix: Hermitian, unit trace, PSD within STATE_TOL."""
+    """Validate a 4x4 density matrix: Hermitian, unit trace, PSD within STATE_TOL.
+
+    Checks run in a fixed order, and the first failure is the one refused:
+    shape, a non-finite entry, an entry large enough to overflow, the
+    Hermiticity defect, the trace, the lowest eigenvalue.  The three middle
+    checks are `eig_hermitian`'s own validation, so one eigenvalue-only call
+    validates the matrix and yields its spectrum.
+    """
     a = np.asarray(rho, dtype=complex)
     if a.shape != (4, 4):
         raise InvalidStateError(f"expected a 4x4 density matrix, got {a.shape}")
-    if not np.isfinite(a).all():
-        raise InvalidStateError("density matrix has a non-finite entry")
-    if float(abs(a - a.conj().T).max()) > STATE_TOL:
-        raise InvalidStateError("density matrix is not Hermitian")
-    trace = a.trace()
+    try:
+        vals = eig_hermitian(a, STATE_TOL, vectors=False).eigenvalues
+    except NotHermitianError as exc:
+        reason = str(exc) if exc.defect is None else "matrix is not Hermitian"
+        raise InvalidStateError(f"density {reason}") from None
+    low = float(vals[0])
+    with np.errstate(over="ignore"):  # a bounded diagonal may still sum to inf
+        trace = a.trace()
     if abs(trace.real - 1.0) > STATE_TOL or abs(trace.imag) > STATE_TOL:
         raise InvalidStateError(f"trace {trace} != 1")
-    low = eig_hermitian(a, np.inf).eigenvalues[0]  # the defect is measured above
     if low < -STATE_TOL:
         raise InvalidStateError(f"negative eigenvalue {low:.3e}")
     return a

@@ -21,7 +21,7 @@ import numpy as np
 from . import _kernels
 from .errors import InvalidToleranceError, NotUnbiasedError
 from .linalg import I2
-from .measurement import BinaryPovm, from_pauli_coords, unit_axis
+from .measurement import BinaryPovm, _from_pauli_coords, unit_axis
 
 UNBIASED_TOL = 1e-9
 DEFAULT_TOL = 1e-9
@@ -101,7 +101,7 @@ def _unbiased_bloch(povm: BinaryPovm) -> np.ndarray:
 def _busch_total(a: np.ndarray, b: np.ndarray) -> float:
     """|a+b| + |a-b| of two real 3-vectors."""
     s, d = a + b, a - b
-    return float(np.sqrt(s.dot(s)) + np.sqrt(d.dot(d)))  # numpy.linalg.norm, bit for bit
+    return sqrt(s.dot(s)) + sqrt(d.dot(d))  # numpy.linalg.norm, bit for bit
 
 
 def busch_criterion(p: BinaryPovm, q: BinaryPovm) -> JmVerdict:
@@ -174,7 +174,7 @@ def _search_parent(p: BinaryPovm, q: BinaryPovm, tol: float) -> tuple[ParentPovm
     x, residual, _, plateaued = _kernels.dykstra_feasibility(m, n, x0, tol, DYKSTRA_MAX_ITER)
     if residual > tol:
         return None, residual, plateaued
-    g = from_pauli_coords(x)
+    g = _from_pauli_coords(*x)
     m_plus, n_plus = p.effect_plus, q.effect_plus
     return ParentPovm(g, m_plus - g, n_plus - g, I2 - m_plus - n_plus + g, residual), residual, plateaued
 

@@ -6,7 +6,15 @@ class ChshLabError(Exception):
 
 
 class NotHermitianError(ChshLabError, ValueError):
-    """Matrix expected to be Hermitian deviates beyond tolerance."""
+    """Matrix expected to be Hermitian deviates beyond tolerance.
+
+    `defect` is the measured Hermiticity defect max|M - M†| (inf for a
+    non-square M) when that is the reason for the refusal, else None.
+    """
+
+    def __init__(self, message: str, defect: float | None = None):
+        super().__init__(message)
+        self.defect = defect
 
 
 class NonUnitAxisError(ChshLabError, ValueError):

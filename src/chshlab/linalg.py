@@ -1,17 +1,23 @@
 """Dense complex linear algebra for small operators.
 
 Everything in the CHSH scenario lives in dimension 2 or 4 (16 at most).
-Every spectrum goes through one path, numpy's LAPACK Hermitian solver
-(`numpy.linalg.eigh`).  numpy arrays are the universal carrier; matrices
-are row-major complex.
+Every spectrum goes through one path, `eig_hermitian`, on numpy's LAPACK
+Hermitian solvers: `numpy.linalg.eigh` when the caller reads
+eigenvectors, `numpy.linalg.eigvalsh` when it asks for eigenvalues only
+(`vectors=False`).  `is_psd`, `operator_norm` and `chsh.check_state`
+read eigenvalues only; `chsh.landau_bound` and `chsh.max_over_states`
+take the full `eigh` solve.  numpy arrays are the universal carrier;
+matrices are row-major complex.
 
 Validation happens in one place, `_with_adjoint`.  `eig_hermitian`
-converts its input once, refuses a non-finite entry before any
-arithmetic and a non-square one at any `tol`, measures the Hermiticity
-defect once against a finite `tol`, and hands (M + M†)/2 to the solver.
-Callers do not symmetrize first: `hermitize`, `is_psd` and
-`operator_norm` pass `tol=inf`, so they accept any finite square input
-and see its Hermitian part.
+converts its input once and, before any arithmetic, refuses a
+non-finite entry and an entry so large that M + M† or |M - M†| would
+overflow (one reduction, the largest modulus, finds both).  It refuses a
+non-square input at any `tol`, measures the Hermiticity defect once
+against a finite `tol`, and hands (M + M†)/2 to the solver.  Callers do
+not symmetrize or check first: `hermitize`, `is_psd` and
+`operator_norm` pass `tol=inf`, so they accept any bounded square input
+and see its Hermitian part, and `chsh.check_state` passes its own tol.
 
 Two constructors write matrices that are Hermitian by construction and
 skip `hermitize`: `measurement.bloch_observable`, and
@@ -30,6 +36,9 @@ import numpy as np
 from .errors import NotHermitianError
 
 HERMITICITY_TOL = 1e-10
+# the largest entry modulus for which M + M† and |M - M†| stay finite:
+# each of their entries is at most twice it
+MAX_ENTRY_MODULUS = np.finfo(float).max / 2
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -48,42 +57,49 @@ def as_matrix(m) -> np.ndarray:
 def hermitize(m) -> np.ndarray:
     """Symmetrize (M + M†)/2, absorbing roundoff asymmetry.
 
-    Raises NotHermitianError if M is not square or an entry is not finite.
+    Raises NotHermitianError if M is not square, or an entry is not finite
+    or exceeds MAX_ENTRY_MODULUS.
     """
     a, adj = _with_adjoint(m, np.inf)
     return (a + adj) / 2
 
 
-def _finite_matrix(m) -> np.ndarray:
+def _bounded_matrix(m) -> np.ndarray:
     a = as_matrix(m)
-    # min() over the flags: .all() costs twice as much on a small matrix,
-    # and an empty one has no minimum
-    if a.size and not np.isfinite(a).min():
-        raise NotHermitianError("matrix has a non-finite entry")
+    # one reduction refuses NaN, ±inf and overflow alike: abs() of a complex
+    # entry does not warn, and max() carries a NaN through; an empty matrix
+    # has no maximum
+    if a.size and not abs(a).max() <= MAX_ENTRY_MODULUS:
+        if not np.isfinite(a).all():
+            raise NotHermitianError("matrix has a non-finite entry")
+        raise NotHermitianError(
+            f"matrix entry of modulus {abs(a).max():.3e} would overflow M + M† "
+            f"(limit {MAX_ENTRY_MODULUS:.3e})"
+        )
     return a
 
 
 def _with_adjoint(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(M, M†) for a finite M whose Hermiticity defect is at most tol.
+    """(M, M†) for a bounded M whose Hermiticity defect is at most tol.
 
     A non-square M has defect inf and is refused at every tol, inf included:
     (M + M†)/2 would broadcast a 1×n M to n×n.  So is a 0×0 M, which has
     no spectrum.
     """
-    a = _finite_matrix(m)
+    a = _bounded_matrix(m)
     adj = a.conj().T
     if a.shape == (0, 0):
         raise NotHermitianError(f"matrix of shape {a.shape} is empty")
     if a.shape[0] != a.shape[1]:
         defect = float("inf")
-    elif tol == np.inf:  # every finite square M passes: nothing to measure
+    elif tol == np.inf:  # every bounded square M passes: nothing to measure
         return a, adj
     else:
         defect = float(abs(a - adj).max())
         if defect <= tol:
             return a, adj
     raise NotHermitianError(
-        f"matrix deviates from Hermitian by {defect:.3e} (tol {tol:.1e})"
+        f"matrix deviates from Hermitian by {defect:.3e} (tol {tol:.1e})", defect
     )
 
 
@@ -105,25 +121,35 @@ def comm(a, b) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues sorted ascending with matching orthonormal columns.
+
+    eigenvectors is None for an eigenvalue-only solve
+    (`eig_hermitian(..., vectors=False)`), which `is_psd`, `operator_norm`
+    and `chsh.check_state` ask for; `projector` needs the full solve.
     Compared and hashed by identity: its fields are arrays."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
 
     def projector(self, index: int) -> np.ndarray:
         v = self.eigenvectors[:, index].reshape(-1, 1)
         return v @ v.conj().T
 
 
-def eig_hermitian(m, tol: float = HERMITICITY_TOL) -> Spectrum:
-    """Full spectrum of a Hermitian matrix, eigenvalues ascending.
+def eig_hermitian(m, tol: float = HERMITICITY_TOL, *, vectors: bool = True) -> Spectrum:
+    """Spectrum of a Hermitian matrix, eigenvalues ascending.
 
-    Raises NotHermitianError if an entry is not finite or the asymmetry
-    exceeds `tol`.  The spectrum is that of (M + M†)/2.
+    Raises NotHermitianError if an entry is not finite, an entry's modulus
+    exceeds MAX_ENTRY_MODULUS, or the asymmetry exceeds `tol`; that check
+    (`_with_adjoint`) is the only validation, so a caller need not repeat
+    it.  The spectrum is that of (M + M†)/2: `numpy.linalg.eigh` of it,
+    or `numpy.linalg.eigvalsh` with eigenvectors None when `vectors` is
+    False.
     """
     a, adj = _with_adjoint(m, tol)
     h = a + adj
     h /= 2
+    if not vectors:
+        return Spectrum(eigenvalues=np.linalg.eigvalsh(h), eigenvectors=None)
     vals, vecs = np.linalg.eigh(h)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
@@ -131,16 +157,17 @@ def eig_hermitian(m, tol: float = HERMITICITY_TOL) -> Spectrum:
 def operator_norm(m) -> float:
     """Largest singular value; equals max |eigenvalue| for Hermitian input.
 
-    Finiteness is checked once, on M†M: a non-finite entry of M leaves a
-    non-finite entry on its diagonal, and so does an overflow.
+    Validation happens once, on M†M: a non-finite entry of M leaves a
+    non-finite entry on its diagonal, and so does an overflow; a finite
+    M†M too large to symmetrize is refused as such.
     """
     a = as_matrix(m)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
         gram = a.conj().T @ a
-    top = eig_hermitian(gram, np.inf).eigenvalues[-1]
+    top = eig_hermitian(gram, np.inf, vectors=False).eigenvalues[-1]
     return float(np.sqrt(max(top, 0.0)))
 
 
 def is_psd(m, tol: float = 1e-12) -> bool:
     """The Hermitian part (M + M†)/2 is PSD within tolerance."""
-    return bool(eig_hermitian(m, np.inf).eigenvalues[0] >= -tol)
+    return bool(eig_hermitian(m, np.inf, vectors=False).eigenvalues[0] >= -tol)

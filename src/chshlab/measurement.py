@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -21,7 +22,7 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 def unit_axis(v) -> np.ndarray:
     """Validate a Bloch direction; must have unit Euclidean norm."""
     a = np.asarray(v, dtype=float).reshape(3)
-    norm = float(np.sqrt(a.dot(a)))  # numpy.linalg.norm of a real vector, bit for bit
+    norm = sqrt(a.dot(a))  # numpy.linalg.norm of a real vector, bit for bit
     if not abs(norm - 1.0) <= UNIT_AXIS_TOL:  # a NaN norm fails this too
         raise NonUnitAxisError(f"axis norm {norm!r} deviates from 1 beyond {UNIT_AXIS_TOL:.0e}")
     return a

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from chshlab.chsh import (
     born_table,
+    check_state,
     chsh_from_table,
     chsh_operator,
     chsh_value,
@@ -160,6 +161,72 @@ class TestChshValue:
         bad[1, 2] = entry  # NaN fails every comparison, so Hermiticity and trace pass
         with pytest.raises(InvalidStateError, match="non-finite"):
             chsh_value(OPTIMAL, bad)
+
+
+def _state(entries=(), diagonal=(0.25, 0.25, 0.25, 0.25)):
+    rho = np.diag(np.array(diagonal, dtype=complex))
+    for where, value in entries:
+        rho[where] = value
+    return rho
+
+
+class TestCheckStateRefusals:
+    """Each refusal with its class and exact text; the first failing check,
+    in the order shape, non-finite, overflow, Hermiticity, trace, lowest
+    eigenvalue, is the one reported."""
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (np.eye(3) / 3, "expected a 4x4 density matrix, got (3, 3)"),
+            (_state([((1, 2), np.nan)]), "density matrix has a non-finite entry"),
+            (_state([((1, 2), -np.inf)]), "density matrix has a non-finite entry"),
+            (
+                _state([((0, 1), 1e308 + 1e308j), ((1, 0), 1e308 - 1e308j)]),
+                "density matrix entry of modulus 1.414e+308 would overflow M + M† (limit 8.988e+307)",
+            ),
+            (_state([((0, 1), 0.3)]), "density matrix is not Hermitian"),
+            (np.eye(4), "trace (4+0j) != 1"),
+            # each diagonal entry is Hermitian within STATE_TOL, their sum is not real
+            (_state(diagonal=(0.25 + 4e-11j,) * 4), "trace (1+1.6e-10j) != 1"),
+            (_state(diagonal=(1.5, -0.5, 0.0, 0.0)), "negative eigenvalue -5.000e-01"),
+            # the diagonal sums past the float range: refused without a warning
+            (_state(diagonal=(8e307, 8e307, 8e307, 8e307)), "trace (inf+0j) != 1"),
+        ],
+        ids=["shape", "nan", "inf", "overflow", "hermiticity", "trace", "trace-imag", "negative", "trace-overflow"],
+    )
+    def test_refusal(self, rho, message):
+        with pytest.raises(InvalidStateError) as exc:
+            check_state(rho)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (np.full((3, 3), np.nan), "expected a 4x4 density matrix, got (3, 3)"),
+            (_state([((1, 2), np.nan), ((0, 1), 0.3)]), "density matrix has a non-finite entry"),
+            (
+                _state([((1, 2), np.nan), ((0, 1), 1e308)]),
+                "density matrix has a non-finite entry",
+            ),
+            (
+                _state([((0, 1), 1e308)]),  # not Hermitian either
+                "density matrix entry of modulus 1.000e+308 would overflow M + M† (limit 8.988e+307)",
+            ),
+            (_state([((0, 1), 0.3)], diagonal=(1.0, 1.0, 1.0, 1.0)), "density matrix is not Hermitian"),
+            (_state(diagonal=(2.0, -0.5, 0.0, 0.0)), "trace (1.5+0j) != 1"),
+        ],
+        ids=["shape-nan", "nan-hermiticity", "nan-overflow", "overflow-hermiticity", "hermiticity-trace", "trace-negative"],
+    )
+    def test_first_failure_wins(self, rho, message):
+        with pytest.raises(InvalidStateError) as exc:
+            check_state(rho)
+        assert str(exc.value) == message
+
+    def test_accepts_within_tolerance(self):
+        rho = _state([((0, 1), 1e-11)], diagonal=(0.25, 0.25, 0.25 + 5e-11, 0.25 - 5e-11))
+        assert check_state(rho) is not None
+        assert check_state(PHI_PLUS).tolist() == PHI_PLUS.tolist()
 
 
 class TestBornTable:

@@ -274,6 +274,33 @@ class TestChsh:
         assert rc == 2 and out == ""
         assert json.loads(err)["code"] == "invalid_state"
 
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            ([1e308, 1e308], [1e308, -1e308]),
+            ([1e308, 0.0], [-1e308, 0.0]),
+            ([1.5e308, 1.5e308], [1.5e308, -1.5e308]),  # finite parts, modulus inf
+        ],
+        ids=["hermitian", "anti-hermitian", "modulus-inf"],
+    )
+    @pytest.mark.parametrize("command", ["chsh", "sample"])
+    def test_overflowing_state_entry(self, capsys, tmp_path, command, pair):
+        # ρ01 + ρ10* (Hermitian pair) or ρ01 - ρ10* (anti-Hermitian pair)
+        # overflows: refused before any arithmetic, where eigh used to raise
+        # LinAlgError or numpy to warn before the refusal
+        entries = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        entries[0][1], entries[1][0] = pair
+        state = write_state(tmp_path / "rho.json", entries)
+        argv = [command, "--canonical=pi/4,pi/2", f"--state={state}"]
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["code"] == "invalid_state" and "would overflow" in doc["message"]
+        if command == "chsh":
+            proc = run_process(argv)  # the whole process writes one line, no warning
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert len(proc.stderr.splitlines()) == 1 and json.loads(proc.stderr) == doc
+
     def test_degrees_rejected(self, capsys):
         rc, _, err = run(capsys, ["chsh", "--canonical", "90deg,90deg", "--max"])
         assert rc == 2

@@ -197,3 +197,43 @@ def test_dykstra_feasible_point_within_tolerance(rng):
         x = np.asarray(x)
         for block in (x, m - x, n - x, x - (m + n - e4)):
             assert min_eig(block) >= -1e-9
+
+
+def _dykstra_from_midpoint(m, n, tol, max_iter):
+    x0 = [(a + b) / 2.0 for a, b in zip(m, n)]
+    x0[0] -= 0.5
+    return _kernels.dykstra_feasibility(m, n, x0, tol, max_iter)
+
+
+_NOISY_Z_HALF = [1.0, 0.0, 0.0, 0.5]
+_THIN_PLUS_X = [0.6, 0.6, 0.0, 0.0]  # 0.6·|+x><+x|
+
+
+@pytest.mark.parametrize(
+    "m, n, tol, max_iter, expected",
+    [
+        # z/x noisy Paulis at λ = ½: the midpoint is feasible
+        (_NOISY_Z_HALF, [1.0, 0.5, 0.0, 0.0], 1e-9, 200_000, ([0.5, 0.25, 0.0, 0.25], 0.0, 1, False)),
+        # z/x at λ = 0.8, incompatible: the residual plateaus
+        (
+            [1.0, 0.0, 0.0, 0.8], [1.0, 0.8, 0.0, 0.0], 1e-9, 200_000,
+            ([0.5000000000000036, 0.44644660940672354, 0.0, 0.4464466094067241], 0.06568542494923452, 593, True),
+        ),
+        # a thin feasible set: 0.6·|+x><+x| against noisy z at λ = ½ converges
+        # slowly, past many turns of the plateau window
+        (
+            _THIN_PLUS_X, _NOISY_Z_HALF, 1e-4, 200_000,
+            ([0.2999500011888465, 0.30005001444964935, 0.0, 0.00774648016311924], 9.999659544210338e-05, 16135, False),
+        ),
+        # the same pair at a tighter tol, cut off by max_iter
+        (
+            _THIN_PLUS_X, _NOISY_Z_HALF, 1e-9, 1000,
+            ([0.29968091700279476, 0.30031965660509935, 0.0, 0.01957660325482269], 0.0006380611769951916, 1000, False),
+        ),
+    ],
+    ids=["one-iteration", "plateau", "thin-set", "max-iter"],
+)
+def test_dykstra_runs_are_pinned(m, n, tol, max_iter, expected):
+    # recorded while the plateau history was still allocated up front, and
+    # compared by repr, which tells every bit apart, signed zeros included
+    assert repr(_dykstra_from_midpoint(m, n, tol, max_iter)) == repr(expected)

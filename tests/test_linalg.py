@@ -1,9 +1,9 @@
 """Kronecker products, the LAPACK-backed eigensolver and operator norms.
 
-eig_hermitian wraps numpy.linalg.eigh, so comparing it with
-numpy.linalg.eigvalsh checks the wrapper (validation, hermitizing,
-ascending order); the eigenpair-residual and reconstruction tests check
-the eigenvectors without any solver.
+eig_hermitian wraps numpy.linalg.eigh, or numpy.linalg.eigvalsh for an
+eigenvalue-only solve, so comparing it with numpy checks the wrapper
+(validation, hermitizing, ascending order); the eigenpair-residual and
+reconstruction tests check the eigenvectors without any solver.
 """
 
 import numpy as np
@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chshlab.compat import _busch_total
 from chshlab.linalg import (
     HERMITICITY_TOL,
     I2,
+    MAX_ENTRY_MODULUS,
     SX,
     SY,
     SZ,
@@ -23,8 +25,8 @@ from chshlab.linalg import (
     kron,
     operator_norm,
 )
-from chshlab.errors import ChshLabError, NotHermitianError
-from chshlab.measurement import BinaryPovm
+from chshlab.errors import ChshLabError, NonUnitAxisError, NotHermitianError
+from chshlab.measurement import BinaryPovm, unit_axis
 
 from conftest import random_hermitian
 
@@ -198,9 +200,42 @@ class TestLeanPathMatchesNumpy:
     @given(_near_hermitian())
     def test_eig_hermitian_is_eigh_of_hermitian_part(self, m):
         vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-        spec = eig_hermitian(m)
-        assert _same_bits(spec.eigenvalues, vals)
-        assert _same_bits(spec.eigenvectors, vecs)
+        for spec in (eig_hermitian(m), eig_hermitian(m, vectors=True)):
+            assert _same_bits(spec.eigenvalues, vals)
+            assert _same_bits(spec.eigenvectors, vecs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_near_hermitian(), st.sampled_from([HERMITICITY_TOL, np.inf]))
+    def test_eigenvalue_only_is_eigvalsh_of_hermitian_part(self, m, tol):
+        spec = eig_hermitian(m, tol, vectors=False)
+        assert _same_bits(spec.eigenvalues, np.linalg.eigvalsh((m + m.conj().T) / 2))
+        assert spec.eigenvectors is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_entry, min_size=6, max_size=6))
+    def test_busch_total_is_numpy_norm(self, entries):
+        a, b = np.array(entries[:3]), np.array(entries[3:])
+        total = _busch_total(a, b)
+        assert type(total) is float
+        assert total == np.linalg.norm(a + b) + np.linalg.norm(a - b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3),
+        st.lists(st.floats(-1e-6, 1e-6), min_size=3, max_size=3),
+    )
+    def test_unit_axis_norm_is_numpy_norm(self, entries, jitter):
+        # a near-unit vector, drawn to land on both sides of UNIT_AXIS_TOL;
+        # the refusal quotes the norm, so both branches show its bits
+        v = np.array(entries)
+        for w in (v / np.linalg.norm(v) + np.array(jitter), v):
+            norm = float(np.linalg.norm(w))
+            try:
+                assert _same_bits(unit_axis(w), w)
+            except NonUnitAxisError as exc:
+                assert str(exc).startswith(f"axis norm {norm!r} deviates from 1")
+            else:
+                assert abs(norm - 1.0) <= 1e-9
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -227,6 +262,49 @@ class TestErrorParity:
         with pytest.raises(NotHermitianError) as exc:
             fn(m)
         assert str(exc.value) == "matrix has a non-finite entry"
+        assert exc.value.defect is None  # only the Hermiticity refusal carries one
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.full((2, 2), 1e308),
+            np.array([[0.0, 1e308], [-1e308, 0.0]]),  # anti-Hermitian: |M - M†| overflows
+            np.array([[0.25, 1e308 + 1e308j], [1e308 - 1e308j, 0.25]]),  # Hermitian: M + M† overflows
+            # finite parts whose modulus is not: abs() returns inf without a warning
+            np.array([[0.25, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.25]]),
+        ],
+        ids=["constant", "anti-hermitian", "hermitian", "modulus-inf"],
+    )
+    @pytest.mark.parametrize(
+        "fn",
+        [hermitize, is_psd, eig_hermitian, lambda m: eig_hermitian(m, np.inf, vectors=False)],
+        ids=["hermitize", "is_psd", "eig_hermitian", "eigenvalues-only"],
+    )
+    def test_overflow_refused(self, fn, m):
+        # refused before any arithmetic: numpy used to warn and return NaN
+        with pytest.raises(NotHermitianError) as exc:
+            fn(m)
+        top = np.abs(m).max()
+        assert str(exc.value) == (
+            f"matrix entry of modulus {top:.3e} would overflow M + M† (limit 8.988e+307)"
+        )
+
+    def test_overflow_limit_is_inclusive(self):
+        # at the limit, M + M† and |M - M†| are still finite (warnings are errors)
+        m = np.array([[0.0, MAX_ENTRY_MODULUS], [-MAX_ENTRY_MODULUS, 0.0]])
+        assert hermitize(m).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        with pytest.raises(NotHermitianError) as exc:
+            eig_hermitian(m)
+        assert str(exc.value) == "matrix deviates from Hermitian by 1.798e+308 (tol 1.0e-10)"
+        above = np.nextafter(MAX_ENTRY_MODULUS, np.inf)
+        with pytest.raises(NotHermitianError, match="would overflow"):
+            is_psd(np.array([[above, 0.0], [0.0, 0.0]]))
+
+    def test_non_finite_before_overflow(self):
+        m = np.array([[np.nan, 1e308], [1e308, 0.0]])
+        with pytest.raises(NotHermitianError) as exc:
+            eig_hermitian(m)
+        assert str(exc.value) == "matrix has a non-finite entry"
 
     def test_operator_norm_gram_overflow(self):
         # M is finite but M†M is not: refused like a non-finite entry, where
@@ -239,6 +317,7 @@ class TestErrorParity:
         with pytest.raises(NotHermitianError) as exc:
             eig_hermitian(np.zeros((2, 3)))
         assert str(exc.value) == "matrix deviates from Hermitian by inf (tol 1.0e-10)"
+        assert exc.value.defect == np.inf
 
     @pytest.mark.parametrize("shape", [(1, 2), (1, 3), (2, 1), (3, 1), (2, 3), (3, 2)])
     @pytest.mark.parametrize(
@@ -277,6 +356,7 @@ class TestErrorParity:
         with pytest.raises(NotHermitianError) as exc:
             eig_hermitian(m)
         assert str(exc.value) == "matrix deviates from Hermitian by 1.000e-09 (tol 1.0e-10)"
+        assert exc.value.defect == 1e-9
         # the callers read the Hermitian part instead of refusing
         assert is_psd(m) is False
         assert operator_norm(m) == pytest.approx(1.0, abs=1e-9)
