@@ -50,9 +50,10 @@ def check_state(rho) -> np.ndarray:
 
     Checks run in a fixed order, and the first failure is the one refused:
     shape, a non-finite entry, an entry large enough to overflow, the
-    Hermiticity defect, the trace, the lowest eigenvalue.  The three middle
-    checks are `eig_hermitian`'s own validation, so one eigenvalue-only call
-    validates the matrix and yields its spectrum.
+    Hermiticity defect, a spectrum past the float range, the trace, the
+    lowest eigenvalue.  The four middle checks are `eig_hermitian`'s own,
+    so one eigenvalue-only call validates the matrix and yields its
+    spectrum.
     """
     a = np.asarray(rho, dtype=complex)
     if a.shape != (4, 4):
@@ -139,15 +140,20 @@ def correlators_from_table(table: np.ndarray) -> np.ndarray:
     return t[:, :, 0, 0] - t[:, :, 0, 1] - t[:, :, 1, 0] + t[:, :, 1, 1]
 
 
+def _chsh_combination(e: np.ndarray) -> float:
+    """|E00 + E01 + E10 - E11| of a 2x2 correlator array."""
+    return float(abs(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1]))
+
+
 def chsh_from_table(table: np.ndarray) -> float:
     """|E00 + E01 + E10 - E11| assembled from a Born table."""
-    e = correlators_from_table(table)
-    return float(abs(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1]))
+    return _chsh_combination(correlators_from_table(table))
 
 
 @dataclass(frozen=True, eq=False)
 class SampleEstimate:
-    """A finite-shot CHSH estimate; compared and hashed by identity, since
+    """A finite-shot CHSH estimate, with exact = chsh_from_table of the Born
+    table it was drawn from; compared and hashed by identity, since
     correlators is an array."""
 
     estimate: float
@@ -155,6 +161,7 @@ class SampleEstimate:
     correlators: np.ndarray
     shots_per_pair: int
     seed: int
+    exact: float
 
 
 def sample_estimate(
@@ -168,7 +175,8 @@ def sample_estimate(
     Outcomes are drawn i.i.d. from the Born table, one independent stream
     per setting pair.  Streams are spawned from the seed in fixed (x, y)
     order, so results do not depend on evaluation order and repeat exactly
-    for equal seeds.
+    for equal seeds.  The counts drawn form a Born table of counts, so each
+    correlator is its integer count difference over shots_per_pair.
     """
     if not 1 <= shots_per_pair <= MAX_SHOTS:
         raise OutOfRangeError(f"shots_per_pair must be in [1, {MAX_SHOTS}], got {shots_per_pair}")
@@ -177,21 +185,17 @@ def sample_estimate(
     table = born_table(*povms, rho)
     probs = np.clip(table.reshape(4, 4), 0.0, None)  # row 2x + y is pair (x, y)
     probs /= probs.sum(axis=1, keepdims=True)
-    streams = np.random.SeedSequence(seed).spawn(4)
-    corr = np.empty((2, 2))
+    rngs = (np.random.Generator(np.random.Philox(s)) for s in np.random.SeedSequence(seed).spawn(4))
+    counts = np.array([rng.multinomial(shots_per_pair, p) for rng, p in zip(rngs, probs)])
+    corr = correlators_from_table(counts.reshape(2, 2, 2, 2)) / shots_per_pair
     variance = 0.0
-    for x in range(2):
-        for y in range(2):
-            rng = np.random.Generator(np.random.Philox(streams[2 * x + y]))
-            counts = rng.multinomial(shots_per_pair, probs[2 * x + y])
-            e_hat = (counts[0] - counts[1] - counts[2] + counts[3]) / shots_per_pair
-            corr[x, y] = e_hat
-            variance += max(1.0 - e_hat * e_hat, 0.0) / shots_per_pair
-    estimate = float(abs(corr[0, 0] + corr[0, 1] + corr[1, 0] - corr[1, 1]))
+    for e_hat in corr.ravel().tolist():  # (x, y) order
+        variance += max(1.0 - e_hat * e_hat, 0.0) / shots_per_pair
     return SampleEstimate(
-        estimate=estimate,
+        estimate=_chsh_combination(corr),
         std_error=float(np.sqrt(variance)),
         correlators=corr,
         shots_per_pair=int(shots_per_pair),
         seed=int(seed),
+        exact=chsh_from_table(table),
     )

@@ -18,15 +18,7 @@ from math import isfinite, pi
 
 import numpy as np
 
-from .chsh import (
-    born_table,
-    chsh_from_table,
-    chsh_value,
-    landau_bound,
-    max_over_states,
-    sample_estimate,
-    violates,
-)
+from .chsh import chsh_value, landau_bound, max_over_states, sample_estimate, violates
 from .compat import MAX_TOL, busch_criterion, check_tolerance, parent_povm_search, sharpness_threshold
 from .entanglement import (
     CanonicalAngles,
@@ -52,8 +44,8 @@ MAX_PRECISION = 15
 MAX_GRID_STEPS = 10**6  # numpy.linspace allocates all steps at once
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ChshLabError):
+    """Bad command-line input; reported under the code "usage"."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,16 +181,19 @@ class Emitter:
             return f"{self.num(v):.{self.precision}g}"
         return str(v)
 
-    def table(self, doc: dict, header: list[str], rows: list[list] | None = None, comments=()) -> None:
+    def table(self, doc: dict, header: list[str], records: list[dict] | None = None, comments=()) -> None:
         """Tabular result: JSON writes doc; CSV writes the comments, the header
-        and the rows, which default to one row of doc's own header fields."""
+        and one line per record, reading column h under the key h.lower().
+        records are the dicts doc already holds for JSON, so both formats
+        print one list; without them, doc itself is the one record."""
         if self.fmt != "csv":
             self.json(doc)
             return
         lines = [f"# {c}" for c in comments]
         lines.append(",".join(header))
-        for row in [[doc[k] for k in header]] if rows is None else rows:
-            lines.append(",".join(self.text(v) for v in row))
+        keys = [h.lower() for h in header]
+        for record in [doc] if records is None else records:
+            lines.append(",".join(self.text(record[k]) for k in keys))
         print("\n".join(lines), file=self.out)  # formatted in full first: a refusal writes nothing
 
 
@@ -320,8 +315,7 @@ def cmd_jm(args, em: Emitter) -> int:
     if len(verdicts) > 1:
         doc["threshold"] = threshold
         comments.append(f"threshold = {em.text(threshold)}")
-    header = ["lambda", "status", "margin", "method"]
-    em.table(doc, header, [[v[k] for k in header] for v in verdicts], comments)
+    em.table(doc, ["lambda", "status", "margin", "method"], verdicts, comments)
     return 0
 
 
@@ -356,13 +350,8 @@ def cmd_region(args, em: Emitter) -> int:
     for e in e_grid.tolist():
         for d in d_grid.tolist():
             chsh_max = max_chsh_closed_form(e, d)
-            rows.append([e, d, chsh_max, violates(chsh_max)])
-    doc = {
-        "entanglement_threshold": threshold,
-        "rows": [
-            {"e": r[0], "delta": r[1], "chsh_max": r[2], "nonlocal": r[3]} for r in rows
-        ],
-    }
+            rows.append({"e": e, "delta": d, "chsh_max": chsh_max, "nonlocal": violates(chsh_max)})
+    doc = {"entanglement_threshold": threshold, "rows": rows}
     em.table(
         doc,
         ["E", "delta", "chsh_max", "nonlocal"],
@@ -380,8 +369,7 @@ def cmd_sample(args, em: Emitter) -> int:
         raise UsageError("--shots must be >= 1")
     rho = _state_from_spec(args.state)
     result = sample_estimate(povms, rho, args.shots, args.seed)
-    exact = chsh_from_table(born_table(*povms, rho))
-    diff = abs(result.estimate - exact)
+    diff = abs(result.estimate - result.exact)
     if result.std_error > 0.0:
         n_sigma = diff / result.std_error
     else:
@@ -393,7 +381,7 @@ def cmd_sample(args, em: Emitter) -> int:
         "seed": result.seed,
         "estimate": result.estimate,
         "std_error": result.std_error,
-        "exact": exact,
+        "exact": result.exact,
         "n_sigma": n_sigma,
     }
     em.table(doc, ["estimate", "std_error", "exact", "n_sigma"])
@@ -587,9 +575,6 @@ def main(argv=None) -> int:
         # is all it wants.
         _silence_stdout()
         return 0
-    except UsageError as exc:
-        print(json.dumps({"code": "usage", "message": str(exc)}), file=sys.stderr)
-        return 2
     except ChshLabError as exc:
         code = type(exc).__name__.removesuffix("Error")
         code = re.sub(r"(?<!^)(?=[A-Z])", "_", code).lower()

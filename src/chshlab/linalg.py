@@ -14,10 +14,11 @@ converts its input once and, before any arithmetic, refuses a
 non-finite entry and an entry so large that M + M† or |M - M†| would
 overflow (one reduction, the largest modulus, finds both).  It refuses a
 non-square input at any `tol`, measures the Hermiticity defect once
-against a finite `tol`, and hands (M + M†)/2 to the solver.  Callers do
-not symmetrize or check first: `hermitize`, `is_psd` and
-`operator_norm` pass `tol=inf`, so they accept any bounded square input
-and see its Hermitian part, and `chsh.check_state` passes its own tol.
+against a finite `tol`, hands (M + M†)/2 to the solver, and refuses a
+spectrum that overflowed.  Callers do not symmetrize or check first:
+`hermitize`, `is_psd` and `operator_norm` pass `tol=inf`, so they accept
+any bounded square input and see its Hermitian part, and
+`chsh.check_state` passes its own tol.
 
 Two constructors write matrices that are Hermitian by construction and
 skip `hermitize`: `measurement.bloch_observable`, and
@@ -30,6 +31,7 @@ through `is_psd` (its docstring says why); `from_effect` checks both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -140,17 +142,18 @@ def eig_hermitian(m, tol: float = HERMITICITY_TOL, *, vectors: bool = True) -> S
 
     Raises NotHermitianError if an entry is not finite, an entry's modulus
     exceeds MAX_ENTRY_MODULUS, or the asymmetry exceeds `tol`; that check
-    (`_with_adjoint`) is the only validation, so a caller need not repeat
-    it.  The spectrum is that of (M + M†)/2: `numpy.linalg.eigh` of it,
-    or `numpy.linalg.eigvalsh` with eigenvectors None when `vectors` is
-    False.
+    (`_with_adjoint`) is the only validation of the input, so a caller need
+    not repeat it.  The spectrum is that of (M + M†)/2: `numpy.linalg.eigh`
+    of it, or `numpy.linalg.eigvalsh` with eigenvectors None when `vectors`
+    is False.  It too is refused if its lowest or highest eigenvalue
+    overflowed, which bounded entries allow and LAPACK does not report.
     """
     a, adj = _with_adjoint(m, tol)
     h = a + adj
     h /= 2
-    if not vectors:
-        return Spectrum(eigenvalues=np.linalg.eigvalsh(h), eigenvectors=None)
-    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
+    if not (isfinite(vals[0]) and isfinite(vals[-1])):
+        raise NotHermitianError("matrix spectrum overflows the float range")
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 

@@ -93,7 +93,7 @@ class BinaryPovm:
     sharpness: float | None = None
 
     @classmethod
-    def from_effect(cls, effect_plus, sharpness: float | None = None) -> "BinaryPovm":
+    def from_effect(cls, effect_plus) -> "BinaryPovm":
         e_plus = hermitize(effect_plus)
         if e_plus.shape != (2, 2):
             raise NotHermitianError(f"qubit POVM effect must be 2x2, got shape {e_plus.shape}")
@@ -102,7 +102,7 @@ class BinaryPovm:
         for eff in (e_plus, e_minus):
             if not is_psd(eff, PSD_TOL):
                 raise OutOfRangeError(_BELOW_PSD_TOL)
-        return cls(effect_plus=e_plus, effect_minus=e_minus, coords=pauli_coords(e_plus), sharpness=sharpness)
+        return cls(effect_plus=e_plus, effect_minus=e_minus, coords=pauli_coords(e_plus))
 
     @property
     def bias(self) -> float:

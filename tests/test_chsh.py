@@ -17,9 +17,9 @@ from chshlab.chsh import (
     sample_estimate,
     state_from_vector,
 )
-from chshlab.entanglement import CanonicalAngles, canonical_setting, schmidt_state
+from chshlab.entanglement import CanonicalAngles, canonical_axes, canonical_setting, schmidt_state
 from chshlab.errors import InvalidStateError, NotInvolutiveError
-from chshlab.linalg import SX, SZ, kron
+from chshlab.linalg import MAX_ENTRY_MODULUS, SX, SZ, kron
 from chshlab.measurement import ChshSetting, Z_AXIS, noisy_family_povms, noisy_pauli_povm
 
 from conftest import random_axes
@@ -172,8 +172,8 @@ def _state(entries=(), diagonal=(0.25, 0.25, 0.25, 0.25)):
 
 class TestCheckStateRefusals:
     """Each refusal with its class and exact text; the first failing check,
-    in the order shape, non-finite, overflow, Hermiticity, trace, lowest
-    eigenvalue, is the one reported."""
+    in the order shape, non-finite, overflow, Hermiticity, spectrum
+    overflow, trace, lowest eigenvalue, is the one reported."""
 
     @pytest.mark.parametrize(
         "rho, message",
@@ -192,8 +192,13 @@ class TestCheckStateRefusals:
             (_state(diagonal=(1.5, -0.5, 0.0, 0.0)), "negative eigenvalue -5.000e-01"),
             # the diagonal sums past the float range: refused without a warning
             (_state(diagonal=(8e307, 8e307, 8e307, 8e307)), "trace (inf+0j) != 1"),
+            # bounded entries whose top eigenvalue is past float max
+            (np.full((4, 4), 0.99 * MAX_ENTRY_MODULUS), "density matrix spectrum overflows the float range"),
         ],
-        ids=["shape", "nan", "inf", "overflow", "hermiticity", "trace", "trace-imag", "negative", "trace-overflow"],
+        ids=[
+            "shape", "nan", "inf", "overflow", "hermiticity", "trace", "trace-imag", "negative",
+            "trace-overflow", "spectrum-overflow",
+        ],
     )
     def test_refusal(self, rho, message):
         with pytest.raises(InvalidStateError) as exc:
@@ -302,6 +307,9 @@ class TestBornTableProperty:
 
 class TestSampleEstimate:
     POVMS = noisy_family_povms(1.0)
+    CANONICAL_POVMS = tuple(
+        noisy_pauli_povm(ax, 1.0) for ax in canonical_axes(CanonicalAngles(theta=np.pi / 4, phi=np.pi / 2))
+    )
 
     def test_deterministic_given_seed(self):
         a = sample_estimate(self.POVMS, PHI_PLUS, 5000, seed=42)
@@ -322,6 +330,38 @@ class TestSampleEstimate:
     def test_mixed_state_estimates_zero(self):
         result = sample_estimate(self.POVMS, MIXED, 200_000, seed=5)
         assert abs(result.estimate) <= 5 * result.std_error
+
+    # (estimate, std_error, correlators) recorded from a per-pair scalar
+    # implementation: reading the counts as a table must not move a bit
+    @pytest.mark.parametrize(
+        "povms, rho, shots, seed, expected",
+        [
+            (POVMS, PHI_PLUS, 5000, 42, "(2.8228, 0.020038288948909785, [[0.7056, 0.692], [0.7136, -0.7116]])"),
+            (
+                CANONICAL_POVMS,
+                schmidt_state(0.3).density_matrix(),
+                12345,
+                7,
+                "(2.5313892264074522, 0.012941353604906454, "
+                "[[0.9201296071283921, 0.9202916160388821], [0.33592547590117455, -0.35504252733900366]])",
+            ),
+            (noisy_family_povms(0.7), MIXED, 1, 0, "(2.0, 0.0, [[-1.0, -1.0], [1.0, 1.0]])"),
+            (
+                noisy_family_povms(0.9),
+                schmidt_state(0.1).density_matrix(),
+                10**12,
+                3,
+                "(1.832821704164, 1.76286763581943e-06, "
+                "[[0.572757935934, 0.572757365612], [0.343652107838, -0.34365429478]])",
+            ),
+        ],
+        ids=["phi+", "canonical", "one-shot", "1e12-shots"],
+    )
+    def test_pinned(self, povms, rho, shots, seed, expected):
+        result = sample_estimate(povms, rho, shots, seed)
+        # compared by repr, which tells every bit apart
+        assert repr((result.estimate, result.std_error, result.correlators.tolist())) == expected
+        assert repr(result.exact) == repr(chsh_from_table(born_table(*povms, rho)))
 
     def test_rejects_zero_shots(self):
         from chshlab.errors import OutOfRangeError

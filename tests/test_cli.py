@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from chshlab import cli, verify
 from chshlab.cli import MAX_GRID_STEPS, Emitter, main, parse_angle
 from chshlab.errors import NonFiniteOutputError
+from chshlab.linalg import MAX_ENTRY_MODULUS
 
 TSIRELSON = 2.8284271247461903
 
@@ -301,6 +302,18 @@ class TestChsh:
             assert proc.returncode == 2 and proc.stdout == ""
             assert len(proc.stderr.splitlines()) == 1 and json.loads(proc.stderr) == doc
 
+    def test_overflowing_spectrum(self, capsys, tmp_path):
+        # every entry is bounded, the top eigenvalue is not: refused as an
+        # invalid state before the trace, which overflows too
+        entry = [0.99 * MAX_ENTRY_MODULUS, 0.0]
+        state = write_state(tmp_path / "rho.json", [[entry] * 4] * 4)
+        rc, out, err = run(capsys, ["chsh", "--canonical=pi/4,pi/2", f"--state={state}"])
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {
+            "code": "invalid_state",
+            "message": "density matrix spectrum overflows the float range",
+        }
+
     def test_degrees_rejected(self, capsys):
         rc, _, err = run(capsys, ["chsh", "--canonical", "90deg,90deg", "--max"])
         assert rc == 2
@@ -502,7 +515,7 @@ class TestNonFiniteOutput:
         with pytest.raises(NonFiniteOutputError):
             em.text(bad)
         with pytest.raises(NonFiniteOutputError):
-            em.table({}, ["a", "b"], [[0.5, 1.0], [bad, 2.0]], comments=["c = 1"])
+            em.table({}, ["a", "B"], [{"a": 0.5, "b": 1.0}, {"a": bad, "b": 2.0}], comments=["c = 1"])
         assert em.out.getvalue() == ""
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -779,6 +792,43 @@ class TestConfigMatchesFlags:
             argv = [name, *(token(f, v) for (_, f, v), c in zip(options, in_config) if not c)]
             config_run = _main_output([*argv, f"--config={cfg}"])
         assert config_run == flags_run
+
+
+class TestCsvMatchesJson:
+    """Each CSV line is the JSON record at its place: the header names its
+    keys (E is e) and each cell is the record's field, as printed."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(_AXIS, _AXIS, _grid(0.0, 1.0)).map(
+                lambda t: (["jm", f"--axes={t[0]},{t[1]}", f"--lambda={t[2]}"], "verdicts")
+            ),
+            st.tuples(_grid(0.0, 0.5), _grid(0.0, 1.0)).map(
+                lambda g: (["region", f"--e-grid={g[0]}", f"--delta-grid={g[1]}"], "rows")
+            ),
+        ),
+        st.integers(1, 15),
+    )
+    def test_line_is_record(self, command, precision):
+        argv, key = command
+        argv = [*argv, f"--precision={precision}"]
+        rc, out, err = _main_output([*argv, "--format=json"])
+        assert rc == 0, err
+        records = json.loads(out)[key]
+        rc, out, err = _main_output([*argv, "--format=csv"])
+        assert rc == 0, err
+        header, *lines = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+        assert len(lines) == len(records)
+        for cells, record in zip(lines, records):
+            assert [h.lower() for h in header] == list(record)
+            for cell, value in zip(cells, record.values(), strict=True):
+                if isinstance(value, bool):
+                    assert cell == ("true" if value else "false")
+                elif isinstance(value, float):
+                    assert float(cell) == value
+                else:
+                    assert cell == value
 
 
 # jm options drawn valid, edge values included; then at most one is

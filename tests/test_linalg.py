@@ -289,6 +289,21 @@ class TestErrorParity:
             f"matrix entry of modulus {top:.3e} would overflow M + M† (limit 8.988e+307)"
         )
 
+    @pytest.mark.parametrize(
+        "fn",
+        [eig_hermitian, lambda m: eig_hermitian(m, vectors=False), is_psd],
+        ids=["eig_hermitian", "eigenvalues-only", "is_psd"],
+    )
+    def test_spectrum_overflow_refused(self, fn):
+        # every entry is within the limit, but the top eigenvalue, 4 × 0.99 ×
+        # MAX_ENTRY_MODULUS, is past float max: LAPACK returns inf for it
+        # without a warning
+        m = np.full((4, 4), 0.99 * MAX_ENTRY_MODULUS)
+        with pytest.raises(NotHermitianError) as exc:
+            fn(m)
+        assert str(exc.value) == "matrix spectrum overflows the float range"
+        assert exc.value.defect is None
+
     def test_overflow_limit_is_inclusive(self):
         # at the limit, M + M† and |M - M†| are still finite (warnings are errors)
         m = np.array([[0.0, MAX_ENTRY_MODULUS], [-MAX_ENTRY_MODULUS, 0.0]])
