@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
 from .errors import InvalidStateError, NotHermitianError, NotInvolutiveError, OutOfRangeError
-from .linalg import I2, eig_hermitian, kron
-from .measurement import BinaryPovm, ChshSetting, commutator_tensor
+from .linalg import eig_hermitian
+from .measurement import OBSERVABLE_NAMES, BinaryPovm, ChshSetting, commutator_tensor
 
 STATE_TOL = 1e-10
 INVOLUTION_TOL = 1e-9
@@ -41,8 +42,16 @@ def violates(value: float) -> bool:
 
 
 def chsh_operator(setting: ChshSetting) -> np.ndarray:
-    """S = A0 x (B0 + B1) + A1 x (B0 - B1), a 4x4 Hermitian operator."""
-    return kron(setting.a0, setting.b0 + setting.b1) + kron(setting.a1, setting.b0 - setting.b1)
+    """S = A0 x (B0 + B1) + A1 x (B0 - B1), a 4x4 Hermitian operator.
+
+    Built once per setting and read-only.
+    """
+    return setting.chsh_operator
+
+
+# the bytes of the last state check_state accepted; threads may share it,
+# since it only ever holds the bytes of a state that passed every check
+_accepted_state = b""
 
 
 def check_state(rho) -> np.ndarray:
@@ -54,22 +63,35 @@ def check_state(rho) -> np.ndarray:
     lowest eigenvalue.  The four middle checks are `eig_hermitian`'s own,
     so one eigenvalue-only call validates the matrix and yields its
     spectrum.
+
+    A one-entry memo serves one state passed to several calls in a row
+    (`chsh_value`, `born_table`, `sample_estimate`): an input whose bytes
+    equal those of the last state accepted is returned without solving
+    again.  Content equality is enough, since every check reads only the
+    sixteen entries.  The key is the content, not the identity, so an
+    array mutated in place after it was accepted is checked again; a
+    refused input is never remembered.
     """
+    global _accepted_state
     a = np.asarray(rho, dtype=complex)
     if a.shape != (4, 4):
         raise InvalidStateError(f"expected a 4x4 density matrix, got {a.shape}")
+    key = a.tobytes()
+    if key == _accepted_state:
+        return a
     try:
         vals = eig_hermitian(a, STATE_TOL, vectors=False).eigenvalues
     except NotHermitianError as exc:
         reason = str(exc) if exc.defect is None else "matrix is not Hermitian"
         raise InvalidStateError(f"density {reason}") from None
     low = float(vals[0])
-    with np.errstate(over="ignore"):  # a bounded diagonal may still sum to inf
-        trace = a.trace()
+    d0, d1, d2, d3 = a.diagonal().tolist()
+    trace = d0 + d1 + d2 + d3  # a bounded diagonal may sum to inf; Python floats do not warn
     if abs(trace.real - 1.0) > STATE_TOL or abs(trace.imag) > STATE_TOL:
         raise InvalidStateError(f"trace {trace} != 1")
     if low < -STATE_TOL:
         raise InvalidStateError(f"negative eigenvalue {low:.3e}")
+    _accepted_state = key
     return a
 
 
@@ -85,6 +107,12 @@ def _top_modulus_projector(spectrum) -> tuple[float, np.ndarray]:
     return float(abs(vals[idx])), spectrum.projector(idx)
 
 
+def _involution_defect(obs: np.ndarray) -> float:
+    """Largest entry modulus of O² - I for a 2x2 O, from its four entries."""
+    (p, q), (r, s) = obs.tolist()
+    return max(abs(p * p + q * r - 1.0), abs(p * q + q * s), abs(r * p + s * r), abs(r * q + s * s - 1.0))
+
+
 def landau_bound(setting: ChshSetting) -> ChshReport:
     """Spectral CHSH maximum 2√(1+μ) for projective settings.
 
@@ -92,12 +120,11 @@ def landau_bound(setting: ChshSetting) -> ChshReport:
     observable squares to the identity (S² = 4I + 4J needs it); non-involutive
     observables are rejected, use max_over_states for those.
     """
-    obs = np.array(setting.observables())
-    defects = abs(obs @ obs - I2).max(axis=(1, 2)).tolist()
-    for name, defect in zip(("a0", "a1", "b0", "b1"), defects):
+    for name, obs in zip(OBSERVABLE_NAMES, setting.observables()):
+        defect = _involution_defect(obs)
         if defect > INVOLUTION_TOL:
             raise NotInvolutiveError(f"observable {name}: ||O² - I|| = {defect:.3e}")
-    mu = float(eig_hermitian(commutator_tensor(setting)).eigenvalues[-1])
+    mu = float(eig_hermitian(commutator_tensor(setting), vectors=False).eigenvalues[-1])
     bound = 2.0 * np.sqrt(1.0 + mu)
     return ChshReport(value=bound, bound=bound, violates=violates(bound), mu=mu)
 
@@ -164,6 +191,14 @@ class SampleEstimate:
     exact: float
 
 
+def _integer(name: str, value) -> int:
+    """value as an int: Python and numpy integers pass, anything else is refused."""
+    try:
+        return index(value)
+    except TypeError:
+        raise OutOfRangeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def sample_estimate(
     povms: tuple[BinaryPovm, BinaryPovm, BinaryPovm, BinaryPovm],
     rho,
@@ -177,7 +212,11 @@ def sample_estimate(
     order, so results do not depend on evaluation order and repeat exactly
     for equal seeds.  The counts drawn form a Born table of counts, so each
     correlator is its integer count difference over shots_per_pair.
+    shots_per_pair and seed must be Python or numpy integers: a float,
+    even an integral one, is refused rather than truncated.
     """
+    shots_per_pair = _integer("shots_per_pair", shots_per_pair)
+    seed = _integer("seed", seed)
     if not 1 <= shots_per_pair <= MAX_SHOTS:
         raise OutOfRangeError(f"shots_per_pair must be in [1, {MAX_SHOTS}], got {shots_per_pair}")
     if seed < 0:
@@ -195,7 +234,7 @@ def sample_estimate(
         estimate=_chsh_combination(corr),
         std_error=float(np.sqrt(variance)),
         correlators=corr,
-        shots_per_pair=int(shots_per_pair),
-        seed=int(seed),
+        shots_per_pair=shots_per_pair,
+        seed=seed,
         exact=chsh_from_table(table),
     )

@@ -4,9 +4,9 @@ Everything in the CHSH scenario lives in dimension 2 or 4 (16 at most).
 Every spectrum goes through one path, `eig_hermitian`, on numpy's LAPACK
 Hermitian solvers: `numpy.linalg.eigh` when the caller reads
 eigenvectors, `numpy.linalg.eigvalsh` when it asks for eigenvalues only
-(`vectors=False`).  `is_psd`, `operator_norm` and `chsh.check_state`
-read eigenvalues only; `chsh.landau_bound` and `chsh.max_over_states`
-take the full `eigh` solve.  numpy arrays are the universal carrier;
+(`vectors=False`).  `is_psd`, `operator_norm`, `chsh.check_state` and
+`chsh.landau_bound` read eigenvalues only; `chsh.max_over_states` takes
+the full `eigh` solve.  numpy arrays are the universal carrier;
 matrices are row-major complex.
 
 Validation happens in one place, `_with_adjoint`.  `eig_hermitian`
@@ -125,8 +125,9 @@ class Spectrum:
     """Eigenvalues sorted ascending with matching orthonormal columns.
 
     eigenvectors is None for an eigenvalue-only solve
-    (`eig_hermitian(..., vectors=False)`), which `is_psd`, `operator_norm`
-    and `chsh.check_state` ask for; `projector` needs the full solve.
+    (`eig_hermitian(..., vectors=False)`), which `is_psd`, `operator_norm`,
+    `chsh.check_state` and `chsh.landau_bound` ask for; `projector` needs
+    the full solve.
     Compared and hashed by identity: its fields are arrays."""
 
     eigenvalues: np.ndarray

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import sqrt
 
 import numpy as np
@@ -13,6 +14,7 @@ from .linalg import I2, as_matrix, comm, hermitize, is_psd, kron, operator_norm
 UNIT_AXIS_TOL = 1e-9
 PSD_TOL = 1e-12
 _BELOW_PSD_TOL = "POVM effect has an eigenvalue below -1e-12"
+OBSERVABLE_NAMES = ("a0", "a1", "b0", "b1")
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -140,13 +142,34 @@ def noisy_pauli_povm(axis, lam: float) -> BinaryPovm:
 
 @dataclass(frozen=True, eq=False)
 class ChshSetting:
-    """Four dichotomic observables: Alice (a0, a1), Bob (b0, b1).  Compared
-    and hashed by identity, like every result that holds arrays."""
+    """Four dichotomic observables: Alice (a0, a1), Bob (b0, b1).
+
+    Each field holds a read-only complex copy of the finite 2x2 matrix
+    passed in: writing into `setting.a0` raises, and writing into the
+    caller's source array afterwards changes no result.  The CHSH operator
+    S and the commutator tensor J depend on nothing else, so each is built
+    at most once per instance, on first use, and handed out read-only by
+    `chsh.chsh_operator` and `commutator_tensor`.  Compared and hashed by
+    identity, like every result that holds arrays.
+    """
 
     a0: np.ndarray
     a1: np.ndarray
     b0: np.ndarray
     b1: np.ndarray
+
+    def __post_init__(self):
+        mats = [np.asarray(m, dtype=complex) for m in self.observables()]
+        for name, m in zip(OBSERVABLE_NAMES, mats):
+            if m.shape != (2, 2):
+                raise NotHermitianError(f"observable {name} must be 2x2, got shape {m.shape}")
+        stack = np.array(mats)  # the copy every field views
+        if not np.isfinite(stack).all():
+            bad = np.isfinite(stack).all(axis=(1, 2)).tolist().index(False)
+            raise NotHermitianError(f"observable {OBSERVABLE_NAMES[bad]} has a non-finite entry")
+        stack.flags.writeable = False
+        for name, m in zip(OBSERVABLE_NAMES, stack):
+            object.__setattr__(self, name, m)
 
     @classmethod
     def from_povms(cls, ma0: BinaryPovm, ma1: BinaryPovm, mb0: BinaryPovm, mb1: BinaryPovm) -> "ChshSetting":
@@ -158,6 +181,21 @@ class ChshSetting:
 
     def observables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return (self.a0, self.a1, self.b0, self.b1)
+
+    @cached_property
+    def chsh_operator(self) -> np.ndarray:
+        """S = A0 ⊗ (B0 + B1) + A1 ⊗ (B0 - B1), a 4x4 Hermitian operator."""
+        return _read_only(kron(self.a0, self.b0 + self.b1) + kron(self.a1, self.b0 - self.b1))
+
+    @cached_property
+    def commutator_tensor(self) -> np.ndarray:
+        """J = ¼ [A1, A0] ⊗ [B0, B1]; see the module function commutator_tensor."""
+        return _read_only(0.25 * kron(comm(self.a1, self.a0), comm(self.b0, self.b1)))
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
 
 
 def noisy_family_povms(lam: float) -> tuple[BinaryPovm, BinaryPovm, BinaryPovm, BinaryPovm]:
@@ -183,9 +221,9 @@ def commutator_tensor(setting: ChshSetting) -> np.ndarray:
     Reversing either commutator flips the sign of J but not its spectrum
     (a tensor product of two anti-Hermitian factors is Hermitian with a
     symmetric spectrum), so the top eigenvalue and the norm are
-    orientation-independent.
+    orientation-independent.  Built once per setting and read-only.
     """
-    return 0.25 * kron(comm(setting.a1, setting.a0), comm(setting.b0, setting.b1))
+    return setting.commutator_tensor
 
 
 def incompatibility_degree(setting: ChshSetting) -> float:

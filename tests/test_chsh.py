@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chshlab.chsh
 from chshlab.chsh import (
     born_table,
     check_state,
@@ -18,9 +19,9 @@ from chshlab.chsh import (
     state_from_vector,
 )
 from chshlab.entanglement import CanonicalAngles, canonical_axes, canonical_setting, schmidt_state
-from chshlab.errors import InvalidStateError, NotInvolutiveError
-from chshlab.linalg import MAX_ENTRY_MODULUS, SX, SZ, kron
-from chshlab.measurement import ChshSetting, Z_AXIS, noisy_family_povms, noisy_pauli_povm
+from chshlab.errors import InvalidStateError, NotInvolutiveError, OutOfRangeError
+from chshlab.linalg import MAX_ENTRY_MODULUS, SX, SY, SZ, kron
+from chshlab.measurement import ChshSetting, Z_AXIS, incompatibility_degree, noisy_family_povms, noisy_pauli_povm
 
 from conftest import random_axes
 
@@ -234,6 +235,52 @@ class TestCheckStateRefusals:
         assert check_state(PHI_PLUS).tolist() == PHI_PLUS.tolist()
 
 
+class TestCheckStateMemo:
+    """check_state remembers the bytes of the last state it accepted."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = chshlab.chsh.eig_hermitian
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(chshlab.chsh, "eig_hermitian", counting)
+        return calls
+
+    def test_equal_bytes_skip_the_solve(self, solves):
+        rho = schmidt_state(0.2).density_matrix()
+        check_state(rho)
+        assert len(solves) == 1
+        twin = rho.copy()
+        assert check_state(twin) is twin
+        assert check_state(twin.tolist()).tolist() == rho.tolist()
+        assert len(solves) == 1
+
+    def test_mutated_after_acceptance_is_refused(self):
+        rho = schmidt_state(0.2).density_matrix()
+        check_state(rho)
+        rho[0, 0] += 1.0
+        with pytest.raises(InvalidStateError, match="trace"):
+            check_state(rho)
+
+    def test_refusal_is_not_remembered(self, solves):
+        bad = _state(diagonal=(1.5, -0.5, 0.0, 0.0))
+        for _ in range(2):
+            with pytest.raises(InvalidStateError, match="negative eigenvalue"):
+                check_state(bad)
+        assert len(solves) == 2
+
+    def test_refusal_keeps_the_accepted_state(self, solves):
+        check_state(MIXED)
+        with pytest.raises(InvalidStateError):
+            check_state(np.eye(4))
+        check_state(MIXED.copy())
+        assert len(solves) == 2
+
+
 class TestBornTable:
     def test_mixed_state_uniform(self):
         povms = noisy_family_povms(0.7)
@@ -374,3 +421,55 @@ class TestSampleEstimate:
 
         with pytest.raises(OutOfRangeError):
             sample_estimate(self.POVMS, PHI_PLUS, 10, seed=-1)
+
+    @pytest.mark.parametrize(
+        "shots, seed, refused",
+        [
+            (2.5, 0, "shots_per_pair"),
+            (2.0, 0, "shots_per_pair"),
+            (np.float64(10.0), 0, "shots_per_pair"),
+            (10, 1.5, "seed"),
+            (10, "1", "seed"),
+        ],
+        ids=["fractional-shots", "float-shots", "numpy-float-shots", "float-seed", "str-seed"],
+    )
+    def test_rejects_non_integers(self, shots, seed, refused):
+        bad = shots if refused == "shots_per_pair" else seed
+        with pytest.raises(OutOfRangeError) as exc:
+            sample_estimate(self.POVMS, PHI_PLUS, shots, seed)
+        assert str(exc.value) == f"{refused} must be an integer, got {bad!r}"
+
+    def test_accepts_numpy_integers(self):
+        want = sample_estimate(self.POVMS, PHI_PLUS, 5000, 42)
+        got = sample_estimate(self.POVMS, PHI_PLUS, np.int64(5000), np.uint32(42))
+        assert (got.estimate, got.std_error, got.shots_per_pair, got.seed) == (
+            want.estimate, want.std_error, 5000, 42
+        )
+        assert type(got.shots_per_pair) is int and type(got.seed) is int
+
+
+def _pauli_observable(n):
+    return n[0] * SX + n[1] * SY + n[2] * SZ
+
+
+class TestSpectralDefinitions:
+    """Every spectral call equals its value from explicit numpy definitions."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(_axis, _axis, _axis, _axis), st.floats(0.0, 0.5))
+    def test_matches_kron_and_commutators(self, axes, e):
+        a0, a1, b0, b1 = (_pauli_observable(np.asarray(v) / np.linalg.norm(v)) for v in axes)
+        setting = ChshSetting(a0, a1, b0, b1)
+        s = np.kron(a0, b0 + b1) + np.kron(a1, b0 - b1)
+        j = 0.25 * np.kron(a1 @ a0 - a0 @ a1, b0 @ b1 - b1 @ b0)
+        # the cached operators are these formulas, bit for bit
+        assert np.array_equal(chsh_operator(setting), s)
+        assert np.array_equal(commutator_tensor(setting), j)
+        top = float(np.max(np.abs(np.linalg.eigvalsh(s))))
+        rep = landau_bound(setting)
+        assert rep.bound == pytest.approx(top, abs=1e-9)
+        assert rep.mu == pytest.approx(float(np.linalg.eigvalsh(j)[-1]), abs=1e-12)
+        assert max_over_states(setting).value == pytest.approx(top, abs=1e-12)
+        assert incompatibility_degree(setting) == pytest.approx(float(np.linalg.norm(j, 2)), abs=1e-12)
+        rho = schmidt_state(e).density_matrix()
+        assert chsh_value(setting, rho) == pytest.approx(abs(np.trace(rho @ s).real), abs=1e-12)

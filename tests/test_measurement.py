@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chshlab.measurement
-from chshlab.chsh import max_over_states, sample_estimate
+from chshlab.chsh import chsh_operator, chsh_value, landau_bound, max_over_states, sample_estimate
 from chshlab.compat import parent_povm_search, sharpness_threshold
-from chshlab.errors import NonUnitAxisError, OutOfRangeError
+from chshlab.errors import NonUnitAxisError, NotHermitianError, OutOfRangeError
 from chshlab.linalg import I2, SX, SY, SZ, eig_hermitian, hermitize, is_psd, operator_norm
 from chshlab.measurement import (
     BinaryPovm,
@@ -16,6 +16,7 @@ from chshlab.measurement import (
     X_AXIS,
     Z_AXIS,
     bloch_observable,
+    commutator_tensor,
     from_pauli_coords,
     incompatibility_degree,
     noisy_family_povms,
@@ -357,3 +358,56 @@ def test_setting_from_povms():
     setting = ChshSetting.from_povms(*povms)
     spec = eig_hermitian(setting.a0)
     assert np.allclose(spec.eigenvalues, [-1.0, 1.0])
+
+
+def _with(slot, m):
+    obs = [SZ, SX, SZ, SX]
+    obs[slot] = m
+    return obs
+
+
+class TestChshSettingRefusals:
+    """Observables that are not finite 2x2 matrices are refused on
+    construction, before any spectral call can crash or warn."""
+
+    @pytest.mark.parametrize(
+        "observables, message",
+        [
+            ([np.eye(3)] * 4, "observable a0 must be 2x2, got shape (3, 3)"),
+            (_with(3, np.eye(3)), "observable b1 must be 2x2, got shape (3, 3)"),
+            (_with(2, [1.0, -1.0]), "observable b0 must be 2x2, got shape (2,)"),
+            (_with(1, np.full((2, 2), np.nan)), "observable a1 has a non-finite entry"),
+            (_with(2, np.diag([np.inf, 1.0])), "observable b0 has a non-finite entry"),
+            (_with(3, np.array([[1.0, complex(0.0, -np.inf)], [0.0, 1.0]])), "observable b1 has a non-finite entry"),
+        ],
+        ids=["all-3x3", "one-3x3", "vector", "nan", "inf", "-inf-imag"],
+    )
+    def test_refusal(self, observables, message):
+        with pytest.raises(NotHermitianError) as exc:
+            ChshSetting(*observables)
+        assert str(exc.value) == message
+
+
+class TestChshSettingDerivesOnce:
+    def test_same_read_only_arrays(self):
+        setting = canonical_setting(CanonicalAngles(theta=1.1, phi=0.7))
+        for derive in (chsh_operator, commutator_tensor):
+            m = derive(setting)
+            assert derive(setting) is m
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            setting.a0[0, 0] = 0.0
+
+    def test_source_arrays_are_copied(self, rng):
+        sources = [bloch_observable(ax) for ax in random_axes(rng, 4)]
+        setting = ChshSetting(*sources)
+        fresh = ChshSetting(*(m.copy() for m in sources))
+        rho = schmidt_state(0.3).density_matrix()
+        for m in sources:
+            m[...] = SZ
+        assert landau_bound(setting).mu == landau_bound(fresh).mu
+        assert max_over_states(setting).value == max_over_states(fresh).value
+        assert incompatibility_degree(setting) == incompatibility_degree(fresh)
+        assert chsh_value(setting, rho) == chsh_value(fresh, rho)
