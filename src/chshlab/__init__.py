@@ -62,7 +62,7 @@ from .errors import (
     NotUnbiasedError,
     OutOfRangeError,
 )
-from .linalg import Spectrum, eig_hermitian, kron, operator_norm
+from .linalg import Spectrum, eig_hermitian, kron
 from .measurement import (
     BinaryPovm,
     ChshSetting,

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidStateError, NotHermitianError, NotInvolutiveError, OutOfRangeError
 from .linalg import eig_hermitian
-from .measurement import OBSERVABLE_NAMES, BinaryPovm, ChshSetting, commutator_tensor
+from .measurement import OBSERVABLE_NAMES, BinaryPovm, ChshSetting, commutator_tensor  # noqa: F401 (re-exported)
 
 STATE_TOL = 1e-10
 INVOLUTION_TOL = 1e-9
@@ -58,11 +58,11 @@ def check_state(rho) -> np.ndarray:
     """Validate a 4x4 density matrix: Hermitian, unit trace, PSD within STATE_TOL.
 
     Checks run in a fixed order, and the first failure is the one refused:
-    shape, a non-finite entry, an entry large enough to overflow, the
-    Hermiticity defect, a spectrum past the float range, the trace, the
-    lowest eigenvalue.  The four middle checks are `eig_hermitian`'s own,
-    so one eigenvalue-only call validates the matrix and yields its
-    spectrum.
+    an input numpy cannot read as complex numbers, shape, a non-finite
+    entry, an entry large enough to overflow, the Hermiticity defect, a
+    spectrum past the float range, the trace, the lowest eigenvalue.  The
+    four middle checks are `eig_hermitian`'s own, so one eigenvalue-only
+    call validates the matrix and yields its spectrum.
 
     A one-entry memo serves one state passed to several calls in a row
     (`chsh_value`, `born_table`, `sample_estimate`): an input whose bytes
@@ -73,7 +73,12 @@ def check_state(rho) -> np.ndarray:
     refused input is never remembered.
     """
     global _accepted_state
-    a = np.asarray(rho, dtype=complex)
+    try:
+        a = np.asarray(rho, dtype=complex)
+    except (TypeError, ValueError):
+        raise InvalidStateError(
+            f"expected a 4x4 density matrix of numbers, got {type(rho).__name__}"
+        ) from None
     if a.shape != (4, 4):
         raise InvalidStateError(f"expected a 4x4 density matrix, got {a.shape}")
     key = a.tobytes()
@@ -116,15 +121,16 @@ def _involution_defect(obs: np.ndarray) -> float:
 def landau_bound(setting: ChshSetting) -> ChshReport:
     """Spectral CHSH maximum 2√(1+μ) for projective settings.
 
-    μ is the top eigenvalue of J = ¼[A0,A1]⊗[B0,B1].  Valid only when every
-    observable squares to the identity (S² = 4I + 4J needs it); non-involutive
-    observables are rejected, use max_over_states for those.
+    μ is the top eigenvalue of J = ¼[A0,A1]⊗[B0,B1], from the setting's one
+    cached solve of J, which `incompatibility_degree` reads as Δ = μ.  Valid
+    only when every observable squares to the identity (S² = 4I + 4J needs
+    it); other dichotomic observables are rejected, use max_over_states.
     """
     for name, obs in zip(OBSERVABLE_NAMES, setting.observables()):
         defect = _involution_defect(obs)
         if defect > INVOLUTION_TOL:
             raise NotInvolutiveError(f"observable {name}: ||O² - I|| = {defect:.3e}")
-    mu = float(eig_hermitian(commutator_tensor(setting), vectors=False).eigenvalues[-1])
+    mu = float(setting.commutator_eigenvalues[-1])
     bound = 2.0 * np.sqrt(1.0 + mu)
     return ChshReport(value=bound, bound=bound, violates=violates(bound), mu=mu)
 

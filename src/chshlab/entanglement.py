@@ -10,7 +10,7 @@ from math import atan2, cos, pi, sin, sqrt
 import numpy as np
 
 from . import _kernels
-from .chsh import chsh_operator, state_from_vector, violates
+from .chsh import _integer, chsh_operator, state_from_vector, violates
 from .errors import DegenerateDeltaError, NonRealTraceError, OutOfRangeError
 from .measurement import ChshSetting, X_AXIS, Z_AXIS
 
@@ -145,10 +145,15 @@ def max_chsh_over_unitaries(
     Deterministic for fixed (restarts, seed).  Each search walks four
     coordinates (`_kernels.maximize_chsh`): only psi1 + psi2 enters, so
     the returned p2 has psi = 0 and p1's psi carries the pair's sum, and
-    Bob's phi is solved exactly from the other four.
+    Bob's phi is solved exactly from the other four.  restarts and seed
+    must be Python or numpy integers, as in `chsh.sample_estimate`.
     """
+    restarts = _integer("restarts", restarts)
+    seed = _integer("seed", seed)
     if restarts < 1:
         raise OutOfRangeError(f"restarts must be >= 1, got {restarts}")
+    if seed < 0:
+        raise OutOfRangeError(f"seed must be >= 0, got {seed}")
     _concurrence(e)  # range check
     s_flat = _kernel_operator(angles)
     rng = np.random.default_rng(seed)

@@ -4,10 +4,10 @@ Everything in the CHSH scenario lives in dimension 2 or 4 (16 at most).
 Every spectrum goes through one path, `eig_hermitian`, on numpy's LAPACK
 Hermitian solvers: `numpy.linalg.eigh` when the caller reads
 eigenvectors, `numpy.linalg.eigvalsh` when it asks for eigenvalues only
-(`vectors=False`).  `is_psd`, `operator_norm`, `chsh.check_state` and
-`chsh.landau_bound` read eigenvalues only; `chsh.max_over_states` takes
-the full `eigh` solve.  numpy arrays are the universal carrier;
-matrices are row-major complex.
+(`vectors=False`).  `is_psd`, `chsh.check_state` and the cached solve of
+J behind `chsh.landau_bound` and `measurement.incompatibility_degree` read
+eigenvalues only; `chsh.max_over_states` takes the full `eigh` solve.
+numpy arrays are the universal carrier; matrices are row-major complex.
 
 Validation happens in one place, `_with_adjoint`.  `eig_hermitian`
 converts its input once and, before any arithmetic, refuses a
@@ -16,9 +16,12 @@ overflow (one reduction, the largest modulus, finds both).  It refuses a
 non-square input at any `tol`, measures the Hermiticity defect once
 against a finite `tol`, hands (M + M†)/2 to the solver, and refuses a
 spectrum that overflowed.  Callers do not symmetrize or check first:
-`hermitize`, `is_psd` and `operator_norm` pass `tol=inf`, so they accept
+`hermitize`, `is_psd` and the solve of J pass `tol=inf`, so they accept
 any bounded square input and see its Hermitian part, and
-`chsh.check_state` passes its own tol.
+`chsh.check_state` passes its own tol.  The one exception is
+`measurement.ChshSetting`: it reads the same defect, against
+HERMITICITY_TOL, off the four entries of each 2x2 observable without a
+solve.
 
 Two constructors write matrices that are Hermitian by construction and
 skip `hermitize`: `measurement.bloch_observable`, and
@@ -49,10 +52,13 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce input to a 2-D complex ndarray."""
-    a = np.asarray(m, dtype=complex)
+    """Coerce input to a 2-D complex ndarray, or raise NotHermitianError."""
+    try:
+        a = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError):
+        raise NotHermitianError(f"expected a 2-D matrix of numbers, got {type(m).__name__}") from None
     if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
+        raise NotHermitianError(f"expected a 2-D matrix, got shape {a.shape}")
     return a
 
 
@@ -125,9 +131,9 @@ class Spectrum:
     """Eigenvalues sorted ascending with matching orthonormal columns.
 
     eigenvectors is None for an eigenvalue-only solve
-    (`eig_hermitian(..., vectors=False)`), which `is_psd`, `operator_norm`,
-    `chsh.check_state` and `chsh.landau_bound` ask for; `projector` needs
-    the full solve.
+    (`eig_hermitian(..., vectors=False)`), which `is_psd`,
+    `chsh.check_state` and `measurement.ChshSetting.commutator_eigenvalues`
+    ask for; `projector` needs the full solve.
     Compared and hashed by identity: its fields are arrays."""
 
     eigenvalues: np.ndarray
@@ -156,20 +162,6 @@ def eig_hermitian(m, tol: float = HERMITICITY_TOL, *, vectors: bool = True) -> S
     if not (isfinite(vals[0]) and isfinite(vals[-1])):
         raise NotHermitianError("matrix spectrum overflows the float range")
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
-
-
-def operator_norm(m) -> float:
-    """Largest singular value; equals max |eigenvalue| for Hermitian input.
-
-    Validation happens once, on M†M: a non-finite entry of M leaves a
-    non-finite entry on its diagonal, and so does an overflow; a finite
-    M†M too large to symmetrize is refused as such.
-    """
-    a = as_matrix(m)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        gram = a.conj().T @ a
-    top = eig_hermitian(gram, np.inf, vectors=False).eigenvalues[-1]
-    return float(np.sqrt(max(top, 0.0)))
 
 
 def is_psd(m, tol: float = 1e-12) -> bool:

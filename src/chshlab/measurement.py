@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+from cmath import isfinite
 from dataclasses import dataclass
 from functools import cached_property
-from math import sqrt
+from math import hypot, sqrt
 
 import numpy as np
 
 from .errors import NonUnitAxisError, NotHermitianError, OutOfRangeError
-from .linalg import I2, as_matrix, comm, hermitize, is_psd, kron, operator_norm
+from .linalg import HERMITICITY_TOL, I2, as_matrix, comm, eig_hermitian, hermitize, is_psd, kron
 
 UNIT_AXIS_TOL = 1e-9
+# unit_axis lets |n| reach 1 + UNIT_AXIS_TOL; twice that leaves room for
+# the roundoff of reading |n| back from the entries of n·σ
+OBSERVABLE_NORM_TOL = 2 * UNIT_AXIS_TOL
 PSD_TOL = 1e-12
 _BELOW_PSD_TOL = "POVM effect has an eigenvalue below -1e-12"
 OBSERVABLE_NAMES = ("a0", "a1", "b0", "b1")
@@ -22,8 +26,11 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 def unit_axis(v) -> np.ndarray:
-    """Validate a Bloch direction; must have unit Euclidean norm."""
-    a = np.asarray(v, dtype=float).reshape(3)
+    """Validate a Bloch direction: three reals of unit Euclidean norm."""
+    try:
+        a = np.asarray(v, dtype=float).reshape(3)
+    except (TypeError, ValueError):
+        raise NonUnitAxisError(f"axis {v!r} is not three real numbers") from None
     norm = sqrt(a.dot(a))  # numpy.linalg.norm of a real vector, bit for bit
     if not abs(norm - 1.0) <= UNIT_AXIS_TOL:  # a NaN norm fails this too
         raise NonUnitAxisError(f"axis norm {norm!r} deviates from 1 beyond {UNIT_AXIS_TOL:.0e}")
@@ -144,13 +151,14 @@ def noisy_pauli_povm(axis, lam: float) -> BinaryPovm:
 class ChshSetting:
     """Four dichotomic observables: Alice (a0, a1), Bob (b0, b1).
 
-    Each field holds a read-only complex copy of the finite 2x2 matrix
-    passed in: writing into `setting.a0` raises, and writing into the
-    caller's source array afterwards changes no result.  The CHSH operator
-    S and the commutator tensor J depend on nothing else, so each is built
-    at most once per instance, on first use, and handed out read-only by
-    `chsh.chsh_operator` and `commutator_tensor`.  Compared and hashed by
-    identity, like every result that holds arrays.
+    Each is a finite 2x2 matrix, Hermitian within HERMITICITY_TOL and with
+    -I ≤ O ≤ I within OBSERVABLE_NORM_TOL, or it is refused.  Each field
+    holds a read-only complex copy of it: writing into `setting.a0` raises,
+    and writing into the caller's source array afterwards changes no
+    result.  S, J and J's eigenvalues depend on nothing else, so each is
+    built at most once per instance, on first use, and handed out
+    read-only.  Compared and hashed by identity, like every result that
+    holds arrays.
     """
 
     a0: np.ndarray
@@ -164,9 +172,8 @@ class ChshSetting:
             if m.shape != (2, 2):
                 raise NotHermitianError(f"observable {name} must be 2x2, got shape {m.shape}")
         stack = np.array(mats)  # the copy every field views
-        if not np.isfinite(stack).all():
-            bad = np.isfinite(stack).all(axis=(1, 2)).tolist().index(False)
-            raise NotHermitianError(f"observable {OBSERVABLE_NAMES[bad]} has a non-finite entry")
+        for name, entries in zip(OBSERVABLE_NAMES, stack.tolist()):
+            _check_observable(name, entries)
         stack.flags.writeable = False
         for name, m in zip(OBSERVABLE_NAMES, stack):
             object.__setattr__(self, name, m)
@@ -191,6 +198,40 @@ class ChshSetting:
     def commutator_tensor(self) -> np.ndarray:
         """J = ¼ [A1, A0] ⊗ [B0, B1]; see the module function commutator_tensor."""
         return _read_only(0.25 * kron(comm(self.a1, self.a0), comm(self.b0, self.b1)))
+
+    @cached_property
+    def commutator_eigenvalues(self) -> np.ndarray:
+        """J's eigenvalues, ascending, from one eigenvalue-only solve.
+
+        The solve reads J's Hermitian part without checking J's defect:
+        observables within HERMITICITY_TOL can give a J that misses it
+        several times over.
+        """
+        return _read_only(eig_hermitian(self.commutator_tensor, np.inf, vectors=False).eigenvalues)
+
+
+def _check_observable(name: str, entries: list) -> None:
+    """Refuse a 2x2 O, given as nested lists, unless it is finite, Hermitian
+    within HERMITICITY_TOL and has -I ≤ O ≤ I within OBSERVABLE_NORM_TOL.
+
+    Read off the four entries.  The defect is the largest entry modulus of
+    O - O†, as `linalg.eig_hermitian` measures it.  The Hermitian part is
+    o0·I + o·σ, with eigenvalues o0 ± |o|, so its norm is |o0| + |o|.
+    Python floats overflow to inf without a warning, and inf is refused.
+    """
+    (p, q), (r, s) = entries
+    if not (isfinite(p) and isfinite(q) and isfinite(r) and isfinite(s)):
+        raise NotHermitianError(f"observable {name} has a non-finite entry")
+    defect = max(2.0 * abs(p.imag), 2.0 * abs(s.imag), hypot(q.real - r.real, q.imag + r.imag))
+    if defect > HERMITICITY_TOL:
+        raise NotHermitianError(
+            f"observable {name} deviates from Hermitian by {defect:.3e} (tol {HERMITICITY_TOL:.1e})", defect
+        )
+    norm = abs(p.real + s.real) / 2 + hypot(p.real - s.real, q.real + r.real, r.imag - q.imag) / 2
+    if norm > 1.0 + OBSERVABLE_NORM_TOL:
+        raise OutOfRangeError(
+            f"observable {name} has norm {norm:.3e}, outside -I ≤ O ≤ I (tol {OBSERVABLE_NORM_TOL:.0e})"
+        )
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
@@ -229,8 +270,10 @@ def commutator_tensor(setting: ChshSetting) -> np.ndarray:
 def incompatibility_degree(setting: ChshSetting) -> float:
     """Δ = ‖J‖ = ¼‖[A0,A1] ⊗ [B0,B1]‖, zero iff either party's pair commutes.
 
-    Computed from the explicit 4x4 tensor product so the definition applies
-    to non-projective observables too; the factorized form ¼‖[A0,A1]‖·‖[B0,B1]‖
-    is only used as a test oracle.
+    J is Hermitian with a spectrum symmetric about 0 (see commutator_tensor),
+    so Δ is Landau's μ of `chsh.landau_bound`, read from the same cached
+    solve; max(-λ_min, λ_max) absorbs roundoff and is never -0.0.  The
+    factorized form ¼‖[A0,A1]‖·‖[B0,B1]‖ is only used as a test oracle.
     """
-    return operator_norm(commutator_tensor(setting))
+    vals = setting.commutator_eigenvalues
+    return max(0.0, -float(vals[0]), float(vals[-1]))

@@ -173,8 +173,8 @@ def _state(entries=(), diagonal=(0.25, 0.25, 0.25, 0.25)):
 
 class TestCheckStateRefusals:
     """Each refusal with its class and exact text; the first failing check,
-    in the order shape, non-finite, overflow, Hermiticity, spectrum
-    overflow, trace, lowest eigenvalue, is the one reported."""
+    in the order numbers, shape, non-finite, overflow, Hermiticity,
+    spectrum overflow, trace, lowest eigenvalue, is the one reported."""
 
     @pytest.mark.parametrize(
         "rho, message",
@@ -228,6 +228,23 @@ class TestCheckStateRefusals:
         with pytest.raises(InvalidStateError) as exc:
             check_state(rho)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            ("abc", "expected a 4x4 density matrix of numbers, got str"),
+            ([[1, 2], [3]], "expected a 4x4 density matrix of numbers, got list"),
+            ({"a": 1}, "expected a 4x4 density matrix of numbers, got dict"),
+        ],
+        ids=["string", "ragged", "dict"],
+    )
+    def test_not_numbers(self, rho, message):
+        # numpy's parse and inhomogeneous-shape errors used to escape
+        with pytest.raises(InvalidStateError) as exc:
+            check_state(rho)
+        assert str(exc.value) == message
+        with pytest.raises(InvalidStateError):
+            chsh_value(OPTIMAL, rho)
 
     def test_accepts_within_tolerance(self):
         rho = _state([((0, 1), 1e-11)], diagonal=(0.25, 0.25, 0.25 + 5e-11, 0.25 - 5e-11))

@@ -241,6 +241,30 @@ class TestMaximizeOverUnitaries:
         with pytest.raises(OutOfRangeError):
             max_chsh_over_unitaries(0.3, CanonicalAngles(1.0, 1.0), restarts=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # numpy's TypeError, ValueError and TypeError escaped for these
+            ({"restarts": 2.5}, "restarts must be an integer, got 2.5"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"restarts": 2.0}, "restarts must be an integer, got 2.0"),
+            ({"seed": "1"}, "seed must be an integer, got '1'"),
+            ({"restarts": np.int64(-2)}, "restarts must be >= 1, got -2"),
+        ],
+        ids=["fractional-restarts", "negative-seed", "fractional-seed", "float-restarts", "str-seed", "numpy-restarts"],
+    )
+    def test_rejects_non_integer_arguments(self, kwargs, message):
+        with pytest.raises(OutOfRangeError) as exc:
+            max_chsh_over_unitaries(0.3, CanonicalAngles(1.0, 1.0), **kwargs)
+        assert str(exc.value) == message
+
+    def test_accepts_numpy_integers(self):
+        angles = CanonicalAngles(theta=1.0, phi=0.5)
+        want = max_chsh_over_unitaries(0.3, angles, restarts=3, seed=7)
+        got = max_chsh_over_unitaries(0.3, angles, restarts=np.int32(3), seed=np.uint64(7))
+        assert got[0] == want[0] and got[1][0].theta == want[1][0].theta
+
 
 class TestStationarity:
     def test_reference_values(self):

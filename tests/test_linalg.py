@@ -1,4 +1,4 @@
-"""Kronecker products, the LAPACK-backed eigensolver and operator norms.
+"""Kronecker products and the LAPACK-backed eigensolver.
 
 eig_hermitian wraps numpy.linalg.eigh, or numpy.linalg.eigvalsh for an
 eigenvalue-only solve, so comparing it with numpy checks the wrapper
@@ -23,7 +23,6 @@ from chshlab.linalg import (
     hermitize,
     is_psd,
     kron,
-    operator_norm,
 )
 from chshlab.errors import ChshLabError, NonUnitAxisError, NotHermitianError
 from chshlab.measurement import BinaryPovm, unit_axis
@@ -126,30 +125,13 @@ class TestEigHermitian:
         assert np.allclose(spec.eigenvalues, [-1.0, 1.0], atol=1e-10)
 
 
-class TestOperatorNorm:
-    def test_pauli(self):
-        assert operator_norm(SZ) == pytest.approx(1.0, abs=1e-12)
+def test_operator_norm_is_gone():
+    """Δ reads the cached solve of J; the Gram-matrix norm had no other caller."""
+    import chshlab
+    import chshlab.linalg
 
-    def test_zero(self):
-        assert operator_norm(np.zeros((2, 2))) == 0.0
-
-    def test_quarter_commutator_tensor(self):
-        # 1/4 [sz, sx] x [B0, B1] has unit norm (it equals sy x sy up to sign)
-        j = 0.25 * kron(SZ @ SX - SX @ SZ, B0 @ B1 - B1 @ B0)
-        oracle = float(np.max(np.abs(np.linalg.eigvalsh(j))))
-        assert operator_norm(j) == pytest.approx(oracle, abs=1e-10)
-        assert operator_norm(j) == pytest.approx(1.0, abs=1e-10)
-
-    def test_hermitian_norm_is_max_abs_eigenvalue(self, rng):
-        for _ in range(20):
-            h = random_hermitian(rng, int(rng.integers(2, 9)))
-            oracle = float(np.max(np.abs(np.linalg.eigvalsh(h))))
-            assert abs(operator_norm(h) - oracle) <= 1e-10
-
-    def test_non_hermitian_singular_value(self, rng):
-        for _ in range(10):
-            m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            assert abs(operator_norm(m) - np.linalg.svd(m, compute_uv=False)[0]) <= 1e-10
+    assert not hasattr(chshlab, "operator_norm")
+    assert not hasattr(chshlab.linalg, "operator_norm")
 
 
 def test_psd_helpers(rng):
@@ -253,7 +235,7 @@ class TestErrorParity:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1), (1, 0)])
-    @pytest.mark.parametrize("fn", [eig_hermitian, is_psd, operator_norm])
+    @pytest.mark.parametrize("fn", [eig_hermitian, is_psd])
     def test_non_finite_entry(self, fn, where, bad):
         # refused before any arithmetic, so numpy has no inf to warn about
         # (warnings are errors in this suite)
@@ -321,13 +303,6 @@ class TestErrorParity:
             eig_hermitian(m)
         assert str(exc.value) == "matrix has a non-finite entry"
 
-    def test_operator_norm_gram_overflow(self):
-        # M is finite but M†M is not: refused like a non-finite entry, where
-        # numpy used to warn "overflow encountered in matmul" first
-        with pytest.raises(NotHermitianError) as exc:
-            operator_norm(np.full((2, 2), 1e200))
-        assert str(exc.value) == "matrix has a non-finite entry"
-
     def test_non_square(self):
         with pytest.raises(NotHermitianError) as exc:
             eig_hermitian(np.zeros((2, 3)))
@@ -346,7 +321,7 @@ class TestErrorParity:
             fn(np.zeros(shape))
         assert str(exc.value).startswith("matrix deviates from Hermitian by inf (tol ")
 
-    @pytest.mark.parametrize("fn", [hermitize, is_psd, eig_hermitian, operator_norm, BinaryPovm.from_effect])
+    @pytest.mark.parametrize("fn", [hermitize, is_psd, eig_hermitian, BinaryPovm.from_effect])
     def test_empty_matrix(self, fn):
         with pytest.raises(NotHermitianError) as exc:
             fn(np.zeros((0, 0)))
@@ -360,10 +335,31 @@ class TestErrorParity:
         assert isinstance(exc.value, ChshLabError) and isinstance(exc.value, ValueError)
 
     def test_not_a_matrix(self):
-        for fn in (eig_hermitian, is_psd, operator_norm, lambda m: kron(m, I2)):
+        for fn in (eig_hermitian, is_psd, lambda m: kron(m, I2)):
             with pytest.raises(ValueError) as exc:
                 fn(np.zeros(3))
             assert str(exc.value) == "expected a 2-D matrix, got shape (3,)"
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            ([1.0, -1.0], "expected a 2-D matrix, got shape (2,)"),
+            ("abc", "expected a 2-D matrix of numbers, got str"),
+            ([[1.0, 2.0], [3.0]], "expected a 2-D matrix of numbers, got list"),
+        ],
+        ids=["1-d", "string", "ragged"],
+    )
+    @pytest.mark.parametrize(
+        "fn",
+        [eig_hermitian, is_psd, hermitize, BinaryPovm.from_effect, lambda m: kron(m, I2)],
+        ids=["eig_hermitian", "is_psd", "hermitize", "from_effect", "kron"],
+    )
+    def test_not_a_matrix_is_a_chshlab_error(self, fn, m, message):
+        # numpy's own ValueErrors used to escape the package's error base
+        with pytest.raises(NotHermitianError) as exc:
+            fn(m)
+        assert str(exc.value) == message
+        assert exc.value.defect is None
 
     def test_asymmetry_above_tol(self):
         m = SZ.copy()
@@ -374,4 +370,3 @@ class TestErrorParity:
         assert exc.value.defect == 1e-9
         # the callers read the Hermitian part instead of refusing
         assert is_psd(m) is False
-        assert operator_norm(m) == pytest.approx(1.0, abs=1e-9)

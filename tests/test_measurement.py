@@ -9,8 +9,11 @@ import chshlab.measurement
 from chshlab.chsh import chsh_operator, chsh_value, landau_bound, max_over_states, sample_estimate
 from chshlab.compat import parent_povm_search, sharpness_threshold
 from chshlab.errors import NonUnitAxisError, NotHermitianError, OutOfRangeError
-from chshlab.linalg import I2, SX, SY, SZ, eig_hermitian, hermitize, is_psd, operator_norm
+from chshlab.linalg import I2, SX, SY, SZ, eig_hermitian, hermitize, is_psd
 from chshlab.measurement import (
+    OBSERVABLE_NORM_TOL,
+    PSD_TOL,
+    UNIT_AXIS_TOL,
     BinaryPovm,
     ChshSetting,
     X_AXIS,
@@ -258,6 +261,31 @@ def test_non_finite_axis_is_not_unit(axis, slot):
         ChshSetting.from_axes(*axes)
 
 
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        ([1.0, 0.0], "axis [1.0, 0.0] is not three real numbers"),
+        (np.zeros(4), "axis array([0., 0., 0., 0.]) is not three real numbers"),
+        ("abc", "axis 'abc' is not three real numbers"),
+        ([[1.0, 0.0], [0.0]], "axis [[1.0, 0.0], [0.0]] is not three real numbers"),
+    ],
+    ids=["2-vector", "4-vector", "string", "ragged"],
+)
+def test_axis_that_is_not_three_reals(axis, message):
+    """numpy's reshape and parse errors used to escape as bare ValueErrors."""
+    calls = [
+        lambda: unit_axis(axis),
+        lambda: bloch_observable(axis),
+        lambda: noisy_pauli_povm(axis, 0.5),
+        lambda: ChshSetting.from_axes(Z_AXIS, axis, Z_AXIS, X_AXIS),
+        lambda: sharpness_threshold(axis, Z_AXIS),
+    ]
+    for call in calls:
+        with pytest.raises(NonUnitAxisError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_results_holding_arrays_compare_by_identity():
     """Field-wise == on ndarray fields raised 'truth value ... ambiguous',
     and hash raised too."""
@@ -327,8 +355,6 @@ class TestIncompatibilityDegree:
     def test_equals_top_eigenvalue_for_projective(self, rng):
         # the commutator tensor has a symmetric spectrum, so its norm is
         # the top eigenvalue; numpy is the oracle
-        from chshlab.chsh import commutator_tensor
-
         for _ in range(20):
             a0, a1, b0, b1 = (bloch_observable(ax) for ax in random_axes(rng, 4))
             setting = ChshSetting(a0, a1, b0, b1)
@@ -341,8 +367,75 @@ class TestIncompatibilityDegree:
         for _ in range(10):
             a0, a1, b0, b1 = (bloch_observable(ax) for ax in random_axes(rng, 4))
             setting = ChshSetting(a0, a1, b0, b1)
-            factorized = 0.25 * operator_norm(a0 @ a1 - a1 @ a0) * operator_norm(b0 @ b1 - b1 @ b0)
+            factorized = 0.25 * np.linalg.norm(a0 @ a1 - a1 @ a0, 2) * np.linalg.norm(b0 @ b1 - b1 @ b0, 2)
             assert incompatibility_degree(setting) == pytest.approx(factorized, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(*[_unit_axis()] * 4),
+        st.one_of(st.none(), st.tuples(*[st.floats(0.0, 1.0)] * 4)),
+    )
+    def test_delta_is_landau_mu(self, axes, lams):
+        """Δ = ‖J‖ is J's top eigenvalue, projective (lams None) or noisy."""
+        if lams is None:
+            setting = ChshSetting.from_axes(*axes)
+        else:
+            setting = ChshSetting.from_povms(*(noisy_pauli_povm(ax, lam) for ax, lam in zip(axes, lams)))
+        a0, a1, b0, b1 = setting.observables()
+        j = commutator_tensor(setting)
+        delta = incompatibility_degree(setting)
+        assert abs(delta - np.linalg.norm(j, 2)) <= 1e-12
+        factorized = 0.25 * np.linalg.norm(a0 @ a1 - a1 @ a0, 2) * np.linalg.norm(b0 @ b1 - b1 @ b0, 2)
+        assert abs(delta - factorized) <= 1e-12
+        assert not np.signbit(delta)  # never -0.0
+        if lams is None:
+            mu = landau_bound(setting).mu
+            assert abs(delta - mu) <= 1e-12
+            # J can miss Hermiticity by an ulp; μ solves its Hermitian part
+            assert mu == float(np.linalg.eigvalsh((j + j.conj().T) / 2)[-1])
+            assert abs(mu - np.linalg.eigvalsh(j)[-1]) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            ChshSetting(SZ, SZ, SX, SZ),
+            ChshSetting(SZ, SX, -SX, -SX),
+            ChshSetting(np.zeros((2, 2)), SX, SZ, SX),
+            ChshSetting.from_povms(*noisy_family_povms(0.0)),
+        ],
+        ids=["commuting-alice", "commuting-bob", "zero-observable", "trivial-povms"],
+    )
+    def test_commuting_is_positive_zero(self, setting):
+        delta = incompatibility_degree(setting)
+        assert delta == 0.0 and not np.signbit(delta)
+
+
+class TestOneCommutatorSolve:
+    """Δ and μ read one cached eigenvalue-only solve of J per setting."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = chshlab.measurement.eig_hermitian
+
+        def counting(*args, **kwargs):
+            calls.append((args[0].shape, kwargs))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(chshlab.measurement, "eig_hermitian", counting)
+        return calls
+
+    def test_one_solve_per_setting(self, solves):
+        mu_first = canonical_setting(CanonicalAngles(theta=1.1, phi=0.7))
+        delta_first = ChshSetting.from_axes(Z_AXIS, X_AXIS, (X_AXIS + Z_AXIS) / np.sqrt(2), (Z_AXIS - X_AXIS) / np.sqrt(2))
+        for _ in range(2):
+            assert landau_bound(mu_first).mu == incompatibility_degree(mu_first)
+            assert incompatibility_degree(delta_first) == landau_bound(delta_first).mu
+        assert solves == [((4, 4), {"vectors": False})] * 2
+        vals = mu_first.commutator_eigenvalues
+        assert vals is mu_first.commutator_eigenvalues and not vals.flags.writeable
+        with pytest.raises(ValueError):
+            vals[0] = 0.0
 
 
 def test_noisy_family_observables():
@@ -367,8 +460,9 @@ def _with(slot, m):
 
 
 class TestChshSettingRefusals:
-    """Observables that are not finite 2x2 matrices are refused on
-    construction, before any spectral call can crash or warn."""
+    """Observables that are not finite 2x2 Hermitian matrices with
+    -I ≤ O ≤ I are refused on construction, before any spectral call can
+    crash, warn or report a value beyond quantum mechanics."""
 
     @pytest.mark.parametrize(
         "observables, message",
@@ -379,13 +473,134 @@ class TestChshSettingRefusals:
             (_with(1, np.full((2, 2), np.nan)), "observable a1 has a non-finite entry"),
             (_with(2, np.diag([np.inf, 1.0])), "observable b0 has a non-finite entry"),
             (_with(3, np.array([[1.0, complex(0.0, -np.inf)], [0.0, 1.0]])), "observable b1 has a non-finite entry"),
+            # Δ read 0.5 and chsh_value 0.5 for this a0
+            (_with(0, np.array([[0.0, 1.0], [0.0, 0.0]])), "observable a0 deviates from Hermitian by 1.000e+00 (tol 1.0e-10)"),
+            (_with(1, SX + 1e-9j * SZ), "observable a1 deviates from Hermitian by 2.000e-09 (tol 1.0e-10)"),
+            (_with(3, 1j * SZ), "observable b1 deviates from Hermitian by 2.000e+00 (tol 1.0e-10)"),
         ],
-        ids=["all-3x3", "one-3x3", "vector", "nan", "inf", "-inf-imag"],
+        ids=["all-3x3", "one-3x3", "vector", "nan", "inf", "-inf-imag", "nilpotent", "imag-diagonal", "anti-hermitian"],
     )
     def test_refusal(self, observables, message):
         with pytest.raises(NotHermitianError) as exc:
             ChshSetting(*observables)
         assert str(exc.value) == message
+
+    def test_hermiticity_defect_is_reported(self):
+        with pytest.raises(NotHermitianError) as exc:
+            ChshSetting(*_with(2, SZ + np.array([[0.0, 3e-10], [0.0, 0.0]])))
+        assert exc.value.defect == 3e-10
+
+    def test_within_hermiticity_tol(self):
+        # the defect of linalg.eig_hermitian, measured against the same tol
+        a1 = SX + np.array([[0.0, 5e-11], [0.0, 0.0]])
+        setting = ChshSetting(*_with(1, a1))
+        assert setting.a1.tolist() == a1.tolist()
+
+    def test_accepted_setting_has_spectral_values(self):
+        # each observable misses Hermiticity by 9e-11, inside the tol, yet
+        # J misses it by 1.7e-10: Δ and μ read J's Hermitian part instead
+        # of refusing a setting that construction accepted
+        e = np.array([[0.0, 9e-11], [0.0, 0.0]])
+        b0, b1 = (SZ + SX) / np.sqrt(2), (SZ - SX) / np.sqrt(2)
+        setting = ChshSetting(SZ + e, SX + 1j * e, b0 + e, b1 - 1j * e)
+        j = commutator_tensor(setting)
+        assert np.abs(j - j.conj().T).max() > 1e-10
+        want = float(np.linalg.eigvalsh((j + j.conj().T) / 2)[-1])
+        assert landau_bound(setting).mu == want
+        assert incompatibility_degree(setting) == pytest.approx(want, abs=1e-12)
+        assert want == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "observables, message",
+        [
+            # max_over_states read 4.2426 > 2√2, and Δ read 2.0
+            (_with(0, 2 * SZ), "observable a0 has norm 2.000e+00, outside -I ≤ O ≤ I (tol 2e-09)"),
+            # max_over_states read 1.4e200
+            (_with(0, 1e200 * SZ), "observable a0 has norm 1.000e+200, outside -I ≤ O ≤ I (tol 2e-09)"),
+            # every spectral call overflowed with a warning
+            ([1e200 * m for m in (SZ, SX, SZ, SX)], "observable a0 has norm 1.000e+200, outside -I ≤ O ≤ I (tol 2e-09)"),
+            (_with(3, 0.5 * I2 + 0.6 * SX), "observable b1 has norm 1.100e+00, outside -I ≤ O ≤ I (tol 2e-09)"),
+            (_with(2, -1.5 * I2), "observable b0 has norm 1.500e+00, outside -I ≤ O ≤ I (tol 2e-09)"),
+            (_with(1, (1 + 3e-9) * SY), "observable a1 has norm 1.000e+00, outside -I ≤ O ≤ I (tol 2e-09)"),
+            # entries past MAX_ENTRY_MODULUS: the norm overflows to inf, without a warning
+            (
+                _with(1, np.array([[0.0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.0]])),
+                "observable a1 has norm inf, outside -I ≤ O ≤ I (tol 2e-09)",
+            ),
+            (_with(3, np.diag([1.7e308, -1.7e308])), "observable b1 has norm inf, outside -I ≤ O ≤ I (tol 2e-09)"),
+        ],
+        ids=["twice-sz", "1e200", "all-1e200", "biased", "minus-identity", "just-above-tol", "modulus-inf", "difference-inf"],
+    )
+    def test_out_of_range(self, observables, message):
+        with pytest.raises(OutOfRangeError) as exc:
+            ChshSetting(*observables)
+        assert str(exc.value) == message
+
+    def test_norm_tol(self):
+        assert OBSERVABLE_NORM_TOL == 2 * UNIT_AXIS_TOL
+        for scale in (1 + 1.9e-9, 1 - 1e-3, 1e-300, 0.0):
+            for m in (SZ, SY, -I2, 0.5 * I2 + 0.5 * SX):
+                ChshSetting(*_with(2, scale * m))
+
+    def test_first_failing_observable_wins(self):
+        with pytest.raises(NotHermitianError, match="^observable a1 has a non-finite entry$"):
+            ChshSetting(SZ, np.full((2, 2), np.nan), 2 * SZ, 1j * SZ)
+        with pytest.raises(OutOfRangeError, match="^observable a0 has norm"):
+            ChshSetting(2 * SZ, np.full((2, 2), np.nan), SZ, 1j * SZ)
+
+
+class TestChshSettingAcceptsEveryConstructor:
+    """Every observable bloch_observable, noisy_pauli_povm and from_effect
+    can build passes the -I ≤ O ≤ I check, at the edge of each one's own
+    tolerance."""
+
+    @staticmethod
+    def _edge_scale(direction, build):
+        """Bisect for the largest s in [1, 1 + 2·UNIT_AXIS_TOL] that build(s·direction) accepts."""
+        lo, hi = 1.0, 1.0 + 2 * UNIT_AXIS_TOL
+        build(lo * direction)
+        for _ in range(64):
+            mid = (lo + hi) / 2
+            try:
+                build(mid * direction)
+                lo = mid
+            except (NonUnitAxisError, OutOfRangeError):
+                hi = mid
+        return lo
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bloch_observable_at_unit_axis_edge(self, seed):
+        rng = np.random.default_rng(seed)
+        edge = []
+        for v in rng.normal(size=(4, 3)):
+            direction = v / np.linalg.norm(v)
+            s = self._edge_scale(direction, unit_axis)
+            assert s > 1.0 + 0.99 * UNIT_AXIS_TOL
+            edge.append(s * direction)
+        setting = ChshSetting.from_axes(*edge)
+        assert max_over_states(setting).value <= 2 * np.sqrt(2) + 1e-8
+
+    @pytest.mark.parametrize("direction", [Z_AXIS, X_AXIS, np.array([0.48, -0.6, 0.64])], ids=["z", "x", "tilted"])
+    def test_sharp_noisy_povm_at_psd_edge(self, direction):
+        s = self._edge_scale(direction, lambda axis: noisy_pauli_povm(axis, 1.0))
+        assert s > 1.0  # the PSD tolerance lets |n| past 1
+        povm = noisy_pauli_povm(s * direction, 1.0)
+        ChshSetting.from_povms(povm, povm, povm, povm)
+
+    @pytest.mark.parametrize(
+        "effect",
+        [
+            np.diag([-PSD_TOL, -PSD_TOL]),
+            np.diag([-PSD_TOL, 1.0]),
+            np.diag([1.0, -PSD_TOL]),
+            from_pauli_coords([1.0 - PSD_TOL, 1.0, 0.0, 0.0]),
+        ],
+        ids=["below-zero", "below-zero-and-one", "one-and-below-zero", "shifted-projector"],
+    )
+    def test_biased_effect_at_psd_tol(self, effect):
+        povm = BinaryPovm.from_effect(effect)
+        assert povm.bias != 0.0
+        ChshSetting.from_povms(povm, povm, povm, povm)
 
 
 class TestChshSettingDerivesOnce:
