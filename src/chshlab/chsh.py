@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidStateError, NotHermitianError, NotInvolutiveError, OutOfRangeError
 from .linalg import eig_hermitian
-from .measurement import OBSERVABLE_NAMES, BinaryPovm, ChshSetting, commutator_tensor  # noqa: F401 (re-exported)
+from .measurement import OBSERVABLE_NAMES, BinaryPovm, ChshSetting, _commutator_norm, commutator_tensor  # noqa: F401 (re-exported)
 
 STATE_TOL = 1e-10
 INVOLUTION_TOL = 1e-9
@@ -23,10 +23,10 @@ class ChshReport:
 
     value is the CHSH expression being reported, bound the certified
     maximum over states (they coincide for the spectral maximizers),
-    mu the top eigenvalue of the commutator tensor (set by landau_bound),
-    and optimal_state the eigenprojector attaining the maximum (set by
-    max_over_states).  Compared and hashed by identity, since
-    optimal_state is an array.
+    mu the top eigenvalue of the commutator tensor J, which is the
+    incompatibility degree Δ (set by landau_bound), and optimal_state the
+    eigenprojector attaining the maximum (set by max_over_states).
+    Compared and hashed by identity, since optimal_state is an array.
     """
 
     value: float
@@ -121,16 +121,17 @@ def _involution_defect(obs: np.ndarray) -> float:
 def landau_bound(setting: ChshSetting) -> ChshReport:
     """Spectral CHSH maximum 2√(1+μ) for projective settings.
 
-    μ is the top eigenvalue of J = ¼[A0,A1]⊗[B0,B1], from the setting's one
-    cached solve of J, which `incompatibility_degree` reads as Δ = μ.  Valid
-    only when every observable squares to the identity (S² = 4I + 4J needs
-    it); other dichotomic observables are rejected, use max_over_states.
+    μ is the top eigenvalue of J = ¼[A0,A1]⊗[B0,B1], |a0 × a1|·|b0 × b1| in
+    closed form: the same number as `incompatibility_degree`'s Δ, bit for
+    bit, and no eigensolve.  Valid only when every observable squares to
+    the identity (S² = 4I + 4J needs it); other dichotomic observables are
+    rejected, use max_over_states.
     """
     for name, obs in zip(OBSERVABLE_NAMES, setting.observables()):
         defect = _involution_defect(obs)
         if defect > INVOLUTION_TOL:
             raise NotInvolutiveError(f"observable {name}: ||O² - I|| = {defect:.3e}")
-    mu = float(setting.commutator_eigenvalues[-1])
+    mu = _commutator_norm(setting)
     bound = 2.0 * np.sqrt(1.0 + mu)
     return ChshReport(value=bound, bound=bound, violates=violates(bound), mu=mu)
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import _kernels
 from .errors import InvalidToleranceError, NotUnbiasedError
 from .linalg import I2
-from .measurement import BinaryPovm, _from_pauli_coords, unit_axis
+from .measurement import BinaryPovm, _from_pauli_coords, _real, unit_axis
 
 UNBIASED_TOL = 1e-9
 DEFAULT_TOL = 1e-9
@@ -158,8 +158,9 @@ def coexistence_criterion(p: BinaryPovm, q: BinaryPovm) -> JmVerdict:
 
 
 def check_tolerance(tol: float) -> float:
-    """tol itself if it lies in (0, MAX_TOL], else InvalidToleranceError."""
-    if not 0.0 < tol <= MAX_TOL:
+    """tol itself if it lies in (0, MAX_TOL], else InvalidToleranceError;
+    OutOfRangeError if it is not a real number."""
+    if not 0.0 < _real("tol", tol) <= MAX_TOL:
         raise InvalidToleranceError(f"tol must be in (0, {MAX_TOL:g}], got {tol}")
     return tol
 

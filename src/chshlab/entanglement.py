@@ -12,7 +12,7 @@ import numpy as np
 from . import _kernels
 from .chsh import _integer, chsh_operator, state_from_vector, violates
 from .errors import DegenerateDeltaError, NonRealTraceError, OutOfRangeError
-from .measurement import ChshSetting, X_AXIS, Z_AXIS
+from .measurement import ChshSetting, X_AXIS, Z_AXIS, _real
 
 TRACE_IMAG_ERROR = 1e-8
 DELTA_SINGULAR_TOL = 1e-12
@@ -36,7 +36,7 @@ class SchmidtState:
 
 def _concurrence(e: float) -> float:
     """Concurrence 2√(E(1-E)) of the Schmidt state; E must lie in [0, ½]."""
-    if not 0.0 <= e <= 0.5:
+    if not 0.0 <= _real("entanglement parameter", e) <= 0.5:
         raise OutOfRangeError(f"entanglement parameter {e!r} outside [0, 1/2]")
     return 2.0 * sqrt(e * (1.0 - e))
 
@@ -56,9 +56,9 @@ class CanonicalAngles:
     phi: float
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= pi / 2 + 1e-12:
+        if not 0.0 <= _real("theta", self.theta) <= pi / 2 + 1e-12:
             raise OutOfRangeError(f"theta {self.theta!r} outside [0, pi/2]")
-        if not 0.0 <= self.phi <= pi / 2 + 1e-12:
+        if not 0.0 <= _real("phi", self.phi) <= pi / 2 + 1e-12:
             raise OutOfRangeError(f"phi {self.phi!r} outside [0, pi/2]")
 
     @property
@@ -178,7 +178,7 @@ def max_chsh_closed_form(e: float, delta: float) -> float:
     incompatibility Δ; equals 2√2 at (1/2, 1) and 2 at Δ=0 for every E.
     """
     x = 1.0 - _concurrence(e)
-    if not 0.0 <= delta <= 1.0:
+    if not 0.0 <= _real("incompatibility degree", delta) <= 1.0:
         raise OutOfRangeError(f"incompatibility degree {delta!r} outside [0, 1]")
     return (2.0 - x) * sqrt(1.0 + delta) + x * sqrt(1.0 - delta)
 

@@ -4,10 +4,11 @@ Everything in the CHSH scenario lives in dimension 2 or 4 (16 at most).
 Every spectrum goes through one path, `eig_hermitian`, on numpy's LAPACK
 Hermitian solvers: `numpy.linalg.eigh` when the caller reads
 eigenvectors, `numpy.linalg.eigvalsh` when it asks for eigenvalues only
-(`vectors=False`).  `is_psd`, `chsh.check_state` and the cached solve of
-J behind `chsh.landau_bound` and `measurement.incompatibility_degree` read
-eigenvalues only; `chsh.max_over_states` takes the full `eigh` solve.
-numpy arrays are the universal carrier; matrices are row-major complex.
+(`vectors=False`).  `is_psd` and `chsh.check_state` read eigenvalues
+only; `chsh.max_over_states` takes the full `eigh` solve.  Δ and
+Landau's μ need no solve: `measurement.incompatibility_degree` has them
+in closed form.  numpy arrays are the universal carrier; matrices are
+row-major complex.
 
 Validation happens in one place, `_with_adjoint`.  `eig_hermitian`
 converts its input once and, before any arithmetic, refuses a
@@ -16,12 +17,11 @@ overflow (one reduction, the largest modulus, finds both).  It refuses a
 non-square input at any `tol`, measures the Hermiticity defect once
 against a finite `tol`, hands (M + M†)/2 to the solver, and refuses a
 spectrum that overflowed.  Callers do not symmetrize or check first:
-`hermitize`, `is_psd` and the solve of J pass `tol=inf`, so they accept
-any bounded square input and see its Hermitian part, and
-`chsh.check_state` passes its own tol.  The one exception is
-`measurement.ChshSetting`: it reads the same defect, against
-HERMITICITY_TOL, off the four entries of each 2x2 observable without a
-solve.
+`hermitize` and `is_psd` pass `tol=inf`, so they accept any bounded
+square input and see its Hermitian part, and `chsh.check_state` passes
+its own tol.  The one exception is `measurement.ChshSetting`: it reads
+the same defect, against HERMITICITY_TOL, off the four entries of each
+2x2 observable without a solve.
 
 Two constructors write matrices that are Hermitian by construction and
 skip `hermitize`: `measurement.bloch_observable`, and
@@ -119,21 +119,13 @@ def kron(a, b) -> np.ndarray:
     return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def comm(a, b) -> np.ndarray:
-    """Commutator [a, b] = ab - ba."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    return a @ b - b @ a
-
-
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues sorted ascending with matching orthonormal columns.
 
     eigenvectors is None for an eigenvalue-only solve
-    (`eig_hermitian(..., vectors=False)`), which `is_psd`,
-    `chsh.check_state` and `measurement.ChshSetting.commutator_eigenvalues`
-    ask for; `projector` needs the full solve.
+    (`eig_hermitian(..., vectors=False)`), which `is_psd` and
+    `chsh.check_state` ask for; `projector` needs the full solve.
     Compared and hashed by identity: its fields are arrays."""
 
     eigenvalues: np.ndarray

@@ -10,7 +10,7 @@ from math import hypot, sqrt
 import numpy as np
 
 from .errors import NonUnitAxisError, NotHermitianError, OutOfRangeError
-from .linalg import HERMITICITY_TOL, I2, as_matrix, comm, eig_hermitian, hermitize, is_psd, kron
+from .linalg import HERMITICITY_TOL, I2, as_matrix, hermitize, is_psd, kron
 
 UNIT_AXIS_TOL = 1e-9
 # unit_axis lets |n| reach 1 + UNIT_AXIS_TOL; twice that leaves room for
@@ -20,15 +20,41 @@ PSD_TOL = 1e-12
 _BELOW_PSD_TOL = "POVM effect has an eigenvalue below -1e-12"
 OBSERVABLE_NAMES = ("a0", "a1", "b0", "b1")
 
+# the scalar types _real accepts, bool apart; a module constant, since
+# building the tuple on each call cost more than the test itself
+_REAL_TYPES = (float, int, np.floating, np.integer)
+
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
+def _real(name: str, value):
+    """value itself if it is a Python or numpy real scalar, else OutOfRangeError.
+
+    Read before any range check, which would leak TypeError for a string
+    or None, and numpy's "truth value" ValueError for an array.  A bool is
+    refused too.
+    """
+    if isinstance(value, _REAL_TYPES) and type(value) is not bool:
+        return value
+    raise OutOfRangeError(f"{name} must be a real number, got {value!r}")
+
+
 def unit_axis(v) -> np.ndarray:
-    """Validate a Bloch direction: three reals of unit Euclidean norm."""
+    """Validate a Bloch direction: three reals of unit Euclidean norm.
+
+    Complex input is refused, even with zero imaginary parts: the cast to
+    float would drop them with a ComplexWarning.
+    """
     try:
-        a = np.asarray(v, dtype=float).reshape(3)
+        a = np.asarray(v)
+        if a.dtype.char != "d":  # not float64 already: convert, unless complex
+            kind = a.dtype.kind
+            if kind == "c" or kind == "O" and any(isinstance(x, (complex, np.complexfloating)) for x in a.flat):
+                raise TypeError
+            a = a.astype(float)
+        a = a.reshape(3)
     except (TypeError, ValueError):
         raise NonUnitAxisError(f"axis {v!r} is not three real numbers") from None
     norm = sqrt(a.dot(a))  # numpy.linalg.norm of a real vector, bit for bit
@@ -138,7 +164,7 @@ def noisy_pauli_povm(axis, lam: float) -> BinaryPovm:
     λ|n| above 1 + 2e-12, which unit_axis's tolerance lets through near
     λ = 1.
     """
-    if not 0.0 <= lam <= 1.0:
+    if not 0.0 <= _real("sharpness λ", lam) <= 1.0:
         raise OutOfRangeError(f"sharpness λ={lam!r} outside [0, 1]")
     n0, n1, n2 = unit_axis(axis).tolist()
     e_plus = _from_pauli_coords(1.0, lam * n0, lam * n1, lam * n2)
@@ -155,10 +181,10 @@ class ChshSetting:
     -I ≤ O ≤ I within OBSERVABLE_NORM_TOL, or it is refused.  Each field
     holds a read-only complex copy of it: writing into `setting.a0` raises,
     and writing into the caller's source array afterwards changes no
-    result.  S, J and J's eigenvalues depend on nothing else, so each is
-    built at most once per instance, on first use, and handed out
-    read-only.  Compared and hashed by identity, like every result that
-    holds arrays.
+    result.  S depends on nothing else, so it is built at most once per
+    instance, on first use, and handed out read-only.  Δ and Landau's μ
+    need no operator: see incompatibility_degree.  Compared and hashed by
+    identity, like every result that holds arrays.
     """
 
     a0: np.ndarray
@@ -192,22 +218,9 @@ class ChshSetting:
     @cached_property
     def chsh_operator(self) -> np.ndarray:
         """S = A0 ⊗ (B0 + B1) + A1 ⊗ (B0 - B1), a 4x4 Hermitian operator."""
-        return _read_only(kron(self.a0, self.b0 + self.b1) + kron(self.a1, self.b0 - self.b1))
-
-    @cached_property
-    def commutator_tensor(self) -> np.ndarray:
-        """J = ¼ [A1, A0] ⊗ [B0, B1]; see the module function commutator_tensor."""
-        return _read_only(0.25 * kron(comm(self.a1, self.a0), comm(self.b0, self.b1)))
-
-    @cached_property
-    def commutator_eigenvalues(self) -> np.ndarray:
-        """J's eigenvalues, ascending, from one eigenvalue-only solve.
-
-        The solve reads J's Hermitian part without checking J's defect:
-        observables within HERMITICITY_TOL can give a J that misses it
-        several times over.
-        """
-        return _read_only(eig_hermitian(self.commutator_tensor, np.inf, vectors=False).eigenvalues)
+        s = kron(self.a0, self.b0 + self.b1) + kron(self.a1, self.b0 - self.b1)
+        s.flags.writeable = False
+        return s
 
 
 def _check_observable(name: str, entries: list) -> None:
@@ -234,11 +247,6 @@ def _check_observable(name: str, entries: list) -> None:
         )
 
 
-def _read_only(m: np.ndarray) -> np.ndarray:
-    m.flags.writeable = False
-    return m
-
-
 def noisy_family_povms(lam: float) -> tuple[BinaryPovm, BinaryPovm, BinaryPovm, BinaryPovm]:
     """The noisy-Pauli strategy for both parties at common sharpness λ.
 
@@ -262,18 +270,35 @@ def commutator_tensor(setting: ChshSetting) -> np.ndarray:
     Reversing either commutator flips the sign of J but not its spectrum
     (a tensor product of two anti-Hermitian factors is Hermitian with a
     symmetric spectrum), so the top eigenvalue and the norm are
-    orientation-independent.  Built once per setting and read-only.
+    orientation-independent.  Built anew on each call, for oracles such as
+    `verify landau`'s S² = 4(I + J): Δ and μ never read it.
     """
-    return setting.commutator_tensor
+    a0, a1, b0, b1 = setting.observables()
+    return 0.25 * kron(a1 @ a0 - a0 @ a1, b0 @ b1 - b1 @ b0)
 
 
 def incompatibility_degree(setting: ChshSetting) -> float:
     """Δ = ‖J‖ = ¼‖[A0,A1] ⊗ [B0,B1]‖, zero iff either party's pair commutes.
 
-    J is Hermitian with a spectrum symmetric about 0 (see commutator_tensor),
-    so Δ is Landau's μ of `chsh.landau_bound`, read from the same cached
-    solve; max(-λ_min, λ_max) absorbs roundoff and is never -0.0.  The
-    factorized form ¼‖[A0,A1]‖·‖[B0,B1]‖ is only used as a test oracle.
+    With o the Bloch vector of O's Hermitian part, [O, O'] = 2i(o × o')·σ
+    has norm 2|o × o'|, so Δ = |a0 × a1|·|b0 × b1| in closed form
+    (sinθ·sinφ on the canonical setting), never -0.0.  J's spectrum is
+    ±Δ, so Δ is also Landau's μ of `chsh.landau_bound`, bit for bit.
     """
-    vals = setting.commutator_eigenvalues
-    return max(0.0, -float(vals[0]), float(vals[-1]))
+    return _commutator_norm(setting)
+
+
+def _commutator_norm(setting: ChshSetting) -> float:
+    """|a0 × a1|·|b0 × b1|, the one closed form behind Δ and μ."""
+    return _doubled_cross(setting.a0, setting.a1) * _doubled_cross(setting.b0, setting.b1) / 16.0
+
+
+def _doubled_cross(x: np.ndarray, y: np.ndarray) -> float:
+    """|2x × 2y| for the Bloch vectors x, y of two 2x2 matrices' Hermitian
+    parts, 2x = (c1, c2, c3) read off the entries as pauli_coords does;
+    inline, so that a traced Δ or μ stays one span."""
+    (p, q), (r, s) = x.tolist()
+    x1, x2, x3 = q.real + r.real, r.imag - q.imag, p.real - s.real
+    (p, q), (r, s) = y.tolist()
+    y1, y2, y3 = q.real + r.real, r.imag - q.imag, p.real - s.real
+    return hypot(x2 * y3 - x3 * y2, x3 * y1 - x1 * y3, x1 * y2 - x2 * y1)

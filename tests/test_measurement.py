@@ -1,5 +1,7 @@
 """Observables, noisy-Pauli POVMs and the incompatibility degree."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,15 @@ from chshlab.measurement import (
     pauli_coords,
     unit_axis,
 )
-from chshlab.entanglement import CanonicalAngles, canonical_setting, schmidt_state
+from chshlab.entanglement import (
+    CanonicalAngles,
+    canonical_setting,
+    incompatibility_monotonicity,
+    max_chsh_closed_form,
+    max_chsh_over_unitaries,
+    nonlocality_region,
+    schmidt_state,
+)
 
 from conftest import random_axes
 
@@ -155,6 +165,28 @@ def _unit_axis(draw):
     v = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
     norm = float(np.linalg.norm(v))
     return v / norm if norm > 1e-3 else Z_AXIS
+
+
+@st.composite
+def _axis_pair(draw):
+    """Two unit axes; in about half the draws the second lies within 1e-6
+    rad of the first, where |n × n'| loses its leading digits."""
+    first, second = draw(_unit_axis()), draw(_unit_axis())
+    if draw(st.booleans()):
+        v = first + draw(st.floats(-1e-6, 1e-6)) * second
+        second = v / np.linalg.norm(v)
+    return first, second
+
+
+def _exact_bloch(m):
+    """The Bloch vector of a 2x2 matrix's Hermitian part, exactly, from its float entries."""
+    (p, q), (r, s) = m.tolist()
+    f = Fraction
+    return ((f(q.real) + f(r.real)) / 2, (f(r.imag) - f(q.imag)) / 2, (f(p.real) - f(s.real)) / 2)
+
+
+def _exact_cross_squared(x, y):
+    return (x[1] * y[2] - x[2] * y[1]) ** 2 + (x[2] * y[0] - x[0] * y[2]) ** 2 + (x[0] * y[1] - x[1] * y[0]) ** 2
 
 
 @st.composite
@@ -286,6 +318,75 @@ def test_axis_that_is_not_three_reals(axis, message):
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "axis",
+    [
+        np.array([0.0, 0.0, 1.0], dtype=complex),
+        [np.complex128(1.0), 0.0, 0.0],
+        [0.0, 1j, 0.0],
+        [np.complex64(1.0), None, 0.0],
+    ],
+    ids=["complex-array", "complex128-list", "python-complex-list", "object-array"],
+)
+def test_complex_axis_is_refused(axis):
+    """The cast to float dropped even zero imaginary parts, with a
+    ComplexWarning instead of a refusal."""
+    calls = [
+        lambda: unit_axis(axis),
+        lambda: noisy_pauli_povm(axis, 0.5),
+        lambda: ChshSetting.from_axes(Z_AXIS, axis, Z_AXIS, X_AXIS),
+        lambda: sharpness_threshold(Z_AXIS, axis),
+    ]
+    for call in calls:
+        with pytest.raises(NonUnitAxisError) as exc:
+            call()
+        assert str(exc.value) == f"axis {axis!r} is not three real numbers"
+
+
+_HALF_SHARP = noisy_pauli_povm(Z_AXIS, 0.5), noisy_pauli_povm(X_AXIS, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        (lambda: noisy_pauli_povm(Z_AXIS, "0.5"), "sharpness λ", "0.5"),
+        (lambda: noisy_pauli_povm(Z_AXIS, None), "sharpness λ", None),
+        (lambda: noisy_pauli_povm(Z_AXIS, np.array([0.5, 0.6])), "sharpness λ", np.array([0.5, 0.6])),
+        (lambda: noisy_pauli_povm(Z_AXIS, True), "sharpness λ", True),
+        (lambda: noisy_family_povms("0.5"), "sharpness λ", "0.5"),
+        (lambda: schmidt_state("0.3"), "entanglement parameter", "0.3"),
+        (lambda: max_chsh_closed_form(0.3, "0.5"), "incompatibility degree", "0.5"),
+        (lambda: max_chsh_closed_form(1j, 0.5), "entanglement parameter", 1j),
+        (lambda: CanonicalAngles(theta="a", phi=0.1), "theta", "a"),
+        (lambda: CanonicalAngles(theta=0.1, phi=None), "phi", None),
+        (lambda: nonlocality_region(None, 0.5), "entanglement parameter", None),
+        (lambda: incompatibility_monotonicity("0.3"), "entanglement parameter", "0.3"),
+        (lambda: max_chsh_over_unitaries("0.3", CanonicalAngles(1.0, 1.0)), "entanglement parameter", "0.3"),
+        (lambda: parent_povm_search(*_HALF_SHARP, tol="1e-9"), "tol", "1e-9"),
+    ],
+    ids=[
+        "noisy-povm-str", "noisy-povm-none", "noisy-povm-array", "noisy-povm-bool", "noisy-family",
+        "schmidt-state", "closed-form-delta", "closed-form-complex-e", "canonical-theta", "canonical-phi",
+        "nonlocality-region", "monotonicity", "max-over-unitaries", "parent-search-tol",
+    ],
+)
+def test_non_real_scalar_is_refused(call, name, value):
+    """Range checks leaked TypeError ("'<=' not supported") for a string or
+    None, and numpy's truth-value ValueError for an array."""
+    with pytest.raises(OutOfRangeError) as exc:
+        call()
+    assert str(exc.value) == f"{name} must be a real number, got {value!r}"
+
+
+def test_numpy_and_integer_scalars_pass():
+    assert noisy_pauli_povm(Z_AXIS, np.float32(0.5)).sharpness == 0.5
+    assert noisy_pauli_povm(Z_AXIS, 1).sharpness == 1
+    assert schmidt_state(np.int64(0)).e == 0.0
+    assert max_chsh_closed_form(np.float64(0.5), np.uint8(1)) == max_chsh_closed_form(0.5, 1.0)
+    assert CanonicalAngles(theta=np.float16(1.0), phi=0).delta == 0.0
+    assert parent_povm_search(*_HALF_SHARP, tol=np.float64(1e-6)).status.value == "Compatible"
+
+
 def test_results_holding_arrays_compare_by_identity():
     """Field-wise == on ndarray fields raised 'truth value ... ambiguous',
     and hash raised too."""
@@ -376,7 +477,7 @@ class TestIncompatibilityDegree:
         st.one_of(st.none(), st.tuples(*[st.floats(0.0, 1.0)] * 4)),
     )
     def test_delta_is_landau_mu(self, axes, lams):
-        """Δ = ‖J‖ is J's top eigenvalue, projective (lams None) or noisy."""
+        """Δ = ‖J‖ is J's top eigenvalue and Landau's μ, projective (lams None) or noisy."""
         if lams is None:
             setting = ChshSetting.from_axes(*axes)
         else:
@@ -390,10 +491,23 @@ class TestIncompatibilityDegree:
         assert not np.signbit(delta)  # never -0.0
         if lams is None:
             mu = landau_bound(setting).mu
-            assert abs(delta - mu) <= 1e-12
-            # J can miss Hermiticity by an ulp; μ solves its Hermitian part
-            assert mu == float(np.linalg.eigvalsh((j + j.conj().T) / 2)[-1])
+            assert mu == delta  # one closed form, bit for bit
             assert abs(mu - np.linalg.eigvalsh(j)[-1]) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(_axis_pair(), _axis_pair(), st.one_of(st.none(), st.tuples(*[st.floats(0.0, 1.0)] * 4)))
+    def test_delta_squared_is_exact_cross_product(self, alice, bob, lams):
+        """Δ² against |a0 × a1|²·|b0 × b1|² in exact rationals, projective
+        (lams None) or noisy.  The bound is absolute: Δ ≤ 1, and a nearly
+        commuting pair keeps no relative accuracy through the cancellation."""
+        axes = (*alice, *bob)
+        if lams is None:
+            setting = ChshSetting.from_axes(*axes)
+        else:
+            setting = ChshSetting.from_povms(*(noisy_pauli_povm(ax, lam) for ax, lam in zip(axes, lams)))
+        a0, a1, b0, b1 = (_exact_bloch(m) for m in setting.observables())
+        exact = _exact_cross_squared(a0, a1) * _exact_cross_squared(b0, b1)
+        assert abs(Fraction(incompatibility_degree(setting)) ** 2 - exact) <= 2e-15
 
     @pytest.mark.parametrize(
         "setting",
@@ -410,32 +524,22 @@ class TestIncompatibilityDegree:
         assert delta == 0.0 and not np.signbit(delta)
 
 
-class TestOneCommutatorSolve:
-    """Δ and μ read one cached eigenvalue-only solve of J per setting."""
+class TestNoEigensolve:
+    """Δ and μ are closed forms: neither reaches a LAPACK solver."""
 
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        calls = []
-        solve = chshlab.measurement.eig_hermitian
+    def test_no_solver_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called")
 
-        def counting(*args, **kwargs):
-            calls.append((args[0].shape, kwargs))
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(chshlab.measurement, "eig_hermitian", counting)
-        return calls
-
-    def test_one_solve_per_setting(self, solves):
-        mu_first = canonical_setting(CanonicalAngles(theta=1.1, phi=0.7))
-        delta_first = ChshSetting.from_axes(Z_AXIS, X_AXIS, (X_AXIS + Z_AXIS) / np.sqrt(2), (Z_AXIS - X_AXIS) / np.sqrt(2))
-        for _ in range(2):
-            assert landau_bound(mu_first).mu == incompatibility_degree(mu_first)
-            assert incompatibility_degree(delta_first) == landau_bound(delta_first).mu
-        assert solves == [((4, 4), {"vectors": False})] * 2
-        vals = mu_first.commutator_eigenvalues
-        assert vals is mu_first.commutator_eigenvalues and not vals.flags.writeable
-        with pytest.raises(ValueError):
-            vals[0] = 0.0
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        cases = [
+            canonical_setting(CanonicalAngles(theta=1.1, phi=0.7)),
+            ChshSetting.from_axes(Z_AXIS, X_AXIS, (X_AXIS + Z_AXIS) / np.sqrt(2), (Z_AXIS - X_AXIS) / np.sqrt(2)),
+        ]
+        for setting in cases:
+            assert landau_bound(setting).mu == incompatibility_degree(setting)
+        assert incompatibility_degree(cases[1]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_noisy_family_observables():
@@ -498,16 +602,17 @@ class TestChshSettingRefusals:
 
     def test_accepted_setting_has_spectral_values(self):
         # each observable misses Hermiticity by 9e-11, inside the tol, yet
-        # J misses it by 1.7e-10: Δ and μ read J's Hermitian part instead
-        # of refusing a setting that construction accepted
+        # J misses it by 1.7e-10: Δ and μ read the observables' Hermitian
+        # parts instead of refusing a setting that construction accepted
         e = np.array([[0.0, 9e-11], [0.0, 0.0]])
         b0, b1 = (SZ + SX) / np.sqrt(2), (SZ - SX) / np.sqrt(2)
         setting = ChshSetting(SZ + e, SX + 1j * e, b0 + e, b1 - 1j * e)
         j = commutator_tensor(setting)
         assert np.abs(j - j.conj().T).max() > 1e-10
         want = float(np.linalg.eigvalsh((j + j.conj().T) / 2)[-1])
-        assert landau_bound(setting).mu == want
-        assert incompatibility_degree(setting) == pytest.approx(want, abs=1e-12)
+        mu = landau_bound(setting).mu
+        assert incompatibility_degree(setting) == mu
+        assert mu == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize(
@@ -606,12 +711,11 @@ class TestChshSettingAcceptsEveryConstructor:
 class TestChshSettingDerivesOnce:
     def test_same_read_only_arrays(self):
         setting = canonical_setting(CanonicalAngles(theta=1.1, phi=0.7))
-        for derive in (chsh_operator, commutator_tensor):
-            m = derive(setting)
-            assert derive(setting) is m
-            assert not m.flags.writeable
-            with pytest.raises(ValueError):
-                m[0, 0] = 0.0
+        s = chsh_operator(setting)
+        assert chsh_operator(setting) is s
+        assert not s.flags.writeable
+        with pytest.raises(ValueError):
+            s[0, 0] = 0.0
         with pytest.raises(ValueError):
             setting.a0[0, 0] = 0.0
 
