@@ -53,6 +53,7 @@ from .errors import (
     ChshLabError,
     DegenerateDeltaError,
     InvalidStateError,
+    InvalidTableError,
     InvalidToleranceError,
     NonFiniteOutputError,
     NonRealTraceError,

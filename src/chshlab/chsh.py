@@ -7,7 +7,7 @@ from operator import index
 
 import numpy as np
 
-from .errors import InvalidStateError, NotHermitianError, NotInvolutiveError, OutOfRangeError
+from .errors import InvalidStateError, InvalidTableError, NotHermitianError, NotInvolutiveError, OutOfRangeError
 from .linalg import eig_hermitian
 from .measurement import OBSERVABLE_NAMES, BinaryPovm, ChshSetting, _commutator_norm, commutator_tensor  # noqa: F401 (re-exported)
 
@@ -168,9 +168,35 @@ def born_table(ma0: BinaryPovm, ma1: BinaryPovm, mb0: BinaryPovm, mb1: BinaryPov
     return np.einsum("ikjl,xaji,yblk->xyab", a, alice, bob).real
 
 
+def _checked_table(table) -> np.ndarray:
+    """table as a float array, or InvalidTableError unless it is a finite
+    array of real numbers (not bools) with shape (2, 2, 2, 2), indexed
+    [x, y, a, b].  Integer counts are read as floats: the differences of
+    unsigned or fixed-width integers would wrap around."""
+    try:
+        t = np.asarray(table)
+    except ValueError:  # a ragged nested sequence
+        raise InvalidTableError(f"Born table must be an array, got {type(table).__name__}") from None
+    if t.dtype.kind not in "fiu":
+        raise InvalidTableError(f"Born table must hold real numbers, got dtype {t.dtype}")
+    if t.shape != (2, 2, 2, 2):
+        raise InvalidTableError(f"Born table must have shape (2, 2, 2, 2), got {t.shape}")
+    if not np.isfinite(t).all():
+        raise InvalidTableError("Born table has a non-finite entry")
+    return t.astype(float, copy=False)
+
+
 def correlators_from_table(table: np.ndarray) -> np.ndarray:
-    """E[x, y] = p(+,+) - p(+,-) - p(-,+) + p(-,-)."""
-    t = np.asarray(table)
+    """E[x, y] = p(+,+) - p(+,-) - p(-,+) + p(-,-).
+
+    Raises InvalidTableError unless table is a finite real array of shape
+    (2, 2, 2, 2).
+    """
+    return _correlators(_checked_table(table))
+
+
+def _correlators(t: np.ndarray) -> np.ndarray:
+    """correlators_from_table of a table this module built, unchecked."""
     return t[:, :, 0, 0] - t[:, :, 0, 1] - t[:, :, 1, 0] + t[:, :, 1, 1]
 
 
@@ -180,7 +206,8 @@ def _chsh_combination(e: np.ndarray) -> float:
 
 
 def chsh_from_table(table: np.ndarray) -> float:
-    """|E00 + E01 + E10 - E11| assembled from a Born table."""
+    """|E00 + E01 + E10 - E11| assembled from a Born table; refused as in
+    correlators_from_table."""
     return _chsh_combination(correlators_from_table(table))
 
 
@@ -233,7 +260,7 @@ def sample_estimate(
     probs /= probs.sum(axis=1, keepdims=True)
     rngs = (np.random.Generator(np.random.Philox(s)) for s in np.random.SeedSequence(seed).spawn(4))
     counts = np.array([rng.multinomial(shots_per_pair, p) for rng, p in zip(rngs, probs)])
-    corr = correlators_from_table(counts.reshape(2, 2, 2, 2)) / shots_per_pair
+    corr = _correlators(counts.reshape(2, 2, 2, 2)) / shots_per_pair
     variance = 0.0
     for e_hat in corr.ravel().tolist():  # (x, y) order
         variance += max(1.0 - e_hat * e_hat, 0.0) / shots_per_pair
@@ -243,5 +270,5 @@ def sample_estimate(
         correlators=corr,
         shots_per_pair=shots_per_pair,
         seed=seed,
-        exact=chsh_from_table(table),
+        exact=_chsh_combination(_correlators(table)),
     )

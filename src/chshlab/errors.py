@@ -33,6 +33,10 @@ class InvalidToleranceError(ChshLabError, ValueError):
     """Non-positive or non-finite tolerance."""
 
 
+class InvalidTableError(ChshLabError, ValueError):
+    """Born table that is not a finite real array of shape (2, 2, 2, 2)."""
+
+
 class NotInvolutiveError(ChshLabError, ValueError):
     """Observable does not square to the identity."""
 

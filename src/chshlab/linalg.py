@@ -1,14 +1,17 @@
 """Dense complex linear algebra for small operators.
 
 Everything in the CHSH scenario lives in dimension 2 or 4 (16 at most).
-Every spectrum goes through one path, `eig_hermitian`, on numpy's LAPACK
-Hermitian solvers: `numpy.linalg.eigh` when the caller reads
-eigenvectors, `numpy.linalg.eigvalsh` when it asks for eigenvalues only
-(`vectors=False`).  `is_psd` and `chsh.check_state` read eigenvalues
-only; `chsh.max_over_states` takes the full `eigh` solve.  Δ and
-Landau's μ need no solve: `measurement.incompatibility_degree` has them
-in closed form.  numpy arrays are the universal carrier; matrices are
-row-major complex.
+Every spectrum goes through `eig_hermitian`, which picks its solver from
+the input's size.  An eigenvalue-only 2x2 solve (`vectors=False`), which
+is every POVM effect's PSD check through `is_psd`, is answered in closed
+form from the four entries of the Hermitian part: an effect
+(c0·I + c·σ)/2 has the eigenvalues (c0 ± |c|)/2.  Every other solve runs
+on numpy's LAPACK Hermitian solvers: `numpy.linalg.eigh` when the caller
+reads eigenvectors (`chsh.max_over_states`), `numpy.linalg.eigvalsh`
+when it asks for eigenvalues only (`chsh.check_state`'s 4x4 state).  Δ
+and Landau's μ need no solve: `measurement.incompatibility_degree` has
+them in closed form.  numpy arrays are the universal carrier; matrices
+are row-major complex.
 
 Validation happens in one place, `_with_adjoint`.  `eig_hermitian`
 converts its input once and, before any arithmetic, refuses a
@@ -34,11 +37,11 @@ through `is_psd` (its docstring says why); `from_effect` checks both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import hypot, isfinite
 
 import numpy as np
 
-from .errors import NotHermitianError
+from .errors import NotHermitianError, OutOfRangeError
 
 HERMITICITY_TOL = 1e-10
 # the largest entry modulus for which M + M† and |M - M†| stay finite:
@@ -132,6 +135,20 @@ class Spectrum:
     eigenvectors: np.ndarray | None
 
     def projector(self, index: int) -> np.ndarray:
+        """|v><v| for the eigenvector of eigenvalues[index]; a negative
+        index counts from the top, as in a sequence.
+
+        Raises OutOfRangeError for an eigenvalue-only spectrum, an index
+        that is not an integer (a bool included), and one past the
+        spectrum.
+        """
+        if self.eigenvectors is None:
+            raise OutOfRangeError("an eigenvalue-only spectrum (vectors=False) has no projectors")
+        n = len(self.eigenvalues)
+        if type(index) is bool or not isinstance(index, (int, np.integer)):
+            raise OutOfRangeError(f"eigenvalue index must be an integer, got {index!r}")
+        if not -n <= index < n:
+            raise OutOfRangeError(f"eigenvalue index {index} outside the spectrum of {n}")
         v = self.eigenvectors[:, index].reshape(-1, 1)
         return v @ v.conj().T
 
@@ -143,19 +160,51 @@ def eig_hermitian(m, tol: float = HERMITICITY_TOL, *, vectors: bool = True) -> S
     exceeds MAX_ENTRY_MODULUS, or the asymmetry exceeds `tol`; that check
     (`_with_adjoint`) is the only validation of the input, so a caller need
     not repeat it.  The spectrum is that of (M + M†)/2: `numpy.linalg.eigh`
-    of it, or `numpy.linalg.eigvalsh` with eigenvectors None when `vectors`
-    is False.  It too is refused if its lowest or highest eigenvalue
-    overflowed, which bounded entries allow and LAPACK does not report.
+    of it, or, when `vectors` is False, eigenvalues only with eigenvectors
+    None, from `_eigvalsh_2x2` for a 2x2 and `numpy.linalg.eigvalsh` for
+    any other size.  It too is refused if its lowest or highest eigenvalue
+    overflowed, which bounded entries allow beyond 2x2 and LAPACK does not
+    report.
     """
     a, adj = _with_adjoint(m, tol)
-    h = a + adj
-    h /= 2
-    vals, vecs = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
+    if not vectors and a.shape == (2, 2):
+        vals, vecs = _eigvalsh_2x2(a), None
+    else:
+        h = a + adj
+        h /= 2
+        vals, vecs = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
     if not (isfinite(vals[0]) and isfinite(vals[-1])):
         raise NotHermitianError("matrix spectrum overflows the float range")
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
+def _eigvalsh_2x2(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the Hermitian part [[p, z], [z̄, s]] of a
+    bounded 2x2 M, read off its four entries.
+
+    They are min(p, s) - t and max(p, s) + t with t = hypot(d, |z|) - d,
+    d = |p - s|/2, written as |z|²/(hypot(d, |z|) + d) so that nothing
+    cancels: a diagonal M comes back exactly, and both agree with
+    numpy.linalg.eigvalsh within a few ulps of the larger modulus.  |z|
+    comes from hypot, as abs() of a complex raises OverflowError past
+    float max, and every term is halved once more than the formula needs,
+    which is exact above the subnormal range, so that no sum overflows at
+    MAX_ENTRY_MODULUS.  Nor can the result: a 2x2's norm is at most twice
+    its largest entry modulus.
+    """
+    (p, q), (r, s) = a.tolist()
+    lo, hi = (p.real, s.real) if p.real <= s.real else (s.real, p.real)
+    # z = (q + r̄)/2, as (M + M†)/2 has it; y = |z|/2
+    y = hypot((q.real + r.real) / 4, (q.imag - r.imag) / 4)
+    if y == 0.0:
+        return np.array([lo, hi])
+    x = (hi - lo) / 4
+    t = 2.0 * y * (y / (hypot(x, y) + x))
+    return np.array([lo - t, hi + t])
+
+
 def is_psd(m, tol: float = 1e-12) -> bool:
-    """The Hermitian part (M + M†)/2 is PSD within tolerance."""
+    """The Hermitian part (M + M†)/2 is PSD within tolerance: its lowest
+    eigenvalue, from an eigenvalue-only `eig_hermitian` solve (in closed
+    form for a 2x2 such as a POVM effect), is at least -tol."""
     return bool(eig_hermitian(m, np.inf, vectors=False).eigenvalues[0] >= -tol)

@@ -23,6 +23,10 @@ OBSERVABLE_NAMES = ("a0", "a1", "b0", "b1")
 # the scalar types _real accepts, bool apart; a module constant, since
 # building the tuple on each call cost more than the test itself
 _REAL_TYPES = (float, int, np.floating, np.integer)
+# elements of an object array that unit_axis refuses although numpy would
+# convert them: complex drops its imaginary part, str and bytes are
+# parsed, a bool reads as 0 or 1
+_NON_REAL_ELEMENTS = (complex, np.complexfloating, str, bytes, bool, np.bool_)
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -44,14 +48,16 @@ def _real(name: str, value):
 def unit_axis(v) -> np.ndarray:
     """Validate a Bloch direction: three reals of unit Euclidean norm.
 
-    Complex input is refused, even with zero imaginary parts: the cast to
-    float would drop them with a ComplexWarning.
+    Only real numbers are converted: complex input is refused, even with
+    zero imaginary parts (the cast to float would drop them with a
+    ComplexWarning), and so are strings and bools, which numpy would parse
+    or read as 0 and 1.
     """
     try:
         a = np.asarray(v)
-        if a.dtype.char != "d":  # not float64 already: convert, unless complex
+        if a.dtype.char != "d":  # not float64 already: convert real numbers only
             kind = a.dtype.kind
-            if kind == "c" or kind == "O" and any(isinstance(x, (complex, np.complexfloating)) for x in a.flat):
+            if kind not in "fiuO" or kind == "O" and any(isinstance(x, _NON_REAL_ELEMENTS) for x in a.flat):
                 raise TypeError
             a = a.astype(float)
         a = a.reshape(3)

@@ -1,10 +1,17 @@
-"""Kronecker products and the LAPACK-backed eigensolver.
+"""Kronecker products and the eigensolver.
 
 eig_hermitian wraps numpy.linalg.eigh, or numpy.linalg.eigvalsh for an
-eigenvalue-only solve, so comparing it with numpy checks the wrapper
-(validation, hermitizing, ascending order); the eigenpair-residual and
-reconstruction tests check the eigenvectors without any solver.
+eigenvalue-only solve of any size but 2x2, so comparing it with numpy
+checks the wrapper (validation, hermitizing, ascending order); the
+eigenpair-residual and reconstruction tests check the eigenvectors
+without any solver.  An eigenvalue-only 2x2 solve is in closed form:
+TestClosedForm2x2 checks it against numpy and against 60-digit decimal
+values within a few ulps, and is_psd's verdict on it against exact
+rational arithmetic.
 """
+
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +31,7 @@ from chshlab.linalg import (
     is_psd,
     kron,
 )
-from chshlab.errors import ChshLabError, NonUnitAxisError, NotHermitianError
+from chshlab.errors import ChshLabError, NonUnitAxisError, NotHermitianError, OutOfRangeError
 from chshlab.measurement import BinaryPovm, unit_axis
 
 from conftest import random_hermitian
@@ -156,9 +163,9 @@ def _complex_matrix(draw, rows, cols):
 
 
 @st.composite
-def _near_hermitian(draw):
+def _near_hermitian(draw, sizes=st.integers(1, 6)):
     """A Hermitian matrix plus an asymmetry inside HERMITICITY_TOL."""
-    n = draw(st.integers(1, 6))
+    n = draw(sizes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     h = random_hermitian(rng, n) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
     noise = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
@@ -187,8 +194,9 @@ class TestLeanPathMatchesNumpy:
             assert _same_bits(spec.eigenvectors, vecs)
 
     @settings(max_examples=200, deadline=None)
-    @given(_near_hermitian(), st.sampled_from([HERMITICITY_TOL, np.inf]))
+    @given(_near_hermitian(st.sampled_from([1, 3, 4, 5, 6])), st.sampled_from([HERMITICITY_TOL, np.inf]))
     def test_eigenvalue_only_is_eigvalsh_of_hermitian_part(self, m, tol):
+        # a 2x2 is solved in closed form: TestClosedForm2x2
         spec = eig_hermitian(m, tol, vectors=False)
         assert _same_bits(spec.eigenvalues, np.linalg.eigvalsh((m + m.conj().T) / 2))
         assert spec.eigenvectors is None
@@ -221,13 +229,151 @@ class TestLeanPathMatchesNumpy:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.integers(1, 5).flatmap(lambda n: _complex_matrix(st.just(n), st.just(n))),
+        st.sampled_from([1, 3, 4, 5]).flatmap(lambda n: _complex_matrix(st.just(n), st.just(n))),
         st.sampled_from([0.0, 1e-12, 1e-3]),
     )
     def test_is_psd_reads_hermitian_part(self, m, tol):
+        # a 2x2 is decided in closed form: TestClosedForm2x2
         # any finite square matrix is accepted, however far from Hermitian
         low = np.linalg.eigvalsh((m + m.conj().T) / 2)[0]
         assert is_psd(m, tol) == bool(low >= -tol)
+
+
+EPS = np.finfo(float).eps
+# nonzero entries stay far above the subnormal range, where halving a
+# float is no longer exact and no relative bound holds
+_normal_entry = _entry.filter(lambda x: x == 0.0 or abs(x) >= 1e-200)
+
+
+@st.composite
+def _two_by_two(draw):
+    """A 2x2 complex matrix, Hermitian or not, at a scale from 1e-8 to 1e8:
+    drawn entries (zeros and repeats included), a random one, a rank-one
+    v v† whose lower eigenvalue is zero up to the rounding of its entries,
+    or a random one whose off-diagonal is 1e-4 to 1e-12 of its diagonal."""
+    scale = draw(st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8]))
+    kind = draw(st.sampled_from(["entries", "random", "rank-one", "near-diagonal"]))
+    if kind == "entries":
+        re = draw(st.lists(_normal_entry, min_size=4, max_size=4))
+        im = draw(st.lists(_normal_entry, min_size=4, max_size=4))
+        return scale * (np.array(re) + 1j * np.array(im)).reshape(2, 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    if kind == "near-diagonal":
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        m[[0, 1], [1, 0]] *= 10.0 ** -draw(st.integers(4, 12))
+        return scale * m
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return scale * np.outer(v, v.conj())
+
+
+def _psd_exactly(h, tol) -> bool:
+    """λ_min(H) ≥ -tol for the 2x2 Hermitian H with these float entries, in
+    exact rational arithmetic: H + tol·I ≥ 0 iff its trace and determinant
+    are ≥ 0."""
+    p, s, x, y, t = (Fraction(float(v)) for v in (h[0, 0].real, h[1, 1].real, h[0, 1].real, h[0, 1].imag, tol))
+    return p + s + 2 * t >= 0 and (p + t) * (s + t) - x * x - y * y >= 0
+
+
+class TestClosedForm2x2:
+    """An eigenvalue-only 2x2 solve, each effect's PSD check, reads the
+    spectrum off the Hermitian part's four entries instead of calling LAPACK."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_entry, _entry, _entry, _entry)
+    def test_diagonal_comes_back_exactly(self, p, s, ip, iss):
+        # the imaginary parts of the diagonal leave the Hermitian part
+        spec = eig_hermitian(np.array([[complex(p, ip), 0.0], [0.0, complex(s, iss)]]), np.inf, vectors=False)
+        assert spec.eigenvalues.tolist() == sorted([p, s])
+        assert spec.eigenvectors is None
+
+    @settings(max_examples=500, deadline=None)
+    @given(_two_by_two())
+    def test_ascending_and_within_ulps_of_eigvalsh(self, m):
+        vals = eig_hermitian(m, np.inf, vectors=False).eigenvalues
+        ref = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        assert vals.shape == (2,) and vals.dtype == np.float64
+        assert vals[0] <= vals[1]
+        assert np.max(np.abs(vals - ref)) <= 8 * EPS * np.max(np.abs(ref))
+
+    @settings(max_examples=500, deadline=None)
+    @given(_two_by_two())
+    def test_each_eigenvalue_within_ulps_of_exact(self, m):
+        # min(p, s) - t and max(p, s) + t lose nothing to cancellation, so
+        # each is accurate to a few ulps of its own size and of t; the
+        # mean ∓ radius of the textbook formula is not, for a biased
+        # effect (p near 0, s near 1) with a tiny off-diagonal.  Exact:
+        # 60 digits from H's float entries, t = |z|²/(hypot(d, |z|) + d).
+        h = (m + m.conj().T) / 2
+        vals = eig_hermitian(m, np.inf, vectors=False).eigenvalues
+        with localcontext() as ctx:
+            ctx.prec = 60
+            p, s, x, y = (Decimal(float(v)) for v in (h[0, 0].real, h[1, 1].real, h[0, 1].real, h[0, 1].imag))
+            d, w2 = abs(p - s) / 2, x * x + y * y
+            t = w2 / ((d * d + w2).sqrt() + d) if w2 else Decimal(0)
+            for got, want in zip(vals.tolist(), (min(p, s) - t, max(p, s) + t)):
+                assert abs(Decimal(got) - want) <= Decimal(8 * EPS) * (abs(want) + t)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_two_by_two(), st.sampled_from([0.0, 1e-12, 1e-3]))
+    def test_is_psd_is_exact_outside_the_roundoff_band(self, m, tol):
+        # within 8 eps·‖H‖ of the threshold neither the closed form nor
+        # LAPACK decides exactly; outside it is_psd must agree with the
+        # rational criterion on H's float entries
+        h = (m + m.conj().T) / 2
+        band = 8 * EPS * float(np.max(np.abs(np.linalg.eigvalsh(h))))
+        verdict = _psd_exactly(h, tol + band)
+        if verdict == _psd_exactly(h, tol - band):
+            assert is_psd(m, tol) == verdict
+
+    @pytest.mark.parametrize(
+        "m, expected",
+        [
+            ([[1, 1], [1, 1]], [0.0, 2.0]),
+            ([[1, 0], [0, -1]], [-1.0, 1.0]),
+            ([[1, 1], [1, -1]], [-np.sqrt(2), np.sqrt(2)]),
+            ([[-1, 1j], [-1j, -1]], [-2.0, 0.0]),
+            ([[0, 1], [1, 0]], [-1.0, 1.0]),
+            ([[1, 1], [-1, 1]], [1.0, 1.0]),  # anti-Hermitian off-diagonal: Hermitian part diag(1, 1)
+            ([[-1, -1], [-1, 1]], [-np.sqrt(2), np.sqrt(2)]),
+        ],
+    )
+    def test_at_max_entry_modulus(self, m, expected):
+        # no OverflowError and no warning (warnings are errors in this
+        # suite); the spectrum of a 2x2 with bounded entries cannot
+        # overflow, since its norm is at most twice the largest modulus
+        m = MAX_ENTRY_MODULUS * np.array(m, dtype=complex)
+        expected = MAX_ENTRY_MODULUS * np.array(expected)
+        vals = eig_hermitian(m, np.inf, vectors=False).eigenvalues
+        assert np.isfinite(vals).all()
+        assert np.max(np.abs(vals - expected)) <= 8 * EPS * np.max(np.abs(expected))
+        assert is_psd(m) == (expected[0] >= 0)
+
+
+class TestSpectrumProjector:
+    def test_eigenvalue_only_spectrum_has_no_projector(self):
+        with pytest.raises(OutOfRangeError) as exc:
+            eig_hermitian(SZ, vectors=False).projector(0)
+        assert str(exc.value) == "an eigenvalue-only spectrum (vectors=False) has no projectors"
+
+    @pytest.mark.parametrize("index", [2, -3, 10**30])
+    def test_index_past_the_spectrum(self, index):
+        with pytest.raises(OutOfRangeError) as exc:
+            eig_hermitian(SZ).projector(index)
+        assert str(exc.value) == f"eigenvalue index {index} outside the spectrum of 2"
+
+    @pytest.mark.parametrize("index", [True, 1.0, "0", None, np.array([0])])
+    def test_index_not_an_integer(self, index):
+        with pytest.raises(OutOfRangeError) as exc:
+            eig_hermitian(SZ).projector(index)
+        assert str(exc.value) == f"eigenvalue index must be an integer, got {index!r}"
+
+    @pytest.mark.parametrize("index", [0, 1, -1, -2, np.int64(1)])
+    def test_in_range_index(self, index):
+        spec = eig_hermitian(SZ)
+        v = spec.eigenvectors[:, int(index)].reshape(-1, 1)
+        assert np.array_equal(spec.projector(index), v @ v.conj().T)
 
 
 class TestErrorParity:
