@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 from operator import index
 
 import numpy as np
 
 from .errors import InvalidStateError, InvalidTableError, NotHermitianError, NotInvolutiveError, OutOfRangeError
 from .linalg import eig_hermitian
-from .measurement import OBSERVABLE_NAMES, BinaryPovm, ChshSetting, _commutator_norm, commutator_tensor  # noqa: F401 (re-exported)
+from .measurement import OBSERVABLE_NAMES, BinaryPovm, ChshSetting, commutator_tensor, incompatibility_degree  # noqa: F401 (re-exported)
 
 STATE_TOL = 1e-10
 INVOLUTION_TOL = 1e-9
@@ -112,26 +113,21 @@ def _top_modulus_projector(spectrum) -> tuple[float, np.ndarray]:
     return float(abs(vals[idx])), spectrum.projector(idx)
 
 
-def _involution_defect(obs: np.ndarray) -> float:
-    """Largest entry modulus of O² - I for a 2x2 O, from its four entries."""
-    (p, q), (r, s) = obs.tolist()
-    return max(abs(p * p + q * r - 1.0), abs(p * q + q * s), abs(r * p + s * r), abs(r * q + s * s - 1.0))
-
-
 def landau_bound(setting: ChshSetting) -> ChshReport:
     """Spectral CHSH maximum 2√(1+μ) for projective settings.
 
-    μ is the top eigenvalue of J = ¼[A0,A1]⊗[B0,B1], |a0 × a1|·|b0 × b1| in
-    closed form: the same number as `incompatibility_degree`'s Δ, bit for
-    bit, and no eigensolve.  Valid only when every observable squares to
-    the identity (S² = 4I + 4J needs it); other dichotomic observables are
-    rejected, use max_over_states.
+    μ, the top eigenvalue of J = ¼[A0,A1]⊗[B0,B1], is Δ in closed form:
+    `incompatibility_degree`, no eigensolve.  Valid only when every O
+    squares to I (S² = 4I + 4J needs it), read off setting.coords:
+    ||O² - I|| = |(c0² + |c|²)/4 - 1| + |c0|·|c|/2 for O = (c0·I + c·σ)/2.
+    Other dichotomic observables are rejected, use max_over_states.
     """
-    for name, obs in zip(OBSERVABLE_NAMES, setting.observables()):
-        defect = _involution_defect(obs)
+    for name, (c0, c1, c2, c3) in zip(OBSERVABLE_NAMES, setting.coords.tolist()):
+        norm2 = c1 * c1 + c2 * c2 + c3 * c3
+        defect = abs((c0 * c0 + norm2) / 4 - 1.0) + abs(c0) * sqrt(norm2) / 2
         if defect > INVOLUTION_TOL:
             raise NotInvolutiveError(f"observable {name}: ||O² - I|| = {defect:.3e}")
-    mu = _commutator_norm(setting)
+    mu = incompatibility_degree(setting)
     bound = 2.0 * np.sqrt(1.0 + mu)
     return ChshReport(value=bound, bound=bound, violates=violates(bound), mu=mu)
 

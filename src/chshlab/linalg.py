@@ -24,7 +24,8 @@ spectrum that overflowed.  Callers do not symmetrize or check first:
 square input and see its Hermitian part, and `chsh.check_state` passes
 its own tol.  The one exception is `measurement.ChshSetting`: it reads
 the same defect, against HERMITICITY_TOL, off the four entries of each
-2x2 observable without a solve.
+2x2 observable without a solve, and with them its Pauli coordinates
+`coords`, which Δ, μ and the involution check read.
 
 Two constructors write matrices that are Hermitian by construction and
 skip `hermitize`: `measurement.bloch_observable`, and

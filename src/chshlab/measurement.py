@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from cmath import isfinite
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import hypot, sqrt
 
@@ -27,6 +27,7 @@ _REAL_TYPES = (float, int, np.floating, np.integer)
 # convert them: complex drops its imaginary part, str and bytes are
 # parsed, a bool reads as 0 or 1
 _NON_REAL_ELEMENTS = (complex, np.complexfloating, str, bytes, bool, np.bool_)
+_BOOL_TYPES = frozenset((bool, np.bool_))  # read as 0.0 or 1.0 in a list of floats
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -51,10 +52,13 @@ def unit_axis(v) -> np.ndarray:
     Only real numbers are converted: complex input is refused, even with
     zero imaginary parts (the cast to float would drop them with a
     ComplexWarning), and so are strings and bools, which numpy would parse
-    or read as 0 and 1.
+    or read as 0 and 1, also inside a list or tuple of floats.
     """
     try:
         a = np.asarray(v)
+        # an ndarray comes back as itself, and skips the scan for bools
+        if a is not v and isinstance(v, (list, tuple)) and not _BOOL_TYPES.isdisjoint(map(type, v)):
+            raise TypeError
         if a.dtype.char != "d":  # not float64 already: convert real numbers only
             kind = a.dtype.kind
             if kind not in "fiuO" or kind == "O" and any(isinstance(x, _NON_REAL_ELEMENTS) for x in a.flat):
@@ -93,10 +97,13 @@ def pauli_coords(m) -> np.ndarray:
     Read off the four entries; this equals the traces bit for bit, up to
     the sign of a zero coordinate.
     """
-    (a00, a01), (a10, a11) = as_matrix(m).tolist()
-    return np.array(
-        [a00.real + a11.real, a01.real + a10.real, a10.imag - a01.imag, a00.real - a11.real]
-    )
+    return np.array(_entry_coords(as_matrix(m).tolist()))
+
+
+def _entry_coords(entries: list) -> list:
+    """pauli_coords of a 2x2 given as nested lists: its Hermitian part's."""
+    (p, q), (r, s) = entries
+    return [p.real + s.real, q.real + r.real, r.imag - q.imag, p.real - s.real]
 
 
 def _from_pauli_coords(c0: float, c1: float, c2: float, c3: float) -> np.ndarray:
@@ -187,16 +194,19 @@ class ChshSetting:
     -I ≤ O ≤ I within OBSERVABLE_NORM_TOL, or it is refused.  Each field
     holds a read-only complex copy of it: writing into `setting.a0` raises,
     and writing into the caller's source array afterwards changes no
-    result.  S depends on nothing else, so it is built at most once per
-    instance, on first use, and handed out read-only.  Δ and Landau's μ
-    need no operator: see incompatibility_degree.  Compared and hashed by
-    identity, like every result that holds arrays.
+    result.  coords row k holds the Pauli coordinates (c0, c1, c2, c3) of
+    observable k's Hermitian part (c0·I + c·σ)/2: pauli_coords of it, bit
+    for bit, read once on construction and read-only too.  Δ, Landau's μ
+    and its involution check read coords alone.  S is built at most once
+    per instance, on first use, and handed out read-only.
+    Compared and hashed by identity, like every result that holds arrays.
     """
 
     a0: np.ndarray
     a1: np.ndarray
     b0: np.ndarray
     b1: np.ndarray
+    coords: np.ndarray = field(init=False)
 
     def __post_init__(self):
         mats = [np.asarray(m, dtype=complex) for m in self.observables()]
@@ -204,11 +214,12 @@ class ChshSetting:
             if m.shape != (2, 2):
                 raise NotHermitianError(f"observable {name} must be 2x2, got shape {m.shape}")
         stack = np.array(mats)  # the copy every field views
-        for name, entries in zip(OBSERVABLE_NAMES, stack.tolist()):
-            _check_observable(name, entries)
+        coords = np.array([_check_observable(n, e) for n, e in zip(OBSERVABLE_NAMES, stack.tolist())])
         stack.flags.writeable = False
+        coords.flags.writeable = False
         for name, m in zip(OBSERVABLE_NAMES, stack):
             object.__setattr__(self, name, m)
+        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def from_povms(cls, ma0: BinaryPovm, ma1: BinaryPovm, mb0: BinaryPovm, mb1: BinaryPovm) -> "ChshSetting":
@@ -229,14 +240,14 @@ class ChshSetting:
         return s
 
 
-def _check_observable(name: str, entries: list) -> None:
-    """Refuse a 2x2 O, given as nested lists, unless it is finite, Hermitian
-    within HERMITICITY_TOL and has -I ≤ O ≤ I within OBSERVABLE_NORM_TOL.
+def _check_observable(name: str, entries: list) -> list:
+    """pauli_coords of a 2x2 O, as nested lists, if it is finite, Hermitian
+    within HERMITICITY_TOL and -I ≤ O ≤ I within OBSERVABLE_NORM_TOL.
 
-    Read off the four entries.  The defect is the largest entry modulus of
-    O - O†, as `linalg.eig_hermitian` measures it.  The Hermitian part is
-    o0·I + o·σ, with eigenvalues o0 ± |o|, so its norm is |o0| + |o|.
-    Python floats overflow to inf without a warning, and inf is refused.
+    The defect is the largest entry modulus of O - O†, as
+    `linalg.eig_hermitian` measures it.  The Hermitian part (c0·I + c·σ)/2
+    has eigenvalues (c0 ± |c|)/2, so its norm is (|c0| + |c|)/2.  Python
+    floats overflow to inf without a warning, and inf is refused.
     """
     (p, q), (r, s) = entries
     if not (isfinite(p) and isfinite(q) and isfinite(r) and isfinite(s)):
@@ -246,11 +257,13 @@ def _check_observable(name: str, entries: list) -> None:
         raise NotHermitianError(
             f"observable {name} deviates from Hermitian by {defect:.3e} (tol {HERMITICITY_TOL:.1e})", defect
         )
-    norm = abs(p.real + s.real) / 2 + hypot(p.real - s.real, q.real + r.real, r.imag - q.imag) / 2
+    c = _entry_coords(entries)
+    norm = abs(c[0]) / 2 + hypot(c[3], c[1], c[2]) / 2
     if norm > 1.0 + OBSERVABLE_NORM_TOL:
         raise OutOfRangeError(
             f"observable {name} has norm {norm:.3e}, outside -I ≤ O ≤ I (tol {OBSERVABLE_NORM_TOL:.0e})"
         )
+    return c
 
 
 def noisy_family_povms(lam: float) -> tuple[BinaryPovm, BinaryPovm, BinaryPovm, BinaryPovm]:
@@ -288,23 +301,11 @@ def incompatibility_degree(setting: ChshSetting) -> float:
 
     With o the Bloch vector of O's Hermitian part, [O, O'] = 2i(o × o')·σ
     has norm 2|o × o'|, so Δ = |a0 × a1|·|b0 × b1| in closed form
-    (sinθ·sinφ on the canonical setting), never -0.0.  J's spectrum is
-    ±Δ, so Δ is also Landau's μ of `chsh.landau_bound`, bit for bit.
+    (sinθ·sinφ on the canonical setting), never -0.0; 2o is (c1, c2, c3)
+    of O's row of setting.coords.  J's spectrum is ±Δ, so Δ is also the μ
+    of `chsh.landau_bound`, which calls this.
     """
-    return _commutator_norm(setting)
-
-
-def _commutator_norm(setting: ChshSetting) -> float:
-    """|a0 × a1|·|b0 × b1|, the one closed form behind Δ and μ."""
-    return _doubled_cross(setting.a0, setting.a1) * _doubled_cross(setting.b0, setting.b1) / 16.0
-
-
-def _doubled_cross(x: np.ndarray, y: np.ndarray) -> float:
-    """|2x × 2y| for the Bloch vectors x, y of two 2x2 matrices' Hermitian
-    parts, 2x = (c1, c2, c3) read off the entries as pauli_coords does;
-    inline, so that a traced Δ or μ stays one span."""
-    (p, q), (r, s) = x.tolist()
-    x1, x2, x3 = q.real + r.real, r.imag - q.imag, p.real - s.real
-    (p, q), (r, s) = y.tolist()
-    y1, y2, y3 = q.real + r.real, r.imag - q.imag, p.real - s.real
-    return hypot(x2 * y3 - x3 * y2, x3 * y1 - x1 * y3, x1 * y2 - x2 * y1)
+    (_, x1, x2, x3), (_, y1, y2, y3), (_, u1, u2, u3), (_, v1, v2, v3) = setting.coords.tolist()
+    alice = hypot(x2 * y3 - x3 * y2, x3 * y1 - x1 * y3, x1 * y2 - x2 * y1)
+    bob = hypot(u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1)
+    return alice * bob / 16.0

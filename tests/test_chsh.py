@@ -21,9 +21,16 @@ from chshlab.chsh import (
 from chshlab.entanglement import CanonicalAngles, canonical_axes, canonical_setting, schmidt_state
 from chshlab.errors import InvalidStateError, NotInvolutiveError, OutOfRangeError
 from chshlab.linalg import MAX_ENTRY_MODULUS, SX, SY, SZ, kron
-from chshlab.measurement import ChshSetting, Z_AXIS, incompatibility_degree, noisy_family_povms, noisy_pauli_povm
+from chshlab.measurement import (
+    UNIT_AXIS_TOL,
+    ChshSetting,
+    Z_AXIS,
+    incompatibility_degree,
+    noisy_family_povms,
+    noisy_pauli_povm,
+)
 
-from conftest import random_axes
+from conftest import random_axes, random_axis, random_hermitian
 
 TSIRELSON = 2.8284271247461903
 OPTIMAL = canonical_setting(CanonicalAngles(theta=np.pi / 2, phi=np.pi / 2))
@@ -56,6 +63,15 @@ class TestChshOperator:
         assert np.max(np.abs(s - s.conj().T)) <= 1e-12
 
 
+def _assert_prints(message, name, value):
+    """message is landau_bound's refusal of observable name, printing value
+    to its three decimals."""
+    head, printed = message.rsplit(" = ", 1)
+    assert head == f"observable {name}: ||O² - I||"
+    half_digit = 0.5 * 10.0 ** (int(printed.split("e")[1]) - 3)
+    assert abs(float(printed) - value) <= half_digit + 1e-12 * value
+
+
 class TestLandauBound:
     def test_optimal_setting_reaches_tsirelson(self):
         rep = landau_bound(OPTIMAL)
@@ -76,11 +92,44 @@ class TestLandauBound:
         assert rep.mu == pytest.approx(0.5, abs=1e-9)
         assert rep.bound == pytest.approx(2.449489742783178, abs=1e-9)
 
-    def test_rejects_non_involutive(self):
-        povms = noisy_family_povms(0.8)
-        setting = ChshSetting.from_povms(*povms)
-        with pytest.raises(NotInvolutiveError):
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 0.8, 0.9, 0.99])
+    def test_rejects_non_involutive(self, lam):
+        # λn·σ has the eigenvalues ±λ, so ||O² - I|| = 1 - λ²
+        setting = ChshSetting.from_povms(*noisy_family_povms(lam))
+        with pytest.raises(NotInvolutiveError) as exc:
             landau_bound(setting)
+        assert str(exc.value) == f"observable a0: ||O² - I|| = {1 - lam**2:.3e}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 0.9999), st.integers(0, 2**32 - 1))
+    def test_defect_of_noisy_observable(self, lam, seed):
+        povm = noisy_pauli_povm(random_axis(np.random.default_rng(seed)), lam)
+        setting = ChshSetting.from_povms(povm, povm, povm, povm)
+        with pytest.raises(NotInvolutiveError) as exc:
+            landau_bound(setting)
+        _assert_prints(str(exc.value), "a0", 1 - lam * lam)
+
+    def test_defect_is_operator_norm(self, rng):
+        # any Hermitian -I ≤ O ≤ I, biased ones (tr O ≠ 0) included
+        for _ in range(300):
+            h = random_hermitian(rng, 2)
+            o = h / (np.linalg.norm(h, 2) * rng.uniform(1.0, 3.0))
+            with pytest.raises(NotInvolutiveError) as exc:
+                landau_bound(ChshSetting(SZ, SX, SZ, o))
+            _assert_prints(str(exc.value), "b1", np.linalg.norm(o @ o - np.eye(2), 2))
+
+    def test_projective_at_tolerance_edges(self, rng):
+        # O = n·σ has ||O² - I|| = ||n|² - 1| ≈ 2||n| - 1|: inside INVOLUTION_TOL
+        # the bound is the spectral one; at unit_axis's edge |n| = 1 + 0.99e-9
+        # the setting is accepted, and landau_bound refuses it, reading ||n|² - 1|
+        for _ in range(20):
+            axes = random_axes(rng, 4)
+            inside = ChshSetting.from_axes(*(axes * (1 + rng.uniform(-4.5e-10, 4.5e-10, (4, 1)))))
+            assert landau_bound(inside).bound == pytest.approx(max_over_states(inside).value, abs=1e-8)
+            edge = axes * (1 + 0.99 * UNIT_AXIS_TOL)
+            with pytest.raises(NotInvolutiveError) as exc:
+                landau_bound(ChshSetting.from_axes(*edge))
+            _assert_prints(str(exc.value), "a0", float(edge[0] @ edge[0]) - 1)
 
     def test_squared_identity_and_norm(self, rng):
         for _ in range(50):

@@ -2,10 +2,11 @@
 
 errors.py makes ChshLabError the base of every error chshlab raises.  The
 property below feeds values that are not valid input (strings, bytes,
-bools, None, NaN, ±inf, complex numbers, arrays of the wrong shape) to
-the axis readers, the Born-table readers and Spectrum.projector, with
-warnings as errors, and asserts that each is refused with a
-ChshLabError: never accepted, never another exception, never a warning.
+bools, also among floats, None, NaN, ±inf, complex numbers, arrays of the
+wrong shape) to the axis readers, the Born-table readers and
+Spectrum.projector, with warnings as errors, and asserts that each is
+refused with a ChshLabError: never accepted, never another exception,
+never a warning.
 """
 
 import warnings
@@ -51,7 +52,7 @@ def _with_bad_entry(draw, valid, shape):
 
 @st.composite
 def _junk_axis(draw):
-    kind = draw(st.sampled_from(["scalar", "entry", "bools", "shape"]))
+    kind = draw(st.sampled_from(["scalar", "entry", "bools", "mixed", "shape"]))
     if kind == "scalar":
         return draw(st.one_of(_bad_entry, st.booleans(), st.floats()))
     if kind == "entry":
@@ -59,6 +60,11 @@ def _junk_axis(draw):
     if kind == "bools":
         bools = draw(st.lists(st.booleans(), min_size=3, max_size=3))
         return draw(st.sampled_from([bools, np.array(bools), np.array(bools, dtype=object)]))
+    if kind == "mixed":
+        # a bool among floats, which numpy promotes to 0.0 or 1.0
+        entries = draw(st.sampled_from([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.6, 0.0, 0.8]]))
+        entries[draw(st.integers(0, 2))] = draw(st.sampled_from([True, False, np.True_, np.False_]))
+        return draw(st.sampled_from([list, tuple]))(entries)
     return draw(_real_arrays.filter(lambda a: a.size != 3))
 
 

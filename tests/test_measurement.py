@@ -730,3 +730,41 @@ class TestChshSettingDerivesOnce:
         assert max_over_states(setting).value == max_over_states(fresh).value
         assert incompatibility_degree(setting) == incompatibility_degree(fresh)
         assert chsh_value(setting, rho) == chsh_value(fresh, rho)
+
+    @staticmethod
+    def _built(kind, rng):
+        """(setting, the arrays it was built from) for one constructor route."""
+        axes = random_axes(rng, 4)
+        if kind == "from_axes":
+            return ChshSetting.from_axes(*axes), list(axes)
+        if kind == "noisy":
+            povms = [noisy_pauli_povm(ax, lam) for ax, lam in zip(axes, rng.uniform(0.0, 1.0, 4))]
+        elif kind == "biased":
+            povms = [
+                BinaryPovm.from_effect(from_pauli_coords([c0, *(r * ax)]))
+                for ax, c0, r in zip(axes, rng.uniform(0.2, 1.8, 4), rng.uniform(0.0, 0.2, 4))
+            ]
+        else:  # raw matrices, each off Hermitian by less than HERMITICITY_TOL = 1e-10
+            noise = rng.uniform(-1e-11, 1e-11, (4, 2, 2)) + 1j * rng.uniform(-1e-11, 1e-11, (4, 2, 2))
+            sources = [0.9 * bloch_observable(ax) + e for ax, e in zip(axes, noise)]
+            return ChshSetting(*sources), sources
+        return ChshSetting.from_povms(*povms), [e for p in povms for e in (p.effect_plus, p.effect_minus)]
+
+    @pytest.mark.parametrize("kind", ["from_axes", "noisy", "biased", "raw"])
+    def test_coords_are_read_once(self, kind, rng):
+        for _ in range(25):
+            setting, sources = self._built(kind, rng)
+            coords = setting.coords
+            assert coords.shape == (4, 4) and coords.dtype == np.float64
+            for row, m in zip(coords, setting.observables()):
+                assert row.tobytes() == pauli_coords(m).tobytes()
+            if kind == "raw":
+                for row, m in zip(coords, sources):
+                    assert row.tobytes() == pauli_coords(m).tobytes()
+            assert not coords.flags.writeable
+            with pytest.raises(ValueError):
+                coords[0, 0] = 0.0
+            before = coords.tobytes()
+            for m in sources:
+                m[...] = 0.5
+            assert setting.coords is coords and coords.tobytes() == before
