@@ -240,6 +240,10 @@ class TestLeanPathMatchesNumpy:
 
 
 EPS = np.finfo(float).eps
+# the gap between floats never falls below the smallest subnormal, so an
+# eigenvalue below the float range (t ~ |z|²/|p - s| for a tiny z) can be
+# no nearer than that to its exact value
+ULP_FLOOR = np.finfo(float).smallest_subnormal
 # nonzero entries stay far above the subnormal range, where halving a
 # float is no longer exact and no relative bound holds
 _normal_entry = _entry.filter(lambda x: x == 0.0 or abs(x) >= 1e-200)
@@ -305,6 +309,8 @@ class TestClosedForm2x2:
         # mean ∓ radius of the textbook formula is not, for a biased
         # effect (p near 0, s near 1) with a tiny off-diagonal.  Exact:
         # 60 digits from H's float entries, t = |z|²/(hypot(d, |z|) + d).
+        # An eigenvalue below the float range is at best rounded to the
+        # nearest subnormal or zero: 8 ulps there are 8 ULP_FLOOR.
         h = (m + m.conj().T) / 2
         vals = eig_hermitian(m, np.inf, vectors=False).eigenvalues
         with localcontext() as ctx:
@@ -313,7 +319,7 @@ class TestClosedForm2x2:
             d, w2 = abs(p - s) / 2, x * x + y * y
             t = w2 / ((d * d + w2).sqrt() + d) if w2 else Decimal(0)
             for got, want in zip(vals.tolist(), (min(p, s) - t, max(p, s) + t)):
-                assert abs(Decimal(got) - want) <= Decimal(8 * EPS) * (abs(want) + t)
+                assert abs(Decimal(got) - want) <= Decimal(8 * EPS) * (abs(want) + t) + 8 * Decimal(ULP_FLOOR)
 
     @settings(max_examples=500, deadline=None)
     @given(_two_by_two(), st.sampled_from([0.0, 1e-12, 1e-3]))
