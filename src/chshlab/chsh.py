@@ -10,10 +10,21 @@ import numpy as np
 
 from .errors import InvalidStateError, InvalidTableError, NotHermitianError, NotInvolutiveError, OutOfRangeError
 from .linalg import eig_hermitian
-from .measurement import OBSERVABLE_NAMES, BinaryPovm, ChshSetting, commutator_tensor, incompatibility_degree  # noqa: F401 (re-exported)
+from .measurement import (  # noqa: F401 (re-exported)
+    OBSERVABLE_NAMES,
+    UNIT_AXIS_TOL,
+    BinaryPovm,
+    ChshSetting,
+    commutator_tensor,
+    incompatibility_degree,
+)
 
 STATE_TOL = 1e-10
-INVOLUTION_TOL = 1e-9
+# O = n·σ has ||O² - I|| = ||n|² - 1|, which unit_axis lets reach
+# (1 + UNIT_AXIS_TOL)² - 1 = 2·UNIT_AXIS_TOL + UNIT_AXIS_TOL²; the third
+# UNIT_AXIS_TOL is room for that square and for the roundoff of reading
+# |n|² back from the entries
+INVOLUTION_TOL = 3 * UNIT_AXIS_TOL
 VIOLATION_MARGIN = 1e-9
 MAX_SHOTS = 2**63 - 1  # numpy's multinomial draws take a C long
 

@@ -13,32 +13,41 @@ and Landau's μ need no solve: `measurement.incompatibility_degree` has
 them in closed form.  numpy arrays are the universal carrier; matrices
 are row-major complex.
 
-Validation happens in one place, `_with_adjoint`.  `eig_hermitian`
-converts its input once and, before any arithmetic, refuses a
-non-finite entry and an entry so large that M + M† or |M - M†| would
-overflow (one reduction, the largest modulus, finds both).  It refuses a
-non-square input at any `tol`, measures the Hermiticity defect once
-against a finite `tol`, hands (M + M†)/2 to the solver, and refuses a
-spectrum that overflowed.  Callers do not symmetrize or check first:
-`hermitize` and `is_psd` pass `tol=inf`, so they accept any bounded
-square input and see its Hermitian part, and `chsh.check_state` passes
-its own tol.  The one exception is `measurement.ChshSetting`: it reads
-the same defect, against HERMITICITY_TOL, off the four entries of each
-2x2 observable without a solve, and with them its Pauli coordinates
-`coords`, which Δ, μ and the involution check read.
+Validation is one set of checks, run before any arithmetic: a
+non-finite entry, an entry so large that M + M† or |M - M†| would
+overflow, a non-square input at any `tol`, and the Hermiticity defect
+against a finite `tol`; then a spectrum that overflowed.  `eig_hermitian`
+converts its input once and picks where the checks run by its size.  An
+eigenvalue-only 2x2 solve reads its four entries once, and
+`_checked_2x2` runs the checks on them, with `_with_adjoint`'s order,
+exceptions, messages and defect, before the closed form reads the same
+entries.  Every other solve goes through `_with_adjoint`, which finds a
+non-finite or oversized entry in one numpy reduction (the largest
+modulus) and hands (M + M†)/2 to LAPACK.  The split is by size: on
+four entries a check in Python scalars costs about a third of numpy's
+fixed per-call cost, and on sixteen it costs as much or more.  Callers
+do not symmetrize or check first: `hermitize` and `is_psd` pass
+`tol=inf`, so they accept any bounded square input and see its
+Hermitian part, and `chsh.check_state` passes its own tol.  The one
+exception is `measurement.ChshSetting`: it reads the same defect,
+against HERMITICITY_TOL, off the four entries of each 2x2 observable
+without a solve, and with them its Pauli coordinates `coords`, which Δ,
+μ and the involution check read.
 
 Two constructors write matrices that are Hermitian by construction and
 skip `hermitize`: `measurement.bloch_observable`, and
-`measurement._from_pauli_coords` behind `from_pauli_coords` and the E+ of
+`measurement._pauli_entries` behind `from_pauli_coords` and the E+ of
 `noisy_pauli_povm`.  Both set the entries (i, j) and (j, i) as complex
 conjugates, with real diagonals.  `noisy_pauli_povm` checks only E+
-through `is_psd` (its docstring says why); `from_effect` checks both.
+through `is_psd` (its docstring says why), and reads its coords off the
+entries it wrote; `from_effect` checks both effects.
 """
 
 from __future__ import annotations
 
+from cmath import isfinite
 from dataclasses import dataclass
-from math import hypot, isfinite
+from math import hypot
 
 import numpy as np
 
@@ -159,18 +168,21 @@ def eig_hermitian(m, tol: float = HERMITICITY_TOL, *, vectors: bool = True) -> S
 
     Raises NotHermitianError if an entry is not finite, an entry's modulus
     exceeds MAX_ENTRY_MODULUS, or the asymmetry exceeds `tol`; that check
-    (`_with_adjoint`) is the only validation of the input, so a caller need
-    not repeat it.  The spectrum is that of (M + M†)/2: `numpy.linalg.eigh`
-    of it, or, when `vectors` is False, eigenvalues only with eigenvectors
-    None, from `_eigvalsh_2x2` for a 2x2 and `numpy.linalg.eigvalsh` for
-    any other size.  It too is refused if its lowest or highest eigenvalue
-    overflowed, which bounded entries allow beyond 2x2 and LAPACK does not
-    report.
+    is the only validation of the input, so a caller need not repeat it.
+    The spectrum is that of (M + M†)/2.  An eigenvalue-only solve
+    (`vectors` False, eigenvectors None) of a 2x2 reads the four entries
+    once, and `_checked_2x2` and `_eigvalsh_2x2` both work from them.
+    Every other solve is checked by `_with_adjoint`, with the same
+    exceptions, messages and defect, and runs `numpy.linalg.eigh`, or
+    `numpy.linalg.eigvalsh` for eigenvalues only.  The spectrum too is
+    refused if its lowest or highest eigenvalue overflowed, which bounded
+    entries allow beyond 2x2 and LAPACK does not report.
     """
-    a, adj = _with_adjoint(m, tol)
+    a = as_matrix(m)
     if not vectors and a.shape == (2, 2):
-        vals, vecs = _eigvalsh_2x2(a), None
+        vals, vecs = _eigvalsh_2x2(_checked_2x2(a.tolist(), tol)), None
     else:
+        a, adj = _with_adjoint(a, tol)
         h = a + adj
         h /= 2
         vals, vecs = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
@@ -179,9 +191,50 @@ def eig_hermitian(m, tol: float = HERMITICITY_TOL, *, vectors: bool = True) -> S
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
-def _eigvalsh_2x2(a: np.ndarray) -> np.ndarray:
+def _checked_2x2(entries: list, tol: float) -> list:
+    """The entries [[p, q], [r, s]] of a 2x2 M, as Python complex numbers,
+    once they pass `_with_adjoint`'s checks, in its order and with its
+    messages: every entry finite, every modulus at most MAX_ENTRY_MODULUS
+    and, for a finite `tol`, the Hermiticity defect at most `tol`.
+
+    The defect is the largest entry modulus of M - M†:
+    max(|2 Im p|, |2 Im s|, |q - r̄|), as M - M† has 2i·Im p and 2i·Im s
+    on its diagonal and q - r̄ and its negated conjugate off it.  A
+    modulus that decides a verdict or is reported is numpy's, as
+    `_with_adjoint` reads it: numpy's complex abs and the C hypot behind
+    abs() differ in the last ulp for a few inputs in a hundred.  abs()
+    serves as a screen: every modulus up to MAX_ENTRY_MODULUS/2 passes,
+    whatever its last ulp.
+    """
+    (p, q), (r, s) = entries
+    if not (isfinite(p) and isfinite(q) and isfinite(r) and isfinite(s)):
+        raise NotHermitianError("matrix has a non-finite entry")
+    try:
+        largest = max(abs(p), abs(q), abs(r), abs(s))
+    except OverflowError:  # a modulus past float max, from finite parts
+        largest = float("inf")
+    if largest > MAX_ENTRY_MODULUS / 2:
+        largest = float(abs(np.array(entries)).max())
+        if largest > MAX_ENTRY_MODULUS:
+            raise NotHermitianError(
+                f"matrix entry of modulus {largest:.3e} would overflow M + M† "
+                f"(limit {MAX_ENTRY_MODULUS:.3e})"
+            )
+    if tol != np.inf:
+        # 2|Im p| is exact in either reading, and cannot overflow for a
+        # bounded p
+        defect = max(abs(2.0 * p.imag), abs(2.0 * s.imag), float(np.abs(q - r.conjugate())))
+        if not defect <= tol:
+            raise NotHermitianError(
+                f"matrix deviates from Hermitian by {defect:.3e} (tol {tol:.1e})", defect
+            )
+    return entries
+
+
+def _eigvalsh_2x2(entries: list) -> np.ndarray:
     """Eigenvalues, ascending, of the Hermitian part [[p, z], [z̄, s]] of a
-    bounded 2x2 M, read off its four entries.
+    bounded 2x2 M, from its entries [[p, q], [r, s]] as Python complex
+    numbers.
 
     They are min(p, s) - t and max(p, s) + t with t = hypot(d, |z|) - d,
     d = |p - s|/2, written as |z|²/(hypot(d, |z|) + d) so that nothing
@@ -193,7 +246,7 @@ def _eigvalsh_2x2(a: np.ndarray) -> np.ndarray:
     MAX_ENTRY_MODULUS.  Nor can the result: a 2x2's norm is at most twice
     its largest entry modulus.
     """
-    (p, q), (r, s) = a.tolist()
+    (p, q), (r, s) = entries
     lo, hi = (p.real, s.real) if p.real <= s.real else (s.real, p.real)
     # z = (q + r̄)/2, as (M + M†)/2 has it; y = |z|/2
     y = hypot((q.real + r.real) / 4, (q.imag - r.imag) / 4)

@@ -27,7 +27,11 @@ _REAL_TYPES = (float, int, np.floating, np.integer)
 # convert them: complex drops its imaginary part, str and bytes are
 # parsed, a bool reads as 0 or 1
 _NON_REAL_ELEMENTS = (complex, np.complexfloating, str, bytes, bool, np.bool_)
-_BOOL_TYPES = frozenset((bool, np.bool_))  # read as 0.0 or 1.0 in a list of floats
+# a list or tuple passes unit_axis only if every element is a real scalar
+# (_REAL_TYPES, bool apart), or numpy would read a nested list, a 0-d array
+# or a bool among floats as a number; a set of exact types lets a tuple of
+# floats pass in one C-level scan
+_PLAIN_REAL_TYPES = frozenset((float, int, np.float64))
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -52,12 +56,18 @@ def unit_axis(v) -> np.ndarray:
     Only real numbers are converted: complex input is refused, even with
     zero imaginary parts (the cast to float would drop them with a
     ComplexWarning), and so are strings and bools, which numpy would parse
-    or read as 0 and 1, also inside a list or tuple of floats.
+    or read as 0 and 1.  A list or tuple must hold three real scalars
+    itself: a bool, a nested list or an array inside it is refused.
     """
     try:
         a = np.asarray(v)
-        # an ndarray comes back as itself, and skips the scan for bools
-        if a is not v and isinstance(v, (list, tuple)) and not _BOOL_TYPES.isdisjoint(map(type, v)):
+        # an ndarray comes back as itself, and skips the scan of elements
+        if (
+            a is not v
+            and isinstance(v, (list, tuple))
+            and not _PLAIN_REAL_TYPES.issuperset(map(type, v))
+            and not all(isinstance(x, _REAL_TYPES) and type(x) is not bool for x in v)
+        ):
             raise TypeError
         if a.dtype.char != "d":  # not float64 already: convert real numbers only
             kind = a.dtype.kind
@@ -112,12 +122,15 @@ def _from_pauli_coords(c0: float, c1: float, c2: float, c3: float) -> np.ndarray
     Equal to that sum bit for bit when c0 > 0; otherwise up to the sign of
     a zero entry.
     """
-    return np.array(
-        [
-            [complex((c0 + c3) / 2, 0.0), complex((0.0 + c1) / 2, (0.0 - c2) / 2)],
-            [complex((0.0 + c1) / 2, (0.0 + c2) / 2), complex((c0 - c3) / 2, 0.0)],
-        ]
-    )
+    return np.array(_pauli_entries(c0, c1, c2, c3))
+
+
+def _pauli_entries(c0: float, c1: float, c2: float, c3: float) -> list:
+    """The entries of _from_pauli_coords(c0, c1, c2, c3) as nested lists."""
+    return [
+        [complex((c0 + c3) / 2, 0.0), complex((0.0 + c1) / 2, (0.0 - c2) / 2)],
+        [complex((0.0 + c1) / 2, (0.0 + c2) / 2), complex((c0 - c3) / 2, 0.0)],
+    ]
 
 
 def from_pauli_coords(c) -> np.ndarray:
@@ -169,9 +182,11 @@ def noisy_pauli_povm(axis, lam: float) -> BinaryPovm:
     by construction, so it skips from_effect's symmetrization.  Each entry
     equals the one hermitize((I + λ·bloch_observable(n))/2) gives, bit for
     bit; only where λn_k/2 underflows to zero may the sign of that zero
-    differ.  coords are read back from those entries by pauli_coords.
+    differ.  coords come from the entries as written, before they become
+    an array, and equal pauli_coords(E+) bit for bit: E+ is not read back.
 
-    Only E+ goes through the PSD check.  tr E+ = 1, so E- = I - E+ has the
+    Only E+ goes through the PSD check, which reads its four entries once
+    (`linalg.eig_hermitian`'s 2x2 branch).  tr E+ = 1, so E- = I - E+ has the
     eigenvalues 1 - (1 ± λ|n|)/2 = (1 ∓ λ|n|)/2 of E+, and E- ≥ 0 ⇔ E+ ≥ 0
     (Busch, Phys. Rev. D 33, 2253 (1986)).  The check refuses only a
     λ|n| above 1 + 2e-12, which unit_axis's tolerance lets through near
@@ -180,10 +195,13 @@ def noisy_pauli_povm(axis, lam: float) -> BinaryPovm:
     if not 0.0 <= _real("sharpness λ", lam) <= 1.0:
         raise OutOfRangeError(f"sharpness λ={lam!r} outside [0, 1]")
     n0, n1, n2 = unit_axis(axis).tolist()
-    e_plus = _from_pauli_coords(1.0, lam * n0, lam * n1, lam * n2)
+    entries = _pauli_entries(1.0, lam * n0, lam * n1, lam * n2)
+    e_plus = np.array(entries)
     if not is_psd(e_plus, PSD_TOL):
         raise OutOfRangeError(_BELOW_PSD_TOL)
-    return BinaryPovm(effect_plus=e_plus, effect_minus=I2 - e_plus, coords=pauli_coords(e_plus), sharpness=lam)
+    return BinaryPovm(
+        effect_plus=e_plus, effect_minus=I2 - e_plus, coords=np.array(_entry_coords(entries)), sharpness=lam
+    )
 
 
 @dataclass(frozen=True, eq=False)

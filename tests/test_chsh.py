@@ -19,15 +19,17 @@ from chshlab.chsh import (
     state_from_vector,
 )
 from chshlab.entanglement import CanonicalAngles, canonical_axes, canonical_setting, schmidt_state
-from chshlab.errors import InvalidStateError, NotInvolutiveError, OutOfRangeError
+from chshlab.errors import InvalidStateError, NonUnitAxisError, NotInvolutiveError, OutOfRangeError
 from chshlab.linalg import MAX_ENTRY_MODULUS, SX, SY, SZ, kron
 from chshlab.measurement import (
     UNIT_AXIS_TOL,
     ChshSetting,
     Z_AXIS,
+    bloch_observable,
     incompatibility_degree,
     noisy_family_povms,
     noisy_pauli_povm,
+    unit_axis,
 )
 
 from conftest import random_axes, random_axis, random_hermitian
@@ -61,6 +63,19 @@ class TestChshOperator:
     def test_hermitian(self, rng):
         s = chsh_operator(random_projective_setting(rng))
         assert np.max(np.abs(s - s.conj().T)) <= 1e-12
+
+
+def _unit_axis_edge(direction):
+    """The largest s·direction, s in [1, 1 + 2·UNIT_AXIS_TOL], that unit_axis accepts."""
+    lo, hi = 1.0, 1.0 + 2 * UNIT_AXIS_TOL
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        try:
+            unit_axis(mid * direction)
+            lo = mid
+        except NonUnitAxisError:
+            hi = mid
+    return lo
 
 
 def _assert_prints(message, name, value):
@@ -119,17 +134,23 @@ class TestLandauBound:
             _assert_prints(str(exc.value), "b1", np.linalg.norm(o @ o - np.eye(2), 2))
 
     def test_projective_at_tolerance_edges(self, rng):
-        # O = n·σ has ||O² - I|| = ||n|² - 1| ≈ 2||n| - 1|: inside INVOLUTION_TOL
-        # the bound is the spectral one; at unit_axis's edge |n| = 1 + 0.99e-9
-        # the setting is accepted, and landau_bound refuses it, reading ||n|² - 1|
+        # O = n·σ has ||O² - I|| = ||n|² - 1| ≈ 2||n| - 1|, which INVOLUTION_TOL
+        # admits for every axis unit_axis accepts: inside its tolerance, at
+        # |n| = 1 + 0.99e-9 and at its edge itself the bound is the spectral
+        # one.  A noisy observable among edge axes is still refused.
         for _ in range(20):
             axes = random_axes(rng, 4)
-            inside = ChshSetting.from_axes(*(axes * (1 + rng.uniform(-4.5e-10, 4.5e-10, (4, 1)))))
-            assert landau_bound(inside).bound == pytest.approx(max_over_states(inside).value, abs=1e-8)
-            edge = axes * (1 + 0.99 * UNIT_AXIS_TOL)
+            inside = axes * (1 + rng.uniform(-4.5e-10, 4.5e-10, (4, 1)))
+            near_edge = axes * (1 + 0.99 * UNIT_AXIS_TOL)
+            edge = np.array([_unit_axis_edge(ax) * ax for ax in axes])
+            assert all(abs(np.linalg.norm(n) - 1.0) > 0.99 * UNIT_AXIS_TOL for n in edge)
+            for scaled in (inside, near_edge, edge):
+                setting = ChshSetting.from_axes(*scaled)
+                assert landau_bound(setting).bound == pytest.approx(max_over_states(setting).value, abs=1e-8)
+            noisy = noisy_pauli_povm(axes[3], 0.9).observable()
             with pytest.raises(NotInvolutiveError) as exc:
-                landau_bound(ChshSetting.from_axes(*edge))
-            _assert_prints(str(exc.value), "a0", float(edge[0] @ edge[0]) - 1)
+                landau_bound(ChshSetting(*(bloch_observable(n) for n in edge[:3]), noisy))
+            _assert_prints(str(exc.value), "b1", 1 - 0.9 * 0.9)
 
     def test_squared_identity_and_norm(self, rng):
         for _ in range(50):

@@ -3,10 +3,10 @@
 errors.py makes ChshLabError the base of every error chshlab raises.  The
 property below feeds values that are not valid input (strings, bytes,
 bools, also among floats, None, NaN, ±inf, complex numbers, arrays of the
-wrong shape) to the axis readers, the Born-table readers and
-Spectrum.projector, with warnings as errors, and asserts that each is
-refused with a ChshLabError: never accepted, never another exception,
-never a warning.
+wrong shape, lists and arrays nested in a list of floats) to the axis
+readers, the Born-table readers and Spectrum.projector, with warnings as
+errors, and asserts that each is refused with a ChshLabError: never
+accepted, never another exception, never a warning.
 """
 
 import warnings
@@ -52,7 +52,7 @@ def _with_bad_entry(draw, valid, shape):
 
 @st.composite
 def _junk_axis(draw):
-    kind = draw(st.sampled_from(["scalar", "entry", "bools", "mixed", "shape"]))
+    kind = draw(st.sampled_from(["scalar", "entry", "bools", "mixed", "nested", "shape"]))
     if kind == "scalar":
         return draw(st.one_of(_bad_entry, st.booleans(), st.floats()))
     if kind == "entry":
@@ -65,6 +65,24 @@ def _junk_axis(draw):
         entries = draw(st.sampled_from([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.6, 0.0, 0.8]]))
         entries[draw(st.integers(0, 2))] = draw(st.sampled_from([True, False, np.True_, np.False_]))
         return draw(st.sampled_from([list, tuple]))(entries)
+    if kind == "nested":
+        # a list or tuple holding a list or an array, which numpy would
+        # flatten or read as a number
+        return draw(
+            st.sampled_from(
+                [
+                    [[True, 0.0, 0.0]],
+                    ([0.0], [0.0], [True]),
+                    [0.0, 0.0, np.array(True)],
+                    [[0.0, 0.0, 1.0]],
+                    ([0.0, 0.0, 1.0],),
+                    [[0.6], [0.0], [0.8]],
+                    [np.array(0.0), 0.0, 1.0],
+                    (0.0, 0.0, np.array([1.0])),
+                    [0.6, np.float64(0.0), np.array(0.8, dtype=object)],
+                ]
+            )
+        )
     return draw(_real_arrays.filter(lambda a: a.size != 3))
 
 

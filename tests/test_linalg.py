@@ -7,9 +7,11 @@ eigenpair-residual and reconstruction tests check the eigenvectors
 without any solver.  An eigenvalue-only 2x2 solve is in closed form:
 TestClosedForm2x2 checks it against numpy and against 60-digit decimal
 values within a few ulps, and is_psd's verdict on it against exact
-rational arithmetic.
+rational arithmetic.  Its input checks run on the four entries too:
+TestTwoByTwoChecks holds them to _with_adjoint's refusals.
 """
 
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chshlab import linalg
 from chshlab.compat import _busch_total
 from chshlab.linalg import (
     HERMITICITY_TOL,
@@ -355,6 +358,100 @@ class TestClosedForm2x2:
         assert np.isfinite(vals).all()
         assert np.max(np.abs(vals - expected)) <= 8 * EPS * np.max(np.abs(expected))
         assert is_psd(m) == (expected[0] >= 0)
+
+
+def _closed_form_2x2(m) -> np.ndarray:
+    """Eigenvalues, ascending, of the Hermitian part of a bounded 2x2 m by
+    the closed form eig_hermitian uses, read off the numpy array."""
+    a = np.asarray(m, dtype=complex)
+    p, q, r, s = (complex(v) for v in a.ravel())
+    lo, hi = sorted([p.real, s.real])
+    y = math.hypot((q.real + r.real) / 4, (q.imag - r.imag) / 4)
+    if y == 0.0:
+        return np.array([lo, hi])
+    x = (hi - lo) / 4
+    t = 2.0 * y * (y / (math.hypot(x, y) + x))
+    return np.array([lo - t, hi + t])
+
+
+def _refusal(fn, *args, **kwargs):
+    """(class, message, defect) of the NotHermitianError fn raises, or None."""
+    try:
+        fn(*args, **kwargs)
+    except NotHermitianError as exc:
+        return type(exc), str(exc), exc.defect
+    return None
+
+
+# around MAX_ENTRY_MODULUS on both sides, and moduli past float max from
+# finite parts (abs() of such a Python complex raises OverflowError)
+_EDGE_PARTS = [
+    MAX_ENTRY_MODULUS,
+    np.nextafter(MAX_ENTRY_MODULUS, 0.0),
+    np.nextafter(MAX_ENTRY_MODULUS, np.inf),
+    MAX_ENTRY_MODULUS / np.sqrt(2),
+    np.finfo(float).max,
+]
+_any_part = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.floats(),  # NaN, ±inf and the subnormals included
+    st.sampled_from(_EDGE_PARTS + [-x for x in _EDGE_PARTS] + [0.0, -0.0]),
+)
+
+
+@st.composite
+def _any_2x2(draw):
+    """A 2x2 input for eig_hermitian: complex entries anywhere (non-finite,
+    near MAX_ENTRY_MODULUS, asymmetric), a Hermitian matrix plus an
+    asymmetry around HERMITICITY_TOL, or a real one, as a complex or float
+    array or as nested Python lists."""
+    kind = draw(st.sampled_from(["entries", "near-hermitian", "real"]))
+    if kind == "real":
+        m = np.array(draw(st.lists(_any_part, min_size=4, max_size=4))).reshape(2, 2)
+    elif kind == "entries":
+        parts = draw(st.lists(_any_part, min_size=8, max_size=8))
+        m = np.array([complex(x, y) for x, y in zip(parts[:4], parts[4:])]).reshape(2, 2)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        h = random_hermitian(rng, 2) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        noise = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
+        m = h + draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])) * HERMITICITY_TOL * noise
+    return m.tolist() if draw(st.booleans()) else m
+
+
+class TestTwoByTwoChecks:
+    """An eigenvalue-only 2x2 solve runs _with_adjoint's checks on its four
+    entries: it refuses exactly what _with_adjoint refuses, with the same
+    class, message and defect, and otherwise returns the closed form."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(
+        _any_2x2(),
+        st.one_of(st.just(np.inf), st.just(HERMITICITY_TOL), st.floats(0.0, 1e3)),
+        st.sampled_from([0.0, 1e-12, 1e-3]),
+    )
+    def test_refuses_as_with_adjoint_else_closed_form(self, m, tol, psd_tol):
+        # no drawn input makes numpy or abs() warn: warnings are errors in
+        # this suite
+        refusal = _refusal(linalg._with_adjoint, m, tol)
+        assert _refusal(eig_hermitian, m, tol, vectors=False) == refusal
+        psd_refusal = _refusal(linalg._with_adjoint, m, np.inf)
+        assert _refusal(is_psd, m, psd_tol) == psd_refusal
+        if refusal is None:
+            spec = eig_hermitian(m, tol, vectors=False)
+            assert _same_bits(spec.eigenvalues, _closed_form_2x2(m))
+            assert spec.eigenvectors is None
+        if psd_refusal is None:
+            assert is_psd(m, psd_tol) == bool(_closed_form_2x2(m)[0] >= -psd_tol)
+
+    def test_modulus_past_float_max(self):
+        # finite parts whose modulus overflows: abs() of the Python complex
+        # raises OverflowError, and the entry is refused as numpy refuses it
+        m = np.array([[1.7e308 + 1.7e308j, 0], [0, 1]])
+        with pytest.raises(NotHermitianError) as exc:
+            eig_hermitian(m, vectors=False)
+        assert str(exc.value) == f"matrix entry of modulus inf would overflow M + M† (limit {MAX_ENTRY_MODULUS:.3e})"
+        assert _refusal(eig_hermitian, m, np.inf, vectors=False) == _refusal(linalg._with_adjoint, m, np.inf)
 
 
 class TestSpectrumProjector:

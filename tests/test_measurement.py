@@ -252,6 +252,10 @@ class TestEntryByEntry:
         e_plus = hermitize((I2 + lam * _bloch_sum(axis)) / 2)
         assert same_bits(povm.effect_plus, e_plus)
         assert same_bits(povm.effect_minus, I2 - e_plus)
+        # coords come from the entries noisy_pauli_povm writes, not from
+        # reading E+ back, and equal that reading, signed zeros included
+        assert povm.coords.dtype == np.float64
+        assert povm.coords.tobytes() == pauli_coords(povm.effect_plus).tobytes()
         if all(x == 0.0 or abs(lam * x) >= 1e-300 or lam == 0.0 for x in axis):
             assert povm.effect_plus.tobytes() == e_plus.tobytes()
             assert povm.coords.tobytes() == pauli_coords(e_plus).tobytes()
