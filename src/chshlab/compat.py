@@ -21,7 +21,7 @@ import numpy as np
 from . import _kernels
 from .errors import InvalidToleranceError, NotUnbiasedError
 from .linalg import I2
-from .measurement import BinaryPovm, _from_pauli_coords, _real, unit_axis
+from .measurement import BinaryPovm, _pauli_entries, _real, unit_axis
 
 UNBIASED_TOL = 1e-9
 DEFAULT_TOL = 1e-9
@@ -175,7 +175,7 @@ def _search_parent(p: BinaryPovm, q: BinaryPovm, tol: float) -> tuple[ParentPovm
     x, residual, _, plateaued = _kernels.dykstra_feasibility(m, n, x0, tol, DYKSTRA_MAX_ITER)
     if residual > tol:
         return None, residual, plateaued
-    g = _from_pauli_coords(*x)
+    g = np.array(_pauli_entries(*x))
     m_plus, n_plus = p.effect_plus, q.effect_plus
     return ParentPovm(g, m_plus - g, n_plus - g, I2 - m_plus - n_plus + g, residual), residual, plateaued
 

@@ -28,11 +28,10 @@ four entries a check in Python scalars costs about a third of numpy's
 fixed per-call cost, and on sixteen it costs as much or more.  Callers
 do not symmetrize or check first: `hermitize` and `is_psd` pass
 `tol=inf`, so they accept any bounded square input and see its
-Hermitian part, and `chsh.check_state` passes its own tol.  The one
-exception is `measurement.ChshSetting`: it reads the same defect,
-against HERMITICITY_TOL, off the four entries of each 2x2 observable
-without a solve, and with them its Pauli coordinates `coords`, which Δ,
-μ and the involution check read.
+Hermitian part, and `chsh.check_state` passes its own tol.
+`measurement.ChshSetting` reads each observable through the same
+`_checked_2x2` and `_eigvalsh_2x2`, with HERMITICITY_TOL, and builds no
+`Spectrum`.
 
 Two constructors write matrices that are Hermitian by construction and
 skip `hermitize`: `measurement.bloch_observable`, and
@@ -55,8 +54,9 @@ from .errors import NotHermitianError, OutOfRangeError
 
 HERMITICITY_TOL = 1e-10
 # the largest entry modulus for which M + M† and |M - M†| stay finite:
-# each of their entries is at most twice it
-MAX_ENTRY_MODULUS = np.finfo(float).max / 2
+# each of their entries is at most twice it; a Python float, as
+# _checked_2x2 compares it with Python floats
+MAX_ENTRY_MODULUS = float(np.finfo(float).max) / 2
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -180,7 +180,7 @@ def eig_hermitian(m, tol: float = HERMITICITY_TOL, *, vectors: bool = True) -> S
     """
     a = as_matrix(m)
     if not vectors and a.shape == (2, 2):
-        vals, vecs = _eigvalsh_2x2(_checked_2x2(a.tolist(), tol)), None
+        vals, vecs = np.array(_eigvalsh_2x2(_checked_2x2(a.tolist(), tol))), None
     else:
         a, adj = _with_adjoint(a, tol)
         h = a + adj
@@ -191,24 +191,27 @@ def eig_hermitian(m, tol: float = HERMITICITY_TOL, *, vectors: bool = True) -> S
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
-def _checked_2x2(entries: list, tol: float) -> list:
-    """The entries [[p, q], [r, s]] of a 2x2 M, as Python complex numbers,
-    once they pass `_with_adjoint`'s checks, in its order and with its
+def _checked_2x2(entries: list, tol: float, subject: str = "matrix") -> list:
+    """The entries [[p, q], [r, s]] of a 2x2 M, as Python numbers, once
+    they pass `_with_adjoint`'s checks, in its order and with its
     messages: every entry finite, every modulus at most MAX_ENTRY_MODULUS
-    and, for a finite `tol`, the Hermiticity defect at most `tol`.
+    and, for a finite `tol`, the Hermiticity defect at most `tol`.  Each
+    message names `subject`: "matrix", as `_with_adjoint`'s do, or
+    "observable a0" for `measurement.ChshSetting`.
 
     The defect is the largest entry modulus of M - M†:
     max(|2 Im p|, |2 Im s|, |q - r̄|), as M - M† has 2i·Im p and 2i·Im s
     on its diagonal and q - r̄ and its negated conjugate off it.  A
     modulus that decides a verdict or is reported is numpy's, as
     `_with_adjoint` reads it: numpy's complex abs and the C hypot behind
-    abs() differ in the last ulp for a few inputs in a hundred.  abs()
-    serves as a screen: every modulus up to MAX_ENTRY_MODULUS/2 passes,
-    whatever its last ulp.
+    abs() differ in the last ulp for a few inputs in a hundred.  An exact
+    q - r̄ = 0, as every matrix Hermitian by construction has, reads as
+    0.0 without a call into numpy.  abs() serves as a screen: every
+    modulus up to MAX_ENTRY_MODULUS/2 passes, whatever its last ulp.
     """
     (p, q), (r, s) = entries
     if not (isfinite(p) and isfinite(q) and isfinite(r) and isfinite(s)):
-        raise NotHermitianError("matrix has a non-finite entry")
+        raise NotHermitianError(f"{subject} has a non-finite entry")
     try:
         largest = max(abs(p), abs(q), abs(r), abs(s))
     except OverflowError:  # a modulus past float max, from finite parts
@@ -217,24 +220,25 @@ def _checked_2x2(entries: list, tol: float) -> list:
         largest = float(abs(np.array(entries)).max())
         if largest > MAX_ENTRY_MODULUS:
             raise NotHermitianError(
-                f"matrix entry of modulus {largest:.3e} would overflow M + M† "
+                f"{subject} entry of modulus {largest:.3e} would overflow M + M† "
                 f"(limit {MAX_ENTRY_MODULUS:.3e})"
             )
     if tol != np.inf:
         # 2|Im p| is exact in either reading, and cannot overflow for a
         # bounded p
-        defect = max(abs(2.0 * p.imag), abs(2.0 * s.imag), float(np.abs(q - r.conjugate())))
+        d = q - r.conjugate()
+        defect = max(abs(2.0 * p.imag), abs(2.0 * s.imag), float(np.abs(d)) if d else 0.0)
         if not defect <= tol:
             raise NotHermitianError(
-                f"matrix deviates from Hermitian by {defect:.3e} (tol {tol:.1e})", defect
+                f"{subject} deviates from Hermitian by {defect:.3e} (tol {tol:.1e})", defect
             )
     return entries
 
 
-def _eigvalsh_2x2(entries: list) -> np.ndarray:
-    """Eigenvalues, ascending, of the Hermitian part [[p, z], [z̄, s]] of a
-    bounded 2x2 M, from its entries [[p, q], [r, s]] as Python complex
-    numbers.
+def _eigvalsh_2x2(entries: list) -> list:
+    """Eigenvalues [lo, hi], ascending, of the Hermitian part
+    [[p, z], [z̄, s]] of a bounded 2x2 M, as Python floats, from its
+    entries [[p, q], [r, s]] as Python numbers.
 
     They are min(p, s) - t and max(p, s) + t with t = hypot(d, |z|) - d,
     d = |p - s|/2, written as |z|²/(hypot(d, |z|) + d) so that nothing
@@ -251,10 +255,10 @@ def _eigvalsh_2x2(entries: list) -> np.ndarray:
     # z = (q + r̄)/2, as (M + M†)/2 has it; y = |z|/2
     y = hypot((q.real + r.real) / 4, (q.imag - r.imag) / 4)
     if y == 0.0:
-        return np.array([lo, hi])
+        return [lo, hi]
     x = (hi - lo) / 4
     t = 2.0 * y * (y / (hypot(x, y) + x))
-    return np.array([lo - t, hi + t])
+    return [lo - t, hi + t]
 
 
 def is_psd(m, tol: float = 1e-12) -> bool:

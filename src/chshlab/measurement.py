@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from cmath import isfinite
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import hypot, sqrt
@@ -10,7 +9,7 @@ from math import hypot, sqrt
 import numpy as np
 
 from .errors import NonUnitAxisError, NotHermitianError, OutOfRangeError
-from .linalg import HERMITICITY_TOL, I2, as_matrix, hermitize, is_psd, kron
+from .linalg import HERMITICITY_TOL, I2, _checked_2x2, _eigvalsh_2x2, as_matrix, hermitize, is_psd, kron
 
 UNIT_AXIS_TOL = 1e-9
 # unit_axis lets |n| reach 1 + UNIT_AXIS_TOL; twice that leaves room for
@@ -116,17 +115,13 @@ def _entry_coords(entries: list) -> list:
     return [p.real + s.real, q.real + r.real, r.imag - q.imag, p.real - s.real]
 
 
-def _from_pauli_coords(c0: float, c1: float, c2: float, c3: float) -> np.ndarray:
-    """(c0·I + c1·σx + c2·σy + c3·σz)/2, written entry by entry.
-
-    Equal to that sum bit for bit when c0 > 0; otherwise up to the sign of
-    a zero entry.
-    """
-    return np.array(_pauli_entries(c0, c1, c2, c3))
-
-
 def _pauli_entries(c0: float, c1: float, c2: float, c3: float) -> list:
-    """The entries of _from_pauli_coords(c0, c1, c2, c3) as nested lists."""
+    """The entries of (c0·I + c1·σx + c2·σy + c3·σz)/2 as nested lists,
+    written entry by entry.
+
+    As an array, equal to that sum bit for bit when c0 > 0; otherwise up
+    to the sign of a zero entry.
+    """
     return [
         [complex((c0 + c3) / 2, 0.0), complex((0.0 + c1) / 2, (0.0 - c2) / 2)],
         [complex((0.0 + c1) / 2, (0.0 + c2) / 2), complex((c0 - c3) / 2, 0.0)],
@@ -134,8 +129,8 @@ def _pauli_entries(c0: float, c1: float, c2: float, c3: float) -> list:
 
 
 def from_pauli_coords(c) -> np.ndarray:
-    """(c0·I + c1·σx + c2·σy + c3·σz)/2 for c = (c0, c1, c2, c3); see _from_pauli_coords."""
-    return _from_pauli_coords(*np.asarray(c, dtype=float).reshape(4).tolist())
+    """(c0·I + c1·σx + c2·σy + c3·σz)/2 for c = (c0, c1, c2, c3); see _pauli_entries."""
+    return np.array(_pauli_entries(*np.asarray(c, dtype=float).reshape(4).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +203,8 @@ def noisy_pauli_povm(axis, lam: float) -> BinaryPovm:
 class ChshSetting:
     """Four dichotomic observables: Alice (a0, a1), Bob (b0, b1).
 
-    Each is a finite 2x2 matrix, Hermitian within HERMITICITY_TOL and with
+    Each is a 2x2 matrix of numbers that `linalg.eig_hermitian` accepts
+    (finite, bounded, Hermitian within HERMITICITY_TOL) with
     -I ≤ O ≤ I within OBSERVABLE_NORM_TOL, or it is refused.  Each field
     holds a read-only complex copy of it: writing into `setting.a0` raises,
     and writing into the caller's source array afterwards changes no
@@ -227,10 +223,17 @@ class ChshSetting:
     coords: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        mats = [np.asarray(m, dtype=complex) for m in self.observables()]
-        for name, m in zip(OBSERVABLE_NAMES, mats):
+        mats = []
+        for name, m in zip(OBSERVABLE_NAMES, self.observables()):
+            try:
+                m = np.asarray(m, dtype=complex)
+            except (TypeError, ValueError):
+                raise NotHermitianError(
+                    f"observable {name} must be a 2x2 matrix of numbers, got {type(m).__name__}"
+                ) from None
             if m.shape != (2, 2):
                 raise NotHermitianError(f"observable {name} must be 2x2, got shape {m.shape}")
+            mats.append(m)
         stack = np.array(mats)  # the copy every field views
         coords = np.array([_check_observable(n, e) for n, e in zip(OBSERVABLE_NAMES, stack.tolist())])
         stack.flags.writeable = False
@@ -259,29 +262,21 @@ class ChshSetting:
 
 
 def _check_observable(name: str, entries: list) -> list:
-    """pauli_coords of a 2x2 O, as nested lists, if it is finite, Hermitian
-    within HERMITICITY_TOL and -I ≤ O ≤ I within OBSERVABLE_NORM_TOL.
+    """pauli_coords of a 2x2 O, as nested lists, if `eig_hermitian` would
+    accept it and -I ≤ O ≤ I within OBSERVABLE_NORM_TOL.
 
-    The defect is the largest entry modulus of O - O†, as
-    `linalg.eig_hermitian` measures it.  The Hermitian part (c0·I + c·σ)/2
-    has eigenvalues (c0 ± |c|)/2, so its norm is (|c0| + |c|)/2.  Python
-    floats overflow to inf without a warning, and inf is refused.
+    linalg's 2x2 reader runs `eig_hermitian`'s checks, against
+    HERMITICITY_TOL, with its messages, defect and exception class, and
+    the closed form gives the Hermitian part's eigenvalues lo ≤ hi, so the
+    norm is max(-lo, hi).
     """
-    (p, q), (r, s) = entries
-    if not (isfinite(p) and isfinite(q) and isfinite(r) and isfinite(s)):
-        raise NotHermitianError(f"observable {name} has a non-finite entry")
-    defect = max(2.0 * abs(p.imag), 2.0 * abs(s.imag), hypot(q.real - r.real, q.imag + r.imag))
-    if defect > HERMITICITY_TOL:
-        raise NotHermitianError(
-            f"observable {name} deviates from Hermitian by {defect:.3e} (tol {HERMITICITY_TOL:.1e})", defect
-        )
-    c = _entry_coords(entries)
-    norm = abs(c[0]) / 2 + hypot(c[3], c[1], c[2]) / 2
+    lo, hi = _eigvalsh_2x2(_checked_2x2(entries, HERMITICITY_TOL, f"observable {name}"))
+    norm = max(-lo, hi)
     if norm > 1.0 + OBSERVABLE_NORM_TOL:
         raise OutOfRangeError(
             f"observable {name} has norm {norm:.3e}, outside -I ≤ O ≤ I (tol {OBSERVABLE_NORM_TOL:.0e})"
         )
-    return c
+    return _entry_coords(entries)
 
 
 def noisy_family_povms(lam: float) -> tuple[BinaryPovm, BinaryPovm, BinaryPovm, BinaryPovm]:

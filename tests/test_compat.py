@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chshlab import _kernels, verify
 from chshlab.compat import (
+    DEFAULT_TOL,
     MAX_TOL,
     JmMethod,
     JmStatus,
@@ -24,7 +25,10 @@ from chshlab.verify import feasibility_status
 from conftest import random_axis
 
 INV_SQRT2 = 0.7071067811865475
-ROUNDED_ZERO = 1e-12  # the criterion's O(1) terms cancel to this on its boundary
+# white noise that makes exact any parent the kernel certifies: mixing
+# both effects with ε of it maps a parent G to (1 - ε)G + εI/4, and the
+# kernel's parents miss PSD by at most DEFAULT_TOL
+NOISE = 10 * DEFAULT_TOL
 
 
 def verify_parent(parent, p, q, tol):
@@ -97,12 +101,26 @@ class TestBuschCriterion:
             assert busch_criterion(p, q).status is busch_criterion(q, p).status
 
 
+def _with_noise(povm):
+    """The POVM with effect (1 - ε)E+ + εI/2, ε = NOISE."""
+    return BinaryPovm.from_effect((1.0 - NOISE) * povm.effect_plus + (NOISE / 2) * I2)
+
+
 def _agrees_with_kernel(p, q):
     """The criterion's status is the raw kernel's wherever the kernel
-    decides and the margin is not a rounded zero."""
+    decides and the status survives NOISE on both effects.
+
+    The kernel certifies a parent within DEFAULT_TOL of PSD, and near the
+    boundary that defect is second order in the criterion's margin: for a
+    sharp projector along y and the effect (I + 0.5σy + tσz)/2, the
+    margin is -t/2 and the kernel's residual (4/3)·(t/2)².  A pair whose
+    status NOISE flips lies inside the kernel's tolerance of the boundary,
+    where the two verdicts need not agree."""
     verdict = coexistence_criterion(p, q)
+    if coexistence_criterion(_with_noise(p), _with_noise(q)).status is not verdict.status:
+        return
     oracle = feasibility_status(p, q)
-    if oracle is not JmStatus.UNDECIDED and abs(verdict.margin) > ROUNDED_ZERO:
+    if oracle is not JmStatus.UNDECIDED:
         assert verdict.status is oracle
 
 
@@ -112,6 +130,12 @@ class TestCoexistenceCriterion:
 
     @settings(max_examples=200, deadline=None)
     @given(_biased_povm(), _biased_povm())
+    # Incompatible by a margin of -2.98e-8, while the kernel certifies a
+    # parent with a residual of 1.2e-15
+    @example(
+        BinaryPovm.from_effect(from_pauli_coords([1.0, 0.0, 1.0, 0.0])),
+        BinaryPovm.from_effect(from_pauli_coords([1.0, 0.0, 0.5, 2.0**-24])),
+    )
     def test_agrees_with_kernel_on_biased_pairs(self, p, q):
         _agrees_with_kernel(p, q)
 

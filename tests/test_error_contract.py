@@ -4,9 +4,10 @@ errors.py makes ChshLabError the base of every error chshlab raises.  The
 property below feeds values that are not valid input (strings, bytes,
 bools, also among floats, None, NaN, ±inf, complex numbers, arrays of the
 wrong shape, lists and arrays nested in a list of floats) to the axis
-readers, the Born-table readers and Spectrum.projector, with warnings as
-errors, and asserts that each is refused with a ChshLabError: never
-accepted, never another exception, never a warning.
+readers, the Born-table readers, Spectrum.projector and the four
+observable slots of ChshSetting, with warnings as errors, and asserts
+that each is refused with a ChshLabError: never accepted, never another
+exception, never a warning.
 """
 
 import warnings
@@ -19,6 +20,7 @@ from hypothesis.extra import numpy as hnp
 
 from chshlab import (
     ChshLabError,
+    ChshSetting,
     chsh_from_table,
     correlators_from_table,
     eig_hermitian,
@@ -40,11 +42,11 @@ _real_arrays = hnp.arrays(
 )
 
 
-def _with_bad_entry(draw, valid, shape):
+def _with_bad_entry(draw, valid, shape, bad=_bad_entry):
     """valid, a flat list, with one entry made bad, as nested lists or an
     object array of the given shape."""
     entries = list(valid)
-    entries[draw(st.integers(0, len(entries) - 1))] = draw(_bad_entry)
+    entries[draw(st.integers(0, len(entries) - 1))] = draw(bad)
     if draw(st.booleans()):
         return np.array(entries, dtype=object).reshape(shape)
     return np.array(entries, dtype=object).reshape(shape).tolist()
@@ -98,6 +100,24 @@ def _junk_table(draw):
     return draw(_real_arrays.filter(lambda a: a.shape != (2, 2, 2, 2)))
 
 
+# entries of an observable that no number conversion accepts, or that
+# convert to a non-finite number; unlike _bad_entry, no numeric string and
+# no complex number, which numpy would read as a valid entry
+_bad_observable_entry = st.sampled_from(["x", "", "σz", b"x", None, {}, object(), [1.0, 0.0], np.nan, -np.inf])
+
+
+@st.composite
+def _junk_observable(draw):
+    kind = draw(st.sampled_from(["scalar", "entry", "ragged", "shape"]))
+    if kind == "scalar":
+        return draw(st.one_of(_bad_entry, st.booleans(), st.floats(), st.sampled_from([{}, object()])))
+    if kind == "entry":
+        return _with_bad_entry(draw, [1.0, 0.0, 0.0, -1.0], (2, 2), _bad_observable_entry)
+    if kind == "ragged":
+        return draw(st.sampled_from([[[1.0, 0.0], [0.0]], [[1.0], [0.0, -1.0]], [[1.0, 0.0], 0.0]]))
+    return draw(_real_arrays.filter(lambda a: a.shape != (2, 2)))
+
+
 _junk_index = st.one_of(
     _bad_entry,
     st.booleans(),
@@ -112,7 +132,9 @@ _values_only = eig_hermitian((SZ + SX) / np.sqrt(2), vectors=False)
 @st.composite
 def _junk_call(draw):
     """(name, function, argument) for a call the library must refuse."""
-    target = draw(st.sampled_from(["unit_axis", "noisy_pauli_povm", "correlators", "chsh", "projector", "values-only"]))
+    target = draw(
+        st.sampled_from(["unit_axis", "noisy_pauli_povm", "correlators", "chsh", "ChshSetting", "projector", "values-only"])
+    )
     if target == "unit_axis":
         return target, unit_axis, draw(_junk_axis())
     if target == "noisy_pauli_povm":
@@ -121,6 +143,15 @@ def _junk_call(draw):
         return target, correlators_from_table, draw(_junk_table())
     if target == "chsh":
         return target, chsh_from_table, draw(_junk_table())
+    if target == "ChshSetting":
+        slot = draw(st.integers(0, 3))
+
+        def setting(m):
+            observables = [SZ, SX, SZ, SX]
+            observables[slot] = m
+            return ChshSetting(*observables)
+
+        return target, setting, draw(_junk_observable())
     if target == "projector":
         return target, _full_spectrum.projector, draw(_junk_index)
     # an eigenvalue-only spectrum has no projector at any index

@@ -37,7 +37,7 @@ from chshlab.linalg import (
 from chshlab.errors import ChshLabError, NonUnitAxisError, NotHermitianError, OutOfRangeError
 from chshlab.measurement import BinaryPovm, unit_axis
 
-from conftest import random_hermitian
+from conftest import any_2x2, random_hermitian
 
 B0 = (SZ + SX) / np.sqrt(2)
 B1 = (SZ - SX) / np.sqrt(2)
@@ -383,42 +383,6 @@ def _refusal(fn, *args, **kwargs):
     return None
 
 
-# around MAX_ENTRY_MODULUS on both sides, and moduli past float max from
-# finite parts (abs() of such a Python complex raises OverflowError)
-_EDGE_PARTS = [
-    MAX_ENTRY_MODULUS,
-    np.nextafter(MAX_ENTRY_MODULUS, 0.0),
-    np.nextafter(MAX_ENTRY_MODULUS, np.inf),
-    MAX_ENTRY_MODULUS / np.sqrt(2),
-    np.finfo(float).max,
-]
-_any_part = st.one_of(
-    st.floats(-4.0, 4.0),
-    st.floats(),  # NaN, ±inf and the subnormals included
-    st.sampled_from(_EDGE_PARTS + [-x for x in _EDGE_PARTS] + [0.0, -0.0]),
-)
-
-
-@st.composite
-def _any_2x2(draw):
-    """A 2x2 input for eig_hermitian: complex entries anywhere (non-finite,
-    near MAX_ENTRY_MODULUS, asymmetric), a Hermitian matrix plus an
-    asymmetry around HERMITICITY_TOL, or a real one, as a complex or float
-    array or as nested Python lists."""
-    kind = draw(st.sampled_from(["entries", "near-hermitian", "real"]))
-    if kind == "real":
-        m = np.array(draw(st.lists(_any_part, min_size=4, max_size=4))).reshape(2, 2)
-    elif kind == "entries":
-        parts = draw(st.lists(_any_part, min_size=8, max_size=8))
-        m = np.array([complex(x, y) for x, y in zip(parts[:4], parts[4:])]).reshape(2, 2)
-    else:
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        h = random_hermitian(rng, 2) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
-        noise = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
-        m = h + draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])) * HERMITICITY_TOL * noise
-    return m.tolist() if draw(st.booleans()) else m
-
-
 class TestTwoByTwoChecks:
     """An eigenvalue-only 2x2 solve runs _with_adjoint's checks on its four
     entries: it refuses exactly what _with_adjoint refuses, with the same
@@ -426,7 +390,7 @@ class TestTwoByTwoChecks:
 
     @settings(max_examples=1500, deadline=None)
     @given(
-        _any_2x2(),
+        any_2x2(),
         st.one_of(st.just(np.inf), st.just(HERMITICITY_TOL), st.floats(0.0, 1e3)),
         st.sampled_from([0.0, 1e-12, 1e-3]),
     )

@@ -11,7 +11,7 @@ import chshlab.measurement
 from chshlab.chsh import chsh_operator, chsh_value, landau_bound, max_over_states, sample_estimate
 from chshlab.compat import parent_povm_search, sharpness_threshold
 from chshlab.errors import NonUnitAxisError, NotHermitianError, OutOfRangeError
-from chshlab.linalg import I2, SX, SY, SZ, eig_hermitian, hermitize, is_psd
+from chshlab.linalg import HERMITICITY_TOL, I2, SX, SY, SZ, eig_hermitian, hermitize, is_psd
 from chshlab.measurement import (
     OBSERVABLE_NORM_TOL,
     PSD_TOL,
@@ -39,7 +39,7 @@ from chshlab.entanglement import (
     schmidt_state,
 )
 
-from conftest import random_axes
+from conftest import any_2x2, random_axes
 
 
 class TestBlochObservable:
@@ -585,8 +585,36 @@ class TestChshSettingRefusals:
             (_with(0, np.array([[0.0, 1.0], [0.0, 0.0]])), "observable a0 deviates from Hermitian by 1.000e+00 (tol 1.0e-10)"),
             (_with(1, SX + 1e-9j * SZ), "observable a1 deviates from Hermitian by 2.000e-09 (tol 1.0e-10)"),
             (_with(3, 1j * SZ), "observable b1 deviates from Hermitian by 2.000e+00 (tol 1.0e-10)"),
+            # entries past MAX_ENTRY_MODULUS, refused as eig_hermitian refuses them
+            (
+                _with(1, np.array([[0.0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.0]])),
+                "observable a1 entry of modulus inf would overflow M + M† (limit 8.988e+307)",
+            ),
+            (_with(3, np.diag([1.7e308, -1.7e308])), "observable b1 entry of modulus 1.700e+308 would overflow M + M† (limit 8.988e+307)"),
+            ([{}, SX, SZ, SX], "observable a0 must be a 2x2 matrix of numbers, got dict"),
+            (_with(2, "x"), "observable b0 must be a 2x2 matrix of numbers, got str"),
+            (_with(1, [[1.0, 0.0], [0.0]]), "observable a1 must be a 2x2 matrix of numbers, got list"),
+            (_with(3, [["a", "b"], ["c", "d"]]), "observable b1 must be a 2x2 matrix of numbers, got list"),
+            (_with(0, object()), "observable a0 must be a 2x2 matrix of numbers, got object"),
         ],
-        ids=["all-3x3", "one-3x3", "vector", "nan", "inf", "-inf-imag", "nilpotent", "imag-diagonal", "anti-hermitian"],
+        ids=[
+            "all-3x3",
+            "one-3x3",
+            "vector",
+            "nan",
+            "inf",
+            "-inf-imag",
+            "nilpotent",
+            "imag-diagonal",
+            "anti-hermitian",
+            "modulus-inf",
+            "difference-inf",
+            "dict",
+            "string",
+            "ragged",
+            "strings",
+            "object",
+        ],
     )
     def test_refusal(self, observables, message):
         with pytest.raises(NotHermitianError) as exc:
@@ -603,6 +631,35 @@ class TestChshSettingRefusals:
         a1 = SX + np.array([[0.0, 5e-11], [0.0, 0.0]])
         setting = ChshSetting(*_with(1, a1))
         assert setting.a1.tolist() == a1.tolist()
+        eig_hermitian(a1, HERMITICITY_TOL, vectors=False)
+
+    def test_defect_at_tol_is_eig_hermitians(self):
+        # numpy's complex abs, which eig_hermitian reads, puts this defect
+        # one ulp above HERMITICITY_TOL, and math.hypot puts it at the tol
+        a0 = SZ + np.array([[0.0, 1.6075562164947793e-11 + 9.86994240159531e-11j], [0.0, 0.0]])
+        for read in (lambda m: eig_hermitian(m, HERMITICITY_TOL, vectors=False), lambda m: ChshSetting(m, SX, SZ, SX)):
+            with pytest.raises(NotHermitianError) as exc:
+                read(a0)
+            assert exc.value.defect == 1.0000000000000002e-10
+
+    @settings(max_examples=500, deadline=None)
+    @given(any_2x2())
+    def test_refuses_as_eig_hermitian(self, m):
+        # ChshSetting reads each observable with eig_hermitian's 2x2 reader:
+        # the same refusals, defects and messages, but for the subject
+        try:
+            eig_hermitian(m, HERMITICITY_TOL, vectors=False)
+            want = None
+        except NotHermitianError as exc:
+            want = str(exc).replace("matrix", "observable a0", 1), exc.defect
+        try:
+            ChshSetting(m, SX, SZ, SX)
+            got = None
+        except NotHermitianError as exc:
+            got = str(exc), exc.defect
+        except OutOfRangeError:  # -I ≤ O ≤ I fails; eig_hermitian has no such check
+            got = None
+        assert got == want
 
     def test_accepted_setting_has_spectral_values(self):
         # each observable misses Hermiticity by 9e-11, inside the tol, yet
@@ -631,14 +688,8 @@ class TestChshSettingRefusals:
             (_with(3, 0.5 * I2 + 0.6 * SX), "observable b1 has norm 1.100e+00, outside -I ≤ O ≤ I (tol 2e-09)"),
             (_with(2, -1.5 * I2), "observable b0 has norm 1.500e+00, outside -I ≤ O ≤ I (tol 2e-09)"),
             (_with(1, (1 + 3e-9) * SY), "observable a1 has norm 1.000e+00, outside -I ≤ O ≤ I (tol 2e-09)"),
-            # entries past MAX_ENTRY_MODULUS: the norm overflows to inf, without a warning
-            (
-                _with(1, np.array([[0.0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.0]])),
-                "observable a1 has norm inf, outside -I ≤ O ≤ I (tol 2e-09)",
-            ),
-            (_with(3, np.diag([1.7e308, -1.7e308])), "observable b1 has norm inf, outside -I ≤ O ≤ I (tol 2e-09)"),
         ],
-        ids=["twice-sz", "1e200", "all-1e200", "biased", "minus-identity", "just-above-tol", "modulus-inf", "difference-inf"],
+        ids=["twice-sz", "1e200", "all-1e200", "biased", "minus-identity", "just-above-tol"],
     )
     def test_out_of_range(self, observables, message):
         with pytest.raises(OutOfRangeError) as exc:
