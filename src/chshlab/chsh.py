@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import sqrt
 from operator import index
 
@@ -37,7 +38,10 @@ class ChshReport:
     maximum over states (they coincide for the spectral maximizers),
     mu the top eigenvalue of the commutator tensor J, which is the
     incompatibility degree Δ (set by landau_bound), and optimal_state the
-    eigenprojector attaining the maximum (set by max_over_states).
+    eigenprojector attaining the maximum.  optimal_state is None unless
+    the report holds the setting it maximizes over (max_over_states
+    passes it); then it is solved on its first read, a 4x4 eigensolve of
+    S, and the same array is returned on every later read.
     Compared and hashed by identity, since optimal_state is an array.
     """
 
@@ -45,7 +49,17 @@ class ChshReport:
     bound: float
     violates: bool
     mu: float | None = None
-    optimal_state: np.ndarray | None = None
+    _setting: ChshSetting | None = field(default=None, repr=False)
+
+    @cached_property
+    def optimal_state(self) -> np.ndarray | None:
+        """The eigenprojector of S's eigenvalue of largest modulus, ties
+        broken by the lowest index in ascending order; None without a
+        setting."""
+        if self._setting is None:
+            return None
+        spectrum = eig_hermitian(chsh_operator(self._setting), np.inf)
+        return spectrum.projector(int(np.argmax(np.abs(spectrum.eigenvalues))))  # ties keep the lowest index
 
 
 def violates(value: float) -> bool:
@@ -118,12 +132,6 @@ def state_from_vector(v) -> np.ndarray:
     return vec @ vec.conj().T
 
 
-def _top_modulus_projector(spectrum) -> tuple[float, np.ndarray]:
-    vals = spectrum.eigenvalues
-    idx = int(np.argmax(np.abs(vals)))  # ties keep the lowest index
-    return float(abs(vals[idx])), spectrum.projector(idx)
-
-
 def landau_bound(setting: ChshSetting) -> ChshReport:
     """Spectral CHSH maximum 2√(1+μ) for projective settings.
 
@@ -139,23 +147,44 @@ def landau_bound(setting: ChshSetting) -> ChshReport:
         if defect > INVOLUTION_TOL:
             raise NotInvolutiveError(f"observable {name}: ||O² - I|| = {defect:.3e}")
     mu = incompatibility_degree(setting)
-    bound = 2.0 * np.sqrt(1.0 + mu)
+    bound = 2.0 * sqrt(1.0 + mu)
     return ChshReport(value=bound, bound=bound, violates=violates(bound), mu=mu)
 
 
 def max_over_states(setting: ChshSetting) -> ChshReport:
     """max_ρ |<S>_ρ| = ||S|| for any dichotomic-observable setting.
 
-    The optimal state is the eigenprojector of the eigenvalue of largest
-    modulus (ties broken by lowest index in ascending order).
+    An unbiased setting, every c0 of setting.coords exactly zero as
+    `from_axes` and `noisy_family_povms` give, has S = Σ N_ij σi⊗σj with
+    the correlation matrix N = a0(b0 + b1)ᵀ + a1(b0 - b1)ᵀ of the Bloch
+    vectors o = c/2.  N has rank at most 2, so ||S|| = σ1(N) + σ2(N), and
+    σ1σ2 = |a0 × a1|·|(b0 + b1) × (b0 - b1)| = 2Δ gives the closed form
+    ||S|| = √(||N||_F² + 4Δ) (Horodecki, Horodecki and Horodecki, Phys.
+    Lett. A 200, 340 (1995)), read off setting.coords with no solve.
+    ||N||_F² = |a0|²|u|² + |a1|²|v|² + 2(a0·a1)(u·v) for u = b0 + b1 and
+    v = b0 - b1.  Any other setting takes an eigenvalue-only 4x4 solve.
+
+    On both routes the optimal state is solved only when the report's
+    optimal_state is read.  Both solves read S's Hermitian part, as the
+    closed form and Δ read the observables': construction has checked
+    each observable, and S may miss Hermiticity by a few times their
+    defect.
     """
-    top, projector = _top_modulus_projector(eig_hermitian(chsh_operator(setting)))
-    return ChshReport(
-        value=top,
-        bound=top,
-        violates=violates(top),
-        optimal_state=projector,
-    )
+    rows = setting.coords.tolist()
+    if rows[0][0] == rows[1][0] == rows[2][0] == rows[3][0] == 0.0:
+        (_, x0, x1, x2), (_, y0, y1, y2), (_, p0, p1, p2), (_, q0, q1, q2) = rows
+        u0, u1, u2, v0, v1, v2 = p0 + q0, p1 + q1, p2 + q2, p0 - q0, p1 - q1, p2 - q2
+        # the coords are 2o: each product of two squared lengths is 16 times too large
+        frobenius2 = (
+            (x0 * x0 + x1 * x1 + x2 * x2) * (u0 * u0 + u1 * u1 + u2 * u2)
+            + (y0 * y0 + y1 * y1 + y2 * y2) * (v0 * v0 + v1 * v1 + v2 * v2)
+            + 2.0 * (x0 * y0 + x1 * y1 + x2 * y2) * (u0 * v0 + u1 * v1 + u2 * v2)
+        ) / 16.0
+        top = sqrt(frobenius2 + 4.0 * incompatibility_degree(setting))
+    else:
+        vals = eig_hermitian(chsh_operator(setting), np.inf, vectors=False).eigenvalues
+        top = float(max(abs(vals[0]), abs(vals[-1])))  # ascending: the largest modulus is at an end
+    return ChshReport(value=top, bound=top, violates=violates(top), _setting=setting)
 
 
 def chsh_value(setting: ChshSetting, rho) -> float:

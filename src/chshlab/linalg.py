@@ -7,11 +7,13 @@ is every POVM effect's PSD check through `is_psd`, is answered in closed
 form from the four entries of the Hermitian part: an effect
 (c0·I + c·σ)/2 has the eigenvalues (c0 ± |c|)/2.  Every other solve runs
 on numpy's LAPACK Hermitian solvers: `numpy.linalg.eigh` when the caller
-reads eigenvectors (`chsh.max_over_states`), `numpy.linalg.eigvalsh`
-when it asks for eigenvalues only (`chsh.check_state`'s 4x4 state).  Δ
-and Landau's μ need no solve: `measurement.incompatibility_degree` has
-them in closed form.  numpy arrays are the universal carrier; matrices
-are row-major complex.
+reads eigenvectors (`chsh.ChshReport.optimal_state`, on its first read),
+`numpy.linalg.eigvalsh` when it asks for eigenvalues only
+(`chsh.check_state`'s 4x4 state, and `chsh.max_over_states` for a
+biased setting).  Δ, Landau's μ and the maximum over states of an
+unbiased setting need no solve: `measurement.incompatibility_degree`
+and `chsh.max_over_states` have them in closed form.  numpy arrays are
+the universal carrier; matrices are row-major complex.
 
 Validation is one set of checks, run before any arithmetic: a
 non-finite entry, an entry so large that M + M† or |M - M†| would

@@ -26,6 +26,10 @@ _REAL_TYPES = (float, int, np.floating, np.integer)
 # convert them: complex drops its imaginary part, str and bytes are
 # parsed, a bool reads as 0 or 1
 _NON_REAL_ELEMENTS = (complex, np.complexfloating, str, bytes, bool, np.bool_)
+# elements of an observable that ChshSetting refuses although numpy would
+# convert them: str and bytes are parsed, a bool reads as 0 or 1
+_NON_NUMBER_ELEMENTS = (str, bytes, bool, np.bool_)
+_COMPLEX = np.dtype(complex)
 # a list or tuple passes unit_axis only if every element is a real scalar
 # (_REAL_TYPES, bool apart), or numpy would read a nested list, a 0-d array
 # or a bool among floats as a number; a set of exact types lets a tuple of
@@ -203,12 +207,12 @@ def noisy_pauli_povm(axis, lam: float) -> BinaryPovm:
 class ChshSetting:
     """Four dichotomic observables: Alice (a0, a1), Bob (b0, b1).
 
-    Each is a 2x2 matrix of numbers that `linalg.eig_hermitian` accepts
-    (finite, bounded, Hermitian within HERMITICITY_TOL) with
-    -I ≤ O ≤ I within OBSERVABLE_NORM_TOL, or it is refused.  Each field
-    holds a read-only complex copy of it: writing into `setting.a0` raises,
-    and writing into the caller's source array afterwards changes no
-    result.  coords row k holds the Pauli coordinates (c0, c1, c2, c3) of
+    Each is a 2x2 matrix of numbers, not strings, bytes or bools, that
+    `linalg.eig_hermitian` accepts (finite, bounded, Hermitian within
+    HERMITICITY_TOL) with -I ≤ O ≤ I within OBSERVABLE_NORM_TOL, or it is
+    refused.  Each field holds a read-only complex copy of it: writing
+    into `setting.a0` raises, and writing into the caller's source array
+    afterwards changes no result.  coords row k holds the Pauli coordinates (c0, c1, c2, c3) of
     observable k's Hermitian part (c0·I + c·σ)/2: pauli_coords of it, bit
     for bit, read once on construction and read-only too.  Δ, Landau's μ
     and its involution check read coords alone.  S is built at most once
@@ -226,7 +230,7 @@ class ChshSetting:
         mats = []
         for name, m in zip(OBSERVABLE_NAMES, self.observables()):
             try:
-                m = np.asarray(m, dtype=complex)
+                m = _number_array(m)
             except (TypeError, ValueError):
                 raise NotHermitianError(
                     f"observable {name} must be a 2x2 matrix of numbers, got {type(m).__name__}"
@@ -259,6 +263,27 @@ class ChshSetting:
         s = kron(self.a0, self.b0 + self.b1) + kron(self.a1, self.b0 - self.b1)
         s.flags.writeable = False
         return s
+
+
+def _number_array(m) -> np.ndarray:
+    """m as a complex array, or TypeError unless every entry is a number.
+
+    A complex ndarray, which every constructor passes, is m itself after
+    two identity tests.  Otherwise strings, bytes and bools are refused,
+    which numpy would parse or read as 0 and 1: an array of any kind but
+    real or complex numbers, and a sequence or object array holding one
+    among its elements (numpy reads [[1, 0], [0, True]] as integers, and
+    a bool among complex numbers as complex).
+    """
+    a = np.asarray(m)
+    if a is m and a.dtype is _COMPLEX:
+        return a
+    kind = a.dtype.kind
+    if kind not in "fiucO" or (a is not m or kind == "O") and any(
+        isinstance(x, _NON_NUMBER_ELEMENTS) for x in np.asarray(m, dtype=object).flat
+    ):
+        raise TypeError
+    return a.astype(complex)
 
 
 def _check_observable(name: str, entries: list) -> list:

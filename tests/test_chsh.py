@@ -20,12 +20,14 @@ from chshlab.chsh import (
 )
 from chshlab.entanglement import CanonicalAngles, canonical_axes, canonical_setting, schmidt_state
 from chshlab.errors import InvalidStateError, NonUnitAxisError, NotInvolutiveError, OutOfRangeError
-from chshlab.linalg import MAX_ENTRY_MODULUS, SX, SY, SZ, kron
+from chshlab.linalg import MAX_ENTRY_MODULUS, SX, SY, SZ, eig_hermitian, kron
 from chshlab.measurement import (
     UNIT_AXIS_TOL,
+    BinaryPovm,
     ChshSetting,
     Z_AXIS,
     bloch_observable,
+    from_pauli_coords,
     incompatibility_degree,
     noisy_family_povms,
     noisy_pauli_povm,
@@ -202,6 +204,115 @@ class TestMaxOverStates:
             povms = [noisy_pauli_povm(ax, float(l)) for ax, l in zip(axes, lams)]
             rep = max_over_states(ChshSetting.from_povms(*povms))
             assert rep.value <= TSIRELSON + 1e-9
+
+
+def _chsh_by_definition(setting):
+    a0, a1, b0, b1 = setting.observables()
+    return np.kron(a0, b0 + b1) + np.kron(a1, b0 - b1)
+
+
+@st.composite
+def _unbiased_setting(draw):
+    """Four noisy-Pauli observables λ n·σ, each with its own λ and axis.
+
+    Rebuilt from each POVM's coords with c0 = 0: from_povms subtracts
+    I - E+ from E+, which on most axes leaves a c0 of order 1e-17.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lams = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    povms = [noisy_pauli_povm(ax, lam) for ax, lam in zip(random_axes(rng, 4), lams)]
+    return ChshSetting(*(from_pauli_coords([0.0, *(2 * p.coords[1:])]) for p in povms))
+
+
+@st.composite
+def _biased_setting(draw):
+    """Four observables 2E+ - I of effects E+ = (c0·I + c·σ)/2 with
+    |c| ≤ min(c0, 2 - c0), through BinaryPovm.from_effect."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    povms = []
+    for ax in random_axes(rng, 4):
+        c0 = draw(st.floats(0.0, 2.0))
+        r = draw(st.floats(0.0, 1.0)) * min(c0, 2.0 - c0)
+        povms.append(BinaryPovm.from_effect(from_pauli_coords([c0, *(r * ax)])))
+    return ChshSetting.from_povms(*povms)
+
+
+def _is_unbiased(setting):
+    return not setting.coords[:, 0].any()
+
+
+def _refuse_to_solve(*args, **kwargs):
+    raise AssertionError("solved an eigenproblem")
+
+
+class TestMaxOverStatesRoutes:
+    """The closed form for unbiased settings and the eigenvalue-only solve
+    for biased ones both give ||S||, and the optimal state is solved on
+    read."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_unbiased_setting(), _biased_setting()))
+    def test_value_and_optimal_state(self, setting):
+        rep = max_over_states(setting)
+        oracle = float(np.max(np.abs(np.linalg.eigvalsh(_chsh_by_definition(setting)))))
+        assert abs(rep.value - oracle) <= 1e-12
+        assert rep.bound == rep.value and type(rep.bound) is float
+        state = rep.optimal_state
+        assert abs(chsh_value(setting, state) - rep.value) <= 1e-9
+        assert rep.optimal_state is state
+
+    @settings(max_examples=50, deadline=None)
+    @given(_unbiased_setting())
+    def test_unbiased_route_solves_only_on_read(self, setting):
+        assert _is_unbiased(setting)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chshlab.chsh, "eig_hermitian", _refuse_to_solve)
+            rep = max_over_states(setting)
+            with pytest.raises(AssertionError, match="solved"):
+                rep.optimal_state
+        oracle = float(np.max(np.abs(np.linalg.eigvalsh(_chsh_by_definition(setting)))))
+        assert abs(rep.value - oracle) <= 1e-12
+
+    def test_biased_route_solves_eigenvalues_only(self, monkeypatch):
+        calls = []
+
+        def record(m, tol, **kwargs):
+            calls.append(kwargs)
+            return eig_hermitian(m, tol, **kwargs)
+
+        monkeypatch.setattr(chshlab.chsh, "eig_hermitian", record)
+        setting = ChshSetting.from_povms(*(BinaryPovm.from_effect(np.diag([0.9, 0.2])) for _ in range(4)))
+        assert not _is_unbiased(setting)
+        rep = max_over_states(setting)
+        assert calls == [{"vectors": False}]
+        rep.optimal_state
+        rep.optimal_state
+        assert calls == [{"vectors": False}, {}]
+
+    def test_constructors_give_unbiased_settings(self, rng):
+        assert _is_unbiased(random_projective_setting(rng))
+        assert _is_unbiased(OPTIMAL)
+        for lam in (0.0, 0.3, 2.0 ** -0.25, 0.9, 1.0):
+            assert _is_unbiased(ChshSetting.from_povms(*noisy_family_povms(lam)))
+
+    @pytest.mark.parametrize("b1", [(SZ - SX) / np.sqrt(2), 0.5 * np.eye(2) + 0.4 * SX], ids=["unbiased", "biased"])
+    def test_near_hermitian_setting_on_both_routes(self, b1):
+        # each observable misses Hermiticity by 9e-11, inside the tol, and
+        # S by 2.4e-10: both routes read its Hermitian part, as Δ does
+        e = np.array([[0.0, 9e-11], [0.0, 0.0]])
+        setting = ChshSetting(SZ + e, SX + 1j * e, (SZ + SX) / np.sqrt(2) + e, b1 - 1j * e)
+        s = _chsh_by_definition(setting)
+        assert np.abs(s - s.conj().T).max() > 1e-10
+        rep = max_over_states(setting)
+        oracle = float(np.max(np.abs(np.linalg.eigvalsh((s + s.conj().T) / 2))))
+        assert rep.value == pytest.approx(oracle, abs=1e-12)
+        assert chsh_value(setting, rep.optimal_state) == pytest.approx(rep.value, abs=1e-9)
+
+    def test_reports_hold_python_floats(self):
+        for rep in (landau_bound(OPTIMAL), max_over_states(OPTIMAL)):
+            assert type(rep.value) is float and type(rep.bound) is float
+        assert type(landau_bound(OPTIMAL).mu) is float
+        assert landau_bound(OPTIMAL).optimal_state is None
 
 
 class TestChshValue:

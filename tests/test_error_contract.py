@@ -100,19 +100,41 @@ def _junk_table(draw):
     return draw(_real_arrays.filter(lambda a: a.shape != (2, 2, 2, 2)))
 
 
-# entries of an observable that no number conversion accepts, or that
-# convert to a non-finite number; unlike _bad_entry, no numeric string and
-# no complex number, which numpy would read as a valid entry
-_bad_observable_entry = st.sampled_from(["x", "", "σz", b"x", None, {}, object(), [1.0, 0.0], np.nan, -np.inf])
+# entries of an observable that no number conversion accepts, that
+# convert to a non-finite number, or that numpy would parse or read as a
+# number (a numeric string, bytes, a bool); unlike _bad_entry, no complex
+# number, which is a valid entry
+_bad_observable_entry = st.sampled_from(
+    ["x", "", "σz", "1", "-1", "0", b"x", b"1", True, False, np.True_, None, {}, object(), [1.0, 0.0], np.nan, -np.inf]
+)
 
 
 @st.composite
 def _junk_observable(draw):
-    kind = draw(st.sampled_from(["scalar", "entry", "ragged", "shape"]))
+    kind = draw(st.sampled_from(["scalar", "entry", "parsed", "ragged", "shape"]))
     if kind == "scalar":
         return draw(st.one_of(_bad_entry, st.booleans(), st.floats(), st.sampled_from([{}, object()])))
     if kind == "entry":
         return _with_bad_entry(draw, [1.0, 0.0, 0.0, -1.0], (2, 2), _bad_observable_entry)
+    if kind == "parsed":
+        # matrices numpy reads as σz or I: strings, bytes, bools, and a bool
+        # among integers or complex numbers, which numpy promotes
+        return draw(
+            st.sampled_from(
+                [
+                    [["1", "0"], ["0", "-1"]],
+                    np.array([["1", "0"], ["0", "-1"]]),
+                    [[b"1", b"0"], [b"0", b"1"]],
+                    [[1, 0], [0, True]],
+                    [[1j, 0], [0, True]],
+                    [[np.True_, 0.0], [0.0, 1.0]],
+                    [np.array([True, False]), [0, 1]],
+                    np.eye(2, dtype=bool),
+                    np.eye(2, dtype=bool).astype(object),
+                    np.array([[1, 0], [0, "1"]], dtype=object),
+                ]
+            )
+        )
     if kind == "ragged":
         return draw(st.sampled_from([[[1.0, 0.0], [0.0]], [[1.0], [0.0, -1.0]], [[1.0, 0.0], 0.0]]))
     return draw(_real_arrays.filter(lambda a: a.shape != (2, 2)))
