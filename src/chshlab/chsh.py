@@ -5,12 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import sqrt
-from operator import index
 
 import numpy as np
 
 from .errors import InvalidStateError, InvalidTableError, NotHermitianError, NotInvolutiveError, OutOfRangeError
-from .linalg import eig_hermitian
+from .linalg import _integer, _numbers, eig_hermitian
 from .measurement import (  # noqa: F401 (re-exported)
     OBSERVABLE_NAMES,
     UNIT_AXIS_TOL,
@@ -84,7 +83,7 @@ def check_state(rho) -> np.ndarray:
     """Validate a 4x4 density matrix: Hermitian, unit trace, PSD within STATE_TOL.
 
     Checks run in a fixed order, and the first failure is the one refused:
-    an input numpy cannot read as complex numbers, shape, a non-finite
+    an input that is not an array of numbers (`linalg._numbers`), shape, a non-finite
     entry, an entry large enough to overflow, the Hermiticity defect, a
     spectrum past the float range, the trace, the lowest eigenvalue.  The
     four middle checks are `eig_hermitian`'s own, so one eigenvalue-only
@@ -100,11 +99,9 @@ def check_state(rho) -> np.ndarray:
     """
     global _accepted_state
     try:
-        a = np.asarray(rho, dtype=complex)
-    except (TypeError, ValueError):
-        raise InvalidStateError(
-            f"expected a 4x4 density matrix of numbers, got {type(rho).__name__}"
-        ) from None
+        a = _numbers(rho, complex_ok=True)
+    except TypeError:
+        raise InvalidStateError(f"expected a 4x4 density matrix of numbers, got {type(rho).__name__}") from None
     if a.shape != (4, 4):
         raise InvalidStateError(f"expected a 4x4 density matrix, got {a.shape}")
     key = a.tobytes()
@@ -127,8 +124,11 @@ def check_state(rho) -> np.ndarray:
 
 
 def state_from_vector(v) -> np.ndarray:
-    """Rank-one density matrix |v><v| from a unit vector."""
-    vec = np.asarray(v, dtype=complex).reshape(-1, 1)
+    """Rank-one density matrix |v><v| from a unit vector of numbers (`linalg._numbers`), or InvalidStateError."""
+    try:
+        vec = _numbers(v, complex_ok=True).reshape(-1, 1)
+    except TypeError:
+        raise InvalidStateError(f"expected a state vector of numbers, got {type(v).__name__}") from None
     return vec @ vec.conj().T
 
 
@@ -206,20 +206,18 @@ def born_table(ma0: BinaryPovm, ma1: BinaryPovm, mb0: BinaryPovm, mb1: BinaryPov
 
 def _checked_table(table) -> np.ndarray:
     """table as a float array, or InvalidTableError unless it is a finite
-    array of real numbers (not bools) with shape (2, 2, 2, 2), indexed
-    [x, y, a, b].  Integer counts are read as floats: the differences of
-    unsigned or fixed-width integers would wrap around."""
+    array of real numbers (`linalg._numbers`) with shape (2, 2, 2, 2),
+    indexed [x, y, a, b].  Integer counts are read as floats: the
+    differences of unsigned or fixed-width integers would wrap around."""
     try:
-        t = np.asarray(table)
-    except ValueError:  # a ragged nested sequence
-        raise InvalidTableError(f"Born table must be an array, got {type(table).__name__}") from None
-    if t.dtype.kind not in "fiu":
-        raise InvalidTableError(f"Born table must hold real numbers, got dtype {t.dtype}")
+        t = _numbers(table)
+    except TypeError:
+        raise InvalidTableError(f"Born table must be an array of real numbers, got {type(table).__name__}") from None
     if t.shape != (2, 2, 2, 2):
         raise InvalidTableError(f"Born table must have shape (2, 2, 2, 2), got {t.shape}")
     if not np.isfinite(t).all():
         raise InvalidTableError("Born table has a non-finite entry")
-    return t.astype(float, copy=False)
+    return t
 
 
 def correlators_from_table(table: np.ndarray) -> np.ndarray:
@@ -261,14 +259,6 @@ class SampleEstimate:
     exact: float
 
 
-def _integer(name: str, value) -> int:
-    """value as an int: Python and numpy integers pass, anything else is refused."""
-    try:
-        return index(value)
-    except TypeError:
-        raise OutOfRangeError(f"{name} must be an integer, got {value!r}") from None
-
-
 def sample_estimate(
     povms: tuple[BinaryPovm, BinaryPovm, BinaryPovm, BinaryPovm],
     rho,
@@ -278,8 +268,8 @@ def sample_estimate(
     """Finite-shot CHSH estimate with binomial-propagated standard error.
 
     Outcomes are drawn i.i.d. from the Born table, one independent stream
-    per setting pair.  Streams are spawned from the seed in fixed (x, y)
-    order, so results do not depend on evaluation order and repeat exactly
+    per setting pair: pair k's is child k of SeedSequence(seed).spawn(4),
+    built without the parent, in fixed (x, y) order, so results do not depend on evaluation order and repeat exactly
     for equal seeds.  The counts drawn form a Born table of counts, so each
     correlator is its integer count difference over shots_per_pair.
     shots_per_pair and seed must be Python or numpy integers: a float,
@@ -294,7 +284,7 @@ def sample_estimate(
     table = born_table(*povms, rho)
     probs = np.clip(table.reshape(4, 4), 0.0, None)  # row 2x + y is pair (x, y)
     probs /= probs.sum(axis=1, keepdims=True)
-    rngs = (np.random.Generator(np.random.Philox(s)) for s in np.random.SeedSequence(seed).spawn(4))
+    rngs = (np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(k,)))) for k in range(4))
     counts = np.array([rng.multinomial(shots_per_pair, p) for rng, p in zip(rngs, probs)])
     corr = _correlators(counts.reshape(2, 2, 2, 2)) / shots_per_pair
     variance = 0.0

@@ -29,6 +29,7 @@ from .entanglement import (
     schmidt_state,
 )
 from .errors import ChshLabError, NonFiniteOutputError
+from .linalg import _is_number
 from .measurement import (
     ChshSetting,
     X_AXIS,
@@ -230,8 +231,8 @@ _UNREADABLE_JSON = (ValueError, RecursionError)
 
 
 def _entry(pair) -> complex:
-    """re + i·im of a state-file entry [re, im]; TypeError for anything else."""
-    if not (isinstance(pair, list) and len(pair) == 2):
+    """re + i·im of a state-file entry [re, im] of two numbers, not bools (`linalg._is_number`); else TypeError."""
+    if not (isinstance(pair, list) and len(pair) == 2 and _is_number(pair[0]) and _is_number(pair[1])):
         raise TypeError(f"expected [re, im], got {pair!r}")
     return complex(*pair)
 

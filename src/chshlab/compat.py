@@ -20,8 +20,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidToleranceError, NotUnbiasedError
-from .linalg import I2
-from .measurement import BinaryPovm, _pauli_entries, _real, unit_axis
+from .linalg import I2, _real
+from .measurement import BinaryPovm, _pauli_entries, unit_axis
 
 UNBIASED_TOL = 1e-9
 DEFAULT_TOL = 1e-9

@@ -10,9 +10,10 @@ from math import atan2, cos, pi, sin, sqrt
 import numpy as np
 
 from . import _kernels
-from .chsh import _integer, chsh_operator, state_from_vector, violates
+from .chsh import chsh_operator, state_from_vector, violates
 from .errors import DegenerateDeltaError, NonRealTraceError, OutOfRangeError
-from .measurement import ChshSetting, X_AXIS, Z_AXIS, _real
+from .linalg import _integer, _real
+from .measurement import ChshSetting, X_AXIS, Z_AXIS
 
 TRACE_IMAG_ERROR = 1e-8
 DELTA_SINGULAR_TOL = 1e-12

@@ -42,6 +42,10 @@ skip `hermitize`: `measurement.bloch_observable`, and
 conjugates, with real diagonals.  `noisy_pauli_povm` checks only E+
 through `is_psd` (its docstring says why), and reads its coords off the
 entries it wrote; `from_effect` checks both effects.
+
+Numeric input has one policy, kept here: str, bytes and bool are never
+numbers, though numpy parses "1" and reads True as 1.  Every array of
+numbers is read by `_numbers`, every scalar by `_is_number`'s rule.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from __future__ import annotations
 from cmath import isfinite
 from dataclasses import dataclass
 from math import hypot
+from operator import index
 
 import numpy as np
 
@@ -65,12 +70,66 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
+_REAL_TYPES = (float, int, np.floating, np.integer)
+_COMPLEX_TYPES = (*_REAL_TYPES, complex, np.complexfloating)
+_BOOLS = (bool, np.bool_)
+_FLOAT = np.dtype(float)
+_COMPLEX = np.dtype(complex)
+_PLAIN_TYPES = frozenset((float, int, np.float64))  # a flat sequence of these needs no element scan
+
+
+def _is_number(x, types=_REAL_TYPES) -> bool:
+    """The scalar rule: x is an instance of `types`, and not a bool."""
+    return isinstance(x, types) and not isinstance(x, _BOOLS)
+
+
+def _real(name: str, value):
+    """value itself if it is a real scalar, else OutOfRangeError: read before any
+    range check, which would leak TypeError for a string or None, ValueError for an array."""
+    if _is_number(value):
+        return value
+    raise OutOfRangeError(f"{name} must be a real number, got {value!r}")
+
+
+def _integer(name: str, value) -> int:
+    """value as an int if `operator.index` takes it (no float) and it is not a bool, else OutOfRangeError."""
+    try:
+        if not isinstance(value, _BOOLS):
+            return index(value)
+    except TypeError:
+        pass
+    raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
+
+
+def _numbers(x, complex_ok: bool = False) -> np.ndarray:
+    """x as a float64 ndarray, or complex128 if complex_ok (x itself if it
+    is one already), or TypeError unless x holds only numbers: its dtype
+    kind is f, i, u (c if complex_ok) or O and, unless x is a numeric
+    ndarray, each element passes `_is_number`, as numpy reads
+    [[1, 0], [0, True]] as int64.  Ragged input and ints past float range fail."""
+    target = _COMPLEX if complex_ok else _FLOAT
+    if type(x) is np.ndarray and x.dtype is target:
+        return x
+    try:
+        a = np.asarray(x)
+        if not (type(x) in (list, tuple) and _PLAIN_TYPES.issuperset(map(type, x))):
+            kind = a.dtype.kind
+            if kind not in ("fiucO" if complex_ok else "fiuO"):
+                raise TypeError
+            if kind == "O" or not isinstance(x, np.ndarray):
+                types = _COMPLEX_TYPES if complex_ok else _REAL_TYPES
+                if not all(_is_number(e, types) for e in np.asarray(x, dtype=object).flat):
+                    raise TypeError
+        return a if a.dtype is target else a.astype(target)
+    except (ValueError, OverflowError):  # ragged; an int past the float range
+        raise TypeError from None
+
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce input to a 2-D complex ndarray, or raise NotHermitianError."""
+    """Coerce input to a 2-D complex ndarray of numbers (`_numbers`), or raise NotHermitianError."""
     try:
-        a = np.asarray(m, dtype=complex)
-    except (TypeError, ValueError):
+        a = _numbers(m, complex_ok=True)
+    except TypeError:
         raise NotHermitianError(f"expected a 2-D matrix of numbers, got {type(m).__name__}") from None
     if a.ndim != 2:
         raise NotHermitianError(f"expected a 2-D matrix, got shape {a.shape}")
@@ -157,7 +216,7 @@ class Spectrum:
         if self.eigenvectors is None:
             raise OutOfRangeError("an eigenvalue-only spectrum (vectors=False) has no projectors")
         n = len(self.eigenvalues)
-        if type(index) is bool or not isinstance(index, (int, np.integer)):
+        if not _is_number(index, (int, np.integer)):
             raise OutOfRangeError(f"eigenvalue index must be an integer, got {index!r}")
         if not -n <= index < n:
             raise OutOfRangeError(f"eigenvalue index {index} outside the spectrum of {n}")

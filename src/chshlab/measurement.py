@@ -9,7 +9,8 @@ from math import hypot, sqrt
 import numpy as np
 
 from .errors import NonUnitAxisError, NotHermitianError, OutOfRangeError
-from .linalg import HERMITICITY_TOL, I2, _checked_2x2, _eigvalsh_2x2, as_matrix, hermitize, is_psd, kron
+from .linalg import HERMITICITY_TOL, I2, _checked_2x2, _eigvalsh_2x2, _numbers, _real
+from .linalg import as_matrix, hermitize, is_psd, kron
 
 UNIT_AXIS_TOL = 1e-9
 # unit_axis lets |n| reach 1 + UNIT_AXIS_TOL; twice that leaves room for
@@ -19,64 +20,22 @@ PSD_TOL = 1e-12
 _BELOW_PSD_TOL = "POVM effect has an eigenvalue below -1e-12"
 OBSERVABLE_NAMES = ("a0", "a1", "b0", "b1")
 
-# the scalar types _real accepts, bool apart; a module constant, since
-# building the tuple on each call cost more than the test itself
-_REAL_TYPES = (float, int, np.floating, np.integer)
-# elements of an object array that unit_axis refuses although numpy would
-# convert them: complex drops its imaginary part, str and bytes are
-# parsed, a bool reads as 0 or 1
-_NON_REAL_ELEMENTS = (complex, np.complexfloating, str, bytes, bool, np.bool_)
-# elements of an observable that ChshSetting refuses although numpy would
-# convert them: str and bytes are parsed, a bool reads as 0 or 1
-_NON_NUMBER_ELEMENTS = (str, bytes, bool, np.bool_)
-_COMPLEX = np.dtype(complex)
-# a list or tuple passes unit_axis only if every element is a real scalar
-# (_REAL_TYPES, bool apart), or numpy would read a nested list, a 0-d array
-# or a bool among floats as a number; a set of exact types lets a tuple of
-# floats pass in one C-level scan
-_PLAIN_REAL_TYPES = frozenset((float, int, np.float64))
-
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
-def _real(name: str, value):
-    """value itself if it is a Python or numpy real scalar, else OutOfRangeError.
-
-    Read before any range check, which would leak TypeError for a string
-    or None, and numpy's "truth value" ValueError for an array.  A bool is
-    refused too.
-    """
-    if isinstance(value, _REAL_TYPES) and type(value) is not bool:
-        return value
-    raise OutOfRangeError(f"{name} must be a real number, got {value!r}")
-
-
 def unit_axis(v) -> np.ndarray:
     """Validate a Bloch direction: three reals of unit Euclidean norm.
 
-    Only real numbers are converted: complex input is refused, even with
-    zero imaginary parts (the cast to float would drop them with a
-    ComplexWarning), and so are strings and bools, which numpy would parse
-    or read as 0 and 1.  A list or tuple must hold three real scalars
-    itself: a bool, a nested list or an array inside it is refused.
+    Only real numbers are read (`linalg._numbers`): complex (even with a
+    zero imaginary part), str, bytes and bools are refused, and so is a
+    list or tuple that does not hold three real scalars itself.
     """
     try:
-        a = np.asarray(v)
-        # an ndarray comes back as itself, and skips the scan of elements
-        if (
-            a is not v
-            and isinstance(v, (list, tuple))
-            and not _PLAIN_REAL_TYPES.issuperset(map(type, v))
-            and not all(isinstance(x, _REAL_TYPES) and type(x) is not bool for x in v)
-        ):
+        a = _numbers(v)
+        if a.ndim != 1 and isinstance(v, (list, tuple)):
             raise TypeError
-        if a.dtype.char != "d":  # not float64 already: convert real numbers only
-            kind = a.dtype.kind
-            if kind not in "fiuO" or kind == "O" and any(isinstance(x, _NON_REAL_ELEMENTS) for x in a.flat):
-                raise TypeError
-            a = a.astype(float)
         a = a.reshape(3)
     except (TypeError, ValueError):
         raise NonUnitAxisError(f"axis {v!r} is not three real numbers") from None
@@ -133,8 +92,12 @@ def _pauli_entries(c0: float, c1: float, c2: float, c3: float) -> list:
 
 
 def from_pauli_coords(c) -> np.ndarray:
-    """(c0·I + c1·σx + c2·σy + c3·σz)/2 for c = (c0, c1, c2, c3); see _pauli_entries."""
-    return np.array(_pauli_entries(*np.asarray(c, dtype=float).reshape(4).tolist()))
+    """(c0·I + c·σ)/2 for four real numbers c (`linalg._numbers`), or NotHermitianError; see _pauli_entries."""
+    try:
+        coords = _numbers(c).reshape(4).tolist()
+    except (TypeError, ValueError):
+        raise NotHermitianError(f"Pauli coordinates {c!r} are not four real numbers") from None
+    return np.array(_pauli_entries(*coords))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,8 +133,10 @@ class BinaryPovm:
         return float(self.coords[0] - 1.0)
 
     def observable(self) -> np.ndarray:
-        """Dichotomic observable E+ - E-."""
-        return self.effect_plus - self.effect_minus
+        """Dichotomic observable E+ - E- = 2E+ - I, written from its coords
+        (2c0 - 2, 2c), so the c0 = 1 of a noisy-Pauli E+ gives exactly 0."""
+        c0, c1, c2, c3 = self.coords.tolist()
+        return np.array(_pauli_entries(2.0 * c0 - 2.0, 2.0 * c1, 2.0 * c2, 2.0 * c3))
 
 
 def noisy_pauli_povm(axis, lam: float) -> BinaryPovm:
@@ -207,7 +172,7 @@ def noisy_pauli_povm(axis, lam: float) -> BinaryPovm:
 class ChshSetting:
     """Four dichotomic observables: Alice (a0, a1), Bob (b0, b1).
 
-    Each is a 2x2 matrix of numbers, not strings, bytes or bools, that
+    Each is a 2x2 matrix of numbers (`linalg._numbers`) that
     `linalg.eig_hermitian` accepts (finite, bounded, Hermitian within
     HERMITICITY_TOL) with -I ≤ O ≤ I within OBSERVABLE_NORM_TOL, or it is
     refused.  Each field holds a read-only complex copy of it: writing
@@ -230,11 +195,10 @@ class ChshSetting:
         mats = []
         for name, m in zip(OBSERVABLE_NAMES, self.observables()):
             try:
-                m = _number_array(m)
-            except (TypeError, ValueError):
-                raise NotHermitianError(
-                    f"observable {name} must be a 2x2 matrix of numbers, got {type(m).__name__}"
-                ) from None
+                m = _numbers(m, complex_ok=True)
+            except TypeError:
+                message = f"observable {name} must be a 2x2 matrix of numbers, got {type(m).__name__}"
+                raise NotHermitianError(message) from None
             if m.shape != (2, 2):
                 raise NotHermitianError(f"observable {name} must be 2x2, got shape {m.shape}")
             mats.append(m)
@@ -263,27 +227,6 @@ class ChshSetting:
         s = kron(self.a0, self.b0 + self.b1) + kron(self.a1, self.b0 - self.b1)
         s.flags.writeable = False
         return s
-
-
-def _number_array(m) -> np.ndarray:
-    """m as a complex array, or TypeError unless every entry is a number.
-
-    A complex ndarray, which every constructor passes, is m itself after
-    two identity tests.  Otherwise strings, bytes and bools are refused,
-    which numpy would parse or read as 0 and 1: an array of any kind but
-    real or complex numbers, and a sequence or object array holding one
-    among its elements (numpy reads [[1, 0], [0, True]] as integers, and
-    a bool among complex numbers as complex).
-    """
-    a = np.asarray(m)
-    if a is m and a.dtype is _COMPLEX:
-        return a
-    kind = a.dtype.kind
-    if kind not in "fiucO" or (a is not m or kind == "O") and any(
-        isinstance(x, _NON_NUMBER_ELEMENTS) for x in np.asarray(m, dtype=object).flat
-    ):
-        raise TypeError
-    return a.astype(complex)
 
 
 def _check_observable(name: str, entries: list) -> list:

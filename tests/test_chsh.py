@@ -213,15 +213,11 @@ def _chsh_by_definition(setting):
 
 @st.composite
 def _unbiased_setting(draw):
-    """Four noisy-Pauli observables λ n·σ, each with its own λ and axis.
-
-    Rebuilt from each POVM's coords with c0 = 0: from_povms subtracts
-    I - E+ from E+, which on most axes leaves a c0 of order 1e-17.
-    """
+    """Four noisy-Pauli observables λ n·σ, each with its own λ and axis,
+    through from_povms."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lams = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
-    povms = [noisy_pauli_povm(ax, lam) for ax, lam in zip(random_axes(rng, 4), lams)]
-    return ChshSetting(*(from_pauli_coords([0.0, *(2 * p.coords[1:])]) for p in povms))
+    return ChshSetting.from_povms(*(noisy_pauli_povm(ax, lam) for ax, lam in zip(random_axes(rng, 4), lams)))
 
 
 @st.composite
@@ -261,10 +257,12 @@ class TestMaxOverStatesRoutes:
         assert abs(chsh_value(setting, state) - rep.value) <= 1e-9
         assert rep.optimal_state is state
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(_unbiased_setting())
     def test_unbiased_route_solves_only_on_read(self, setting):
-        assert _is_unbiased(setting)
+        # every c0 exactly 0: each observable is written from its POVM's
+        # coords, whose c0 is exactly 1
+        assert setting.coords[:, 0].tolist() == [0.0, 0.0, 0.0, 0.0]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chshlab.chsh, "eig_hermitian", _refuse_to_solve)
             rep = max_over_states(setting)
@@ -628,8 +626,12 @@ class TestSampleEstimate:
             (np.float64(10.0), 0, "shots_per_pair"),
             (10, 1.5, "seed"),
             (10, "1", "seed"),
+            # a bool is never a number, though Python counts it as an int
+            (True, 0, "shots_per_pair"),
+            (10, False, "seed"),
+            (np.True_, 0, "shots_per_pair"),
         ],
-        ids=["fractional-shots", "float-shots", "numpy-float-shots", "float-seed", "str-seed"],
+        ids=["fractional-shots", "float-shots", "numpy-float-shots", "float-seed", "str-seed", "bool-shots", "bool-seed", "numpy-bool-shots"],
     )
     def test_rejects_non_integers(self, shots, seed, refused):
         bad = shots if refused == "shots_per_pair" else seed
@@ -644,6 +646,17 @@ class TestSampleEstimate:
             want.estimate, want.std_error, 5000, 42
         )
         assert type(got.shots_per_pair) is int and type(got.seed) is int
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 12345, 2**31 - 1, 2**63])
+    def test_streams_are_the_spawned_children(self, seed):
+        """Pair k's stream is child k of SeedSequence(seed).spawn(4)."""
+        rho = schmidt_state(0.3).density_matrix()
+        probs = np.clip(born_table(*self.CANONICAL_POVMS, rho).reshape(4, 4), 0.0, None)
+        probs /= probs.sum(axis=1, keepdims=True)
+        children = np.random.SeedSequence(seed).spawn(4)
+        counts = [np.random.Generator(np.random.Philox(s)).multinomial(1000, p).tolist() for s, p in zip(children, probs)]
+        want = [(pp - pm - mp + mm) / 1000 for pp, pm, mp, mm in counts]
+        assert sample_estimate(self.CANONICAL_POVMS, rho, 1000, seed).correlators.ravel().tolist() == want
 
 
 def _pauli_observable(n):

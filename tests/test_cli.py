@@ -258,6 +258,23 @@ class TestChsh:
         doc = json.loads(err)
         assert doc["code"] == "usage" and state in doc["message"]
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            # |00><00| written in JSON booleans, which complex() reads as 1 and 0
+            [[[i == j == 0, False] for j in range(4)] for i in range(4)],
+            [[[0.25 if i == j else 0.0, False if (i, j) == (0, 0) else 0.0] for j in range(4)] for i in range(4)],
+        ],
+        ids=["all-booleans", "one-boolean"],
+    )
+    def test_boolean_state_entries(self, capsys, tmp_path, entries):
+        state = write_state(tmp_path / "rho.json", entries)
+        rc, out, err = run(capsys, ["chsh", "--canonical=pi/2,pi/2", f"--state={state}"])
+        assert rc == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["code"] == "usage"
+        assert doc["message"] == f"state file {state!r}: expected a 4x4 matrix of [re, im] pairs"
+
     @UNREADABLE_JSON
     def test_unreadable_state_file(self, capsys, tmp_path, content):
         path = tmp_path / "s.json"

@@ -3,11 +3,17 @@
 errors.py makes ChshLabError the base of every error chshlab raises.  The
 property below feeds values that are not valid input (strings, bytes,
 bools, also among floats, None, NaN, ±inf, complex numbers, arrays of the
-wrong shape, lists and arrays nested in a list of floats) to the axis
-readers, the Born-table readers, Spectrum.projector and the four
-observable slots of ChshSetting, with warnings as errors, and asserts
-that each is refused with a ChshLabError: never accepted, never another
-exception, never a warning.
+wrong shape, lists and arrays nested in a list of floats) to every
+reader of numbers: the axis readers, the matrix readers behind
+`eig_hermitian`, `hermitize`, `kron`, `pauli_coords` and
+`BinaryPovm.from_effect`, the four observable slots of ChshSetting,
+`check_state` and its callers, `state_from_vector`, `from_pauli_coords`,
+the Born-table readers, the integer arguments of `sample_estimate` and
+`max_chsh_over_unitaries`, and Spectrum.projector, with warnings as
+errors, and asserts that each is refused with a ChshLabError: never
+accepted, never another exception, never a warning.  Its "parsed" junk
+is a valid input written so that numpy would read it as that input:
+numeric strings or bytes, or bools for 0 and 1.
 """
 
 import warnings
@@ -19,15 +25,24 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from chshlab import (
+    BinaryPovm,
+    CanonicalAngles,
     ChshLabError,
     ChshSetting,
+    born_table,
+    check_state,
     chsh_from_table,
+    chsh_value,
     correlators_from_table,
     eig_hermitian,
+    max_chsh_over_unitaries,
+    noisy_family_povms,
     noisy_pauli_povm,
+    sample_estimate,
+    state_from_vector,
 )
-from chshlab.linalg import SX, SZ
-from chshlab.measurement import unit_axis
+from chshlab.linalg import SX, SZ, as_matrix, hermitize, kron
+from chshlab.measurement import from_pauli_coords, pauli_coords, unit_axis
 
 # entries numpy would store or parse, none of them a finite real number
 _bad_entry = st.one_of(
@@ -100,13 +115,39 @@ def _junk_table(draw):
     return draw(_real_arrays.filter(lambda a: a.shape != (2, 2, 2, 2)))
 
 
-# entries of an observable that no number conversion accepts, that
-# convert to a non-finite number, or that numpy would parse or read as a
-# number (a numeric string, bytes, a bool); unlike _bad_entry, no complex
-# number, which is a valid entry
-_bad_observable_entry = st.sampled_from(
-    ["x", "", "σz", "1", "-1", "0", b"x", b"1", True, False, np.True_, None, {}, object(), [1.0, 0.0], np.nan, -np.inf]
+# entries that no number conversion accepts, or that numpy would parse or
+# read as a number (a numeric string, bytes, a bool)
+_non_number_entry = st.sampled_from(
+    ["x", "", "σz", "1", "-1", "0", b"x", b"1", True, False, np.True_, np.False_, None, {}, object(), [1.0, 0.0]]
 )
+# entries of an observable that are not numbers or convert to a
+# non-finite one; unlike _bad_entry, no complex number, which is a valid
+# entry
+_bad_observable_entry = st.one_of(_non_number_entry, st.sampled_from([np.nan, -np.inf]))
+
+
+@st.composite
+def _parsed(draw, valid, shape):
+    """valid, a flat list of 0s and 1s, written so that numpy would read
+    it as those numbers: every entry a numeric string or bytes, one entry
+    a bool, or every entry a bool; as nested lists, an ndarray or an
+    object array of the given shape."""
+    kind = draw(st.sampled_from(["str", "bytes", "bool", "bools"]))
+    if kind in ("str", "bytes"):
+        entries = [str(x) if kind == "str" else str(x).encode() for x in valid]
+        a = np.array(entries)
+    elif kind == "bool":
+        entries = list(valid)
+        k = draw(st.integers(0, len(entries) - 1))
+        entries[k] = draw(st.sampled_from([bool, np.bool_]))(entries[k])
+        a = np.array(entries, dtype=object)
+    else:
+        a = np.array(valid, dtype=bool)
+    form = draw(st.sampled_from(["list", "array", "object"]))
+    a = a.reshape(shape)
+    if form == "list":
+        return a.tolist()
+    return a.astype(object) if form == "object" else a
 
 
 @st.composite
@@ -140,6 +181,44 @@ def _junk_observable(draw):
     return draw(_real_arrays.filter(lambda a: a.shape != (2, 2)))
 
 
+# valid inputs of 0s and 1s for the readers of matrices, states and
+# coordinates: the projector |0><0|, the state |00><00|, the vector |00>,
+# E+ = |0><0| in Pauli coordinates, and a table of certain outcomes
+_PROJECTOR = ([1, 0, 0, 0], (2, 2))
+_STATE = ([1] + [0] * 15, (4, 4))
+_VECTOR = ([1, 0, 0, 0], (4,))
+_COORDS = ([1, 0, 0, 1], (4,))
+_TABLE = ([1, 0, 0, 0] * 4, (2, 2, 2, 2))
+_POVMS = noisy_family_povms(0.9)
+_RHO = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+_ANGLES = CanonicalAngles(theta=1.0, phi=1.0)
+# the targets that read an array of numbers: (function, valid input,
+# shape, entries that make it junk).  Those that check finiteness also
+# refuse NaN and ±inf; the real readers also refuse complex entries
+_NUMBER_READERS = {
+    "as_matrix": (as_matrix, *_PROJECTOR, _non_number_entry),
+    "eig_hermitian": (eig_hermitian, *_PROJECTOR, _bad_observable_entry),
+    "hermitize": (hermitize, *_PROJECTOR, _bad_observable_entry),
+    "kron": (lambda m: kron(SZ, m), *_PROJECTOR, _non_number_entry),
+    "pauli_coords": (pauli_coords, *_PROJECTOR, _non_number_entry),
+    "from_effect": (BinaryPovm.from_effect, *_PROJECTOR, _bad_observable_entry),
+    "check_state": (check_state, *_STATE, _bad_observable_entry),
+    "chsh_value": (lambda rho: chsh_value(ChshSetting(SZ, SX, SZ, SX), rho), *_STATE, _bad_observable_entry),
+    "born_table": (lambda rho: born_table(*_POVMS, rho), *_STATE, _bad_observable_entry),
+    "sample_estimate": (lambda rho: sample_estimate(_POVMS, rho, 10, 0), *_STATE, _bad_observable_entry),
+    "state_from_vector": (state_from_vector, *_VECTOR, _non_number_entry),
+    "from_pauli_coords": (from_pauli_coords, *_COORDS, st.one_of(_non_number_entry, st.just(1j))),
+    "table": (correlators_from_table, *_TABLE, st.one_of(_bad_observable_entry, st.just(1j))),
+}
+# integer arguments given as bools, or as other non-integers
+_junk_integer = st.sampled_from([True, False, np.True_, np.False_, 1.0, "1", None, np.array(True)])
+_INTEGER_READERS = {
+    "shots_per_pair": lambda n: sample_estimate(_POVMS, _RHO, n, 0),
+    "seed": lambda n: sample_estimate(_POVMS, _RHO, 10, n),
+    "restarts": lambda n: max_chsh_over_unitaries(0.3, _ANGLES, restarts=n),
+    "unitary-seed": lambda n: max_chsh_over_unitaries(0.3, _ANGLES, restarts=1, seed=n),
+}
+
 _junk_index = st.one_of(
     _bad_entry,
     st.booleans(),
@@ -155,8 +234,27 @@ _values_only = eig_hermitian((SZ + SX) / np.sqrt(2), vectors=False)
 def _junk_call(draw):
     """(name, function, argument) for a call the library must refuse."""
     target = draw(
-        st.sampled_from(["unit_axis", "noisy_pauli_povm", "correlators", "chsh", "ChshSetting", "projector", "values-only"])
+        st.sampled_from(
+            [
+                "unit_axis",
+                "noisy_pauli_povm",
+                "correlators",
+                "chsh",
+                "ChshSetting",
+                "projector",
+                "values-only",
+                *_NUMBER_READERS,
+                *_INTEGER_READERS,
+            ]
+        )
     )
+    if target in _NUMBER_READERS:
+        fn, valid, shape, bad = _NUMBER_READERS[target]
+        if draw(st.booleans()):
+            return target, fn, draw(_parsed(valid, shape))
+        return target, fn, _with_bad_entry(draw, valid, shape, bad)
+    if target in _INTEGER_READERS:
+        return target, _INTEGER_READERS[target], draw(_junk_integer)
     if target == "unit_axis":
         return target, unit_axis, draw(_junk_axis())
     if target == "noisy_pauli_povm":
@@ -190,6 +288,16 @@ def test_junk_is_refused_with_a_chshlab_error(call):
             fn(arg)
 
 
+@pytest.mark.parametrize("target", [*_NUMBER_READERS, *_INTEGER_READERS])
+def test_valid_twins_are_accepted(target):
+    """Each target accepts the valid input its junk is made from."""
+    if target in _INTEGER_READERS:
+        _INTEGER_READERS[target](1)
+    else:
+        fn, valid, shape, _ = _NUMBER_READERS[target]
+        fn(np.array(valid, dtype=float).reshape(shape))
+
+
 @pytest.mark.parametrize(
     "fn",
     [unit_axis, lambda axis: noisy_pauli_povm(axis, 0.5).coords[1:] / 0.5],
@@ -202,6 +310,41 @@ def test_junk_is_refused_with_a_chshlab_error(call):
 )
 def test_real_axes_of_other_dtypes_are_converted(fn, axis):
     assert fn(axis).tolist() == [0.0, 0.0, 1.0]
+
+
+_CONVERTED = {
+    "as_matrix": (as_matrix, _PROJECTOR),
+    "eig_hermitian": (lambda m: eig_hermitian(m).eigenvalues, _PROJECTOR),
+    "kron": (lambda m: kron(SZ, m), _PROJECTOR),
+    "pauli_coords": (pauli_coords, _PROJECTOR),
+    "from_effect": (lambda m: BinaryPovm.from_effect(m).coords, _PROJECTOR),
+    "ChshSetting": (lambda m: ChshSetting(m, SX, SZ, SX).coords, _PROJECTOR),
+    "check_state": (check_state, _STATE),
+    "chsh_value": (lambda rho: chsh_value(ChshSetting(SZ, SX, SZ, SX), rho), _STATE),
+    "state_from_vector": (state_from_vector, _VECTOR),
+    "from_pauli_coords": (from_pauli_coords, _COORDS),
+}
+
+
+@pytest.mark.parametrize("target", list(_CONVERTED))
+@pytest.mark.parametrize(
+    "form",
+    [
+        list,
+        lambda v: np.array(v, dtype=np.int8),
+        lambda v: np.array(v, dtype=np.uint8),
+        lambda v: np.array(v, dtype=np.float32),
+        lambda v: np.array(v, dtype=object),
+    ],
+    ids=["ints", "int8", "uint8", "float32", "object"],
+)
+def test_matrices_and_states_of_other_dtypes_are_converted(target, form):
+    """Every reader of numbers gives, for real numbers of another dtype,
+    the result of their float64 twin, bit for bit."""
+    fn, (valid, shape) = _CONVERTED[target]
+    want = np.asarray(fn(np.array(valid, dtype=float).reshape(shape)))
+    got = np.asarray(fn(form(np.array(valid).reshape(shape).tolist())))
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float32])

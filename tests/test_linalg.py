@@ -559,8 +559,14 @@ class TestErrorParity:
             ([1.0, -1.0], "expected a 2-D matrix, got shape (2,)"),
             ("abc", "expected a 2-D matrix of numbers, got str"),
             ([[1.0, 2.0], [3.0]], "expected a 2-D matrix of numbers, got list"),
+            # numpy would parse these as σz or read the bools as 1 and 0
+            ([["1", "0"], ["0", "-1"]], "expected a 2-D matrix of numbers, got list"),
+            ([[True, False], [False, False]], "expected a 2-D matrix of numbers, got list"),
+            ([[1.0, 0.0], [0.0, np.False_]], "expected a 2-D matrix of numbers, got list"),
+            (np.eye(2, dtype=bool), "expected a 2-D matrix of numbers, got ndarray"),
+            (np.array([[b"1", b"0"], [b"0", b"1"]]), "expected a 2-D matrix of numbers, got ndarray"),
         ],
-        ids=["1-d", "string", "ragged"],
+        ids=["1-d", "string", "ragged", "numeric-strings", "bools", "bool-among-floats", "bool-array", "bytes-array"],
     )
     @pytest.mark.parametrize(
         "fn",
