@@ -9,7 +9,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import InvalidStateError, InvalidTableError, NotHermitianError, NotInvolutiveError, OutOfRangeError
-from .linalg import _integer, _numbers, eig_hermitian
+from .linalg import _integer, _numbers, eig_hermitian, kron
 from .measurement import (  # noqa: F401 (re-exported)
     OBSERVABLE_NAMES,
     UNIT_AXIS_TOL,
@@ -26,6 +26,11 @@ STATE_TOL = 1e-10
 # |n|² back from the entries
 INVOLUTION_TOL = 3 * UNIT_AXIS_TOL
 VIOLATION_MARGIN = 1e-9
+# how far a Born table's entries may fall below 0 and its (x, y) slices'
+# sums stray from 1: a state that check_state accepts has eigenvalues down
+# to -STATE_TOL (at most three of them) and trace 1 ± STATE_TOL, so every
+# born_table output lies within 3·STATE_TOL plus roundoff of a true table
+TABLE_TOL = 10 * STATE_TOL
 MAX_SHOTS = 2**63 - 1  # numpy's multinomial draws take a C long
 
 
@@ -67,11 +72,10 @@ def violates(value: float) -> bool:
 
 
 def chsh_operator(setting: ChshSetting) -> np.ndarray:
-    """S = A0 x (B0 + B1) + A1 x (B0 - B1), a 4x4 Hermitian operator.
-
-    Built once per setting and read-only.
-    """
-    return setting.chsh_operator
+    """S = A0 x (B0 + B1) + A1 x (B0 - B1), a 4x4 Hermitian operator,
+    built anew on each call: no production path reads one setting's S twice."""
+    a0, a1, b0, b1 = setting.observables()
+    return kron(a0, b0 + b1) + kron(a1, b0 - b1)
 
 
 # the bytes of the last state check_state accepted; threads may share it,
@@ -124,12 +128,25 @@ def check_state(rho) -> np.ndarray:
 
 
 def state_from_vector(v) -> np.ndarray:
-    """Rank-one density matrix |v><v| from a unit vector of numbers (`linalg._numbers`), or InvalidStateError."""
+    """Rank-one density matrix |v><v| from a unit vector of numbers (`linalg._numbers`).
+
+    Raises InvalidStateError, in this order, for anything but numbers, a
+    vector that is not 1-D, a non-finite entry, and a squared norm off 1
+    by more than STATE_TOL: check_state would refuse |v><v|'s trace.
+    """
     try:
-        vec = _numbers(v, complex_ok=True).reshape(-1, 1)
+        vec = _numbers(v, complex_ok=True)
     except TypeError:
         raise InvalidStateError(f"expected a state vector of numbers, got {type(v).__name__}") from None
-    return vec @ vec.conj().T
+    if vec.ndim != 1:
+        raise InvalidStateError(f"expected a 1-D state vector, got shape {vec.shape}")
+    norm2 = float(np.vdot(vec, vec).real)
+    if not abs(norm2 - 1.0) <= STATE_TOL:  # a non-finite entry fails this too
+        if not np.isfinite(vec).all():
+            raise InvalidStateError("state vector has a non-finite entry")
+        raise InvalidStateError(f"state vector has squared norm {norm2!r}, not 1 (tol {STATE_TOL:.0e})")
+    col = vec.reshape(-1, 1)
+    return col @ col.conj().T
 
 
 def landau_bound(setting: ChshSetting) -> ChshReport:
@@ -207,8 +224,11 @@ def born_table(ma0: BinaryPovm, ma1: BinaryPovm, mb0: BinaryPovm, mb1: BinaryPov
 def _checked_table(table) -> np.ndarray:
     """table as a float array, or InvalidTableError unless it is a finite
     array of real numbers (`linalg._numbers`) with shape (2, 2, 2, 2),
-    indexed [x, y, a, b].  Integer counts are read as floats: the
-    differences of unsigned or fixed-width integers would wrap around."""
+    indexed [x, y, a, b], whose entries are at least -TABLE_TOL and whose
+    (x, y) slices each sum to 1 within TABLE_TOL.  No-signalling is not
+    checked: a table of measured frequencies breaks it by O(1/√shots).
+    Integer counts are read as floats: the differences of unsigned or
+    fixed-width integers would wrap around."""
     try:
         t = _numbers(table)
     except TypeError:
@@ -217,6 +237,17 @@ def _checked_table(table) -> np.ndarray:
         raise InvalidTableError(f"Born table must have shape (2, 2, 2, 2), got {t.shape}")
     if not np.isfinite(t).all():
         raise InvalidTableError("Born table has a non-finite entry")
+    for (x, y), row in zip(((0, 0), (0, 1), (1, 0), (1, 1)), t.reshape(4, 4).tolist()):
+        low = min(row)
+        if low < -TABLE_TOL:
+            raise InvalidTableError(
+                f"Born table entry {low!r} at (x, y) = ({x}, {y}) is below 0 (tol {TABLE_TOL:.0e})"
+            )
+        total = sum(row)  # Python floats: a sum past float max is inf, without a warning
+        if not abs(total - 1.0) <= TABLE_TOL:
+            raise InvalidTableError(
+                f"Born table slice (x, y) = ({x}, {y}) sums to {total!r}, not 1 (tol {TABLE_TOL:.0e})"
+            )
     return t
 
 
@@ -224,7 +255,8 @@ def correlators_from_table(table: np.ndarray) -> np.ndarray:
     """E[x, y] = p(+,+) - p(+,-) - p(-,+) + p(-,-).
 
     Raises InvalidTableError unless table is a finite real array of shape
-    (2, 2, 2, 2).
+    (2, 2, 2, 2) whose entries are nonnegative and whose (x, y) slices sum
+    to 1, each within TABLE_TOL.
     """
     return _correlators(_checked_table(table))
 

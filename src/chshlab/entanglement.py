@@ -127,11 +127,6 @@ def rotated_chsh(e: float, angles: CanonicalAngles, p1: UnitaryParams, p2: Unita
     return float(value.real)
 
 
-def _kernel_operator(angles: CanonicalAngles) -> np.ndarray:
-    s = chsh_operator(canonical_setting(angles))
-    return np.ascontiguousarray(s.real.ravel())
-
-
 def max_chsh_over_unitaries(
     e: float,
     angles: CanonicalAngles,
@@ -156,7 +151,7 @@ def max_chsh_over_unitaries(
     if seed < 0:
         raise OutOfRangeError(f"seed must be >= 0, got {seed}")
     _concurrence(e)  # range check
-    s_flat = _kernel_operator(angles)
+    s_flat = np.ascontiguousarray(chsh_operator(canonical_setting(angles)).real.ravel())
     rng = np.random.default_rng(seed)
     best_value = -np.inf
     best_x: list[float] | None = None

@@ -28,15 +28,16 @@ non-finite or oversized entry in one numpy reduction (the largest
 modulus) and hands (M + M†)/2 to LAPACK.  The split is by size: on
 four entries a check in Python scalars costs about a third of numpy's
 fixed per-call cost, and on sixteen it costs as much or more.  Callers
-do not symmetrize or check first: `hermitize` and `is_psd` pass
-`tol=inf`, so they accept any bounded square input and see its
-Hermitian part, and `chsh.check_state` passes its own tol.
-`measurement.ChshSetting` reads each observable through the same
-`_checked_2x2` and `_eigvalsh_2x2`, with HERMITICITY_TOL, and builds no
-`Spectrum`.
+do not symmetrize or check first.  Every matrix is held to
+HERMITICITY_TOL unless its caller names a tol: `eig_hermitian`,
+`measurement.ChshSetting` (through `_checked_2x2` and `_eigvalsh_2x2`,
+with no `Spectrum`) and `measurement.BinaryPovm.from_effect` (through
+`_with_adjoint`, keeping (M + M†)/2).  `chsh.check_state` passes its own
+tol, and only `is_psd` passes `tol=inf`, to judge the Hermitian part of
+any bounded square input.
 
 Two constructors write matrices that are Hermitian by construction and
-skip `hermitize`: `measurement.bloch_observable`, and
+are not read back: `measurement.bloch_observable`, and
 `measurement._pauli_entries` behind `from_pauli_coords` and the E+ of
 `noisy_pauli_povm`.  Both set the entries (i, j) and (j, i) as complex
 conjugates, with real diagonals.  `noisy_pauli_povm` checks only E+
@@ -136,21 +137,17 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def hermitize(m) -> np.ndarray:
-    """Symmetrize (M + M†)/2, absorbing roundoff asymmetry.
+def _with_adjoint(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(M, M†) for a bounded M whose Hermiticity defect is at most tol.
 
-    Raises NotHermitianError if M is not square, or an entry is not finite
-    or exceeds MAX_ENTRY_MODULUS.
+    M is read by `as_matrix`.  One reduction, the largest entry modulus,
+    refuses NaN, ±inf and an entry past MAX_ENTRY_MODULUS alike: abs() of
+    a complex entry does not warn, and max() carries a NaN through.  A
+    non-square M has defect inf and is refused at every tol, inf included:
+    (M + M†)/2 would broadcast a 1×n M to n×n.  So is a 0×0 M, which has
+    no spectrum and no maximum.
     """
-    a, adj = _with_adjoint(m, np.inf)
-    return (a + adj) / 2
-
-
-def _bounded_matrix(m) -> np.ndarray:
     a = as_matrix(m)
-    # one reduction refuses NaN, ±inf and overflow alike: abs() of a complex
-    # entry does not warn, and max() carries a NaN through; an empty matrix
-    # has no maximum
     if a.size and not abs(a).max() <= MAX_ENTRY_MODULUS:
         if not np.isfinite(a).all():
             raise NotHermitianError("matrix has a non-finite entry")
@@ -158,17 +155,6 @@ def _bounded_matrix(m) -> np.ndarray:
             f"matrix entry of modulus {abs(a).max():.3e} would overflow M + M† "
             f"(limit {MAX_ENTRY_MODULUS:.3e})"
         )
-    return a
-
-
-def _with_adjoint(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(M, M†) for a bounded M whose Hermiticity defect is at most tol.
-
-    A non-square M has defect inf and is refused at every tol, inf included:
-    (M + M†)/2 would broadcast a 1×n M to n×n.  So is a 0×0 M, which has
-    no spectrum.
-    """
-    a = _bounded_matrix(m)
     adj = a.conj().T
     if a.shape == (0, 0):
         raise NotHermitianError(f"matrix of shape {a.shape} is empty")

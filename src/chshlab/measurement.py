@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import hypot, sqrt
 
 import numpy as np
 
 from .errors import NonUnitAxisError, NotHermitianError, OutOfRangeError
-from .linalg import HERMITICITY_TOL, I2, _checked_2x2, _eigvalsh_2x2, _numbers, _real
-from .linalg import as_matrix, hermitize, is_psd, kron
+from .linalg import HERMITICITY_TOL, I2, _checked_2x2, _eigvalsh_2x2, _numbers, _real, _with_adjoint
+from .linalg import as_matrix, is_psd, kron
 
 UNIT_AXIS_TOL = 1e-9
 # unit_axis lets |n| reach 1 + UNIT_AXIS_TOL; twice that leaves room for
@@ -29,16 +28,16 @@ def unit_axis(v) -> np.ndarray:
     """Validate a Bloch direction: three reals of unit Euclidean norm.
 
     Only real numbers are read (`linalg._numbers`): complex (even with a
-    zero imaginary part), str, bytes and bools are refused, and so is a
-    list or tuple that does not hold three real scalars itself.
+    zero imaginary part), str, bytes and bools are refused, and so is
+    anything whose shape is not (3,), whatever its container: [[0, 0, 1]]
+    and an ndarray of shape (1, 3) alike.
     """
     try:
         a = _numbers(v)
-        if a.ndim != 1 and isinstance(v, (list, tuple)):
-            raise TypeError
-        a = a.reshape(3)
-    except (TypeError, ValueError):
-        raise NonUnitAxisError(f"axis {v!r} is not three real numbers") from None
+    except TypeError:
+        a = None
+    if a is None or a.shape != (3,):
+        raise NonUnitAxisError(f"axis {v!r} is not three real numbers")
     norm = sqrt(a.dot(a))  # numpy.linalg.norm of a real vector, bit for bit
     if not abs(norm - 1.0) <= UNIT_AXIS_TOL:  # a NaN norm fails this too
         raise NonUnitAxisError(f"axis norm {norm!r} deviates from 1 beyond {UNIT_AXIS_TOL:.0e}")
@@ -67,9 +66,13 @@ def pauli_coords(m) -> np.ndarray:
 
     The inverse is from_pauli_coords; M = (c0·I + c1·σx + c2·σy + c3·σz)/2.
     Read off the four entries; this equals the traces bit for bit, up to
-    the sign of a zero coordinate.
+    the sign of a zero coordinate.  Anything but a 2x2 matrix of numbers
+    (`linalg.as_matrix`) is refused with NotHermitianError.
     """
-    return np.array(_entry_coords(as_matrix(m).tolist()))
+    a = as_matrix(m)
+    if a.shape != (2, 2):
+        raise NotHermitianError(f"expected a 2x2 matrix, got shape {a.shape}")
+    return np.array(_entry_coords(a.tolist()))
 
 
 def _entry_coords(entries: list) -> list:
@@ -92,12 +95,15 @@ def _pauli_entries(c0: float, c1: float, c2: float, c3: float) -> list:
 
 
 def from_pauli_coords(c) -> np.ndarray:
-    """(c0·I + c·σ)/2 for four real numbers c (`linalg._numbers`), or NotHermitianError; see _pauli_entries."""
+    """(c0·I + c·σ)/2 for c a 1-D array of four finite real numbers
+    (`linalg._numbers`), or NotHermitianError; see _pauli_entries."""
     try:
-        coords = _numbers(c).reshape(4).tolist()
-    except (TypeError, ValueError):
-        raise NotHermitianError(f"Pauli coordinates {c!r} are not four real numbers") from None
-    return np.array(_pauli_entries(*coords))
+        a = _numbers(c)
+    except TypeError:
+        a = None
+    if a is None or a.shape != (4,) or not np.isfinite(a).all():
+        raise NotHermitianError(f"Pauli coordinates {c!r} are not four finite real numbers")
+    return np.array(_pauli_entries(*a.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,9 +123,12 @@ class BinaryPovm:
 
     @classmethod
     def from_effect(cls, effect_plus) -> "BinaryPovm":
-        e_plus = hermitize(effect_plus)
-        if e_plus.shape != (2, 2):
-            raise NotHermitianError(f"qubit POVM effect must be 2x2, got shape {e_plus.shape}")
+        """{E+, I - E+} for a 2x2 effect 0 ≤ E+ ≤ I, read once, as `eig_hermitian`
+        reads it, at HERMITICITY_TOL (`linalg._with_adjoint`), and kept as (M + M†)/2."""
+        m, adj = _with_adjoint(effect_plus, HERMITICITY_TOL)
+        if m.shape != (2, 2):
+            raise NotHermitianError(f"qubit POVM effect must be 2x2, got shape {m.shape}")
+        e_plus = (m + adj) / 2
         # both effects: a biased E+ (tr ≠ 1) and I - E+ have different spectra
         e_minus = I2 - e_plus
         for eff in (e_plus, e_minus):
@@ -143,8 +152,8 @@ def noisy_pauli_povm(axis, lam: float) -> BinaryPovm:
     """Noisy Pauli POVM with effects (I ± λ n·σ)/2.
 
     E+ is from_pauli_coords((1, λn)), written entry by entry and Hermitian
-    by construction, so it skips from_effect's symmetrization.  Each entry
-    equals the one hermitize((I + λ·bloch_observable(n))/2) gives, bit for
+    by construction, so it skips from_effect's read.  Each entry equals
+    the one from_effect((I + λ·bloch_observable(n))/2) keeps, bit for
     bit; only where λn_k/2 underflows to zero may the sign of that zero
     differ.  coords come from the entries as written, before they become
     an array, and equal pauli_coords(E+) bit for bit: E+ is not read back.
@@ -180,8 +189,8 @@ class ChshSetting:
     afterwards changes no result.  coords row k holds the Pauli coordinates (c0, c1, c2, c3) of
     observable k's Hermitian part (c0·I + c·σ)/2: pauli_coords of it, bit
     for bit, read once on construction and read-only too.  Δ, Landau's μ
-    and its involution check read coords alone.  S is built at most once
-    per instance, on first use, and handed out read-only.
+    and its involution check read coords alone; `chsh.chsh_operator`
+    builds S from the fields on each call.
     Compared and hashed by identity, like every result that holds arrays.
     """
 
@@ -220,13 +229,6 @@ class ChshSetting:
 
     def observables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return (self.a0, self.a1, self.b0, self.b1)
-
-    @cached_property
-    def chsh_operator(self) -> np.ndarray:
-        """S = A0 ⊗ (B0 + B1) + A1 ⊗ (B0 - B1), a 4x4 Hermitian operator."""
-        s = kron(self.a0, self.b0 + self.b1) + kron(self.a1, self.b0 - self.b1)
-        s.flags.writeable = False
-        return s
 
 
 def _check_observable(name: str, entries: list) -> list:

@@ -13,13 +13,15 @@ from chshlab.chsh import (
     chsh_operator,
     chsh_value,
     commutator_tensor,
+    correlators_from_table,
     landau_bound,
     max_over_states,
     sample_estimate,
     state_from_vector,
 )
 from chshlab.entanglement import CanonicalAngles, canonical_axes, canonical_setting, schmidt_state
-from chshlab.errors import InvalidStateError, NonUnitAxisError, NotInvolutiveError, OutOfRangeError
+from chshlab.chsh import STATE_TOL, TABLE_TOL
+from chshlab.errors import InvalidStateError, InvalidTableError, NonUnitAxisError, NotInvolutiveError, OutOfRangeError
 from chshlab.linalg import MAX_ENTRY_MODULUS, SX, SY, SZ, eig_hermitian, kron
 from chshlab.measurement import (
     UNIT_AXIS_TOL,
@@ -350,6 +352,34 @@ def _state(entries=(), diagonal=(0.25, 0.25, 0.25, 0.25)):
     return rho
 
 
+class TestStateFromVector:
+    @pytest.mark.parametrize(
+        "v, message",
+        [
+            # gave a "density matrix" of trace 4
+            ([2.0, 0.0, 0.0, 0.0], "state vector has squared norm 4.0, not 1 (tol 1e-10)"),
+            ([], "state vector has squared norm 0.0, not 1 (tol 1e-10)"),
+            ([1.0, 1e-5, 0.0, 0.0], "state vector has squared norm 1.0000000001, not 1 (tol 1e-10)"),
+            # gave a 4x4 from the flattened matrix
+            (np.eye(2), "expected a 1-D state vector, got shape (2, 2)"),
+            (1.0, "expected a 1-D state vector, got shape ()"),
+            ([np.nan, 0.0, 0.0, 0.0], "state vector has a non-finite entry"),
+            ([1.0, 0.0, 0.0, np.inf], "state vector has a non-finite entry"),
+        ],
+        ids=["norm-2", "empty", "just-past-tol", "matrix", "scalar", "nan", "inf"],
+    )
+    def test_refused(self, v, message):
+        with pytest.raises(InvalidStateError) as exc:
+            state_from_vector(v)
+        assert str(exc.value) == message
+
+    def test_norm_within_tol_accepted(self):
+        v = np.array([1.0, 0.0, 0.0, 0.0]) * (1.0 + 0.4 * STATE_TOL)
+        rho = state_from_vector(v)
+        assert np.array_equal(rho, np.outer(v, v.conj()))
+        check_state(rho)
+
+
 class TestCheckStateRefusals:
     """Each refusal with its class and exact text; the first failing check,
     in the order numbers, shape, non-finite, overflow, Hermiticity,
@@ -538,6 +568,25 @@ def _mixed_state(xs):
     return rho / np.trace(rho).real
 
 
+def _edge_state(xs):
+    """A state check_state accepts near the edge of STATE_TOL: three
+    eigenvalues -0.9·STATE_TOL and trace 1 + 0.9·STATE_TOL, in a random basis."""
+    q, _ = np.linalg.qr(np.asarray(xs[:16]).reshape(4, 4) + 1j * np.asarray(xs[16:]).reshape(4, 4))
+    low = -0.9 * STATE_TOL
+    rho = (q * [1.0 - 4.0 * low, low, low, low]) @ q.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+_biased_povm = st.builds(
+    lambda c0, frac, v: BinaryPovm.from_effect(
+        from_pauli_coords([c0, *(frac * min(c0, 2.0 - c0) * np.asarray(v) / np.linalg.norm(v))])
+    ),
+    st.floats(0.0, 2.0),
+    st.floats(0.0, 1.0),
+    _axis,
+)
+
+
 class TestBornTableProperty:
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(_noisy_povm, _noisy_povm, _noisy_povm, _noisy_povm), _gram_factor)
@@ -546,6 +595,57 @@ class TestBornTableProperty:
         table = born_table(*povms, rho)
         assert np.max(np.abs(table - born_table_by_definition(povms, rho))) <= 1e-14
         assert np.max(np.abs(table.sum(axis=(2, 3)) - 1.0)) <= 1e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(*[_noisy_povm | _biased_povm] * 4), _gram_factor)
+    def test_every_born_table_is_read(self, povms, xs):
+        """A table that born_table writes, from any POVMs and a state at the
+        edge of check_state's tolerance, passes the table readers' checks."""
+        table = born_table(*povms, _edge_state(xs))
+        correlators_from_table(table)
+        chsh_from_table(table)
+
+
+def _table(*changes):
+    """The table of certain outcome (+, +) for every (x, y), with the given
+    (index, value) changes."""
+    t = np.zeros((2, 2, 2, 2))
+    t[..., 0, 0] = 1.0
+    for where, value in changes:
+        t[where] = value
+    return t
+
+
+class TestTableValues:
+    """correlators_from_table and chsh_from_table read only probabilities:
+    entries at least -TABLE_TOL, each (x, y) slice summing to 1 within it."""
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            # scored 2.0 as a "table"
+            (_table(((1, 0, 0, 0), 3.0), ((1, 0, 0, 1), -2.0)), "Born table entry -2.0 at (x, y) = (1, 0) is below 0"),
+            # scored 1.4
+            (_table(((0, 1, 0, 0), 0.9)), "Born table slice (x, y) = (0, 1) sums to 0.9, not 1"),
+            (_table(((1, 1, 0, 0), 1.0 + 2 * TABLE_TOL)), "Born table slice (x, y) = (1, 1) sums to 1.000000002, not 1"),
+            (_table(((0, 0, 1, 0), -2 * TABLE_TOL), ((0, 0, 0, 0), 1.0 + 2 * TABLE_TOL)), "Born table entry -2e-09"),
+            (np.full((2, 2, 2, 2), 1e308), "Born table slice (x, y) = (0, 0) sums to inf, not 1"),
+        ],
+        ids=["three-and-minus-two", "short-slice", "long-slice", "negative-entry", "overflowing-sum"],
+    )
+    @pytest.mark.parametrize("fn", [correlators_from_table, chsh_from_table])
+    def test_refused(self, fn, table, message):
+        with pytest.raises(InvalidTableError) as exc:
+            fn(table)
+        assert str(exc.value).startswith(message)
+        assert str(exc.value).endswith(f"(tol {TABLE_TOL:.0e})")
+
+    def test_within_tol_accepted(self):
+        # E = (1 - TABLE_TOL/2, 0, 1 + TABLE_TOL/2, 1)
+        table = _table(
+            ((0, 0, 1, 1), -0.5 * TABLE_TOL), ((0, 1, 0, 0), 0.5), ((0, 1, 0, 1), 0.5), ((1, 0, 0, 0), 1.0 + 0.5 * TABLE_TOL)
+        )
+        assert chsh_from_table(table) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestSampleEstimate:

@@ -5,15 +5,19 @@ property below feeds values that are not valid input (strings, bytes,
 bools, also among floats, None, NaN, ±inf, complex numbers, arrays of the
 wrong shape, lists and arrays nested in a list of floats) to every
 reader of numbers: the axis readers, the matrix readers behind
-`eig_hermitian`, `hermitize`, `kron`, `pauli_coords` and
-`BinaryPovm.from_effect`, the four observable slots of ChshSetting,
+`eig_hermitian`, `kron`, `pauli_coords` and `BinaryPovm.from_effect`,
+the four observable slots of ChshSetting,
 `check_state` and its callers, `state_from_vector`, `from_pauli_coords`,
 the Born-table readers, the integer arguments of `sample_estimate` and
 `max_chsh_over_unitaries`, and Spectrum.projector, with warnings as
 errors, and asserts that each is refused with a ChshLabError: never
 accepted, never another exception, never a warning.  Its "parsed" junk
 is a valid input written so that numpy would read it as that input:
-numeric strings or bytes, or bools for 0 and 1.
+numeric strings or bytes, or bools for 0 and 1.  Numbers are junk too
+where their shape or values are: an axis not of shape (3,), a matrix
+for `pauli_coords` that is not 2x2, a state vector that is not 1-D or
+not of unit norm, Pauli coordinates not of shape (4,), and a Born table
+with a negative entry or a slice that does not sum to 1.
 """
 
 import warnings
@@ -41,7 +45,7 @@ from chshlab import (
     sample_estimate,
     state_from_vector,
 )
-from chshlab.linalg import SX, SZ, as_matrix, hermitize, kron
+from chshlab.linalg import SX, SZ, as_matrix, kron
 from chshlab.measurement import from_pauli_coords, pauli_coords, unit_axis
 
 # entries numpy would store or parse, none of them a finite real number
@@ -100,18 +104,36 @@ def _junk_axis(draw):
                 ]
             )
         )
-    return draw(_real_arrays.filter(lambda a: a.size != 3))
+    return draw(_real_arrays.filter(lambda a: a.shape != (3,)))
+
+
+def _is_table(t):
+    """t's entries are at least -1e-9 and each (x, y) slice sums to 1 within 1e-9."""
+    with np.errstate(over="ignore"):
+        return t.min() >= -1e-9 and np.abs(t.sum(axis=(2, 3)) - 1.0).max() <= 1e-9
 
 
 @st.composite
 def _junk_table(draw):
-    kind = draw(st.sampled_from(["scalar", "entry", "bools", "shape"]))
+    kind = draw(st.sampled_from(["scalar", "entry", "bools", "shape", "values"]))
     if kind == "scalar":
         return draw(st.one_of(_bad_entry, st.booleans(), st.floats()))
     if kind == "entry":
         return _with_bad_entry(draw, [0.25] * 16, (2, 2, 2, 2))
     if kind == "bools":
         return np.zeros((2, 2, 2, 2), dtype=bool)
+    if kind == "values":
+        # finite real tables that are not probabilities: a slice with the
+        # entries 3 and -2, one that sums to 0.9, entries up to float max
+        fixed = np.zeros((2, 2, 2, 2))
+        fixed[..., 0, 0] = 1.0
+        fixed[1, 0, 0, :] = (3.0, -2.0)
+        short = np.full((2, 2, 2, 2), 0.25)
+        short[0, 1, 1, 1] = 0.15
+        drawn = hnp.arrays(np.float64, (2, 2, 2, 2), elements=st.floats(-1e308, 1e308)).filter(
+            lambda t: not _is_table(t)
+        )
+        return draw(st.one_of(st.sampled_from([fixed, short, np.full((2, 2, 2, 2), 1e308)]), drawn))
     return draw(_real_arrays.filter(lambda a: a.shape != (2, 2, 2, 2)))
 
 
@@ -198,7 +220,6 @@ _ANGLES = CanonicalAngles(theta=1.0, phi=1.0)
 _NUMBER_READERS = {
     "as_matrix": (as_matrix, *_PROJECTOR, _non_number_entry),
     "eig_hermitian": (eig_hermitian, *_PROJECTOR, _bad_observable_entry),
-    "hermitize": (hermitize, *_PROJECTOR, _bad_observable_entry),
     "kron": (lambda m: kron(SZ, m), *_PROJECTOR, _non_number_entry),
     "pauli_coords": (pauli_coords, *_PROJECTOR, _non_number_entry),
     "from_effect": (BinaryPovm.from_effect, *_PROJECTOR, _bad_observable_entry),
@@ -206,8 +227,8 @@ _NUMBER_READERS = {
     "chsh_value": (lambda rho: chsh_value(ChshSetting(SZ, SX, SZ, SX), rho), *_STATE, _bad_observable_entry),
     "born_table": (lambda rho: born_table(*_POVMS, rho), *_STATE, _bad_observable_entry),
     "sample_estimate": (lambda rho: sample_estimate(_POVMS, rho, 10, 0), *_STATE, _bad_observable_entry),
-    "state_from_vector": (state_from_vector, *_VECTOR, _non_number_entry),
-    "from_pauli_coords": (from_pauli_coords, *_COORDS, st.one_of(_non_number_entry, st.just(1j))),
+    "state_from_vector": (state_from_vector, *_VECTOR, _bad_observable_entry),
+    "from_pauli_coords": (from_pauli_coords, *_COORDS, st.one_of(_bad_observable_entry, st.just(1j))),
     "table": (correlators_from_table, *_TABLE, st.one_of(_bad_observable_entry, st.just(1j))),
 }
 # integer arguments given as bools, or as other non-integers
@@ -227,6 +248,25 @@ _junk_index = st.one_of(
     _real_arrays,
 )
 _full_spectrum = eig_hermitian((SZ + SX) / np.sqrt(2))
+# arrays of finite reals whose shape or values a reader refuses
+_JUNK_REALS = {
+    "pauli_coords-shape": (
+        pauli_coords,
+        st.one_of(st.just(np.eye(3)), _real_arrays.filter(lambda a: a.shape != (2, 2))),
+    ),
+    "from_pauli_coords-shape": (
+        from_pauli_coords,
+        st.one_of(st.just(np.eye(2)), _real_arrays.filter(lambda a: a.shape != (4,))),
+    ),
+    # not 1-D, or 1-D with a squared norm off 1
+    "state_from_vector-shape": (
+        state_from_vector,
+        st.one_of(
+            st.sampled_from([np.eye(2), [2.0, 0.0, 0.0, 0.0], [1.0, 1e-4, 0.0, 0.0], [1e200, 0.0, 0.0, 0.0]]),
+            _real_arrays.filter(lambda a: a.ndim != 1 or not abs(float((a * a).sum()) - 1.0) <= 1e-9),
+        ),
+    ),
+}
 _values_only = eig_hermitian((SZ + SX) / np.sqrt(2), vectors=False)
 
 
@@ -245,9 +285,13 @@ def _junk_call(draw):
                 "values-only",
                 *_NUMBER_READERS,
                 *_INTEGER_READERS,
+                *_JUNK_REALS,
             ]
         )
     )
+    if target in _JUNK_REALS:
+        fn, junk = _JUNK_REALS[target]
+        return target, fn, draw(junk)
     if target in _NUMBER_READERS:
         fn, valid, shape, bad = _NUMBER_READERS[target]
         if draw(st.booleans()):

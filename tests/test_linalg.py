@@ -30,7 +30,6 @@ from chshlab.linalg import (
     SY,
     SZ,
     eig_hermitian,
-    hermitize,
     is_psd,
     kron,
 )
@@ -144,11 +143,15 @@ def test_operator_norm_is_gone():
     assert not hasattr(chshlab.linalg, "operator_norm")
 
 
-def test_psd_helpers(rng):
+def test_is_psd_and_an_exactly_hermitian_effect(rng):
     assert is_psd(I2)
     assert not is_psd(-I2)
-    m = rng.normal(size=(2, 2))
-    sym = hermitize(m)
+    # an effect off Hermitian within HERMITICITY_TOL: from_effect keeps
+    # (M + M†)/2, which is Hermitian bit for bit
+    h = random_hermitian(rng, 2)
+    m = (I2 + 0.5 * h / np.linalg.norm(h, 2)) / 2
+    m = m + 1e-11 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    sym = BinaryPovm.from_effect(m).effect_plus
     assert np.max(np.abs(sym - sym.conj().T)) == 0.0
 
 
@@ -472,8 +475,8 @@ class TestErrorParity:
     )
     @pytest.mark.parametrize(
         "fn",
-        [hermitize, is_psd, eig_hermitian, lambda m: eig_hermitian(m, np.inf, vectors=False)],
-        ids=["hermitize", "is_psd", "eig_hermitian", "eigenvalues-only"],
+        [BinaryPovm.from_effect, is_psd, eig_hermitian, lambda m: eig_hermitian(m, np.inf, vectors=False)],
+        ids=["from_effect", "is_psd", "eig_hermitian", "eigenvalues-only"],
     )
     def test_overflow_refused(self, fn, m):
         # refused before any arithmetic: numpy used to warn and return NaN
@@ -502,7 +505,7 @@ class TestErrorParity:
     def test_overflow_limit_is_inclusive(self):
         # at the limit, M + M† and |M - M†| are still finite (warnings are errors)
         m = np.array([[0.0, MAX_ENTRY_MODULUS], [-MAX_ENTRY_MODULUS, 0.0]])
-        assert hermitize(m).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert eig_hermitian(m, np.inf).eigenvalues.tolist() == [0.0, 0.0]
         with pytest.raises(NotHermitianError) as exc:
             eig_hermitian(m)
         assert str(exc.value) == "matrix deviates from Hermitian by 1.798e+308 (tol 1.0e-10)"
@@ -525,8 +528,8 @@ class TestErrorParity:
     @pytest.mark.parametrize("shape", [(1, 2), (1, 3), (2, 1), (3, 1), (2, 3), (3, 2)])
     @pytest.mark.parametrize(
         "fn",
-        [hermitize, is_psd, eig_hermitian, lambda m: eig_hermitian(m, np.inf), BinaryPovm.from_effect],
-        ids=["hermitize", "is_psd", "eig_hermitian", "eig_hermitian-tol-inf", "from_effect"],
+        [is_psd, eig_hermitian, lambda m: eig_hermitian(m, np.inf), BinaryPovm.from_effect],
+        ids=["is_psd", "eig_hermitian", "eig_hermitian-tol-inf", "from_effect"],
     )
     def test_non_square_any_tol(self, fn, shape):
         # at tol=inf, (M + M†)/2 would broadcast a 1×n M to n×n
@@ -534,7 +537,7 @@ class TestErrorParity:
             fn(np.zeros(shape))
         assert str(exc.value).startswith("matrix deviates from Hermitian by inf (tol ")
 
-    @pytest.mark.parametrize("fn", [hermitize, is_psd, eig_hermitian, BinaryPovm.from_effect])
+    @pytest.mark.parametrize("fn", [is_psd, eig_hermitian, BinaryPovm.from_effect])
     def test_empty_matrix(self, fn):
         with pytest.raises(NotHermitianError) as exc:
             fn(np.zeros((0, 0)))
@@ -570,8 +573,8 @@ class TestErrorParity:
     )
     @pytest.mark.parametrize(
         "fn",
-        [eig_hermitian, is_psd, hermitize, BinaryPovm.from_effect, lambda m: kron(m, I2)],
-        ids=["eig_hermitian", "is_psd", "hermitize", "from_effect", "kron"],
+        [eig_hermitian, is_psd, BinaryPovm.from_effect, lambda m: kron(m, I2)],
+        ids=["eig_hermitian", "is_psd", "from_effect", "kron"],
     )
     def test_not_a_matrix_is_a_chshlab_error(self, fn, m, message):
         # numpy's own ValueErrors used to escape the package's error base

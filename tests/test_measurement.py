@@ -11,7 +11,7 @@ import chshlab.measurement
 from chshlab.chsh import chsh_operator, chsh_value, landau_bound, max_over_states, sample_estimate
 from chshlab.compat import parent_povm_search, sharpness_threshold
 from chshlab.errors import NonUnitAxisError, NotHermitianError, OutOfRangeError
-from chshlab.linalg import HERMITICITY_TOL, I2, SX, SY, SZ, eig_hermitian, hermitize, is_psd
+from chshlab.linalg import HERMITICITY_TOL, I2, SX, SY, SZ, eig_hermitian, is_psd
 from chshlab.measurement import (
     OBSERVABLE_NORM_TOL,
     PSD_TOL,
@@ -215,6 +215,70 @@ class TestPauliCoords:
         assert same_bits(povm.coords, pauli_coords_by_definition(povm.effect_plus))
         assert povm.bias == povm.coords[0] - 1
 
+    @pytest.mark.parametrize("m", [np.eye(3), np.zeros((1, 2)), np.zeros((4, 1))], ids=["3x3", "1x2", "4x1"])
+    def test_not_2x2_refused(self, m):
+        # np.eye(3) leaked "ValueError: too many values to unpack"
+        with pytest.raises(NotHermitianError) as exc:
+            pauli_coords(m)
+        assert str(exc.value) == f"expected a 2x2 matrix, got shape {m.shape}"
+
+    @pytest.mark.parametrize(
+        "c",
+        [np.eye(2), [[1.0, 0.0, 0.0, 1.0]], [1.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [1.0, 0.0, -np.inf, 0.0]],
+        ids=["2x2", "row", "three", "nan", "inf"],
+    )
+    def test_coords_that_are_not_four_finite_reals_refused(self, c):
+        # np.eye(2) was read as the coords (1, 0, 0, 1) of the projector |0><0|
+        with pytest.raises(NotHermitianError) as exc:
+            from_pauli_coords(c)
+        assert str(exc.value) == f"Pauli coordinates {c!r} are not four finite real numbers"
+
+
+@st.composite
+def _inner_effect(draw):
+    """An effect with eigenvalues in [0.025, 0.975], which noise of 1e-10 keeps inside [0, 1]."""
+    c0 = draw(st.floats(0.1, 1.9))
+    r = draw(st.floats(0.0, 1.0)) * (min(c0, 2.0 - c0) - 0.05)
+    return from_pauli_coords([c0, *(r * draw(_unit_axis()))])
+
+
+class TestFromEffect:
+    """from_effect reads its effect with eig_hermitian's checks, at HERMITICITY_TOL."""
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[0.5, 1.0], [0.0, 0.5]],
+            [[0.5, 0.3j], [0.3j, 0.5]],
+            np.array([[0.5, 2e-10], [0.0, 0.5]]),
+            np.diag([0.5 + 1e-10j, 0.5]),
+            np.zeros((3, 3)) + np.triu(np.ones((3, 3)), 1),
+        ],
+        ids=["triangular", "anti-hermitian-part", "just-past-tol", "complex-diagonal", "3x3"],
+    )
+    def test_asymmetric_effect_refused_as_eig_hermitian_refuses_it(self, m):
+        # the effect used to be read at tol = inf: the first two became the
+        # effects with coords (1, 1, 0, 0) and I/2
+        with pytest.raises(NotHermitianError) as want:
+            eig_hermitian(m)
+        with pytest.raises(NotHermitianError) as got:
+            BinaryPovm.from_effect(m)
+        assert str(got.value) == str(want.value)
+        assert got.value.defect == want.value.defect > HERMITICITY_TOL
+
+    @settings(max_examples=300, deadline=None)
+    @given(_inner_effect(), st.lists(st.floats(-3e-11, 3e-11), min_size=8, max_size=8))
+    def test_effect_within_tol_keeps_its_hermitian_part(self, effect, noise):
+        # |q - r̄| and 2|Im p| stay below 2√2 · 3e-11 < HERMITICITY_TOL, so
+        # the effect is accepted, and it comes out as the Hermitian part
+        # that was kept when effects were read at tol = inf
+        m = effect + np.reshape(noise[:4], (2, 2)) + 1j * np.reshape(noise[4:], (2, 2))
+        povm = BinaryPovm.from_effect(m)
+        e_plus = (m + m.conj().T) / 2
+        assert povm.effect_plus.tobytes() == e_plus.tobytes()
+        assert povm.effect_minus.tobytes() == (I2 - e_plus).tobytes()
+        assert povm.coords.tobytes() == pauli_coords(e_plus).tobytes()
+
 
 def _pauli_sum(c0, c1, c2, c3):
     return c0 * I2 + c1 * SX + c2 * SY + c3 * SZ
@@ -249,7 +313,8 @@ class TestEntryByEntry:
     def test_noisy_effects(self, axis, lam):
         # the sign of a zero may differ only where λn_k/2 underflows
         povm = noisy_pauli_povm(axis, lam)
-        e_plus = hermitize((I2 + lam * _bloch_sum(axis)) / 2)
+        m = (I2 + lam * _bloch_sum(axis)) / 2
+        e_plus = (m + m.conj().T) / 2  # the Hermitian part, as from_effect keeps it
         assert same_bits(povm.effect_plus, e_plus)
         assert same_bits(povm.effect_minus, I2 - e_plus)
         # coords come from the entries noisy_pauli_povm writes, not from
@@ -304,8 +369,13 @@ def test_non_finite_axis_is_not_unit(axis, slot):
         (np.zeros(4), "axis array([0., 0., 0., 0.]) is not three real numbers"),
         ("abc", "axis 'abc' is not three real numbers"),
         ([[1.0, 0.0], [0.0]], "axis [[1.0, 0.0], [0.0]] is not three real numbers"),
+        # one shape rule, (3,), whatever the container: a (1, 3) ndarray
+        # used to pass where the same numbers as nested lists did not
+        (np.array([[0.0, 0.0, 1.0]]), "axis array([[0., 0., 1.]]) is not three real numbers"),
+        ([[0.0, 0.0, 1.0]], "axis [[0.0, 0.0, 1.0]] is not three real numbers"),
+        (np.array([[0.0], [0.0], [1.0]]), f"axis {np.array([[0.0], [0.0], [1.0]])!r} is not three real numbers"),
     ],
-    ids=["2-vector", "4-vector", "string", "ragged"],
+    ids=["2-vector", "4-vector", "string", "ragged", "row-array", "row-list", "column-array"],
 )
 def test_axis_that_is_not_three_reals(axis, message):
     """numpy's reshape and parse errors used to escape as bare ValueErrors."""
@@ -766,13 +836,13 @@ class TestChshSettingAcceptsEveryConstructor:
 class TestChshSettingDerivesOnce:
     def test_same_read_only_arrays(self):
         setting = canonical_setting(CanonicalAngles(theta=1.1, phi=0.7))
-        s = chsh_operator(setting)
-        assert chsh_operator(setting) is s
-        assert not s.flags.writeable
-        with pytest.raises(ValueError):
-            s[0, 0] = 0.0
         with pytest.raises(ValueError):
             setting.a0[0, 0] = 0.0
+        # S is built anew on each call: writing into one copy changes no other
+        s = chsh_operator(setting)
+        want = s.tobytes()
+        s[0, 0] = 0.0
+        assert chsh_operator(setting).tobytes() == want
 
     def test_source_arrays_are_copied(self, rng):
         sources = [bloch_observable(ax) for ax in random_axes(rng, 4)]
