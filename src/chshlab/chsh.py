@@ -62,7 +62,7 @@ class ChshReport:
         setting."""
         if self._setting is None:
             return None
-        spectrum = eig_hermitian(chsh_operator(self._setting), np.inf)
+        spectrum = eig_hermitian(chsh_operator(self._setting))
         return spectrum.projector(int(np.argmax(np.abs(spectrum.eigenvalues))))  # ties keep the lowest index
 
 
@@ -84,7 +84,7 @@ _accepted_state = b""
 
 
 def check_state(rho) -> np.ndarray:
-    """Validate a 4x4 density matrix: Hermitian, unit trace, PSD within STATE_TOL.
+    """Validate a 4x4 density matrix: Hermitian (`eig_hermitian`'s check), unit trace, PSD within STATE_TOL.
 
     Checks run in a fixed order, and the first failure is the one refused:
     an input that is not an array of numbers (`linalg._numbers`), shape, a non-finite
@@ -112,7 +112,7 @@ def check_state(rho) -> np.ndarray:
     if key == _accepted_state:
         return a
     try:
-        vals = eig_hermitian(a, STATE_TOL, vectors=False).eigenvalues
+        vals = eig_hermitian(a, vectors=False).eigenvalues
     except NotHermitianError as exc:
         reason = str(exc) if exc.defect is None else "matrix is not Hermitian"
         raise InvalidStateError(f"density {reason}") from None
@@ -182,10 +182,9 @@ def max_over_states(setting: ChshSetting) -> ChshReport:
     v = b0 - b1.  Any other setting takes an eigenvalue-only 4x4 solve.
 
     On both routes the optimal state is solved only when the report's
-    optimal_state is read.  Both solves read S's Hermitian part, as the
-    closed form and Δ read the observables': construction has checked
-    each observable, and S may miss Hermiticity by a few times their
-    defect.
+    optimal_state is read.  S is built from the setting's Hermitian
+    parts, so it is Hermitian bit for bit and both solves hold it to
+    HERMITICITY_TOL with defect 0.
     """
     rows = setting.coords.tolist()
     if rows[0][0] == rows[1][0] == rows[2][0] == rows[3][0] == 0.0:
@@ -199,7 +198,7 @@ def max_over_states(setting: ChshSetting) -> ChshReport:
         ) / 16.0
         top = sqrt(frobenius2 + 4.0 * incompatibility_degree(setting))
     else:
-        vals = eig_hermitian(chsh_operator(setting), np.inf, vectors=False).eigenvalues
+        vals = eig_hermitian(chsh_operator(setting), vectors=False).eigenvalues
         top = float(max(abs(vals[0]), abs(vals[-1])))  # ascending: the largest modulus is at an end
     return ChshReport(value=top, bound=top, violates=violates(top), _setting=setting)
 

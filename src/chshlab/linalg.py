@@ -17,24 +17,20 @@ the universal carrier; matrices are row-major complex.
 
 Validation is one set of checks, run before any arithmetic: a
 non-finite entry, an entry so large that M + M† or |M - M†| would
-overflow, a non-square input at any `tol`, and the Hermiticity defect
-against a finite `tol`; then a spectrum that overflowed.  `eig_hermitian`
-converts its input once and picks where the checks run by its size.  An
-eigenvalue-only 2x2 solve reads its four entries once, and
-`_checked_2x2` runs the checks on them, with `_with_adjoint`'s order,
-exceptions, messages and defect, before the closed form reads the same
-entries.  Every other solve goes through `_with_adjoint`, which finds a
-non-finite or oversized entry in one numpy reduction (the largest
-modulus) and hands (M + M†)/2 to LAPACK.  The split is by size: on
-four entries a check in Python scalars costs about a third of numpy's
+overflow, a non-square input, and a Hermiticity defect above
+HERMITICITY_TOL, the one tolerance; then a spectrum that overflowed.
+`eig_hermitian` converts its input once and picks where the checks run
+by its size.  An eigenvalue-only 2x2 solve reads its four entries once,
+and `_checked_2x2` runs the checks on them, with `_hermitian_part`'s
+order, exceptions, messages and defect, before the closed form reads
+the same entries.  Every other solve goes through `_hermitian_part`,
+which finds a non-finite or oversized entry in one numpy reduction (the
+largest modulus) and hands (M + M†)/2 to LAPACK.  The split is by size:
+on four entries a check in Python scalars costs about a third of numpy's
 fixed per-call cost, and on sixteen it costs as much or more.  Callers
-do not symmetrize or check first.  Every matrix is held to
-HERMITICITY_TOL unless its caller names a tol: `eig_hermitian`,
-`measurement.ChshSetting` (through `_checked_2x2` and `_eigvalsh_2x2`,
-with no `Spectrum`) and `measurement.BinaryPovm.from_effect` (through
-`_with_adjoint`, keeping (M + M†)/2).  `chsh.check_state` passes its own
-tol, and only `is_psd` passes `tol=inf`, to judge the Hermitian part of
-any bounded square input.
+do not symmetrize or check first.  `measurement.ChshSetting` and
+`measurement.BinaryPovm.from_effect` keep the Hermitian part of what
+they checked, so S, J and every effect are Hermitian bit for bit.
 
 Two constructors write matrices that are Hermitian by construction and
 are not read back: `measurement.bloch_observable`, and
@@ -61,6 +57,7 @@ import numpy as np
 from .errors import NotHermitianError, OutOfRangeError
 
 HERMITICITY_TOL = 1e-10
+PSD_TOL = 1e-12  # is_psd accepts a lowest eigenvalue down to -PSD_TOL
 # the largest entry modulus for which M + M† and |M - M†| stay finite:
 # each of their entries is at most twice it; a Python float, as
 # _checked_2x2 compares it with Python floats
@@ -137,15 +134,14 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def _with_adjoint(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(M, M†) for a bounded M whose Hermiticity defect is at most tol.
+def _hermitian_part(m) -> np.ndarray:
+    """(M + M†)/2 for a bounded M whose Hermiticity defect is at most HERMITICITY_TOL.
 
     M is read by `as_matrix`.  One reduction, the largest entry modulus,
     refuses NaN, ±inf and an entry past MAX_ENTRY_MODULUS alike: abs() of
     a complex entry does not warn, and max() carries a NaN through.  A
-    non-square M has defect inf and is refused at every tol, inf included:
-    (M + M†)/2 would broadcast a 1×n M to n×n.  So is a 0×0 M, which has
-    no spectrum and no maximum.
+    non-square M has defect inf, and a 0×0 M, which has no spectrum and
+    no maximum, is refused too.
     """
     a = as_matrix(m)
     if a.size and not abs(a).max() <= MAX_ENTRY_MODULUS:
@@ -155,19 +151,16 @@ def _with_adjoint(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
             f"matrix entry of modulus {abs(a).max():.3e} would overflow M + M† "
             f"(limit {MAX_ENTRY_MODULUS:.3e})"
         )
-    adj = a.conj().T
     if a.shape == (0, 0):
         raise NotHermitianError(f"matrix of shape {a.shape} is empty")
-    if a.shape[0] != a.shape[1]:
-        defect = float("inf")
-    elif tol == np.inf:  # every bounded square M passes: nothing to measure
-        return a, adj
-    else:
+    defect = float("inf")
+    if a.shape[0] == a.shape[1]:
+        adj = a.conj().T
         defect = float(abs(a - adj).max())
-        if defect <= tol:
-            return a, adj
+        if defect <= HERMITICITY_TOL:
+            return (a + adj) / 2
     raise NotHermitianError(
-        f"matrix deviates from Hermitian by {defect:.3e} (tol {tol:.1e})", defect
+        f"matrix deviates from Hermitian by {defect:.3e} (tol {HERMITICITY_TOL:.1e})", defect
     )
 
 
@@ -210,16 +203,16 @@ class Spectrum:
         return v @ v.conj().T
 
 
-def eig_hermitian(m, tol: float = HERMITICITY_TOL, *, vectors: bool = True) -> Spectrum:
+def eig_hermitian(m, *, vectors: bool = True) -> Spectrum:
     """Spectrum of a Hermitian matrix, eigenvalues ascending.
 
     Raises NotHermitianError if an entry is not finite, an entry's modulus
-    exceeds MAX_ENTRY_MODULUS, or the asymmetry exceeds `tol`; that check
+    exceeds MAX_ENTRY_MODULUS, or the asymmetry exceeds HERMITICITY_TOL; that check
     is the only validation of the input, so a caller need not repeat it.
     The spectrum is that of (M + M†)/2.  An eigenvalue-only solve
     (`vectors` False, eigenvectors None) of a 2x2 reads the four entries
     once, and `_checked_2x2` and `_eigvalsh_2x2` both work from them.
-    Every other solve is checked by `_with_adjoint`, with the same
+    Every other solve is checked by `_hermitian_part`, with the same
     exceptions, messages and defect, and runs `numpy.linalg.eigh`, or
     `numpy.linalg.eigvalsh` for eigenvalues only.  The spectrum too is
     refused if its lowest or highest eigenvalue overflowed, which bounded
@@ -227,30 +220,28 @@ def eig_hermitian(m, tol: float = HERMITICITY_TOL, *, vectors: bool = True) -> S
     """
     a = as_matrix(m)
     if not vectors and a.shape == (2, 2):
-        vals, vecs = np.array(_eigvalsh_2x2(_checked_2x2(a.tolist(), tol))), None
+        vals, vecs = np.array(_eigvalsh_2x2(_checked_2x2(a.tolist()))), None
     else:
-        a, adj = _with_adjoint(a, tol)
-        h = a + adj
-        h /= 2
+        h = _hermitian_part(a)
         vals, vecs = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
     if not (isfinite(vals[0]) and isfinite(vals[-1])):
         raise NotHermitianError("matrix spectrum overflows the float range")
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
-def _checked_2x2(entries: list, tol: float, subject: str = "matrix") -> list:
+def _checked_2x2(entries: list, subject: str = "matrix") -> list:
     """The entries [[p, q], [r, s]] of a 2x2 M, as Python numbers, once
-    they pass `_with_adjoint`'s checks, in its order and with its
+    they pass `_hermitian_part`'s checks, in its order and with its
     messages: every entry finite, every modulus at most MAX_ENTRY_MODULUS
-    and, for a finite `tol`, the Hermiticity defect at most `tol`.  Each
-    message names `subject`: "matrix", as `_with_adjoint`'s do, or
+    and the Hermiticity defect at most HERMITICITY_TOL.  Each
+    message names `subject`: "matrix", as `_hermitian_part`'s do, or
     "observable a0" for `measurement.ChshSetting`.
 
     The defect is the largest entry modulus of M - M†:
     max(|2 Im p|, |2 Im s|, |q - r̄|), as M - M† has 2i·Im p and 2i·Im s
     on its diagonal and q - r̄ and its negated conjugate off it.  A
     modulus that decides a verdict or is reported is numpy's, as
-    `_with_adjoint` reads it: numpy's complex abs and the C hypot behind
+    `_hermitian_part` reads it: numpy's complex abs and the C hypot behind
     abs() differ in the last ulp for a few inputs in a hundred.  An exact
     q - r̄ = 0, as every matrix Hermitian by construction has, reads as
     0.0 without a call into numpy.  abs() serves as a screen: every
@@ -270,15 +261,14 @@ def _checked_2x2(entries: list, tol: float, subject: str = "matrix") -> list:
                 f"{subject} entry of modulus {largest:.3e} would overflow M + M† "
                 f"(limit {MAX_ENTRY_MODULUS:.3e})"
             )
-    if tol != np.inf:
-        # 2|Im p| is exact in either reading, and cannot overflow for a
-        # bounded p
-        d = q - r.conjugate()
-        defect = max(abs(2.0 * p.imag), abs(2.0 * s.imag), float(np.abs(d)) if d else 0.0)
-        if not defect <= tol:
-            raise NotHermitianError(
-                f"{subject} deviates from Hermitian by {defect:.3e} (tol {tol:.1e})", defect
-            )
+    # 2|Im p| is exact in either reading, and cannot overflow for a
+    # bounded p
+    d = q - r.conjugate()
+    defect = max(abs(2.0 * p.imag), abs(2.0 * s.imag), float(np.abs(d)) if d else 0.0)
+    if not defect <= HERMITICITY_TOL:
+        raise NotHermitianError(
+            f"{subject} deviates from Hermitian by {defect:.3e} (tol {HERMITICITY_TOL:.1e})", defect
+        )
     return entries
 
 
@@ -308,8 +298,8 @@ def _eigvalsh_2x2(entries: list) -> list:
     return [lo - t, hi + t]
 
 
-def is_psd(m, tol: float = 1e-12) -> bool:
-    """The Hermitian part (M + M†)/2 is PSD within tolerance: its lowest
-    eigenvalue, from an eigenvalue-only `eig_hermitian` solve (in closed
-    form for a 2x2 such as a POVM effect), is at least -tol."""
-    return bool(eig_hermitian(m, np.inf, vectors=False).eigenvalues[0] >= -tol)
+def is_psd(m) -> bool:
+    """M, refused as `eig_hermitian` refuses it, is PSD within PSD_TOL: its
+    lowest eigenvalue, from an eigenvalue-only solve (in closed form for a
+    2x2 such as a POVM effect), is at least -PSD_TOL."""
+    return bool(eig_hermitian(m, vectors=False).eigenvalues[0] >= -PSD_TOL)

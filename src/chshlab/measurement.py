@@ -8,15 +8,14 @@ from math import hypot, sqrt
 import numpy as np
 
 from .errors import NonUnitAxisError, NotHermitianError, OutOfRangeError
-from .linalg import HERMITICITY_TOL, I2, _checked_2x2, _eigvalsh_2x2, _numbers, _real, _with_adjoint
+from .linalg import I2, PSD_TOL, _checked_2x2, _eigvalsh_2x2, _hermitian_part, _numbers, _real
 from .linalg import as_matrix, is_psd, kron
 
 UNIT_AXIS_TOL = 1e-9
 # unit_axis lets |n| reach 1 + UNIT_AXIS_TOL; twice that leaves room for
 # the roundoff of reading |n| back from the entries of n·σ
 OBSERVABLE_NORM_TOL = 2 * UNIT_AXIS_TOL
-PSD_TOL = 1e-12
-_BELOW_PSD_TOL = "POVM effect has an eigenvalue below -1e-12"
+_BELOW_PSD_TOL = f"POVM effect has an eigenvalue below -{PSD_TOL:g}"
 OBSERVABLE_NAMES = ("a0", "a1", "b0", "b1")
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
@@ -86,11 +85,14 @@ def _pauli_entries(c0: float, c1: float, c2: float, c3: float) -> list:
     written entry by entry.
 
     As an array, equal to that sum bit for bit when c0 > 0; otherwise up
-    to the sign of a zero entry.
+    to the sign of a zero entry.  Each coordinate is halved before any
+    sum, which is exact above the subnormal range, so four finite
+    coordinates give finite entries even where c0 + c3 overflows.
     """
+    h0, h1, h2, h3 = c0 / 2, c1 / 2, c2 / 2, c3 / 2
     return [
-        [complex((c0 + c3) / 2, 0.0), complex((0.0 + c1) / 2, (0.0 - c2) / 2)],
-        [complex((0.0 + c1) / 2, (0.0 + c2) / 2), complex((c0 - c3) / 2, 0.0)],
+        [complex(h0 + h3, 0.0), complex(0.0 + h1, 0.0 - h2)],
+        [complex(0.0 + h1, 0.0 + h2), complex(h0 - h3, 0.0)],
     ]
 
 
@@ -124,15 +126,14 @@ class BinaryPovm:
     @classmethod
     def from_effect(cls, effect_plus) -> "BinaryPovm":
         """{E+, I - E+} for a 2x2 effect 0 ≤ E+ ≤ I, read once, as `eig_hermitian`
-        reads it, at HERMITICITY_TOL (`linalg._with_adjoint`), and kept as (M + M†)/2."""
-        m, adj = _with_adjoint(effect_plus, HERMITICITY_TOL)
-        if m.shape != (2, 2):
-            raise NotHermitianError(f"qubit POVM effect must be 2x2, got shape {m.shape}")
-        e_plus = (m + adj) / 2
+        reads it (`linalg._hermitian_part`), and kept as (M + M†)/2."""
+        e_plus = _hermitian_part(effect_plus)
+        if e_plus.shape != (2, 2):
+            raise NotHermitianError(f"qubit POVM effect must be 2x2, got shape {e_plus.shape}")
         # both effects: a biased E+ (tr ≠ 1) and I - E+ have different spectra
         e_minus = I2 - e_plus
         for eff in (e_plus, e_minus):
-            if not is_psd(eff, PSD_TOL):
+            if not is_psd(eff):
                 raise OutOfRangeError(_BELOW_PSD_TOL)
         return cls(effect_plus=e_plus, effect_minus=e_minus, coords=pauli_coords(e_plus))
 
@@ -170,7 +171,7 @@ def noisy_pauli_povm(axis, lam: float) -> BinaryPovm:
     n0, n1, n2 = unit_axis(axis).tolist()
     entries = _pauli_entries(1.0, lam * n0, lam * n1, lam * n2)
     e_plus = np.array(entries)
-    if not is_psd(e_plus, PSD_TOL):
+    if not is_psd(e_plus):
         raise OutOfRangeError(_BELOW_PSD_TOL)
     return BinaryPovm(
         effect_plus=e_plus, effect_minus=I2 - e_plus, coords=np.array(_entry_coords(entries)), sharpness=lam
@@ -184,13 +185,14 @@ class ChshSetting:
     Each is a 2x2 matrix of numbers (`linalg._numbers`) that
     `linalg.eig_hermitian` accepts (finite, bounded, Hermitian within
     HERMITICITY_TOL) with -I ≤ O ≤ I within OBSERVABLE_NORM_TOL, or it is
-    refused.  Each field holds a read-only complex copy of it: writing
-    into `setting.a0` raises, and writing into the caller's source array
-    afterwards changes no result.  coords row k holds the Pauli coordinates (c0, c1, c2, c3) of
-    observable k's Hermitian part (c0·I + c·σ)/2: pauli_coords of it, bit
-    for bit, read once on construction and read-only too.  Δ, Landau's μ
-    and its involution check read coords alone; `chsh.chsh_operator`
-    builds S from the fields on each call.
+    refused.  Each field holds a read-only copy of its Hermitian part
+    (M + M†)/2, so S and J built from the fields are Hermitian bit for
+    bit; writing into `setting.a0` raises, and writing into the caller's
+    source array afterwards changes no result.  coords row k holds the
+    Pauli coordinates (c0, c1, c2, c3) of that part (c0·I + c·σ)/2, read
+    once off the entries checked (pauli_coords of them, bit for bit), and
+    read-only too.  Δ, Landau's μ and its involution check read coords
+    alone; `chsh.chsh_operator` builds S from the fields on each call.
     Compared and hashed by identity, like every result that holds arrays.
     """
 
@@ -211,8 +213,9 @@ class ChshSetting:
             if m.shape != (2, 2):
                 raise NotHermitianError(f"observable {name} must be 2x2, got shape {m.shape}")
             mats.append(m)
-        stack = np.array(mats)  # the copy every field views
+        stack = np.array(mats)
         coords = np.array([_check_observable(n, e) for n, e in zip(OBSERVABLE_NAMES, stack.tolist())])
+        stack = (stack + stack.conj().transpose(0, 2, 1)) / 2  # the Hermitian parts every field views
         stack.flags.writeable = False
         coords.flags.writeable = False
         for name, m in zip(OBSERVABLE_NAMES, stack):
@@ -240,7 +243,7 @@ def _check_observable(name: str, entries: list) -> list:
     the closed form gives the Hermitian part's eigenvalues lo ≤ hi, so the
     norm is max(-lo, hi).
     """
-    lo, hi = _eigvalsh_2x2(_checked_2x2(entries, HERMITICITY_TOL, f"observable {name}"))
+    lo, hi = _eigvalsh_2x2(_checked_2x2(entries, f"observable {name}"))
     norm = max(-lo, hi)
     if norm > 1.0 + OBSERVABLE_NORM_TOL:
         raise OutOfRangeError(

@@ -276,9 +276,9 @@ class TestMaxOverStatesRoutes:
     def test_biased_route_solves_eigenvalues_only(self, monkeypatch):
         calls = []
 
-        def record(m, tol, **kwargs):
+        def record(m, **kwargs):
             calls.append(kwargs)
-            return eig_hermitian(m, tol, **kwargs)
+            return eig_hermitian(m, **kwargs)
 
         monkeypatch.setattr(chshlab.chsh, "eig_hermitian", record)
         setting = ChshSetting.from_povms(*(BinaryPovm.from_effect(np.diag([0.9, 0.2])) for _ in range(4)))
@@ -295,17 +295,35 @@ class TestMaxOverStatesRoutes:
         for lam in (0.0, 0.3, 2.0 ** -0.25, 0.9, 1.0):
             assert _is_unbiased(ChshSetting.from_povms(*noisy_family_povms(lam)))
 
-    @pytest.mark.parametrize("b1", [(SZ - SX) / np.sqrt(2), 0.5 * np.eye(2) + 0.4 * SX], ids=["unbiased", "biased"])
-    def test_near_hermitian_setting_on_both_routes(self, b1):
-        # each observable misses Hermiticity by 9e-11, inside the tol, and
-        # S by 2.4e-10: both routes read its Hermitian part, as Δ does
-        e = np.array([[0.0, 9e-11], [0.0, 0.0]])
-        setting = ChshSetting(SZ + e, SX + 1j * e, (SZ + SX) / np.sqrt(2) + e, b1 - 1j * e)
-        s = _chsh_by_definition(setting)
-        assert np.abs(s - s.conj().T).max() > 1e-10
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(_unbiased_setting(), _biased_setting()),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1e-13, 1e-11, 3e-11]),
+    )
+    def test_near_hermitian_setting_on_both_routes(self, base, seed, scale):
+        # every entry of every observable moves by up to `scale` in its real
+        # and imaginary parts, so each misses Hermiticity by up to
+        # 2√2·3e-11, inside HERMITICITY_TOL; the two real diagonal parts
+        # move by opposite amounts, which keeps an unbiased setting's c0
+        # exactly 0.  Built from these observables as given, S missed
+        # Hermiticity by a few times their defect
+        rng = np.random.default_rng(seed)
+        given_observables = []
+        for o in base.observables():
+            noise = scale * (rng.uniform(-1.0, 1.0, (2, 2)) + 1j * rng.uniform(-1.0, 1.0, (2, 2)))
+            noise[1, 1] = complex(-noise[0, 0].real, noise[1, 1].imag)
+            given_observables.append(o + noise)
+        setting = ChshSetting(*given_observables)
+        assert _is_unbiased(setting) == _is_unbiased(base)
+        for field, o in zip(setting.observables(), given_observables):
+            assert np.array_equal(field, (o + o.conj().T) / 2)
+            assert np.array_equal(field, field.conj().T)
+        for op in (chsh_operator(setting), commutator_tensor(setting)):
+            assert np.array_equal(op, op.conj().T)
         rep = max_over_states(setting)
-        oracle = float(np.max(np.abs(np.linalg.eigvalsh((s + s.conj().T) / 2))))
-        assert rep.value == pytest.approx(oracle, abs=1e-12)
+        oracle = float(np.max(np.abs(np.linalg.eigvalsh(_chsh_by_definition(setting)))))
+        assert abs(rep.value - oracle) <= 1e-12
         assert chsh_value(setting, rep.optimal_state) == pytest.approx(rep.value, abs=1e-9)
 
     def test_reports_hold_python_floats(self):

@@ -8,7 +8,7 @@ without any solver.  An eigenvalue-only 2x2 solve is in closed form:
 TestClosedForm2x2 checks it against numpy and against 60-digit decimal
 values within a few ulps, and is_psd's verdict on it against exact
 rational arithmetic.  Its input checks run on the four entries too:
-TestTwoByTwoChecks holds them to _with_adjoint's refusals.
+TestTwoByTwoChecks holds them to _hermitian_part's refusals.
 """
 
 import math
@@ -26,6 +26,7 @@ from chshlab.linalg import (
     HERMITICITY_TOL,
     I2,
     MAX_ENTRY_MODULUS,
+    PSD_TOL,
     SX,
     SY,
     SZ,
@@ -178,6 +179,14 @@ def _near_hermitian(draw, sizes=st.integers(1, 6)):
     return h + (HERMITICITY_TOL / 4) * noise
 
 
+def _hermitian(m) -> np.ndarray:
+    """(M + M†)/2, Hermitian bit for bit, for a test that reads a closed
+    form or a verdict: eig_hermitian and is_psd refuse an M off Hermitian
+    beyond HERMITICITY_TOL."""
+    m = np.asarray(m, dtype=complex)
+    return (m + m.conj().T) / 2
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -200,10 +209,10 @@ class TestLeanPathMatchesNumpy:
             assert _same_bits(spec.eigenvectors, vecs)
 
     @settings(max_examples=200, deadline=None)
-    @given(_near_hermitian(st.sampled_from([1, 3, 4, 5, 6])), st.sampled_from([HERMITICITY_TOL, np.inf]))
-    def test_eigenvalue_only_is_eigvalsh_of_hermitian_part(self, m, tol):
+    @given(_near_hermitian(st.sampled_from([1, 3, 4, 5, 6])))
+    def test_eigenvalue_only_is_eigvalsh_of_hermitian_part(self, m):
         # a 2x2 is solved in closed form: TestClosedForm2x2
-        spec = eig_hermitian(m, tol, vectors=False)
+        spec = eig_hermitian(m, vectors=False)
         assert _same_bits(spec.eigenvalues, np.linalg.eigvalsh((m + m.conj().T) / 2))
         assert spec.eigenvectors is None
 
@@ -234,15 +243,15 @@ class TestLeanPathMatchesNumpy:
                 assert abs(norm - 1.0) <= 1e-9
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.sampled_from([1, 3, 4, 5]).flatmap(lambda n: _complex_matrix(st.just(n), st.just(n))),
-        st.sampled_from([0.0, 1e-12, 1e-3]),
-    )
-    def test_is_psd_reads_hermitian_part(self, m, tol):
-        # a 2x2 is decided in closed form: TestClosedForm2x2
-        # any finite square matrix is accepted, however far from Hermitian
-        low = np.linalg.eigvalsh((m + m.conj().T) / 2)[0]
-        assert is_psd(m, tol) == bool(low >= -tol)
+    @given(st.sampled_from([1, 3, 4, 5]).flatmap(lambda n: _complex_matrix(st.just(n), st.just(n))))
+    def test_is_psd_is_eigvalsh_at_psd_tol(self, m):
+        # a 2x2 is decided in closed form: TestClosedForm2x2.  A matrix off
+        # Hermitian beyond HERMITICITY_TOL is refused as eig_hermitian
+        # refuses it; its Hermitian part is decided
+        h = _hermitian(m)
+        assert is_psd(h) == bool(np.linalg.eigvalsh(h)[0] >= -PSD_TOL)
+        if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
+            assert _refusal(is_psd, m) == _refusal(eig_hermitian, m) is not None
 
 
 EPS = np.finfo(float).eps
@@ -291,18 +300,18 @@ class TestClosedForm2x2:
     spectrum off the Hermitian part's four entries instead of calling LAPACK."""
 
     @settings(max_examples=300, deadline=None)
-    @given(_entry, _entry, _entry, _entry)
-    def test_diagonal_comes_back_exactly(self, p, s, ip, iss):
-        # the imaginary parts of the diagonal leave the Hermitian part
-        spec = eig_hermitian(np.array([[complex(p, ip), 0.0], [0.0, complex(s, iss)]]), np.inf, vectors=False)
+    @given(_entry, _entry)
+    def test_diagonal_comes_back_exactly(self, p, s):
+        spec = eig_hermitian(np.array([[p, 0.0], [0.0, s]], dtype=complex), vectors=False)
         assert spec.eigenvalues.tolist() == sorted([p, s])
         assert spec.eigenvectors is None
 
     @settings(max_examples=500, deadline=None)
     @given(_two_by_two())
     def test_ascending_and_within_ulps_of_eigvalsh(self, m):
-        vals = eig_hermitian(m, np.inf, vectors=False).eigenvalues
-        ref = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        h = _hermitian(m)
+        vals = eig_hermitian(h, vectors=False).eigenvalues
+        ref = np.linalg.eigvalsh(h)
         assert vals.shape == (2,) and vals.dtype == np.float64
         assert vals[0] <= vals[1]
         assert np.max(np.abs(vals - ref)) <= 8 * EPS * np.max(np.abs(ref))
@@ -317,8 +326,8 @@ class TestClosedForm2x2:
         # 60 digits from H's float entries, t = |z|²/(hypot(d, |z|) + d).
         # An eigenvalue below the float range is at best rounded to the
         # nearest subnormal or zero: 8 ulps there are 8 ULP_FLOOR.
-        h = (m + m.conj().T) / 2
-        vals = eig_hermitian(m, np.inf, vectors=False).eigenvalues
+        h = _hermitian(m)
+        vals = eig_hermitian(h, vectors=False).eigenvalues
         with localcontext() as ctx:
             ctx.prec = 60
             p, s, x, y = (Decimal(float(v)) for v in (h[0, 0].real, h[1, 1].real, h[0, 1].real, h[0, 1].imag))
@@ -328,16 +337,16 @@ class TestClosedForm2x2:
                 assert abs(Decimal(got) - want) <= Decimal(8 * EPS) * (abs(want) + t) + 8 * Decimal(ULP_FLOOR)
 
     @settings(max_examples=500, deadline=None)
-    @given(_two_by_two(), st.sampled_from([0.0, 1e-12, 1e-3]))
-    def test_is_psd_is_exact_outside_the_roundoff_band(self, m, tol):
+    @given(_two_by_two())
+    def test_is_psd_is_exact_outside_the_roundoff_band(self, m):
         # within 8 eps·‖H‖ of the threshold neither the closed form nor
         # LAPACK decides exactly; outside it is_psd must agree with the
         # rational criterion on H's float entries
-        h = (m + m.conj().T) / 2
+        h = _hermitian(m)
         band = 8 * EPS * float(np.max(np.abs(np.linalg.eigvalsh(h))))
-        verdict = _psd_exactly(h, tol + band)
-        if verdict == _psd_exactly(h, tol - band):
-            assert is_psd(m, tol) == verdict
+        verdict = _psd_exactly(h, PSD_TOL + band)
+        if verdict == _psd_exactly(h, PSD_TOL - band):
+            assert is_psd(h) == verdict
 
     @pytest.mark.parametrize(
         "m, expected",
@@ -355,12 +364,12 @@ class TestClosedForm2x2:
         # no OverflowError and no warning (warnings are errors in this
         # suite); the spectrum of a 2x2 with bounded entries cannot
         # overflow, since its norm is at most twice the largest modulus
-        m = MAX_ENTRY_MODULUS * np.array(m, dtype=complex)
+        h = _hermitian(MAX_ENTRY_MODULUS * np.array(m, dtype=complex))
         expected = MAX_ENTRY_MODULUS * np.array(expected)
-        vals = eig_hermitian(m, np.inf, vectors=False).eigenvalues
+        vals = eig_hermitian(h, vectors=False).eigenvalues
         assert np.isfinite(vals).all()
         assert np.max(np.abs(vals - expected)) <= 8 * EPS * np.max(np.abs(expected))
-        assert is_psd(m) == (expected[0] >= 0)
+        assert is_psd(h) == (expected[0] >= 0)
 
 
 def _closed_form_2x2(m) -> np.ndarray:
@@ -387,29 +396,23 @@ def _refusal(fn, *args, **kwargs):
 
 
 class TestTwoByTwoChecks:
-    """An eigenvalue-only 2x2 solve runs _with_adjoint's checks on its four
-    entries: it refuses exactly what _with_adjoint refuses, with the same
-    class, message and defect, and otherwise returns the closed form."""
+    """An eigenvalue-only 2x2 solve runs _hermitian_part's checks on its
+    four entries: it refuses exactly what _hermitian_part refuses, with the
+    same class, message and defect, and otherwise returns the closed form."""
 
     @settings(max_examples=1500, deadline=None)
-    @given(
-        any_2x2(),
-        st.one_of(st.just(np.inf), st.just(HERMITICITY_TOL), st.floats(0.0, 1e3)),
-        st.sampled_from([0.0, 1e-12, 1e-3]),
-    )
-    def test_refuses_as_with_adjoint_else_closed_form(self, m, tol, psd_tol):
+    @given(any_2x2())
+    def test_refuses_as_hermitian_part_else_closed_form(self, m):
         # no drawn input makes numpy or abs() warn: warnings are errors in
         # this suite
-        refusal = _refusal(linalg._with_adjoint, m, tol)
-        assert _refusal(eig_hermitian, m, tol, vectors=False) == refusal
-        psd_refusal = _refusal(linalg._with_adjoint, m, np.inf)
-        assert _refusal(is_psd, m, psd_tol) == psd_refusal
+        refusal = _refusal(linalg._hermitian_part, m)
+        assert _refusal(eig_hermitian, m, vectors=False) == refusal
+        assert _refusal(is_psd, m) == refusal
         if refusal is None:
-            spec = eig_hermitian(m, tol, vectors=False)
+            spec = eig_hermitian(m, vectors=False)
             assert _same_bits(spec.eigenvalues, _closed_form_2x2(m))
             assert spec.eigenvectors is None
-        if psd_refusal is None:
-            assert is_psd(m, psd_tol) == bool(_closed_form_2x2(m)[0] >= -psd_tol)
+            assert is_psd(m) == bool(_closed_form_2x2(m)[0] >= -PSD_TOL)
 
     def test_modulus_past_float_max(self):
         # finite parts whose modulus overflows: abs() of the Python complex
@@ -418,7 +421,7 @@ class TestTwoByTwoChecks:
         with pytest.raises(NotHermitianError) as exc:
             eig_hermitian(m, vectors=False)
         assert str(exc.value) == f"matrix entry of modulus inf would overflow M + M† (limit {MAX_ENTRY_MODULUS:.3e})"
-        assert _refusal(eig_hermitian, m, np.inf, vectors=False) == _refusal(linalg._with_adjoint, m, np.inf)
+        assert _refusal(eig_hermitian, m, vectors=False) == _refusal(linalg._hermitian_part, m)
 
 
 class TestSpectrumProjector:
@@ -475,7 +478,7 @@ class TestErrorParity:
     )
     @pytest.mark.parametrize(
         "fn",
-        [BinaryPovm.from_effect, is_psd, eig_hermitian, lambda m: eig_hermitian(m, np.inf, vectors=False)],
+        [BinaryPovm.from_effect, is_psd, eig_hermitian, lambda m: eig_hermitian(m, vectors=False)],
         ids=["from_effect", "is_psd", "eig_hermitian", "eigenvalues-only"],
     )
     def test_overflow_refused(self, fn, m):
@@ -504,8 +507,11 @@ class TestErrorParity:
 
     def test_overflow_limit_is_inclusive(self):
         # at the limit, M + M† and |M - M†| are still finite (warnings are errors)
+        h = np.array([[0.0, MAX_ENTRY_MODULUS], [MAX_ENTRY_MODULUS, 0.0]])
+        for vectors in (True, False):  # LAPACK and the closed form
+            vals = eig_hermitian(h, vectors=vectors).eigenvalues
+            assert np.allclose(vals, [-MAX_ENTRY_MODULUS, MAX_ENTRY_MODULUS], rtol=4 * EPS, atol=0.0)
         m = np.array([[0.0, MAX_ENTRY_MODULUS], [-MAX_ENTRY_MODULUS, 0.0]])
-        assert eig_hermitian(m, np.inf).eigenvalues.tolist() == [0.0, 0.0]
         with pytest.raises(NotHermitianError) as exc:
             eig_hermitian(m)
         assert str(exc.value) == "matrix deviates from Hermitian by 1.798e+308 (tol 1.0e-10)"
@@ -526,16 +532,12 @@ class TestErrorParity:
         assert exc.value.defect == np.inf
 
     @pytest.mark.parametrize("shape", [(1, 2), (1, 3), (2, 1), (3, 1), (2, 3), (3, 2)])
-    @pytest.mark.parametrize(
-        "fn",
-        [is_psd, eig_hermitian, lambda m: eig_hermitian(m, np.inf), BinaryPovm.from_effect],
-        ids=["is_psd", "eig_hermitian", "eig_hermitian-tol-inf", "from_effect"],
-    )
-    def test_non_square_any_tol(self, fn, shape):
-        # at tol=inf, (M + M†)/2 would broadcast a 1×n M to n×n
+    @pytest.mark.parametrize("fn", [is_psd, eig_hermitian, BinaryPovm.from_effect])
+    def test_non_square_every_reader(self, fn, shape):
+        # (M + M†)/2 would broadcast a 1×n M to n×n
         with pytest.raises(NotHermitianError) as exc:
             fn(np.zeros(shape))
-        assert str(exc.value).startswith("matrix deviates from Hermitian by inf (tol ")
+        assert str(exc.value) == "matrix deviates from Hermitian by inf (tol 1.0e-10)"
 
     @pytest.mark.parametrize("fn", [is_psd, eig_hermitian, BinaryPovm.from_effect])
     def test_empty_matrix(self, fn):
@@ -590,5 +592,6 @@ class TestErrorParity:
             eig_hermitian(m)
         assert str(exc.value) == "matrix deviates from Hermitian by 1.000e-09 (tol 1.0e-10)"
         assert exc.value.defect == 1e-9
-        # the callers read the Hermitian part instead of refusing
-        assert is_psd(m) is False
+        # is_psd refuses it as eig_hermitian does: it used to decide the
+        # Hermitian part of any square matrix
+        assert _refusal(is_psd, m) == _refusal(eig_hermitian, m)

@@ -90,15 +90,15 @@ class TestNoisyPauliPovm:
 
     def test_one_psd_check(self, monkeypatch):
         # tr E+ = 1, so E- = I - E+ has the same spectrum and needs no eigensolve
-        tols = []
+        checked = []
 
-        def counting(m, tol=1e-12):
-            tols.append(tol)
-            return is_psd(m, tol)
+        def counting(m):
+            checked.append(m)
+            return is_psd(m)
 
         monkeypatch.setattr(chshlab.measurement, "is_psd", counting)
-        noisy_pauli_povm((X_AXIS + Z_AXIS) / np.sqrt(2), 0.6)
-        assert tols == [1e-12]
+        povm = noisy_pauli_povm((X_AXIS + Z_AXIS) / np.sqrt(2), 0.6)
+        assert len(checked) == 1 and checked[0] is povm.effect_plus
 
     @pytest.mark.parametrize("direction", [Z_AXIS, np.array([0.48, -0.6, 0.64])], ids=["z", "tilted"])
     @pytest.mark.parametrize("delta, refused", [(1e-11, True), (3e-12, True), (1e-12, False), (1e-13, False)])
@@ -115,7 +115,7 @@ class TestNoisyPauliPovm:
                 with pytest.raises(OutOfRangeError, match=r"^POVM effect has an eigenvalue below -1e-12$"):
                     build()
             else:
-                assert is_psd(build().effect_minus, 1e-12)
+                assert is_psd(build().effect_minus)
 
     def test_biased_effect_checks_both(self):
         # E+ ≥ 0, but tr E+ ≠ 1 and I - E+ has eigenvalue -0.1
@@ -280,6 +280,11 @@ class TestFromEffect:
         assert povm.coords.tobytes() == pauli_coords(e_plus).tobytes()
 
 
+def _normal(floats):
+    """floats drawn zero or at least 1e-300 in modulus, whose halves are not subnormal."""
+    return floats.filter(lambda x: x == 0.0 or abs(x) >= 1e-300)
+
+
 def _pauli_sum(c0, c1, c2, c3):
     return c0 * I2 + c1 * SX + c2 * SY + c3 * SZ
 
@@ -326,10 +331,28 @@ class TestEntryByEntry:
             assert povm.coords.tobytes() == pauli_coords(e_plus).tobytes()
 
     @settings(max_examples=300, deadline=None)
-    @given(st.floats(0.0, 2.0, exclude_min=True), *[st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0])] * 3)
+    @given(
+        _normal(st.floats(0.0, 2.0, exclude_min=True)),
+        *[_normal(st.floats(-2.0, 2.0)) | st.sampled_from([0.0, -0.0])] * 3,
+    )
     def test_from_pauli_coords(self, c0, c1, c2, c3):
+        # each coordinate is halved before the sums: exact, and so equal
+        # to the halved sum, wherever no half is subnormal
         assert from_pauli_coords([c0, c1, c2, c3]).tobytes() == (_pauli_sum(c0, c1, c2, c3) / 2).tobytes()
         assert np.array_equal(from_pauli_coords([-c0, c1, c2, c3]), _pauli_sum(-c0, c1, c2, c3) / 2)
+
+    def test_finite_coordinates_near_float_max(self):
+        # (c0 + c3)/2 overflowed to inf before the halves were summed
+        assert from_pauli_coords([1e308, 0.0, 0.0, 1e308]).tolist() == [[1e308, 0.0], [0.0, 0.0]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4))
+    def test_finite_coordinates_give_finite_entries(self, c):
+        # at any scale, each entry is a sum or difference of two halves,
+        # which stays within float max
+        m = from_pauli_coords(c)
+        assert np.isfinite(m).all()
+        assert np.array_equal(m, _pauli_sum(*(x / 2 for x in c)))
 
 
 _NON_FINITE = st.sampled_from([np.nan, -np.nan, np.inf, -np.inf])
@@ -700,14 +723,14 @@ class TestChshSettingRefusals:
         # the defect of linalg.eig_hermitian, measured against the same tol
         a1 = SX + np.array([[0.0, 5e-11], [0.0, 0.0]])
         setting = ChshSetting(*_with(1, a1))
-        assert setting.a1.tolist() == a1.tolist()
-        eig_hermitian(a1, HERMITICITY_TOL, vectors=False)
+        assert setting.a1.tolist() == ((a1 + a1.conj().T) / 2).tolist()  # kept as its Hermitian part
+        eig_hermitian(a1, vectors=False)
 
     def test_defect_at_tol_is_eig_hermitians(self):
         # numpy's complex abs, which eig_hermitian reads, puts this defect
         # one ulp above HERMITICITY_TOL, and math.hypot puts it at the tol
         a0 = SZ + np.array([[0.0, 1.6075562164947793e-11 + 9.86994240159531e-11j], [0.0, 0.0]])
-        for read in (lambda m: eig_hermitian(m, HERMITICITY_TOL, vectors=False), lambda m: ChshSetting(m, SX, SZ, SX)):
+        for read in (lambda m: eig_hermitian(m, vectors=False), lambda m: ChshSetting(m, SX, SZ, SX)):
             with pytest.raises(NotHermitianError) as exc:
                 read(a0)
             assert exc.value.defect == 1.0000000000000002e-10
@@ -718,7 +741,7 @@ class TestChshSettingRefusals:
         # ChshSetting reads each observable with eig_hermitian's 2x2 reader:
         # the same refusals, defects and messages, but for the subject
         try:
-            eig_hermitian(m, HERMITICITY_TOL, vectors=False)
+            eig_hermitian(m, vectors=False)
             want = None
         except NotHermitianError as exc:
             want = str(exc).replace("matrix", "observable a0", 1), exc.defect
@@ -732,15 +755,15 @@ class TestChshSettingRefusals:
         assert got == want
 
     def test_accepted_setting_has_spectral_values(self):
-        # each observable misses Hermiticity by 9e-11, inside the tol, yet
-        # J misses it by 1.7e-10: Δ and μ read the observables' Hermitian
-        # parts instead of refusing a setting that construction accepted
+        # each observable misses Hermiticity by 9e-11, inside the tol; J
+        # built from the given observables would miss it by 1.7e-10, but
+        # the setting keeps their Hermitian parts, so J is Hermitian
         e = np.array([[0.0, 9e-11], [0.0, 0.0]])
         b0, b1 = (SZ + SX) / np.sqrt(2), (SZ - SX) / np.sqrt(2)
         setting = ChshSetting(SZ + e, SX + 1j * e, b0 + e, b1 - 1j * e)
         j = commutator_tensor(setting)
-        assert np.abs(j - j.conj().T).max() > 1e-10
-        want = float(np.linalg.eigvalsh((j + j.conj().T) / 2)[-1])
+        assert np.array_equal(j, j.conj().T)
+        want = float(np.linalg.eigvalsh(j)[-1])
         mu = landau_bound(setting).mu
         assert incompatibility_degree(setting) == mu
         assert mu == pytest.approx(want, abs=1e-12)
