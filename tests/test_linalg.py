@@ -532,7 +532,11 @@ class TestErrorParity:
         assert exc.value.defect == np.inf
 
     @pytest.mark.parametrize("shape", [(1, 2), (1, 3), (2, 1), (3, 1), (2, 3), (3, 2)])
-    @pytest.mark.parametrize("fn", [is_psd, eig_hermitian, BinaryPovm.from_effect])
+    @pytest.mark.parametrize(
+        "fn",
+        [is_psd, eig_hermitian, lambda m: eig_hermitian(m, vectors=False), BinaryPovm.from_effect],
+        ids=["is_psd", "eig_hermitian", "eigenvalues-only", "from_effect"],
+    )
     def test_non_square_every_reader(self, fn, shape):
         # (M + M†)/2 would broadcast a 1×n M to n×n
         with pytest.raises(NotHermitianError) as exc:
