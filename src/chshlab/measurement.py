@@ -84,10 +84,12 @@ def _pauli_entries(c0: float, c1: float, c2: float, c3: float) -> list:
     """The entries of (c0·I + c1·σx + c2·σy + c3·σz)/2 as nested lists,
     written entry by entry.
 
-    As an array, equal to that sum bit for bit when c0 > 0; otherwise up
-    to the sign of a zero entry.  Each coordinate is halved before any
-    sum, which is exact above the subnormal range, so four finite
-    coordinates give finite entries even where c0 + c3 overflows.
+    As an array, equal to that sum bit for bit when c0 > 0 and no half
+    c_k/2 is subnormal; when c0 <= 0, up to the sign of a zero entry.
+    Each coordinate is halved before any sum, which is exact above the
+    subnormal range, so four finite coordinates give finite entries even
+    where c0 + c3 overflows.  A subnormal half is rounded before the sum:
+    [5e-324, 0, 0, 5e-324] writes 0 where (c0 + c3)/2 is 5e-324.
     """
     h0, h1, h2, h3 = c0 / 2, c1 / 2, c2 / 2, c3 / 2
     return [

@@ -413,6 +413,15 @@ class TestTwoByTwoChecks:
             assert _same_bits(spec.eigenvalues, _closed_form_2x2(m))
             assert spec.eigenvectors is None
             assert is_psd(m) == bool(_closed_form_2x2(m)[0] >= -PSD_TOL)
+        if refusal is None or refusal[2] is not None:
+            # finite and bounded, refused at most for its defect: its
+            # Hermitian part, finite at any bounded modulus, reaches the
+            # closed form with every entry kind drawn, extreme or subnormal
+            h = _hermitian(m)
+            spec = eig_hermitian(h, vectors=False)
+            assert _same_bits(spec.eigenvalues, _closed_form_2x2(h))
+            assert spec.eigenvectors is None
+            assert is_psd(h) == bool(_closed_form_2x2(h)[0] >= -PSD_TOL)
 
     def test_modulus_past_float_max(self):
         # finite parts whose modulus overflows: abs() of the Python complex

@@ -337,7 +337,10 @@ class TestEntryByEntry:
     )
     def test_from_pauli_coords(self, c0, c1, c2, c3):
         # each coordinate is halved before the sums: exact, and so equal
-        # to the halved sum, wherever no half is subnormal
+        # to the halved sum, wherever no half is subnormal.  _normal leaves
+        # out exactly the inputs whose bits changed on purpose: a subnormal
+        # half rounds, so [5e-324, 0, 0, 5e-324] now writes 0 where
+        # (c0 + c3)/2 is 5e-324
         assert from_pauli_coords([c0, c1, c2, c3]).tobytes() == (_pauli_sum(c0, c1, c2, c3) / 2).tobytes()
         assert np.array_equal(from_pauli_coords([-c0, c1, c2, c3]), _pauli_sum(-c0, c1, c2, c3) / 2)
 
