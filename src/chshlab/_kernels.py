@@ -19,26 +19,27 @@ Of the six unitary parameters the objective sees five.  U(psi, phi, theta)
 = U(0, phi, theta) diag(e^{i psi/2}, e^{-i psi/2}), and on the Schmidt state
 the two diagonal factors give e^{i(psi1+psi2)/2} sqrt(E)|00> +
 e^{-i(psi1+psi2)/2} sqrt(1-E)|11>: only psi1 + psi2 enters, for every
-operator S, so Bob's psi is fixed at 0 and psi1 - psi2 is never walked.
+operator S.  chsh_objective reads the five through one formula,
+_azimuth_terms: a + b cos phi2 + c sin phi2 at (psi1 + psi2, phi1, theta1,
+theta2).
 
-Of those five, the search walks four.  The objective is linear in Bob's
-rotation rows, and each entry of those is linear in (cos phi2, sin phi2) or
-free of phi2, so the objective is a + b cos phi2 + c sin phi2 with a, b, c
-independent of phi2.  That is its one formula: _azimuth_profile gives (a,
-b, c) at z = (psi1 + psi2, phi1, theta1, theta2), and chsh_objective, like
-the value maximize_chsh returns, is a + b cos phi2 + c sin phi2 of them.
-The maximum over phi2 is a + hypot(b, c), reached at atan2(c, b) (the
-structure Rotosolve exploits: Ostaszewski, Grant, Benedetti, Quantum 5,
-391 (2021)), so the simplex climbs that profile over z and solves phi2
-exactly once at its end.  The search stays derivative-free over every
-local unitary and never uses the closed-form maximum, so it remains an
-independent oracle for it.
+The search walks two of them.  The objective is linear in Bob's rotation:
+at Alice's rotation it is t + tr(G M2^T) for a 3x3 G (_alice_profile), and
+its maximum over M2 in SO(3) is exact, s1 + s2 + sign(det G) s3 from G's
+singular values (Horn, JOSA A 4, 629 (1987); Umeyama, IEEE TPAMI 13, 376
+(1991)), read off a quartic in |G|_F^2, |cof G|_F and det G with no SVD.
+Bob's psi2 covers psi1 + psi2, so Alice's psi1 is 0, and the simplex climbs
+that maximum over Alice's (phi1, theta1) alone.  At its end Bob's rotation
+comes from the top eigenvector of Horn's 4x4 matrix, its Euler angles are
+read, and psi2 moves to Alice, so Bob's returned psi is 0.  The simplex
+needs no derivatives, and no step of the search reads the closed-form
+maximum, so it remains an independent oracle for it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from math import atan2, cos, hypot, sin, sqrt
+from math import atan2, cos, sin, sqrt
 
 BACKEND = "python"
 
@@ -48,6 +49,10 @@ _NM_SHRINK = 0.5
 _NM_STEP = 0.5
 _NM_DIAMETER_TOL = 1e-9
 _NM_MAX_ITER = 5000
+_NEWTON_MAX_ITER = 100
+# relative to x: at 1e-10, Horn's top two eigenvalues within about that of
+# each other (random S near E = 1e-22) left the rotation up to 1.6e-11 short
+_HORN_SHIFT = 1e-13
 _PLATEAU_WINDOW = 500
 _PLATEAU_RTOL = 1e-12
 
@@ -79,40 +84,35 @@ def _pauli_coefficients(s, e):
     )
 
 
-def _azimuth_profile(coef):
-    """z -> a + hypot(b, c), the maximum over phi2 of the objective, or (a, b, c) with terms=True.
+def _azimuth_terms(coef, z):
+    """(a, b, c) with the objective = a + b cos phi2 + c sin phi2 at z = (psi1 + psi2, phi1, theta1, theta2).
 
-    coef is from _pauli_coefficients, z = (psi1 + psi2, phi1, theta1, theta2).
-    U(psi, phi, theta) rotates Bloch vectors by M^T, M = Rz(psi) Ry(theta)
-    Rz(phi), and U1 = U(psi1 + psi2, phi1, theta1), U2 = U(0, phi2, theta2)
-    give the same vector as the six parameters (module docstring).  With
-    p_k, q_k the rows of M1, M2 the objective is
+    coef is from _pauli_coefficients.  U(psi, phi, theta) rotates Bloch
+    vectors by M^T, M = Rz(psi) Ry(theta) Rz(phi), and U1 = U(psi1 + psi2,
+    phi1, theta1), U2 = U(0, phi2, theta2) give the same vector as the six
+    parameters (module docstring).  With p_k, q_k the rows of M1, M2 the
+    objective is
       c_00 + (2E-1)(c_A . p_z + c_B . q_z) + C(p_x.Kq_x - p_y.Kq_y) + p_z.Kq_z.
     Bob's rows are (ct cf, -ct sf, st), (sf, cf, 0) and (-st cf, st sf, ct),
     with ct, st, cf, sf the cosines and sines of theta2 and phi2.  Collecting
-    their cf and sf terms, the objective is a + b cos phi2 + c sin phi2, with
+    their cf and sf terms gives
       a = c_00 + (2E-1)(c_A . p_z + c_0z ct) + C st (p_x.K_z) + ct (p_z.K_z),
       b = C (ct (p_x.K_x) - k_yy p_y,y) - st ((2E-1) c_0x + p_z.K_x),
       c = k_yy p_z,y st - C (k_yy p_x,y ct + p_y.K_x),
-    and K_x, K_z are K's x and z columns.  Six trig calls for Alice's
-    rotation and two for Bob's theta; the maximum is at phi2 = atan2(c, b).
+    and K_x, K_z are K's x and z columns.
     """
     c00, ax, az, bx, bz, conc, kxx, kxz, kzx, kzz, kyy = coef
-
-    def profile(z, terms=False):
-        psi, phi1, th1, th2 = z
-        cp, sp, ct, st, cf, sf = cos(psi), sin(psi), cos(th1), sin(th1), cos(phi1), sin(phi1)
-        u, v = cp * ct, sp * ct
-        p0, p1, p2 = u * cf - sp * sf, -u * sf - sp * cf, cp * st
-        p3, p4, p5 = v * cf + cp * sf, cp * cf - v * sf, sp * st
-        p6, p7, p8 = -st * cf, st * sf, ct
-        ct, st = cos(th2), sin(th2)
-        a = c00 + ax * p6 + az * p8 + bz * ct + conc * st * (kxz * p0 + kzz * p2) + ct * (kxz * p6 + kzz * p8)
-        b = conc * (ct * (kxx * p0 + kzx * p2) - kyy * p4) - st * (bx + kxx * p6 + kzx * p8)
-        c = kyy * p7 * st - conc * (kyy * p1 * ct + kxx * p3 + kzx * p5)
-        return (a, b, c) if terms else a + hypot(b, c)
-
-    return profile
+    psi, phi1, th1, th2 = z
+    cp, sp, ct, st, cf, sf = cos(psi), sin(psi), cos(th1), sin(th1), cos(phi1), sin(phi1)
+    u, v = cp * ct, sp * ct
+    p0, p1, p2 = u * cf - sp * sf, -u * sf - sp * cf, cp * st
+    p3, p4, p5 = v * cf + cp * sf, cp * cf - v * sf, sp * st
+    p6, p7, p8 = -st * cf, st * sf, ct
+    ct, st = cos(th2), sin(th2)
+    a = c00 + ax * p6 + az * p8 + bz * ct + conc * st * (kxz * p0 + kzz * p2) + ct * (kxz * p6 + kzz * p8)
+    b = conc * (ct * (kxx * p0 + kzx * p2) - kyy * p4) - st * (bx + kxx * p6 + kzx * p8)
+    c = kyy * p7 * st - conc * (kyy * p1 * ct + kxx * p3 + kzx * p5)
+    return a, b, c
 
 
 def chsh_objective(s, e, x):
@@ -123,8 +123,138 @@ def chsh_objective(s, e, x):
     enters (module docstring).
     """
     psi1, phi1, th1, psi2, phi2, th2 = map(float, x)
-    a, b, c = _azimuth_profile(_pauli_coefficients(s, e))((psi1 + psi2, phi1, th1, th2), terms=True)
+    a, b, c = _azimuth_terms(_pauli_coefficients(s, e), (psi1 + psi2, phi1, th1, th2))
     return a + b * cos(phi2) + c * sin(phi2)
+
+
+def _alice_profile(coef):
+    """(phi1, theta1) -> the objective's maximum over Bob's rotation, at Alice's U(0, phi1, theta1).
+
+    coef is from _pauli_coefficients.  Alice's rows are p_x = (ct cf, -ct
+    sf, st), p_y = (sf, cf, 0) and p_z = (-st cf, st sf, ct), with ct, st,
+    cf, sf the cosines and sines of theta1 and phi1.  The objective of
+    _azimuth_terms is t + tr(G M2^T), linear in Bob's rotation M2: t = c_00
+    + (2E-1) c_A . p_z, and G has rows g_k = D_k p_k K with D = (C, -C, 1),
+    plus (2E-1) c_B on the z row.  With matrix=True the profile returns (t,
+    G), G row-major; otherwise t + x with x = max over M in SO(3) of tr(G
+    M^T) = s1 + s2 + sign(det G) s3, from G's singular values (Horn, JOSA
+    A 4, 629 (1987); Umeyama, IEEE TPAMI 13, 376 (1991)).  x is the largest
+    root of (x^2 - a)^2 - 8dx - 4b^2, with a = |G|_F^2, b = |cof G|_F and d
+    = det G, the characteristic polynomial of Horn's matrix
+    (_bob_rotation).  At d = 0 that root is sqrt(a + 2b) exactly.  d is
+    exactly 0 when k_yy = 0, as for every canonical setting (its axes lie
+    in the xz plane): G's y column is then zero.  Otherwise _largest_root
+    refines the root.
+    """
+    c00, ax, az, bx, bz, conc, kxx, kxz, kzx, kzz, kyy = coef
+
+    def profile(phi1, th1, matrix=False):
+        ct, st, cf, sf = cos(th1), sin(th1), cos(phi1), sin(phi1)
+        u, v = ct * cf, st * cf
+        t = c00 - ax * v + az * ct
+        g0, g1, g2 = conc * (kxx * u + kzx * st), -conc * kyy * ct * sf, conc * (kxz * u + kzz * st)
+        g3, g4, g5 = -conc * kxx * sf, -conc * kyy * cf, -conc * kxz * sf
+        g6, g7, g8 = bx + kzx * ct - kxx * v, kyy * st * sf, bz + kzz * ct - kxz * v
+        if matrix:
+            return t, (g0, g1, g2, g3, g4, g5, g6, g7, g8)
+        # cofactors, row by row: cross products of the other two rows
+        c0, c1, c2 = g4 * g8 - g5 * g7, g5 * g6 - g3 * g8, g3 * g7 - g4 * g6
+        c3, c4, c5 = g7 * g2 - g8 * g1, g8 * g0 - g6 * g2, g6 * g1 - g7 * g0
+        c6, c7, c8 = g1 * g5 - g2 * g4, g2 * g3 - g0 * g5, g0 * g4 - g1 * g3
+        a = g0 * g0 + g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4 + g5 * g5 + g6 * g6 + g7 * g7 + g8 * g8
+        bb = c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3 + c4 * c4 + c5 * c5 + c6 * c6 + c7 * c7 + c8 * c8
+        x = sqrt(a + 2.0 * sqrt(bb))
+        d = g0 * c0 + g1 * c1 + g2 * c2
+        return t + (x if d == 0.0 else _largest_root(x, a, bb, d))
+
+    return profile
+
+
+def _largest_root(x, a, bb, d):
+    """The largest root of (x^2 - a)^2 - 8dx - 4bb by Newton's method from x = sqrt(a + 2 sqrt(bb)).
+
+    The polynomial is convex right of sqrt(a/3), and both the start and
+    the largest root lie there: each is at least s1 >= sqrt(a/3).  So after
+    at most one step up (d > 0) the iterates fall monotonically onto the
+    root, and the loop stops when they stop falling.
+    """
+    for k in range(_NEWTON_MAX_ITER):
+        y = x * x - a
+        slope = 4.0 * x * y - 8.0 * d
+        if slope <= 0.0:
+            break
+        nxt = x - (y * y - 8.0 * d * x - 4.0 * bb) / slope
+        if k and nxt >= x:
+            break
+        x = nxt
+    return x
+
+
+def _bob_rotation(g, x):
+    """The M in SO(3) with tr(G M^T) = x, the maximum, for G row-major; M row-major.
+
+    Horn's symmetric 4x4 matrix N has q^T N q = tr(G R(q)^T) for a unit
+    quaternion q, and its largest eigenvalue is x.  Two steps of inverse
+    iteration at the shift mu = x + _HORN_SHIFT x find its eigenvector:
+    the first applies (N - mu I)^-1 to the four unit vectors and keeps the
+    longest column, and the second applies it once more.  Some unit vector
+    puts at least a quarter of its squared length in the top eigenspace,
+    so the longest column lies along that eigenspace.  Any unit
+    vector of that eigenspace attains x, so a degenerate top eigenvalue
+    (rank-1 G, as at E = 0) needs no special case.
+    """
+    if x == 0.0:  # G = 0 (or its squares underflow): every rotation attains 0
+        return 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+    # scaled to a largest entry of 1, so (N - mu I)^-1 neither overflows nor underflows
+    m = max(map(abs, g))
+    g0, g1, g2, g3, g4, g5, g6, g7, g8 = (v / m for v in g)
+    mu = (x + _HORN_SHIFT * x) / m
+    rows = [
+        [g0 + g4 + g8 - mu, g7 - g5, g2 - g6, g3 - g1, 1.0, 0.0, 0.0, 0.0],
+        [g7 - g5, g0 - g4 - g8 - mu, g1 + g3, g2 + g6, 0.0, 1.0, 0.0, 0.0],
+        [g2 - g6, g1 + g3, g4 - g0 - g8 - mu, g5 + g7, 0.0, 0.0, 1.0, 0.0],
+        [g3 - g1, g2 + g6, g5 + g7, g8 - g0 - g4 - mu, 0.0, 0.0, 0.0, 1.0],
+    ]
+    # Gauss-Jordan with partial pivoting turns rows into [I | (N - mu I)^-1]
+    for col in range(4):
+        piv = max(range(col, 4), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[piv] = rows[piv], rows[col]
+        top = rows[col]
+        inv = 1.0 / top[col]
+        for j in range(col, 8):
+            top[j] *= inv
+        for r in range(4):
+            f = rows[r][col]
+            if r != col and f:
+                row = rows[r]
+                for j in range(col, 8):
+                    row[j] -= f * top[j]
+    inverse = [row[4:] for row in rows]
+    q = max(zip(*inverse), key=lambda col: sum(v * v for v in col))
+    w, i, j, k = (sum(a * b for a, b in zip(row, q)) for row in inverse)
+    n = sqrt(w * w + i * i + j * j + k * k)
+    w, i, j, k = w / n, i / n, j / n, k / n
+    return (
+        w * w + i * i - j * j - k * k, 2.0 * (i * j - w * k), 2.0 * (i * k + w * j),
+        2.0 * (i * j + w * k), w * w - i * i + j * j - k * k, 2.0 * (j * k - w * i),
+        2.0 * (i * k - w * j), 2.0 * (j * k + w * i), w * w - i * i - j * j + k * k,
+    )
+
+
+def _zyz(r):
+    """(psi, theta, phi) with Rz(psi) Ry(theta) Rz(phi) = r, for r in SO(3) row-major.
+
+    psi is read from r's z column, and theta and phi from Rz(-psi) r =
+    Ry(theta) Rz(phi), whose y row is (sin phi, cos phi, 0).  So the three
+    angles rebuild r to roundoff even at theta = 0 or pi, where r's z
+    column gives psi no direction and any psi serves.
+    """
+    r0, r1, r2, r3, r4, r5, _, _, r8 = r
+    psi = atan2(r5, r2)
+    cp, sp = cos(psi), sin(psi)
+    phi = atan2(cp * r3 - sp * r0, cp * r4 - sp * r1)
+    theta = atan2(cp * r2 + sp * r5, r8)
+    return psi, theta, phi
 
 
 def _by_value(verts, vals):
@@ -136,88 +266,78 @@ def _by_value(verts, vals):
 def maximize_chsh(s, e, x0):
     """Nelder-Mead maximization of chsh_objective from a single start.
 
-    The simplex lives in the four coordinates z = (psi1 + psi2, phi1,
-    theta1, theta2) and maximizes the objective's exact maximum over phi2,
-    a + hypot(b, c) from _azimuth_profile (module docstring): the start is x0
-    folded to z, its phi2 is not read, and the flat direction psi1 - psi2
-    is never searched.  Stops when the max-coordinate diameter of the
-    simplex drops below _NM_DIAMETER_TOL or after _NM_MAX_ITER iterations.
-    Then phi2 = atan2(c, b) at the best vertex, and the value returned is
-    chsh_objective at the six returned parameters.  Returns (best_value,
-    best_params[6], evaluations), with psi2 = 0.0 in params; evaluations
-    counts the simplex's profile evaluations and that final objective.
+    The simplex lives in Alice's two coordinates (phi1, theta1) at psi1 =
+    0 and climbs the objective's exact maximum over Bob's rotation
+    (_alice_profile; module docstring): the start is x0's phi1 and theta1,
+    and its other four entries are not read.  Stops when the
+    max-coordinate diameter of the simplex drops below _NM_DIAMETER_TOL or
+    after _NM_MAX_ITER iterations.  Then Bob's rotation at the best vertex
+    comes from Horn's matrix (_bob_rotation), its ZYZ angles (psi2, theta2,
+    phi2) from _zyz, and psi2 moves to Alice, as only psi1 + psi2 enters.
+    The value returned is chsh_objective at the six returned parameters.
+    Returns (best_value, best_params[6], evaluations), with psi2 = 0.0 in
+    params; evaluations counts the simplex's evaluations and that final
+    objective.
     """
-    g = _azimuth_profile(_pauli_coefficients(s, e))
-    psi1, phi1, th1, psi2, _, th2 = map(float, x0)
-    z0 = (psi1 + psi2, phi1, th1, th2)
+    coef = _pauli_coefficients(s, e)
+    profile = _alice_profile(coef)
+
+    def f(pt):
+        return -profile(*pt)
+
+    _, phi1, th1, _, _, _ = map(float, x0)
     tol = _NM_DIAMETER_TOL
 
-    # minimize the negated profile; verts/vals stay sorted, ties in age order
-    verts = [z0]
-    for i in range(4):
-        pt = list(z0)
-        pt[i] += _NM_STEP
-        verts.append(tuple(pt))
-    vals = [-g(pt) for pt in verts]
-    n_eval = 5
+    # minimize the negated maximum; verts/vals stay sorted, ties in age order
+    verts = [(phi1, th1), (phi1 + _NM_STEP, th1), (phi1, th1 + _NM_STEP)]
+    vals = [f(pt) for pt in verts]
+    n_eval = 3
     verts, vals = _by_value(verts, vals)
 
     for _ in range(_NM_MAX_ITER):
-        (a0, a1, a2, a3), v1, v2, v3, (w0, w1, w2, w3) = verts
-        for p0, p1, p2, p3 in verts[1:]:
-            if abs(p0 - a0) >= tol or abs(p1 - a1) >= tol or abs(p2 - a2) >= tol or abs(p3 - a3) >= tol:
-                break
-        else:
+        (a0, a1), (v0, v1), (w0, w1) = verts
+        if abs(v0 - a0) < tol and abs(v1 - a1) < tol and abs(w0 - a0) < tol and abs(w1 - a1) < tol:
             break  # every vertex within tol of the best, coordinate by coordinate
 
-        # centroid of all but the worst, added in vertex order as sum() adds
-        m0 = (a0 + v1[0] + v2[0] + v3[0]) / 4
-        m1 = (a1 + v1[1] + v2[1] + v3[1]) / 4
-        m2 = (a2 + v1[2] + v2[2] + v3[2]) / 4
-        m3 = (a3 + v1[3] + v2[3] + v3[3]) / 4
-        d0, d1, d2, d3 = m0 - w0, m1 - w1, m2 - w2, m3 - w3
-        xr = (m0 + d0, m1 + d1, m2 + d2, m3 + d3)
-        gr = -g(xr)
+        # centroid of all but the worst
+        m0, m1 = (a0 + v0) / 2, (a1 + v1) / 2
+        d0, d1 = m0 - w0, m1 - w1
+        xr = (m0 + d0, m1 + d1)
+        gr = f(xr)
         n_eval += 1
 
-        if vals[0] <= gr < vals[3]:
+        if vals[0] <= gr < vals[1]:
             x_new, g_new = xr, gr
         elif gr < vals[0]:
             t = _NM_EXPAND
-            xe = (m0 + t * d0, m1 + t * d1, m2 + t * d2, m3 + t * d3)
-            ge = -g(xe)
+            xe = (m0 + t * d0, m1 + t * d1)
+            ge = f(xe)
             n_eval += 1
             x_new, g_new = (xe, ge) if ge < gr else (xr, gr)
         else:
             t = _NM_CONTRACT
-            if gr < vals[4]:
-                r0, r1, r2, r3 = xr
-                xc = (m0 + t * (r0 - m0), m1 + t * (r1 - m1), m2 + t * (r2 - m2), m3 + t * (r3 - m3))
-            else:
-                xc = (m0 - t * d0, m1 - t * d1, m2 - t * d2, m3 - t * d3)
-            gc = -g(xc)
+            xc = (m0 + t * d0, m1 + t * d1) if gr < vals[2] else (m0 - t * d0, m1 - t * d1)
+            gc = f(xc)
             n_eval += 1
-            if gc < min(gr, vals[4]):
+            if gc < min(gr, vals[2]):
                 x_new, g_new = xc, gc
             else:
                 t = _NM_SHRINK
-                shrunk = [
-                    (a0 + t * (p0 - a0), a1 + t * (p1 - a1), a2 + t * (p2 - a2), a3 + t * (p3 - a3))
-                    for p0, p1, p2, p3 in verts[1:]
-                ]
-                verts, vals = _by_value([verts[0], *shrunk], [vals[0], *(-g(pt) for pt in shrunk)])
-                n_eval += 4
+                shrunk = [(a0 + t * (v0 - a0), a1 + t * (v1 - a1)), (a0 + t * (w0 - a0), a1 + t * (w1 - a1))]
+                verts, vals = _by_value([verts[0], *shrunk], [vals[0], *map(f, shrunk)])
+                n_eval += 2
                 continue
 
         # the replaced worst vertex goes after every vertex it ties with
-        del verts[4], vals[4]
+        del verts[2], vals[2]
         k = bisect_right(vals, g_new)
         verts.insert(k, x_new)
         vals.insert(k, g_new)
 
-    psi, phi1, th1, th2 = verts[0]
-    a, b, c = g(verts[0], terms=True)
-    phi2 = atan2(c, b)
+    phi1, th1 = verts[0]
+    t, g = profile(phi1, th1, matrix=True)
+    psi, th2, phi2 = _zyz(_bob_rotation(g, -vals[0] - t))
+    a, b, c = _azimuth_terms(coef, (psi, phi1, th1, th2))
     return a + b * cos(phi2) + c * sin(phi2), [psi, phi1, th1, 0.0, phi2, th2], n_eval + 1
 
 

@@ -138,11 +138,14 @@ def max_chsh_over_unitaries(
     Multistart Nelder-Mead: `restarts` seeded random starts in the
     6-parameter box, best value wins (ties keep the earliest start).
     The landscape has symmetric local optima, so multistart is mandatory.
-    Deterministic for fixed (restarts, seed).  Each search walks four
-    coordinates (`_kernels.maximize_chsh`): only psi1 + psi2 enters, so
-    the returned p2 has psi = 0 and p1's psi carries the pair's sum, and
-    Bob's phi is solved exactly from the other four.  restarts and seed
-    must be Python or numpy integers, as in `chsh.sample_estimate`.
+    Deterministic for fixed (restarts, seed).  Each search walks only
+    Alice's phi and theta (`_kernels.maximize_chsh`), from the start's
+    two entries for them: the objective is linear in Bob's rotation, so
+    its maximum over Bob's unitary is exact at every step, and Bob's
+    angles are read from that rotation at the end.  Only psi1 + psi2
+    enters, so the returned p2 has psi = 0 and p1's psi carries the
+    pair's sum.  restarts and seed must be Python or numpy integers, as
+    in `chsh.sample_estimate`.
     """
     restarts = _integer("restarts", restarts)
     seed = _integer("seed", seed)

@@ -223,10 +223,20 @@ class TestMaximizeOverUnitaries:
         assert a[0] == b[0]
         assert a[1] == b[1]
 
-    def test_argmax_attains_value(self):
-        angles = CanonicalAngles(theta=1.2, phi=0.9)
-        value, (p1, p2) = max_chsh_over_unitaries(0.35, angles, restarts=10, seed=1)
-        assert rotated_chsh(0.35, angles, p1, p2) == pytest.approx(value, abs=1e-9)
+    @pytest.mark.parametrize(
+        "e, theta, phi",
+        [(0.35, 1.2, 0.9)] + [
+            (e, theta, phi)
+            for e in (0.0, 0.25, 0.5)
+            for theta in (0.0, np.pi / 4, np.pi / 2)
+            for phi in (0.0, np.pi / 4, np.pi / 2)
+        ],
+    )
+    def test_argmax_attains_value(self, e, theta, phi):
+        # the dense route re-scores the returned unitaries, on the f1 subgrid too
+        angles = CanonicalAngles(theta=theta, phi=phi)
+        value, (p1, p2) = max_chsh_over_unitaries(e, angles, restarts=10, seed=1)
+        assert rotated_chsh(e, angles, p1, p2) == pytest.approx(value, abs=1e-12)
 
     def test_matches_closed_form_on_f1_subgrid(self):
         # every other point of verify f1's 5x5x5 grid, boundary faces included
@@ -236,6 +246,19 @@ class TestMaximizeOverUnitaries:
                     angles = CanonicalAngles(theta=theta, phi=phi)
                     value, _ = max_chsh_over_unitaries(e, angles, restarts=20)
                     assert value == pytest.approx(max_chsh_closed_form(e, angles.delta), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [21, 22], ids=["uniform", "near-maximal"])
+    def test_no_stall_near_maximal_entanglement(self, seed):
+        # 40 random points each: E uniform in [0, 1/2), or E = 1/2 - 10^U(-6,-1)
+        # where the 4-coordinate simplex once collapsed short of the maximum
+        # (2.1e-11 and 1.3e-10 below it on these two sets)
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            e = float(rng.uniform(0.0, 0.5)) if seed == 21 else 0.5 - 10 ** rng.uniform(-6, -1)
+            theta, phi = rng.uniform(0.0, np.pi / 2, 2)
+            angles = CanonicalAngles(theta=float(theta), phi=float(phi))
+            value, _ = max_chsh_over_unitaries(e, angles, restarts=20, seed=0)
+            assert value == pytest.approx(max_chsh_closed_form(e, angles.delta), abs=1e-12)
 
     def test_rejects_bad_restarts(self):
         with pytest.raises(OutOfRangeError):
