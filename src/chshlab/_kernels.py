@@ -1,4 +1,4 @@
-"""Hot kernels, in plain Python.
+"""Hot kernels, in Python; Bob's 4x4 eigensolves go through numpy's LAPACK.
 
 BACKEND names the implementation; perfbench/run.py records it.
 
@@ -19,27 +19,31 @@ Of the six unitary parameters the objective sees five.  U(psi, phi, theta)
 = U(0, phi, theta) diag(e^{i psi/2}, e^{-i psi/2}), and on the Schmidt state
 the two diagonal factors give e^{i(psi1+psi2)/2} sqrt(E)|00> +
 e^{-i(psi1+psi2)/2} sqrt(1-E)|11>: only psi1 + psi2 enters, for every
-operator S.  chsh_objective reads the five through one formula,
-_azimuth_terms: a + b cos phi2 + c sin phi2 at (psi1 + psi2, phi1, theta1,
-theta2).
+operator S.  So Alice's rotation is taken at psi1 = 0 and Bob's at psi1 +
+psi2.
 
-The search walks two of them.  The objective is linear in Bob's rotation:
-at Alice's rotation it is t + tr(G M2^T) for a 3x3 G (_alice_profile), and
-its maximum over M2 in SO(3) is exact, s1 + s2 + sign(det G) s3 from G's
-singular values (Horn, JOSA A 4, 629 (1987); Umeyama, IEEE TPAMI 13, 376
-(1991)), read off a quartic in |G|_F^2, |cof G|_F and det G with no SVD.
-Bob's psi2 covers psi1 + psi2, so Alice's psi1 is 0, and the simplex climbs
-that maximum over Alice's (phi1, theta1) alone.  At its end Bob's rotation
-comes from the top eigenvector of Horn's 4x4 matrix, its Euler angles are
-read, and psi2 moves to Alice, so Bob's returned psi is 0.  The simplex
-needs no derivatives, and no step of the search reads the closed-form
-maximum, so it remains an independent oracle for it.
+The objective is linear in Bob's rotation: at Alice's U(0, phi1, theta1)
+it is t + tr(G M2^T) for a 3x3 G (_alice_profile), and chsh_objective
+reads it so, with M2 = Rz(psi1 + psi2) Ry(theta2) Rz(phi2) (_rotation).
+Its maximum over M2 in SO(3) is s1 + s2 + sign(det G) s3 from G's singular
+values, the largest eigenvalue of Horn's symmetric 4x4 matrix N(G)
+(_horn; Horn, JOSA A 4, 629 (1987); Umeyama, IEEE TPAMI 13, 376 (1991)).
+Where det G = 0 that eigenvalue has a closed form, and elsewhere numpy's
+eigvalsh reads it.  The simplex climbs that maximum over Alice's (phi1,
+theta1) alone.  At its end Bob's rotation comes from N's top eigenvector
+(numpy's eigh), its Euler angles are read, and psi2 moves to Alice, so
+Bob's returned psi is 0.  The simplex needs no derivatives, and no step of
+the search reads the closed-form maximum, so it remains an independent
+oracle for it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from math import atan2, cos, sin, sqrt
+from operator import mul
+
+import numpy as np
 
 BACKEND = "python"
 
@@ -49,10 +53,6 @@ _NM_SHRINK = 0.5
 _NM_STEP = 0.5
 _NM_DIAMETER_TOL = 1e-9
 _NM_MAX_ITER = 5000
-_NEWTON_MAX_ITER = 100
-# relative to x: at 1e-10, Horn's top two eigenvalues within about that of
-# each other (random S near E = 1e-22) left the rotation up to 1.6e-11 short
-_HORN_SHIFT = 1e-13
 _PLATEAU_WINDOW = 500
 _PLATEAU_RTOL = 1e-12
 
@@ -84,35 +84,21 @@ def _pauli_coefficients(s, e):
     )
 
 
-def _azimuth_terms(coef, z):
-    """(a, b, c) with the objective = a + b cos phi2 + c sin phi2 at z = (psi1 + psi2, phi1, theta1, theta2).
-
-    coef is from _pauli_coefficients.  U(psi, phi, theta) rotates Bloch
-    vectors by M^T, M = Rz(psi) Ry(theta) Rz(phi), and U1 = U(psi1 + psi2,
-    phi1, theta1), U2 = U(0, phi2, theta2) give the same vector as the six
-    parameters (module docstring).  With p_k, q_k the rows of M1, M2 the
-    objective is
-      c_00 + (2E-1)(c_A . p_z + c_B . q_z) + C(p_x.Kq_x - p_y.Kq_y) + p_z.Kq_z.
-    Bob's rows are (ct cf, -ct sf, st), (sf, cf, 0) and (-st cf, st sf, ct),
-    with ct, st, cf, sf the cosines and sines of theta2 and phi2.  Collecting
-    their cf and sf terms gives
-      a = c_00 + (2E-1)(c_A . p_z + c_0z ct) + C st (p_x.K_z) + ct (p_z.K_z),
-      b = C (ct (p_x.K_x) - k_yy p_y,y) - st ((2E-1) c_0x + p_z.K_x),
-      c = k_yy p_z,y st - C (k_yy p_x,y ct + p_y.K_x),
-    and K_x, K_z are K's x and z columns.
-    """
-    c00, ax, az, bx, bz, conc, kxx, kxz, kzx, kzz, kyy = coef
-    psi, phi1, th1, th2 = z
-    cp, sp, ct, st, cf, sf = cos(psi), sin(psi), cos(th1), sin(th1), cos(phi1), sin(phi1)
+def _rotation(psi, theta, phi):
+    """Rz(psi) Ry(theta) Rz(phi) row-major: the rotation _zyz reads the angles of."""
+    cp, sp, ct, st, cf, sf = cos(psi), sin(psi), cos(theta), sin(theta), cos(phi), sin(phi)
     u, v = cp * ct, sp * ct
-    p0, p1, p2 = u * cf - sp * sf, -u * sf - sp * cf, cp * st
-    p3, p4, p5 = v * cf + cp * sf, cp * cf - v * sf, sp * st
-    p6, p7, p8 = -st * cf, st * sf, ct
-    ct, st = cos(th2), sin(th2)
-    a = c00 + ax * p6 + az * p8 + bz * ct + conc * st * (kxz * p0 + kzz * p2) + ct * (kxz * p6 + kzz * p8)
-    b = conc * (ct * (kxx * p0 + kzx * p2) - kyy * p4) - st * (bx + kxx * p6 + kzx * p8)
-    c = kyy * p7 * st - conc * (kyy * p1 * ct + kxx * p3 + kzx * p5)
-    return a, b, c
+    return (
+        u * cf - sp * sf, -u * sf - sp * cf, cp * st,
+        v * cf + cp * sf, cp * cf - v * sf, sp * st,
+        -st * cf, st * sf, ct,
+    )
+
+
+def _objective(profile, psi, phi1, th1, th2, phi2):
+    """t + tr(G M2^T), (t, G) the profile's terms at (phi1, theta1) and M2 = _rotation(psi, theta2, phi2)."""
+    t, g = profile(phi1, th1, matrix=True)
+    return t + sum(map(mul, g, _rotation(psi, th2, phi2)))
 
 
 def chsh_objective(s, e, x):
@@ -123,28 +109,29 @@ def chsh_objective(s, e, x):
     enters (module docstring).
     """
     psi1, phi1, th1, psi2, phi2, th2 = map(float, x)
-    a, b, c = _azimuth_terms(_pauli_coefficients(s, e), (psi1 + psi2, phi1, th1, th2))
-    return a + b * cos(phi2) + c * sin(phi2)
+    return _objective(_alice_profile(_pauli_coefficients(s, e)), psi1 + psi2, phi1, th1, th2, phi2)
 
 
 def _alice_profile(coef):
     """(phi1, theta1) -> the objective's maximum over Bob's rotation, at Alice's U(0, phi1, theta1).
 
-    coef is from _pauli_coefficients.  Alice's rows are p_x = (ct cf, -ct
-    sf, st), p_y = (sf, cf, 0) and p_z = (-st cf, st sf, ct), with ct, st,
-    cf, sf the cosines and sines of theta1 and phi1.  The objective of
-    _azimuth_terms is t + tr(G M2^T), linear in Bob's rotation M2: t = c_00
-    + (2E-1) c_A . p_z, and G has rows g_k = D_k p_k K with D = (C, -C, 1),
-    plus (2E-1) c_B on the z row.  With matrix=True the profile returns (t,
-    G), G row-major; otherwise t + x with x = max over M in SO(3) of tr(G
-    M^T) = s1 + s2 + sign(det G) s3, from G's singular values (Horn, JOSA
-    A 4, 629 (1987); Umeyama, IEEE TPAMI 13, 376 (1991)).  x is the largest
-    root of (x^2 - a)^2 - 8dx - 4b^2, with a = |G|_F^2, b = |cof G|_F and d
-    = det G, the characteristic polynomial of Horn's matrix
-    (_bob_rotation).  At d = 0 that root is sqrt(a + 2b) exactly.  d is
-    exactly 0 when k_yy = 0, as for every canonical setting (its axes lie
-    in the xz plane): G's y column is then zero.  Otherwise _largest_root
-    refines the root.
+    coef is from _pauli_coefficients.  U(psi, phi, theta) rotates Bloch
+    vectors by M^T, M = _rotation(psi, theta, phi).  With p_k, q_k the rows
+    of Alice's M1 and Bob's M2 the objective is
+      c_00 + (2E-1)(c_A . p_z + c_B . q_z) + C(p_x.Kq_x - p_y.Kq_y) + p_z.Kq_z,
+    that is t + tr(G M2^T) with t = c_00 + (2E-1) c_A . p_z and G with rows
+    g_k = D_k p_k K, D = (C, -C, 1), plus (2E-1) c_B on the z row.  At psi1
+    = 0 Alice's rows are p_x = (ct cf, -ct sf, st), p_y = (sf, cf, 0) and
+    p_z = (-st cf, st sf, ct), with ct, st, cf, sf the cosines and sines of
+    theta1 and phi1.  With
+    matrix=True the profile returns (t, G), G row-major; otherwise t + x
+    with x = max over M in SO(3) of tr(G M^T), the largest eigenvalue of
+    _horn(G).  Its characteristic polynomial is (x^2 - a)^2 - 8dx - 4b^2,
+    with a = |G|_F^2, b = |cof G|_F and d = det G, so at d = 0 x is sqrt(a
+    + 2b) exactly.  d is exactly 0 when k_yy = 0, as for every canonical
+    setting (its axes lie in the xz plane): G's y column is then zero.
+    Otherwise eigvalsh reads x, well conditioned where the quartic's root
+    is multiple.
     """
     c00, ax, az, bx, bz, conc, kxx, kxz, kzx, kzz, kyy = coef
 
@@ -159,81 +146,40 @@ def _alice_profile(coef):
             return t, (g0, g1, g2, g3, g4, g5, g6, g7, g8)
         # cofactors, row by row: cross products of the other two rows
         c0, c1, c2 = g4 * g8 - g5 * g7, g5 * g6 - g3 * g8, g3 * g7 - g4 * g6
+        if g0 * c0 + g1 * c1 + g2 * c2 != 0.0:
+            return t + float(np.linalg.eigvalsh(_horn((g0, g1, g2, g3, g4, g5, g6, g7, g8)))[-1])
         c3, c4, c5 = g7 * g2 - g8 * g1, g8 * g0 - g6 * g2, g6 * g1 - g7 * g0
         c6, c7, c8 = g1 * g5 - g2 * g4, g2 * g3 - g0 * g5, g0 * g4 - g1 * g3
         a = g0 * g0 + g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4 + g5 * g5 + g6 * g6 + g7 * g7 + g8 * g8
         bb = c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3 + c4 * c4 + c5 * c5 + c6 * c6 + c7 * c7 + c8 * c8
-        x = sqrt(a + 2.0 * sqrt(bb))
-        d = g0 * c0 + g1 * c1 + g2 * c2
-        return t + (x if d == 0.0 else _largest_root(x, a, bb, d))
+        return t + sqrt(a + 2.0 * sqrt(bb))
 
     return profile
 
 
-def _largest_root(x, a, bb, d):
-    """The largest root of (x^2 - a)^2 - 8dx - 4bb by Newton's method from x = sqrt(a + 2 sqrt(bb)).
+def _horn(g):
+    """Horn's symmetric 4x4 matrix N for G row-major: q^T N q = tr(G R(q)^T) for a unit quaternion q.
 
-    The polynomial is convex right of sqrt(a/3), and both the start and
-    the largest root lie there: each is at least s1 >= sqrt(a/3).  So after
-    at most one step up (d > 0) the iterates fall monotonically onto the
-    root, and the loop stops when they stop falling.
+    R(q) is the rotation of q = (w, i, j, k) that _bob_rotation writes out.
     """
-    for k in range(_NEWTON_MAX_ITER):
-        y = x * x - a
-        slope = 4.0 * x * y - 8.0 * d
-        if slope <= 0.0:
-            break
-        nxt = x - (y * y - 8.0 * d * x - 4.0 * bb) / slope
-        if k and nxt >= x:
-            break
-        x = nxt
-    return x
+    g0, g1, g2, g3, g4, g5, g6, g7, g8 = g
+    return np.array([
+        [g0 + g4 + g8, g7 - g5, g2 - g6, g3 - g1],
+        [g7 - g5, g0 - g4 - g8, g1 + g3, g2 + g6],
+        [g2 - g6, g1 + g3, g4 - g0 - g8, g5 + g7],
+        [g3 - g1, g2 + g6, g5 + g7, g8 - g0 - g4],
+    ])
 
 
-def _bob_rotation(g, x):
-    """The M in SO(3) with tr(G M^T) = x, the maximum, for G row-major; M row-major.
+def _bob_rotation(g):
+    """An M in SO(3) maximizing tr(G M^T), for G row-major; M row-major.
 
-    Horn's symmetric 4x4 matrix N has q^T N q = tr(G R(q)^T) for a unit
-    quaternion q, and its largest eigenvalue is x.  Two steps of inverse
-    iteration at the shift mu = x + _HORN_SHIFT x find its eigenvector:
-    the first applies (N - mu I)^-1 to the four unit vectors and keeps the
-    longest column, and the second applies it once more.  Some unit vector
-    puts at least a quarter of its squared length in the top eigenspace,
-    so the longest column lies along that eigenspace.  Any unit
-    vector of that eigenspace attains x, so a degenerate top eigenvalue
-    (rank-1 G, as at E = 0) needs no special case.
+    M is the rotation of the top eigenvector of _horn(G), from numpy's eigh.
+    Any unit vector of the top eigenspace attains the maximum, so a
+    degenerate top eigenvalue (rank-1 G, as at E = 0, or G = 0) needs no
+    special case.
     """
-    if x == 0.0:  # G = 0 (or its squares underflow): every rotation attains 0
-        return 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
-    # scaled to a largest entry of 1, so (N - mu I)^-1 neither overflows nor underflows
-    m = max(map(abs, g))
-    g0, g1, g2, g3, g4, g5, g6, g7, g8 = (v / m for v in g)
-    mu = (x + _HORN_SHIFT * x) / m
-    rows = [
-        [g0 + g4 + g8 - mu, g7 - g5, g2 - g6, g3 - g1, 1.0, 0.0, 0.0, 0.0],
-        [g7 - g5, g0 - g4 - g8 - mu, g1 + g3, g2 + g6, 0.0, 1.0, 0.0, 0.0],
-        [g2 - g6, g1 + g3, g4 - g0 - g8 - mu, g5 + g7, 0.0, 0.0, 1.0, 0.0],
-        [g3 - g1, g2 + g6, g5 + g7, g8 - g0 - g4 - mu, 0.0, 0.0, 0.0, 1.0],
-    ]
-    # Gauss-Jordan with partial pivoting turns rows into [I | (N - mu I)^-1]
-    for col in range(4):
-        piv = max(range(col, 4), key=lambda r: abs(rows[r][col]))
-        rows[col], rows[piv] = rows[piv], rows[col]
-        top = rows[col]
-        inv = 1.0 / top[col]
-        for j in range(col, 8):
-            top[j] *= inv
-        for r in range(4):
-            f = rows[r][col]
-            if r != col and f:
-                row = rows[r]
-                for j in range(col, 8):
-                    row[j] -= f * top[j]
-    inverse = [row[4:] for row in rows]
-    q = max(zip(*inverse), key=lambda col: sum(v * v for v in col))
-    w, i, j, k = (sum(a * b for a, b in zip(row, q)) for row in inverse)
-    n = sqrt(w * w + i * i + j * j + k * k)
-    w, i, j, k = w / n, i / n, j / n, k / n
+    w, i, j, k = np.linalg.eigh(_horn(g))[1][:, -1].tolist()
     return (
         w * w + i * i - j * j - k * k, 2.0 * (i * j - w * k), 2.0 * (i * k + w * j),
         2.0 * (i * j + w * k), w * w - i * i + j * j - k * k, 2.0 * (j * k - w * i),
@@ -242,7 +188,7 @@ def _bob_rotation(g, x):
 
 
 def _zyz(r):
-    """(psi, theta, phi) with Rz(psi) Ry(theta) Rz(phi) = r, for r in SO(3) row-major.
+    """(psi, theta, phi) with _rotation(psi, theta, phi) = r, for r in SO(3) row-major.
 
     psi is read from r's z column, and theta and phi from Rz(-psi) r =
     Ry(theta) Rz(phi), whose y row is (sin phi, cos phi, 0).  So the three
@@ -279,8 +225,7 @@ def maximize_chsh(s, e, x0):
     params; evaluations counts the simplex's evaluations and that final
     objective.
     """
-    coef = _pauli_coefficients(s, e)
-    profile = _alice_profile(coef)
+    profile = _alice_profile(_pauli_coefficients(s, e))
 
     def f(pt):
         return -profile(*pt)
@@ -335,10 +280,8 @@ def maximize_chsh(s, e, x0):
         vals.insert(k, g_new)
 
     phi1, th1 = verts[0]
-    t, g = profile(phi1, th1, matrix=True)
-    psi, th2, phi2 = _zyz(_bob_rotation(g, -vals[0] - t))
-    a, b, c = _azimuth_terms(coef, (psi, phi1, th1, th2))
-    return a + b * cos(phi2) + c * sin(phi2), [psi, phi1, th1, 0.0, phi2, th2], n_eval + 1
+    psi, th2, phi2 = _zyz(_bob_rotation(profile(phi1, th1, matrix=True)[1]))
+    return _objective(profile, psi, phi1, th1, th2, phi2), [psi, phi1, th1, 0.0, phi2, th2], n_eval + 1
 
 
 def _proj_cone(y0, y1, y2, y3):

@@ -5,7 +5,7 @@ unitary search, the closed-form maximum and the nonlocality region."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, cos, pi, sin, sqrt
+from math import atan2, cos, isfinite, pi, sin, sqrt
 
 import numpy as np
 
@@ -90,20 +90,34 @@ class UnitaryParams:
     [0,pi]; the generated matrix is 4pi-periodic so out-of-range values
     wrap rather than error.  On a Schmidt state only the sum of the two
     parties' psi matters, so the pair max_chsh_over_unitaries returns
-    has psi = 0 for Bob.
+    has psi = 0 for Bob.  Each angle must be a finite real number, or
+    OutOfRangeError.
     """
 
     psi: float
     phi: float
     theta: float
 
+    def __post_init__(self):
+        for name in ("psi", "phi", "theta"):
+            value = _real(name, getattr(self, name))
+            try:
+                finite = isfinite(value)
+            except OverflowError:  # an int past the float range
+                finite = False
+            if not finite:
+                raise OutOfRangeError(f"{name} {value!r} is not a finite angle")
+
 
 def local_unitary(params: UnitaryParams) -> np.ndarray:
     """2x2 unitary with cos(θ/2) phases on the diagonal, sin(θ/2) off it."""
-    a = 0.5 * (params.psi + params.phi)
-    b = 0.5 * (params.psi - params.phi)
-    c = cos(0.5 * params.theta)
-    s = sin(0.5 * params.theta)
+    # as floats, so a float32 angle gives its float64 twin's complex128 matrix
+    psi, phi, theta = float(params.psi), float(params.phi), float(params.theta)
+    # halved before summing, so angles near float max stay finite
+    a = 0.5 * psi + 0.5 * phi
+    b = 0.5 * psi - 0.5 * phi
+    c = cos(0.5 * theta)
+    s = sin(0.5 * theta)
     return np.array(
         [
             [c * np.exp(1j * a), s * np.exp(-1j * b)],

@@ -23,7 +23,7 @@ from .compat import (
     coexistence_criterion,
     sharpness_threshold,
 )
-from .entanglement import CanonicalAngles, max_chsh_closed_form, max_chsh_over_unitaries
+from .entanglement import CanonicalAngles, max_chsh_closed_form, max_chsh_over_unitaries, rotated_chsh
 from .linalg import I2
 from .measurement import (
     BinaryPovm,
@@ -38,16 +38,22 @@ INCOMPATIBLE_FACTOR = 10.0
 
 
 def f1(seed: int) -> list[dict]:
-    """Multistart search vs the closed form on a 5x5x5 (E, theta, phi) grid."""
+    """Multistart search vs the closed form on a 5x5x5 (E, theta, phi) grid,
+    and the returned unitaries re-scored by the dense `rotated_chsh`."""
     worst = 0.0
+    worst_argmax = 0.0
     for e in np.linspace(0.0, 0.5, 5):
         for th in np.linspace(0.0, pi / 2, 5):
             for ph in np.linspace(0.0, pi / 2, 5):
                 angles = CanonicalAngles(theta=float(th), phi=float(ph))
-                got, _ = max_chsh_over_unitaries(float(e), angles, restarts=20, seed=seed)
+                got, (p1, p2) = max_chsh_over_unitaries(float(e), angles, restarts=20, seed=seed)
                 want = max_chsh_closed_form(float(e), angles.delta)
                 worst = max(worst, abs(got - want))
-    return [{"check": "closed_vs_numeric", "max_dev": worst, "tol": 1e-6}]
+                worst_argmax = max(worst_argmax, abs(rotated_chsh(float(e), angles, p1, p2) - got))
+    return [
+        {"check": "closed_vs_numeric", "max_dev": worst, "tol": 1e-6},
+        {"check": "argmax_attains_value", "max_dev": worst_argmax, "tol": 1e-9},
+    ]
 
 
 def random_projective_setting(rng) -> ChshSetting:

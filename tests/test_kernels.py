@@ -18,6 +18,7 @@ from chshlab.entanglement import (
     rotated_chsh,
     schmidt_state,
 )
+from chshlab.linalg import SX, SY, SZ
 
 
 def _operator(theta, phi):
@@ -144,17 +145,11 @@ def _along_phi2(s, e, x):
     e=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
     x=st.lists(_ANGLE, min_size=6, max_size=6),
 )
-def test_objective_is_first_order_in_phi2(entries, e, x):
-    # along Bob's phi2 the objective is a + b cos phi2 + c sin phi2, the
-    # terms chsh_objective reads, so a + hypot(b, c) is its exact maximum there
+def test_returned_phi2_tops_the_phi2_grid(entries, e, x):
+    # the phi2 maximize_chsh returns tops the dense grid along Bob's phi2
+    # through its other five parameters
     m = np.array(entries).reshape(4, 4)
     s = ((m + m.T) / 2).ravel()
-    psi1, phi1, th1, psi2, _, th2 = x
-    a, b, c = _kernels._azimuth_terms(_kernels._pauli_coefficients(s, e), (psi1 + psi2, phi1, th1, th2))
-    along = _along_phi2(s, e, x)
-    assert np.max(np.abs(along - (a + b * np.cos(_PHI2_GRID) + c * np.sin(_PHI2_GRID)))) <= 1e-12
-    assert a + np.hypot(b, c) >= np.max(along) - 1e-12
-    # the phi2 maximize_chsh returns tops the grid through its other five parameters
     value, best, _ = _kernels.maximize_chsh(s, e, x)
     assert value >= np.max(_along_phi2(s, e, best)) - 1e-12
 
@@ -185,25 +180,55 @@ def _random_operator(rng):
 @given(theta=_QUARTER, phi=_QUARTER, e=_E, phi1=_ANGLE, th1=_ANGLE)
 def test_bob_maximum_is_svd_maximum_on_canonical_settings(theta, phi, e, phi1, th1):
     # a canonical setting's K has a zero y row and column, so det G is
-    # exactly 0 and the maximum is sqrt(a + 2b), with no Newton step
+    # exactly 0 and the maximum is sqrt(a + 2b), with no eigensolve
     value, t, g = _profile_terms(_operator(theta, phi), e, phi1, th1)
     assert np.linalg.det(g) == 0.0
     assert value - t == pytest.approx(_svd_maximum(g), abs=1e-12)
 
 
 def test_bob_maximum_is_svd_maximum_on_random_operators(rng):
-    # det G != 0 but at E = 0, where G's x and y rows vanish: Newton's method
-    # on the quartic.  It loses digits where G's two smaller singular values
-    # nearly cancel (s2 = s3 with det G < 0 is a double root), so a random S
-    # is held to 1e-11; 20 000 such draws read at most 2.4e-13.  A built S
-    # can sit on such a root: sx.sx + sy.sy + sz.sz at E = 1/2 reads 1.8e-5
+    # det G != 0 but at E = 0, where G's x and y rows vanish: the largest
+    # eigenvalue of Horn's matrix, read by eigvalsh
     for k in range(2000):
         s = _random_operator(rng)
         e = (0.0, 0.5, float(rng.uniform(0.0, 0.5)))[k % 3]
         phi1, th1 = rng.uniform(-4 * np.pi, 4 * np.pi, 2)
         value, t, g = _profile_terms(s, e, phi1, th1)
         assert (np.linalg.det(g) != 0.0) == (e != 0.0)
-        assert value - t == pytest.approx(_svd_maximum(g), abs=1e-11)
+        assert value - t == pytest.approx(_svd_maximum(g), abs=1e-12)
+
+
+# sx.sx + sy.sy + sz.sz: K = I, so at E = 1/2 G = diag(1, -1, 1) M1 has
+# s1 = s2 = s3 = 1 with det G < 0, and at E = 0.4 s2 = s3 < s1.  The maximum
+# s1 + s2 - s3 is then a multiple eigenvalue of Horn's matrix, where a root
+# of its characteristic quartic loses most of its digits
+_HEISENBERG = sum(np.kron(p, p) for p in (SX, SY, SZ)).real
+
+
+@pytest.mark.parametrize("e", [0.5, 0.4])
+def test_bob_maximum_at_a_multiple_eigenvalue(rng, e):
+    s = _HEISENBERG.ravel()
+    for phi1, th1 in rng.uniform(-4 * np.pi, 4 * np.pi, (50, 2)):
+        value, t, g = _profile_terms(s, e, phi1, th1)
+        assert np.linalg.det(g) < 0.0
+        assert value - t == pytest.approx(_svd_maximum(g), abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entries=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+    exponent=st.floats(-12.0, -6.0),
+    e=_E,
+    phi1=_ANGLE,
+    th1=_ANGLE,
+)
+def test_bob_maximum_near_a_multiple_eigenvalue(entries, exponent, e, phi1, th1):
+    # a symmetric perturbation of size 10^exponent splits the multiple
+    # eigenvalue into a cluster of that width
+    a = np.reshape(entries, (4, 4))
+    s = _HEISENBERG + 10.0**exponent * (a + a.T) / 2
+    value, t, g = _profile_terms(s.ravel(), e, phi1, th1)
+    assert value - t == pytest.approx(_svd_maximum(g), abs=1e-12)
 
 
 def _rz(a):
@@ -214,13 +239,14 @@ def _ry(a):
     return np.array([[np.cos(a), 0.0, np.sin(a)], [0.0, 1.0, 0.0], [-np.sin(a), 0.0, np.cos(a)]])
 
 
-def _closing_rotation(g, x):
-    """Horn's rotation for G at its maximum x, checked to lie in SO(3), and its ZYZ angles."""
-    r = np.reshape(_kernels._bob_rotation(tuple(g.ravel()), x), (3, 3))
+def _closing_rotation(g):
+    """Horn's rotation for G, checked to lie in SO(3), and its ZYZ angles."""
+    r = np.reshape(_kernels._bob_rotation(tuple(g.ravel())), (3, 3))
     assert np.max(np.abs(r @ r.T - np.eye(3))) <= 1e-14
     assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-14)
     psi, theta, phi = _kernels._zyz(tuple(r.ravel()))
-    rebuilt = _rz(psi) @ _ry(theta) @ _rz(phi)
+    rebuilt = np.reshape(_kernels._rotation(psi, theta, phi), (3, 3))
+    assert np.max(np.abs(rebuilt - _rz(psi) @ _ry(theta) @ _rz(phi))) <= 1e-15
     assert np.max(np.abs(rebuilt - r)) <= 1e-14
     return rebuilt, theta
 
@@ -231,7 +257,7 @@ def test_closing_rotation_attains_bob_maximum(theta, phi, e, phi1, th1):
     # at E = 0, G has rank 1 and the top eigenvector of Horn's matrix is not
     # unique: any vector of its eigenspace must serve
     value, t, g = _profile_terms(_operator(theta, phi), e, phi1, th1)
-    rebuilt, _ = _closing_rotation(g, value - t)
+    rebuilt, _ = _closing_rotation(g)
     assert np.sum(g * rebuilt) == pytest.approx(value - t, abs=1e-12)
 
 
@@ -239,7 +265,7 @@ def test_closing_rotation_attains_bob_maximum_on_random_operators(rng):
     for k in range(500):
         e = (0.0, 0.5, float(rng.uniform(0.0, 0.5)))[k % 3]
         value, t, g = _profile_terms(_random_operator(rng), e, *rng.uniform(-4 * np.pi, 4 * np.pi, 2))
-        rebuilt, _ = _closing_rotation(g, value - t)
+        rebuilt, _ = _closing_rotation(g)
         assert np.sum(g * rebuilt) == pytest.approx(_svd_maximum(g), abs=1e-12)
 
 
@@ -253,7 +279,7 @@ def test_closing_rotation_at_gimbal_lock(rng, theta):
         r0 = _rz(rng.uniform(-np.pi, np.pi)) @ _ry(theta) @ _rz(rng.uniform(-np.pi, np.pi))
         g = (a @ a.T + 0.1 * np.eye(3)) @ r0
         want = _svd_maximum(g)
-        rebuilt, read = _closing_rotation(g, want)
+        rebuilt, read = _closing_rotation(g)
         assert np.sum(g * rebuilt) == pytest.approx(want, abs=1e-12)
         assert abs(abs(read) - theta) <= 1e-9  # theta = pi may read as -pi
 

@@ -31,11 +31,14 @@ from chshlab.measurement import (
 )
 from chshlab.entanglement import (
     CanonicalAngles,
+    UnitaryParams,
     canonical_setting,
     incompatibility_monotonicity,
+    local_unitary,
     max_chsh_closed_form,
     max_chsh_over_unitaries,
     nonlocality_region,
+    rotated_chsh,
     schmidt_state,
 )
 
@@ -463,11 +466,15 @@ _HALF_SHARP = noisy_pauli_povm(Z_AXIS, 0.5), noisy_pauli_povm(X_AXIS, 0.5)
         (lambda: incompatibility_monotonicity("0.3"), "entanglement parameter", "0.3"),
         (lambda: max_chsh_over_unitaries("0.3", CanonicalAngles(1.0, 1.0)), "entanglement parameter", "0.3"),
         (lambda: parent_povm_search(*_HALF_SHARP, tol="1e-9"), "tol", "1e-9"),
+        (lambda: UnitaryParams("a", 0.0, 0.0), "psi", "a"),
+        (lambda: UnitaryParams(0.0, None, 0.0), "phi", None),
+        (lambda: UnitaryParams(0.0, 0.0, True), "theta", True),
     ],
     ids=[
         "noisy-povm-str", "noisy-povm-none", "noisy-povm-array", "noisy-povm-bool", "noisy-family",
         "schmidt-state", "closed-form-delta", "closed-form-complex-e", "canonical-theta", "canonical-phi",
         "nonlocality-region", "monotonicity", "max-over-unitaries", "parent-search-tol",
+        "unitary-psi-str", "unitary-phi-none", "unitary-theta-bool",
     ],
 )
 def test_non_real_scalar_is_refused(call, name, value):
@@ -478,6 +485,33 @@ def test_non_real_scalar_is_refused(call, name, value):
     assert str(exc.value) == f"{name} must be a real number, got {value!r}"
 
 
+@pytest.mark.parametrize(
+    "params, name, value",
+    [
+        ((np.nan, 0.0, 0.0), "psi", np.nan),
+        ((0.0, np.inf, 0.0), "phi", np.inf),
+        ((0.0, 0.0, -np.inf), "theta", -np.inf),
+        ((10**400, 0.0, 0.0), "psi", 10**400),
+    ],
+    ids=["psi-nan", "phi-inf", "theta-minus-inf", "psi-int-past-float-range"],
+)
+def test_non_finite_angle_is_refused(params, name, value):
+    """A NaN angle built a NaN unitary silently, and ±inf raised numpy's
+    RuntimeWarning in local_unitary."""
+    with pytest.raises(OutOfRangeError) as exc:
+        UnitaryParams(*params)
+    assert str(exc.value) == f"{name} {value!r} is not a finite angle"
+
+
+def test_angles_near_float_max_stay_finite():
+    # psi + phi overflowed to inf before the halving
+    big = UnitaryParams(1e308, 1e308, 1e308)
+    u = local_unitary(big)
+    assert np.isfinite(u).all()
+    assert np.max(np.abs(u @ u.conj().T - I2)) <= 1e-15
+    assert np.isfinite(rotated_chsh(0.3, CanonicalAngles(1.0, 1.0), big, UnitaryParams(0.0, -1e308, 0.0)))
+
+
 def test_numpy_and_integer_scalars_pass():
     assert noisy_pauli_povm(Z_AXIS, np.float32(0.5)).sharpness == 0.5
     assert noisy_pauli_povm(Z_AXIS, 1).sharpness == 1
@@ -485,6 +519,14 @@ def test_numpy_and_integer_scalars_pass():
     assert max_chsh_closed_form(np.float64(0.5), np.uint8(1)) == max_chsh_closed_form(0.5, 1.0)
     assert CanonicalAngles(theta=np.float16(1.0), phi=0).delta == 0.0
     assert parent_povm_search(*_HALF_SHARP, tol=np.float64(1e-6)).status.value == "Compatible"
+    # a float32 angle built a complex64 unitary, whose state vector missed
+    # norm 1 by 5e-9 and was refused by rotated_chsh
+    narrow = UnitaryParams(np.float32(1.0), np.float16(0.3), np.int64(2))
+    twin = UnitaryParams(1.0, float(np.float16(0.3)), 2.0)
+    assert np.array_equal(local_unitary(narrow), local_unitary(twin))
+    assert local_unitary(narrow).dtype == np.complex128
+    angles = CanonicalAngles(1.0, 1.0)
+    assert rotated_chsh(0.3, angles, narrow, twin) == rotated_chsh(0.3, angles, twin, twin)
 
 
 def test_results_holding_arrays_compare_by_identity():
