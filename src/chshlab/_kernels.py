@@ -30,16 +30,16 @@ values, the largest eigenvalue of Horn's symmetric 4x4 matrix N(G)
 (_horn; Horn, JOSA A 4, 629 (1987); Umeyama, IEEE TPAMI 13, 376 (1991)).
 Where det G = 0 that eigenvalue has a closed form, and elsewhere numpy's
 eigvalsh reads it.  The simplex climbs that maximum over Alice's (phi1,
-theta1) alone.  At its end Bob's rotation comes from N's top eigenvector
-(numpy's eigh), its Euler angles are read, and psi2 moves to Alice, so
-Bob's returned psi is 0.  The simplex needs no derivatives, and no step of
-the search reads the closed-form maximum, so it remains an independent
-oracle for it.
+theta1) alone, its three vertices held in nine local floats (per
+evaluation it builds no tuple and sorts no list).  At its end Bob's
+rotation comes from N's top eigenvector (numpy's eigh), its Euler angles
+are read, and psi2 moves to Alice, so Bob's returned psi is 0.  The
+simplex needs no derivatives, and no step of the search reads the
+closed-form maximum, so it remains an independent oracle for it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from math import atan2, cos, sin, sqrt
 from operator import mul
 
@@ -123,24 +123,27 @@ def _alice_profile(coef):
     g_k = D_k p_k K, D = (C, -C, 1), plus (2E-1) c_B on the z row.  At psi1
     = 0 Alice's rows are p_x = (ct cf, -ct sf, st), p_y = (sf, cf, 0) and
     p_z = (-st cf, st sf, ct), with ct, st, cf, sf the cosines and sines of
-    theta1 and phi1.  With
-    matrix=True the profile returns (t, G), G row-major; otherwise t + x
-    with x = max over M in SO(3) of tr(G M^T), the largest eigenvalue of
-    _horn(G).  Its characteristic polynomial is (x^2 - a)^2 - 8dx - 4b^2,
-    with a = |G|_F^2, b = |cof G|_F and d = det G, so at d = 0 x is sqrt(a
-    + 2b) exactly.  d is exactly 0 when k_yy = 0, as for every canonical
-    setting (its axes lie in the xz plane): G's y column is then zero.
-    Otherwise eigvalsh reads x, well conditioned where the quartic's root
-    is multiple.
+    theta1 and phi1.  C K's five entries (C k_xx, C k_xz, C k_zx, C k_zz,
+    C k_yy) are multiplied out once per profile, and both branches read
+    them, so chsh_objective at maximize_chsh's point is its value
+    exactly.  With matrix=True the profile returns (t, G), G row-major;
+    otherwise t + x with x = max over M in SO(3) of tr(G M^T), the largest
+    eigenvalue of _horn(G).  Its characteristic polynomial is (x^2 - a)^2 -
+    8dx - 4b^2, with a = |G|_F^2, b = |cof G|_F and d = det G, so at d = 0
+    x is sqrt(a + 2b) exactly.  d is exactly 0 when k_yy = 0, as for every
+    canonical setting (its axes lie in the xz plane): G's y column is then
+    zero.  Otherwise eigvalsh reads x, well conditioned where the quartic's
+    root is multiple.
     """
     c00, ax, az, bx, bz, conc, kxx, kxz, kzx, kzz, kyy = coef
+    cxx, cxz, czx, czz, cyy = conc * kxx, conc * kxz, conc * kzx, conc * kzz, conc * kyy
 
     def profile(phi1, th1, matrix=False):
         ct, st, cf, sf = cos(th1), sin(th1), cos(phi1), sin(phi1)
         u, v = ct * cf, st * cf
         t = c00 - ax * v + az * ct
-        g0, g1, g2 = conc * (kxx * u + kzx * st), -conc * kyy * ct * sf, conc * (kxz * u + kzz * st)
-        g3, g4, g5 = -conc * kxx * sf, -conc * kyy * cf, -conc * kxz * sf
+        g0, g1, g2 = cxx * u + czx * st, -cyy * ct * sf, cxz * u + czz * st
+        g3, g4, g5 = -cxx * sf, -cyy * cf, -cxz * sf
         g6, g7, g8 = bx + kzx * ct - kxx * v, kyy * st * sf, bz + kzz * ct - kxz * v
         if matrix:
             return t, (g0, g1, g2, g3, g4, g5, g6, g7, g8)
@@ -203,10 +206,17 @@ def _zyz(r):
     return psi, theta, phi
 
 
-def _by_value(verts, vals):
-    """verts and vals sorted by value; ties keep their order."""
-    order = sorted(range(len(vals)), key=vals.__getitem__)
-    return [verts[k] for k in order], [vals[k] for k in order]
+def _ranked(p, q, r):
+    """Vertices (x, y, value) best first by value; ties keep their order.
+
+    The insertions a stable sort makes: q before p if it is larger, then r
+    after every vertex it does not exceed.
+    """
+    if q[2] > p[2]:
+        p, q = q, p
+    if r[2] > q[2]:
+        return (r, p, q) if r[2] > p[2] else (p, r, q)
+    return p, q, r
 
 
 def maximize_chsh(s, e, x0):
@@ -224,64 +234,72 @@ def maximize_chsh(s, e, x0):
     Returns (best_value, best_params[6], evaluations), with psi2 = 0.0 in
     params; evaluations counts the simplex's evaluations and that final
     objective.
+
+    The three vertices are held in nine floats, (phi1, theta1, value) for
+    the best a, the middle v and the worst w.  A reflection g is kept when
+    f_a >= g > f_v; otherwise the step tries an expansion, then an inside
+    or outside contraction, then shrinks toward a.  A new vertex goes
+    after every vertex whose value ties with it, and a shrink re-ranks [a,
+    v', w'] stably (_ranked), so tied vertices keep their age order.
     """
     profile = _alice_profile(_pauli_coefficients(s, e))
-
-    def f(pt):
-        return -profile(*pt)
-
-    _, phi1, th1, _, _, _ = map(float, x0)
+    _, ax, ay, _, _, _ = map(float, x0)
     tol = _NM_DIAMETER_TOL
 
-    # minimize the negated maximum; verts/vals stay sorted, ties in age order
-    verts = [(phi1, th1), (phi1 + _NM_STEP, th1), (phi1, th1 + _NM_STEP)]
-    vals = [f(pt) for pt in verts]
+    (ax, ay, fa), (vx, vy, fv), (wx, wy, fw) = _ranked(
+        (ax, ay, profile(ax, ay)),
+        (ax + _NM_STEP, ay, profile(ax + _NM_STEP, ay)),
+        (ax, ay + _NM_STEP, profile(ax, ay + _NM_STEP)),
+    )
     n_eval = 3
-    verts, vals = _by_value(verts, vals)
 
     for _ in range(_NM_MAX_ITER):
-        (a0, a1), (v0, v1), (w0, w1) = verts
-        if abs(v0 - a0) < tol and abs(v1 - a1) < tol and abs(w0 - a0) < tol and abs(w1 - a1) < tol:
+        if abs(vx - ax) < tol and abs(vy - ay) < tol and abs(wx - ax) < tol and abs(wy - ay) < tol:
             break  # every vertex within tol of the best, coordinate by coordinate
 
         # centroid of all but the worst
-        m0, m1 = (a0 + v0) / 2, (a1 + v1) / 2
-        d0, d1 = m0 - w0, m1 - w1
-        xr = (m0 + d0, m1 + d1)
-        gr = f(xr)
+        mx, my = (ax + vx) / 2, (ay + vy) / 2
+        dx, dy = mx - wx, my - wy
+        rx, ry = mx + dx, my + dy
+        fr = profile(rx, ry)
         n_eval += 1
 
-        if vals[0] <= gr < vals[1]:
-            x_new, g_new = xr, gr
-        elif gr < vals[0]:
+        if fa >= fr > fv:
+            vx, vy, fv, wx, wy, fw = rx, ry, fr, vx, vy, fv
+        elif fr > fa:
             t = _NM_EXPAND
-            xe = (m0 + t * d0, m1 + t * d1)
-            ge = f(xe)
+            ex, ey = mx + t * dx, my + t * dy
+            fe = profile(ex, ey)
             n_eval += 1
-            x_new, g_new = (xe, ge) if ge < gr else (xr, gr)
+            if fe > fr:
+                rx, ry, fr = ex, ey, fe
+            ax, ay, fa, vx, vy, fv, wx, wy, fw = rx, ry, fr, ax, ay, fa, vx, vy, fv
         else:
             t = _NM_CONTRACT
-            xc = (m0 + t * d0, m1 + t * d1) if gr < vals[2] else (m0 - t * d0, m1 - t * d1)
-            gc = f(xc)
+            if fr > fw:
+                cx, cy = mx + t * dx, my + t * dy
+            else:
+                cx, cy = mx - t * dx, my - t * dy
+            fc = profile(cx, cy)
             n_eval += 1
-            if gc < min(gr, vals[2]):
-                x_new, g_new = xc, gc
+            if fc > max(fr, fw):
+                if fc > fa:
+                    ax, ay, fa, vx, vy, fv, wx, wy, fw = cx, cy, fc, ax, ay, fa, vx, vy, fv
+                elif fc > fv:
+                    vx, vy, fv, wx, wy, fw = cx, cy, fc, vx, vy, fv
+                else:
+                    wx, wy, fw = cx, cy, fc
             else:
                 t = _NM_SHRINK
-                shrunk = [(a0 + t * (v0 - a0), a1 + t * (v1 - a1)), (a0 + t * (w0 - a0), a1 + t * (w1 - a1))]
-                verts, vals = _by_value([verts[0], *shrunk], [vals[0], *map(f, shrunk)])
+                vx, vy = ax + t * (vx - ax), ay + t * (vy - ay)
+                wx, wy = ax + t * (wx - ax), ay + t * (wy - ay)
+                (ax, ay, fa), (vx, vy, fv), (wx, wy, fw) = _ranked(
+                    (ax, ay, fa), (vx, vy, profile(vx, vy)), (wx, wy, profile(wx, wy))
+                )
                 n_eval += 2
-                continue
 
-        # the replaced worst vertex goes after every vertex it ties with
-        del verts[2], vals[2]
-        k = bisect_right(vals, g_new)
-        verts.insert(k, x_new)
-        vals.insert(k, g_new)
-
-    phi1, th1 = verts[0]
-    psi, th2, phi2 = _zyz(_bob_rotation(profile(phi1, th1, matrix=True)[1]))
-    return _objective(profile, psi, phi1, th1, th2, phi2), [psi, phi1, th1, 0.0, phi2, th2], n_eval + 1
+    psi, th2, phi2 = _zyz(_bob_rotation(profile(ax, ay, matrix=True)[1]))
+    return _objective(profile, psi, ax, ay, th2, phi2), [psi, ax, ay, 0.0, phi2, th2], n_eval + 1
 
 
 def _proj_cone(y0, y1, y2, y3):

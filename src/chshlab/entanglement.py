@@ -168,7 +168,7 @@ def max_chsh_over_unitaries(
     if seed < 0:
         raise OutOfRangeError(f"seed must be >= 0, got {seed}")
     _concurrence(e)  # range check
-    s_flat = np.ascontiguousarray(chsh_operator(canonical_setting(angles)).real.ravel())
+    s_flat = chsh_operator(canonical_setting(angles)).real.ravel().tolist()
     rng = np.random.default_rng(seed)
     best_value = -np.inf
     best_x: list[float] | None = None

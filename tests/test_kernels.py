@@ -1,6 +1,7 @@
 """The hot kernels against dense numpy routes and their own contracts."""
 
 import inspect
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import chshlab
 from chshlab import _kernels
 from chshlab.chsh import chsh_operator
 from chshlab.entanglement import (
+    _PARAM_BOX,
     CanonicalAngles,
     UnitaryParams,
     canonical_setting,
@@ -311,6 +313,151 @@ def test_maximize_is_gauge_invariant(rng):
         shifted = x + np.array([alpha, 0.0, 0.0, -alpha, 0.0, 0.0])
         value, _, _ = _kernels.maximize_chsh(s, e, x)
         assert _kernels.maximize_chsh(s, e, shifted)[0] == pytest.approx(value, abs=1e-12)
+
+
+def _by_value(verts, vals):
+    """verts and vals sorted by value; ties keep their order."""
+    order = sorted(range(len(vals)), key=vals.__getitem__)
+    return [verts[k] for k in order], [vals[k] for k in order]
+
+
+def _reference_maximize(s, e, x0):
+    """maximize_chsh's simplex with its vertices in sorted lists, on the shipped profile.
+
+    The reference the register loop of _kernels.maximize_chsh must match
+    bit for bit: the same steps, the same tie rules, the same closing
+    rotation.
+    """
+    profile = _kernels._alice_profile(_kernels._pauli_coefficients(s, e))
+
+    def f(pt):
+        return -profile(*pt)
+
+    _, phi1, th1, _, _, _ = map(float, x0)
+    tol = _kernels._NM_DIAMETER_TOL
+
+    # minimize the negated maximum; verts/vals stay sorted, ties in age order
+    verts = [(phi1, th1), (phi1 + _kernels._NM_STEP, th1), (phi1, th1 + _kernels._NM_STEP)]
+    vals = [f(pt) for pt in verts]
+    n_eval = 3
+    verts, vals = _by_value(verts, vals)
+
+    for _ in range(_kernels._NM_MAX_ITER):
+        (a0, a1), (v0, v1), (w0, w1) = verts
+        if abs(v0 - a0) < tol and abs(v1 - a1) < tol and abs(w0 - a0) < tol and abs(w1 - a1) < tol:
+            break  # every vertex within tol of the best, coordinate by coordinate
+
+        # centroid of all but the worst
+        m0, m1 = (a0 + v0) / 2, (a1 + v1) / 2
+        d0, d1 = m0 - w0, m1 - w1
+        xr = (m0 + d0, m1 + d1)
+        gr = f(xr)
+        n_eval += 1
+
+        if vals[0] <= gr < vals[1]:
+            x_new, g_new = xr, gr
+        elif gr < vals[0]:
+            t = _kernels._NM_EXPAND
+            xe = (m0 + t * d0, m1 + t * d1)
+            ge = f(xe)
+            n_eval += 1
+            x_new, g_new = (xe, ge) if ge < gr else (xr, gr)
+        else:
+            t = _kernels._NM_CONTRACT
+            xc = (m0 + t * d0, m1 + t * d1) if gr < vals[2] else (m0 - t * d0, m1 - t * d1)
+            gc = f(xc)
+            n_eval += 1
+            if gc < min(gr, vals[2]):
+                x_new, g_new = xc, gc
+            else:
+                t = _kernels._NM_SHRINK
+                shrunk = [(a0 + t * (v0 - a0), a1 + t * (v1 - a1)), (a0 + t * (w0 - a0), a1 + t * (w1 - a1))]
+                verts, vals = _by_value([verts[0], *shrunk], [vals[0], *map(f, shrunk)])
+                n_eval += 2
+                continue
+
+        # the replaced worst vertex goes after every vertex it ties with
+        del verts[2], vals[2]
+        k = bisect_right(vals, g_new)
+        verts.insert(k, x_new)
+        vals.insert(k, g_new)
+
+    phi1, th1 = verts[0]
+    psi, th2, phi2 = _kernels._zyz(_kernels._bob_rotation(profile(phi1, th1, matrix=True)[1]))
+    return _kernels._objective(profile, psi, phi1, th1, th2, phi2), [psi, phi1, th1, 0.0, phi2, th2], n_eval + 1
+
+
+def _symmetric(entries):
+    a = np.reshape(entries, (4, 4))
+    return ((a + a.T) / 2).ravel()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    s=st.one_of(
+        # canonical S: det G = 0, the sqrt(a + 2b) route
+        st.builds(_operator, _QUARTER, _QUARTER),
+        # any real-symmetric S: det G != 0 for E > 0, the eigvalsh route
+        st.builds(_symmetric, st.lists(st.floats(-3.0, 3.0), min_size=16, max_size=16)),
+    ),
+    e=_E,
+    # starts in _PARAM_BOX and up to three boxes outside it on either side
+    u=st.lists(st.floats(-3.0, 4.0), min_size=6, max_size=6),
+)
+def test_maximize_takes_the_reference_steps(s, e, u):
+    x0 = np.multiply(u, _PARAM_BOX)
+    assert _kernels.maximize_chsh(s, e, x0) == _reference_maximize(s, e, x0)
+
+
+def _counting_profiles(monkeypatch):
+    """Patch _alice_profile so that its profiles record every scalar-branch value; returns the record."""
+    seen = []
+    shipped = _kernels._alice_profile
+
+    def counting(coef):
+        profile = shipped(coef)
+
+        def wrapped(phi1, th1, matrix=False):
+            value = profile(phi1, th1, matrix)
+            if not matrix:
+                seen.append(value)
+            return value
+
+        return wrapped
+
+    monkeypatch.setattr(_kernels, "_alice_profile", counting)
+    return seen
+
+
+# the f1 faces at Delta = 0 (theta or phi 0): at E = 1/2 the profile is 2
+# to roundoff, so nearly every step ties and shrinks; at E = 0 about 40% of
+# the steps shrink, and ties come where phi1 stops mattering at the poles
+_FLAT_FACES = [(theta, phi, e) for theta, phi in ((0.0, 0.0), (0.0, np.pi / 2), (np.pi / 2, 0.0)) for e in (0.0, 0.5)]
+
+
+@pytest.mark.parametrize("theta, phi, e", _FLAT_FACES)
+def test_maximize_takes_the_reference_steps_on_flat_faces(monkeypatch, theta, phi, e):
+    # 20 starts as in one max_chsh_over_unitaries item
+    s = _operator(theta, phi)
+    starts = np.random.default_rng(801).uniform(0.0, 1.0, (20, 6)) * _PARAM_BOX
+    want = [_reference_maximize(s, e, x0) for x0 in starts]
+    seen = _counting_profiles(monkeypatch)
+    assert [_kernels.maximize_chsh(s, e, x0) for x0 in starts] == want
+    assert len(set(seen)) < len(seen) / 2  # ties: most values are repeats
+
+
+def test_evaluations_count_profile_calls(monkeypatch, rng):
+    # perfbench's tracer reads evals as the kernel's work count: every
+    # scalar profile call of the simplex, plus the final objective
+    seen = _counting_profiles(monkeypatch)
+    cases = [_random_case(rng)[:3] for _ in range(20)]
+    for _ in range(10):
+        cases.append((_symmetric(rng.uniform(-3.0, 3.0, 16)), float(rng.uniform(0.0, 0.5)), rng.uniform(0, 2 * np.pi, 6)))
+    cases += [(_operator(theta, phi), e, np.zeros(6)) for theta, phi, e in _FLAT_FACES]
+    for s, e, x0 in cases:
+        seen.clear()
+        _, _, evals = _kernels.maximize_chsh(s, e, x0)
+        assert evals == len(seen) + 1
 
 
 def test_dykstra_feasible_point_within_tolerance(rng):
