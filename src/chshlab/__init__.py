@@ -54,7 +54,6 @@ from .errors import (
     DegenerateDeltaError,
     InvalidStateError,
     InvalidTableError,
-    InvalidToleranceError,
     NonFiniteOutputError,
     NonRealTraceError,
     NonUnitAxisError,
@@ -89,9 +88,8 @@ __all__ = [
     "max_chsh_over_unitaries", "nonlocality_region", "rotated_chsh", "schmidt_state",
     "stationarity_ratios", "stationary_angles", "stationary_unitary_params",
     "ChshLabError", "DegenerateDeltaError", "InvalidStateError", "InvalidTableError",
-    "InvalidToleranceError", "NonFiniteOutputError", "NonRealTraceError",
-    "NonUnitAxisError", "NotHermitianError", "NotInvolutiveError", "NotUnbiasedError",
-    "OutOfRangeError",
+    "NonFiniteOutputError", "NonRealTraceError", "NonUnitAxisError", "NotHermitianError",
+    "NotInvolutiveError", "NotUnbiasedError", "OutOfRangeError",
     "Spectrum", "eig_hermitian", "kron",
     "BinaryPovm", "ChshSetting", "bloch_observable", "commutator_tensor",
     "incompatibility_degree", "noisy_family_povms", "noisy_pauli_povm",

@@ -19,7 +19,7 @@ from math import isfinite, pi
 import numpy as np
 
 from .chsh import chsh_value, landau_bound, max_over_states, sample_estimate, violates
-from .compat import MAX_TOL, busch_criterion, check_tolerance, parent_povm_search, sharpness_threshold
+from .compat import DEFAULT_TOL, busch_criterion, parent_povm_search, sharpness_threshold
 from .entanglement import (
     CanonicalAngles,
     canonical_axes,
@@ -272,14 +272,13 @@ def cmd_jm(args, em: Emitter) -> int:
     if len(axes_tokens) != 2:
         raise UsageError("--axes expects two comma-separated axes, e.g. z,x")
     axis1, axis2 = (parse_axis(t) for t in axes_tokens)
-    tol = check_tolerance(args.tol)
     threshold = sharpness_threshold(axis1, axis2)
     if args.threshold:
         doc = {
             "axes": [list(axis1), list(axis2)],
             "threshold": threshold,
             "closed_form": threshold,
-            "tol": tol,
+            "tol": DEFAULT_TOL,
         }
         em.table(doc, ["threshold", "closed_form", "tol"])
         return 0
@@ -297,7 +296,7 @@ def cmd_jm(args, em: Emitter) -> int:
         p = noisy_pauli_povm(axis1, lam)
         q = noisy_pauli_povm(axis2, lam)
         if args.method == "feasibility":
-            return parent_povm_search(p, q, tol=tol)
+            return parent_povm_search(p, q)
         return busch_criterion(p, q)
 
     verdicts = []
@@ -451,10 +450,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     jm.add_argument("--lambda", dest="lam", default=None, help="sharpness value or START:STOP:STEPS")
     jm.add_argument("--threshold", action="store_true", help="critical sharpness (closed form)")
     jm.add_argument("--method", choices=("analytic", "feasibility"), default="analytic")
-    jm.add_argument(
-        "--tol", type=float, default=1e-9,
-        help=f"residual tolerance of --method feasibility, in (0, {MAX_TOL:g}]",
-    )
     _add_common(jm)
     jm.set_defaults(func=cmd_jm)
 

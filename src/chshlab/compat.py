@@ -3,11 +3,13 @@
 Two exact criteria decide (in)compatibility: Busch's for unbiased pairs,
 and the coexistence criterion of Yu, Liu, Li and Oh for any pair.  A
 parent-POVM search by Dykstra's alternating projections builds the
-certificate of a compatible pair; it decides nothing the criterion has
-ruled out.  That search, `_search_parent`, is the one place that runs
-the Dykstra kernel.  `verify` reads each of its runs two ways: as the
-kernel's own verdict, which shares no code with either formula and is
-their independent oracle, and as the certificate it re-checks.
+certificate of a compatible pair, whose effects go below zero by at most
+the one fixed residual tolerance DEFAULT_TOL; it decides nothing the
+criterion has ruled out.  That search, `_search_parent`, is the one
+place that runs the Dykstra kernel.  `verify` reads each of its runs two
+ways: as the kernel's own verdict, which shares no code with either
+formula and is their independent oracle, and as the certificate it
+re-checks.
 """
 
 from __future__ import annotations
@@ -19,16 +21,12 @@ from math import sqrt
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidToleranceError, NotUnbiasedError
-from .linalg import I2, _real
+from .errors import NotUnbiasedError
+from .linalg import I2
 from .measurement import BinaryPovm, _pauli_entries, unit_axis
 
 UNBIASED_TOL = 1e-9
 DEFAULT_TOL = 1e-9
-# a certificate's effects may have eigenvalues down to -tol: at tol 0.3 the
-# z/x pair at λ = 0.8, which both criteria call Incompatible, was
-# "certified" by a parent with an eigenvalue of -0.052
-MAX_TOL = 1e-3
 DYKSTRA_MAX_ITER = 200_000
 
 
@@ -80,7 +78,8 @@ class JmVerdict:
       (1 - Fx² - Fy²)(1 - x²/Fx² - y²/Fy²), or -‖[E, F]‖ when the
       effects commute or one is a sharp unbiased projector (F = 0);
     - Feasibility (parent_povm_search's Compatible and Undecided): minus
-      the final residual of the search.
+      the final residual of the search, which a Compatible verdict holds
+      to at most DEFAULT_TOL.
     """
 
     status: JmStatus
@@ -157,44 +156,37 @@ def coexistence_criterion(p: BinaryPovm, q: BinaryPovm) -> JmVerdict:
     return JmVerdict(status=status, margin=margin, method=JmMethod.ANALYTIC)
 
 
-def check_tolerance(tol: float) -> float:
-    """tol itself if it lies in (0, MAX_TOL], else InvalidToleranceError;
-    OutOfRangeError if it is not a real number."""
-    if not 0.0 < _real("tol", tol) <= MAX_TOL:
-        raise InvalidToleranceError(f"tol must be in (0, {MAX_TOL:g}], got {tol}")
-    return tol
-
-
-def _search_parent(p: BinaryPovm, q: BinaryPovm, tol: float) -> tuple[ParentPovm | None, float, bool]:
+def _search_parent(p: BinaryPovm, q: BinaryPovm) -> tuple[ParentPovm | None, float, bool]:
     """(parent, residual, plateaued) of one Dykstra run: the free block G(++)
     has four Pauli coordinates, and G, M-G, N-G and I-M-N+G must all be
-    PSD.  parent is None unless the residual reached tol."""
+    PSD.  parent is None unless the residual reached DEFAULT_TOL."""
     m, n = p.coords.tolist(), q.coords.tolist()
     x0 = [(a + b) / 2.0 for a, b in zip(m, n)]
     x0[0] -= 0.5
-    x, residual, _, plateaued = _kernels.dykstra_feasibility(m, n, x0, tol, DYKSTRA_MAX_ITER)
-    if residual > tol:
+    x, residual, _, plateaued = _kernels.dykstra_feasibility(m, n, x0, DEFAULT_TOL, DYKSTRA_MAX_ITER)
+    if residual > DEFAULT_TOL:
         return None, residual, plateaued
     g = np.array(_pauli_entries(*x))
     m_plus, n_plus = p.effect_plus, q.effect_plus
     return ParentPovm(g, m_plus - g, n_plus - g, I2 - m_plus - n_plus + g, residual), residual, plateaued
 
 
-def parent_povm_search(p: BinaryPovm, q: BinaryPovm, tol: float = DEFAULT_TOL) -> JmVerdict:
+def parent_povm_search(p: BinaryPovm, q: BinaryPovm) -> JmVerdict:
     """Decide by coexistence_criterion; certify compatibility with a parent POVM.
 
-    A pair that violates the criterion by more than tol is Incompatible,
-    with the criterion's verdict and no search.  Any other pair goes to
-    one _search_parent run.  Compatible verdicts ship an explicit
-    ParentPovm with residual <= tol.  Undecided means the pair is
-    compatible, or within tol of the boundary, but the search stopped
-    (its residual plateaued, or DYKSTRA_MAX_ITER ran out) above tol.
+    A pair that violates the criterion by more than DEFAULT_TOL is
+    Incompatible, with the criterion's verdict and no search.  Any other
+    pair goes to one _search_parent run.  Compatible verdicts ship an
+    explicit ParentPovm with residual <= DEFAULT_TOL, the one fixed
+    tolerance.  Undecided means the pair is compatible, or within
+    DEFAULT_TOL of the boundary, but the search stopped (its residual
+    plateaued, or DYKSTRA_MAX_ITER ran out) above it: a thin compatible
+    set can end there.
     """
-    check_tolerance(tol)
     verdict = coexistence_criterion(p, q)
-    if verdict.margin < -tol:
+    if verdict.margin < -DEFAULT_TOL:
         return verdict
-    parent, residual, _ = _search_parent(p, q, tol)
+    parent, residual, _ = _search_parent(p, q)
     status = JmStatus.UNDECIDED if parent is None else JmStatus.COMPATIBLE
     # 0.0 - residual: 0.0, never -0.0, at residual 0
     return JmVerdict(status, margin=0.0 - residual, method=JmMethod.FEASIBILITY, parent=parent)

@@ -29,10 +29,6 @@ class NotUnbiasedError(ChshLabError, ValueError):
     """POVM effect has trace != 1, outside the unbiased family."""
 
 
-class InvalidToleranceError(ChshLabError, ValueError):
-    """Non-positive or non-finite tolerance."""
-
-
 class InvalidTableError(ChshLabError, ValueError):
     """Born table that is not a finite real array of shape (2, 2, 2, 2)."""
 

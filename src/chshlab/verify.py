@@ -105,22 +105,17 @@ def _certificate_defect(p, q, parent: ParentPovm | None) -> float:
     )
 
 
-def _kernel_verdict(p: BinaryPovm, q: BinaryPovm) -> tuple[JmStatus, ParentPovm | None]:
+def kernel_verdict(p: BinaryPovm, q: BinaryPovm) -> tuple[JmStatus, ParentPovm | None]:
     """The raw Dykstra kernel's own verdict, sharing no code with either
     criterion (Compatible at residual <= DEFAULT_TOL, Incompatible once the
     residual plateaus above 10·DEFAULT_TOL, Undecided otherwise), and the
     parent the same search built, if any."""
-    parent, residual, plateaued = _search_parent(p, q, DEFAULT_TOL)
+    parent, residual, plateaued = _search_parent(p, q)
     if parent is not None:
         return JmStatus.COMPATIBLE, parent
     if plateaued and residual > INCOMPATIBLE_FACTOR * DEFAULT_TOL:
         return JmStatus.INCOMPATIBLE, None
     return JmStatus.UNDECIDED, None
-
-
-def feasibility_status(p: BinaryPovm, q: BinaryPovm) -> JmStatus:
-    """The raw Dykstra kernel's own verdict on (p, q); see _kernel_verdict."""
-    return _kernel_verdict(p, q)[0]
 
 
 def _random_biased_povm(rng) -> BinaryPovm:
@@ -152,14 +147,14 @@ def jm(seed: int) -> list[dict]:
         if abs(analytic.margin) < 5e-3:
             continue
         tested += 1
-        oracle, parent = _kernel_verdict(p, q)
+        oracle, parent = kernel_verdict(p, q)
         if oracle is not analytic.status:
             disagreements += 1
         worst_defect = max(worst_defect, _certificate_defect(p, q, parent))
     biased_disagreements = 0
     for _ in range(200):
         p, q = _random_biased_povm(rng), _random_biased_povm(rng)
-        oracle, parent = _kernel_verdict(p, q)
+        oracle, parent = kernel_verdict(p, q)
         if oracle is not JmStatus.UNDECIDED and oracle is not coexistence_criterion(p, q).status:
             biased_disagreements += 1
         worst_defect = max(worst_defect, _certificate_defect(p, q, parent))

@@ -148,40 +148,23 @@ class TestJm:
         assert rc == 2 and out == ""
         assert json.loads(err)["code"] == "usage"
 
-    def test_infinite_tol_refused_by_feasibility(self, capsys):
+    def test_tol_flag_refused(self, capsys):
+        # the certificate tolerance is fixed at compat.DEFAULT_TOL
         rc, out, err = run(
-            capsys, ["jm", "--axes=z,x", "--lambda=0.9", "--method=feasibility", "--tol=inf"]
+            capsys, ["jm", "--axes=z,x", "--lambda=0.6", "--method=feasibility", "--tol=1e-6"]
         )
         assert rc == 2 and out == ""
-        assert json.loads(err)["code"] == "invalid_tolerance"
+        assert json.loads(err)["code"] == "usage"
 
-    @pytest.mark.parametrize("lam,tol", [("0.9", "1e308"), ("0.72", "0.3"), ("0.75", "0.3"), ("0.8", "0.3")])
-    def test_tol_above_cap_refused(self, capsys, lam, tol):
-        # both criteria call these pairs Incompatible; at such a tol the
-        # search used to print Compatible, with a parent whose effects have
-        # eigenvalues down to -tol
+    def test_tol_config_key_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 1e-6}))
         rc, out, err = run(
-            capsys, ["jm", "--axes=z,x", f"--lambda={lam}", "--method=feasibility", f"--tol={tol}"]
+            capsys, ["jm", "--axes=z,x", "--lambda=0.6", "--method=feasibility", f"--config={cfg}"]
         )
         assert rc == 2 and out == ""
-        assert json.loads(err)["code"] == "invalid_tolerance"
-
-    def test_nan_tol_refused_by_threshold(self, capsys):
-        rc, out, err = run(capsys, ["jm", "--axes=z,x", "--threshold", "--tol=nan"])
-        assert rc == 2 and out == ""
-        assert json.loads(err)["code"] == "invalid_tolerance"
-
-    def test_nan_tol_refused_by_analytic(self, capsys):
-        rc, out, err = run(capsys, ["jm", "--axes=z,x", "--lambda=0.5", "--tol=nan"])
-        assert rc == 2 and out == ""
-        assert json.loads(err)["code"] == "invalid_tolerance"
-
-    def test_tol_does_not_move_threshold(self, capsys):
-        rc, out, _ = run(capsys, ["jm", "--axes=z,x", "--threshold", "--tol=1e-4"])
-        assert rc == 0
-        doc = json.loads(out)
-        assert doc["threshold"] == doc["closed_form"] == 0.707107
-        assert doc["tol"] == 1e-4
+        doc = json.loads(err)
+        assert doc["code"] == "usage" and "tol" in doc["message"]
 
     def test_non_numeric_lambda(self, capsys):
         rc, out, err = run(capsys, ["jm", "--axes=z,x", "--lambda=abc"])
@@ -756,7 +739,6 @@ _JM = st.tuples(
             st.just(("threshold", "--threshold", True)),
         ),
         st.sampled_from(["analytic", "feasibility"]).map(lambda m: ("method", "--method", m)),
-        st.sampled_from([1e-9, 1e-6, 1e-3]).map(lambda t: ("tol", "--tol", t)),
         _PRECISION,
         _FORMAT,
     ),
@@ -865,7 +847,6 @@ _OPTIONS = {
     "lambda": st.none() | _UNIT_TOKEN | st.tuples(_UNIT_TOKEN, _UNIT_TOKEN, st.integers(1, 50)).map(
         lambda t: f"{min(t[:2], key=float)}:{max(t[:2], key=float)}:{t[2]}"
     ),
-    "tol": st.none() | st.sampled_from(["1e-9", "1e-6", "1e-3"]),
     "precision": st.none() | st.integers(1, 15).map(str),
 }
 _ODD_OPTIONS = {
@@ -881,7 +862,6 @@ _ODD_OPTIONS = {
             st.sampled_from(["0", "-1", "1.5", "x", str(MAX_GRID_STEPS + 1)]),
         ).map(":".join),
     ),
-    "tol": st.sampled_from(["0", "-1e-9", "0.3", "1e308", "nan", "inf", "x"]),
     "precision": st.sampled_from(["0", "16", "x"]),
 }
 
@@ -1064,7 +1044,8 @@ _RHO = st.one_of(
     st.lists(st.lists(_PAIR | _JSON_VALUE, max_size=5), max_size=5),
 )
 _STATE_DOC = st.one_of(_RHO, _RHO.map(lambda rho: {"rho": rho}), _JSON_VALUE)
-# every flag of every subcommand but --output, which would write a file
+# every flag of every subcommand but --output, which would write a file, and
+# two keys of none: tol, the fixed certificate tolerance, and no_such_key
 _CONFIG_KEYS = [
     "canonical", "noisy", "state", "max", "shots", "seed", "precision", "format", "config",
     "axes", "lam", "threshold", "method", "tol", "e_grid", "delta_grid", "suite", "list", "no_such_key",

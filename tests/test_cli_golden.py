@@ -36,7 +36,7 @@ def _cases() -> list[list[str]]:
         cases.append(["jm", f"--axes={axes}", "--lambda=0.3:1:8", "--method=feasibility", "--format=csv"])
     for lam in ["0", "0.5", "0.7071", "0.70710678118654757", "0.8", "1"]:
         cases.append(["jm", "--axes=z,x", f"--lambda={lam}", "--precision=15"])
-        cases.append(["jm", "--axes=z,x", f"--lambda={lam}", "--method=feasibility", "--tol=1e-6"])
+        cases.append(["jm", "--axes=z,x", f"--lambda={lam}", "--method=feasibility"])
     for canonical in _CANONICAL:
         cases.append(["chsh", f"--canonical={canonical}", "--max"])
         cases.append(["chsh", f"--canonical={canonical}", "--max", "--format=csv"])

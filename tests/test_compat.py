@@ -8,19 +8,17 @@ from hypothesis import strategies as st
 from chshlab import _kernels, verify
 from chshlab.compat import (
     DEFAULT_TOL,
-    MAX_TOL,
     JmMethod,
     JmStatus,
     busch_criterion,
-    check_tolerance,
     coexistence_criterion,
     parent_povm_search,
     sharpness_threshold,
 )
-from chshlab.errors import InvalidToleranceError, NotUnbiasedError
+from chshlab.errors import NotUnbiasedError
 from chshlab.linalg import I2
 from chshlab.measurement import BinaryPovm, X_AXIS, Z_AXIS, from_pauli_coords, noisy_pauli_povm
-from chshlab.verify import feasibility_status
+from chshlab.verify import kernel_verdict
 
 from conftest import random_axis
 
@@ -119,14 +117,14 @@ def _agrees_with_kernel(p, q):
     verdict = coexistence_criterion(p, q)
     if coexistence_criterion(_with_noise(p), _with_noise(q)).status is not verdict.status:
         return
-    oracle = feasibility_status(p, q)
+    oracle = kernel_verdict(p, q)[0]
     if oracle is not JmStatus.UNDECIDED:
         assert verdict.status is oracle
 
 
 class TestCoexistenceCriterion:
     """The exact criterion for any pair, against the raw Dykstra kernel
-    (verify.feasibility_status), which shares no code with the formula."""
+    (verify.kernel_verdict), which shares no code with the formula."""
 
     @settings(max_examples=200, deadline=None)
     @given(_biased_povm(), _biased_povm())
@@ -160,7 +158,7 @@ class TestCoexistenceCriterion:
             v = coexistence_criterion(z, q)
             assert v.status is JmStatus.COMPATIBLE
             assert v.margin == 0.0
-            assert feasibility_status(z, q) is JmStatus.COMPATIBLE
+            assert kernel_verdict(z, q)[0] is JmStatus.COMPATIBLE
 
     def test_noncommuting_sharp_projector(self):
         z = noisy_pauli_povm(Z_AXIS, 1.0)
@@ -170,7 +168,7 @@ class TestCoexistenceCriterion:
             v = coexistence_criterion(z, q)
             assert v.status is JmStatus.INCOMPATIBLE
             assert v.margin == pytest.approx(-_commutator_norm(z, q), abs=1e-15)
-            assert feasibility_status(z, q) is JmStatus.INCOMPATIBLE
+            assert kernel_verdict(z, q)[0] is JmStatus.INCOMPATIBLE
 
     def test_zero_and_identity_effects(self, rng):
         for effect in (np.zeros((2, 2)), np.eye(2)):
@@ -182,7 +180,7 @@ class TestCoexistenceCriterion:
             ):
                 assert coexistence_criterion(trivial, q).status is JmStatus.COMPATIBLE
                 assert coexistence_criterion(q, trivial).status is JmStatus.COMPATIBLE
-                assert feasibility_status(trivial, q) is JmStatus.COMPATIBLE
+                assert kernel_verdict(trivial, q)[0] is JmStatus.COMPATIBLE
 
     def test_identical_effects(self, rng):
         for p in (
@@ -191,7 +189,7 @@ class TestCoexistenceCriterion:
             BinaryPovm.from_effect(from_pauli_coords([0.7, 0.0, 0.5, 0.0])),
         ):
             assert coexistence_criterion(p, p).status is JmStatus.COMPATIBLE
-            assert feasibility_status(p, p) is JmStatus.COMPATIBLE
+            assert kernel_verdict(p, p)[0] is JmStatus.COMPATIBLE
 
     def test_symmetric_in_arguments(self, rng):
         for _ in range(20):
@@ -247,7 +245,7 @@ class TestParentPovmSearch:
         p = noisy_pauli_povm(Z_AXIS, lam)
         q = noisy_pauli_povm(X_AXIS, lam)
         assert -1e-9 < coexistence_criterion(p, q).margin < 0.0
-        assert parent_povm_search(p, q, tol=1e-9).status is not JmStatus.INCOMPATIBLE
+        assert parent_povm_search(p, q).status is not JmStatus.INCOMPATIBLE
 
     def test_biased_pair_compatible(self):
         # commuting biased effects: diagonal matrices always admit a parent
@@ -258,23 +256,11 @@ class TestParentPovmSearch:
         verify_parent(v.parent, p, q, 1e-8)
 
     @settings(max_examples=200, deadline=None)
-    @given(_biased_povm(), _biased_povm(), st.floats(-9.0, np.log10(MAX_TOL)))
-    def test_biased_compatible_certificates_verify(self, p, q, log_tol):
-        tol = 10.0**log_tol
-        v = parent_povm_search(p, q, tol=tol)
+    @given(_biased_povm(), _biased_povm())
+    def test_biased_compatible_certificates_verify(self, p, q):
+        v = parent_povm_search(p, q)
         if v.status is JmStatus.COMPATIBLE:
-            verify_parent(v.parent, p, q, tol + 1e-12)
-
-    def test_rejects_bad_tolerance(self):
-        p = noisy_pauli_povm(Z_AXIS, 0.5)
-        with pytest.raises(InvalidToleranceError):
-            parent_povm_search(p, p, tol=0.0)
-        # a tol of 1e308 or inf would certify this incompatible pair as
-        # Compatible, with a parent effect of eigenvalue -0.113
-        z, x = noisy_pauli_povm(Z_AXIS, 0.9), noisy_pauli_povm(X_AXIS, 0.9)
-        for tol in (np.inf, np.nan, 1e308):
-            with pytest.raises(InvalidToleranceError):
-                parent_povm_search(z, x, tol=tol)
+            verify_parent(v.parent, p, q, DEFAULT_TOL + 1e-12)
 
     def test_agreement_with_analytic(self, rng):
         # margin-filtered random scan; the full 200-pair run lives in the
@@ -336,17 +322,20 @@ class TestSharpnessThreshold:
     def test_feasibility_oracle_brackets_threshold(self, n1, n2):
         # the raw Dykstra kernel shares no code with the formula
         lam = sharpness_threshold(n1, n2)
-        below = feasibility_status(noisy_pauli_povm(n1, 0.99 * lam), noisy_pauli_povm(n2, 0.99 * lam))
+        below = kernel_verdict(noisy_pauli_povm(n1, 0.99 * lam), noisy_pauli_povm(n2, 0.99 * lam))[0]
         assert below is JmStatus.COMPATIBLE
         if 1.01 * lam <= 1.0:
-            above = feasibility_status(noisy_pauli_povm(n1, 1.01 * lam), noisy_pauli_povm(n2, 1.01 * lam))
+            above = kernel_verdict(noisy_pauli_povm(n1, 1.01 * lam), noisy_pauli_povm(n2, 1.01 * lam))[0]
             assert above is JmStatus.INCOMPATIBLE
 
 
-class TestCheckTolerance:
-    def test_rejects_bad_tolerance(self):
-        assert check_tolerance(1e-9) == 1e-9
-        assert check_tolerance(MAX_TOL) == MAX_TOL
-        for tol in (-1e-9, 0.0, np.nan, np.inf, np.nextafter(MAX_TOL, 1.0)):
-            with pytest.raises(InvalidToleranceError):
-                check_tolerance(tol)
+    @settings(max_examples=200, deadline=None)
+    @given(_axis(), _axis(), st.floats(-15.0, -2.0))
+    def test_search_certifies_just_below_threshold(self, n1, n2, log_gap):
+        # unbiased pairs up to 1e-15 below λ* keep a certificate at the
+        # fixed tolerance
+        lam = sharpness_threshold(n1, n2) * (1.0 - 10.0**log_gap)
+        p, q = noisy_pauli_povm(n1, lam), noisy_pauli_povm(n2, lam)
+        v = parent_povm_search(p, q)
+        assert v.status is JmStatus.COMPATIBLE
+        verify_parent(v.parent, p, q, DEFAULT_TOL + 1e-12)

@@ -446,9 +446,6 @@ def test_complex_axis_is_refused(axis):
         assert str(exc.value) == f"axis {axis!r} is not three real numbers"
 
 
-_HALF_SHARP = noisy_pauli_povm(Z_AXIS, 0.5), noisy_pauli_povm(X_AXIS, 0.5)
-
-
 @pytest.mark.parametrize(
     "call, name, value",
     [
@@ -465,7 +462,6 @@ _HALF_SHARP = noisy_pauli_povm(Z_AXIS, 0.5), noisy_pauli_povm(X_AXIS, 0.5)
         (lambda: nonlocality_region(None, 0.5), "entanglement parameter", None),
         (lambda: incompatibility_monotonicity("0.3"), "entanglement parameter", "0.3"),
         (lambda: max_chsh_over_unitaries("0.3", CanonicalAngles(1.0, 1.0)), "entanglement parameter", "0.3"),
-        (lambda: parent_povm_search(*_HALF_SHARP, tol="1e-9"), "tol", "1e-9"),
         (lambda: UnitaryParams("a", 0.0, 0.0), "psi", "a"),
         (lambda: UnitaryParams(0.0, None, 0.0), "phi", None),
         (lambda: UnitaryParams(0.0, 0.0, True), "theta", True),
@@ -473,7 +469,7 @@ _HALF_SHARP = noisy_pauli_povm(Z_AXIS, 0.5), noisy_pauli_povm(X_AXIS, 0.5)
     ids=[
         "noisy-povm-str", "noisy-povm-none", "noisy-povm-array", "noisy-povm-bool", "noisy-family",
         "schmidt-state", "closed-form-delta", "closed-form-complex-e", "canonical-theta", "canonical-phi",
-        "nonlocality-region", "monotonicity", "max-over-unitaries", "parent-search-tol",
+        "nonlocality-region", "monotonicity", "max-over-unitaries",
         "unitary-psi-str", "unitary-phi-none", "unitary-theta-bool",
     ],
 )
@@ -518,7 +514,8 @@ def test_numpy_and_integer_scalars_pass():
     assert schmidt_state(np.int64(0)).e == 0.0
     assert max_chsh_closed_form(np.float64(0.5), np.uint8(1)) == max_chsh_closed_form(0.5, 1.0)
     assert CanonicalAngles(theta=np.float16(1.0), phi=0).delta == 0.0
-    assert parent_povm_search(*_HALF_SHARP, tol=np.float64(1e-6)).status.value == "Compatible"
+    half_sharp = noisy_pauli_povm(Z_AXIS, np.float64(0.5)), noisy_pauli_povm(X_AXIS, np.float32(0.5))
+    assert parent_povm_search(*half_sharp).status.value == "Compatible"
     # a float32 angle built a complex64 unitary, whose state vector missed
     # norm 1 by 5e-9 and was refused by rotated_chsh
     narrow = UnitaryParams(np.float32(1.0), np.float16(0.3), np.int64(2))
