@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from chshlab import cli, verify
 from chshlab.cli import MAX_GRID_STEPS, Emitter, main, parse_angle
+from chshlab.compat import DEFAULT_TOL
 from chshlab.errors import NonFiniteOutputError
 from chshlab.linalg import MAX_ENTRY_MODULUS
 
@@ -148,13 +149,27 @@ class TestJm:
         assert rc == 2 and out == ""
         assert json.loads(err)["code"] == "usage"
 
-    def test_tol_flag_refused(self, capsys):
-        # the certificate tolerance is fixed at compat.DEFAULT_TOL
-        rc, out, err = run(
-            capsys, ["jm", "--axes=z,x", "--lambda=0.6", "--method=feasibility", "--tol=1e-6"]
-        )
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--lambda=0.6", "--method=feasibility", "--tol=1e-6"],
+            ["--threshold", "--tol=nan"],
+            ["--lambda=0.9", "--tol=inf"],
+        ],
+        ids=["feasibility", "threshold", "analytic"],
+    )
+    def test_tol_flag_refused(self, capsys, args):
+        # the certificate tolerance is fixed at compat.DEFAULT_TOL, in every mode
+        rc, out, err = run(capsys, ["jm", "--axes=z,x", *args])
         assert rc == 2 and out == ""
         assert json.loads(err)["code"] == "usage"
+
+    def test_threshold_reports_fixed_tol(self, capsys):
+        rc, out, _ = run(capsys, ["jm", "--axes=z,x", "--threshold"])
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["threshold"] == doc["closed_form"] == 0.707107
+        assert doc["tol"] == DEFAULT_TOL
 
     def test_tol_config_key_refused(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

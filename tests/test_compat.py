@@ -1,5 +1,7 @@
 """Joint measurability: analytic criterion, feasibility solver, thresholds."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,7 @@ from chshlab.compat import (
     DEFAULT_TOL,
     JmMethod,
     JmStatus,
+    _search_parent,
     busch_criterion,
     coexistence_criterion,
     parent_povm_search,
@@ -261,6 +264,28 @@ class TestParentPovmSearch:
         v = parent_povm_search(p, q)
         if v.status is JmStatus.COMPATIBLE:
             verify_parent(v.parent, p, q, DEFAULT_TOL + 1e-12)
+
+    @pytest.mark.parametrize("lam", [0.72, 0.75, 0.8, 0.9])
+    def test_kernel_certifies_no_pair_above_threshold(self, lam):
+        # z/x pairs above λ* = 1/√2 that a loose tolerance once certified:
+        # the raw kernel, at the fixed tolerance, finds no parent
+        p, q = noisy_pauli_povm(Z_AXIS, lam), noisy_pauli_povm(X_AXIS, lam)
+        assert kernel_verdict(p, q) == (JmStatus.INCOMPATIBLE, None)
+
+    def test_thin_set_pair_has_no_false_certificate(self):
+        # compatible, but its parent set is thin: a certificate, if one is
+        # found, holds at the fixed tolerance (one at 1e-4 had effects
+        # negative by 1e-4)
+        p = BinaryPovm.from_effect(0.6 * np.array([[0.5, 0.5], [0.5, 0.5]]))
+        q = noisy_pauli_povm(Z_AXIS, 0.5)
+        v = parent_povm_search(p, q)
+        assert v.status is not JmStatus.INCOMPATIBLE
+        if v.status is JmStatus.COMPATIBLE:
+            verify_parent(v.parent, p, q, DEFAULT_TOL + 1e-12)
+
+    def test_takes_no_tolerance(self):
+        assert list(inspect.signature(parent_povm_search).parameters) == ["p", "q"]
+        assert list(inspect.signature(_search_parent).parameters) == ["p", "q"]
 
     def test_agreement_with_analytic(self, rng):
         # margin-filtered random scan; the full 200-pair run lives in the
