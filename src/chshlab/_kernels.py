@@ -28,7 +28,9 @@ reads it so, with M2 = Rz(psi1 + psi2) Ry(theta2) Rz(phi2) (_rotation).
 Its maximum over M2 in SO(3) is s1 + s2 + sign(det G) s3 from G's singular
 values, the largest eigenvalue of Horn's symmetric 4x4 matrix N(G)
 (_horn; Horn, JOSA A 4, 629 (1987); Umeyama, IEEE TPAMI 13, 376 (1991)).
-Where det G = 0 that eigenvalue has a closed form, and elsewhere numpy's
+The setting picks the route once per search: where K's yy entry is 0, as
+for every setting with axes in the xz plane, G's y column is 0 and that
+eigenvalue has a closed form in G's other six entries; elsewhere numpy's
 eigvalsh reads it.  The simplex climbs that maximum over Alice's (phi1,
 theta1) alone, its three vertices held in nine local floats (per
 evaluation it builds no tuple and sorts no list).  At its end Bob's
@@ -126,36 +128,38 @@ def _alice_profile(coef):
     theta1 and phi1.  C K's five entries (C k_xx, C k_xz, C k_zx, C k_zz,
     C k_yy) are multiplied out once per profile, and both branches read
     them, so chsh_objective at maximize_chsh's point is its value
-    exactly.  With matrix=True the profile returns (t, G), G row-major;
-    otherwise t + x with x = max over M in SO(3) of tr(G M^T), the largest
-    eigenvalue of _horn(G).  Its characteristic polynomial is (x^2 - a)^2 -
-    8dx - 4b^2, with a = |G|_F^2, b = |cof G|_F and d = det G, so at d = 0
-    x is sqrt(a + 2b) exactly.  d is exactly 0 when k_yy = 0, as for every
-    canonical setting (its axes lie in the xz plane): G's y column is then
-    zero.  Otherwise eigvalsh reads x, well conditioned where the quartic's
-    root is multiple.
+    exactly.  With matrix=True the profile returns (t, G), G row-major,
+    all nine entries; otherwise t + x with x = max over M in SO(3) of
+    tr(G M^T), the largest eigenvalue of _horn(G).
+
+    The route follows k_yy, fixed for the profile.  _horn(G)'s
+    characteristic polynomial is (x^2 - a)^2 - 8dx - 4b^2, with a =
+    |G|_F^2, b = |cof G|_F and d = det G.  When k_yy = 0, as for every
+    canonical setting (its axes lie in the xz plane), G's y column (g1,
+    g4, g7) is +-0 at every angle, so d = 0 and x = sqrt(a + 2b), where a
+    sums the squares of the other six entries and b = |g_x x g_z|: the
+    only nonzero cofactors are the cross product of G's x and z columns.
+    The terms left out are +0.0, so every float is the one the nine-entry
+    sums give.  Otherwise eigvalsh reads x at every evaluation, well
+    conditioned where the quartic's root is multiple.
     """
     c00, ax, az, bx, bz, conc, kxx, kxz, kzx, kzz, kyy = coef
     cxx, cxz, czx, czz, cyy = conc * kxx, conc * kxz, conc * kzx, conc * kzz, conc * kyy
+    flat = kyy == 0.0
 
     def profile(phi1, th1, matrix=False):
         ct, st, cf, sf = cos(th1), sin(th1), cos(phi1), sin(phi1)
         u, v = ct * cf, st * cf
         t = c00 - ax * v + az * ct
-        g0, g1, g2 = cxx * u + czx * st, -cyy * ct * sf, cxz * u + czz * st
-        g3, g4, g5 = -cxx * sf, -cyy * cf, -cxz * sf
-        g6, g7, g8 = bx + kzx * ct - kxx * v, kyy * st * sf, bz + kzz * ct - kxz * v
-        if matrix:
-            return t, (g0, g1, g2, g3, g4, g5, g6, g7, g8)
-        # cofactors, row by row: cross products of the other two rows
-        c0, c1, c2 = g4 * g8 - g5 * g7, g5 * g6 - g3 * g8, g3 * g7 - g4 * g6
-        if g0 * c0 + g1 * c1 + g2 * c2 != 0.0:
-            return t + float(np.linalg.eigvalsh(_horn((g0, g1, g2, g3, g4, g5, g6, g7, g8)))[-1])
-        c3, c4, c5 = g7 * g2 - g8 * g1, g8 * g0 - g6 * g2, g6 * g1 - g7 * g0
-        c6, c7, c8 = g1 * g5 - g2 * g4, g2 * g3 - g0 * g5, g0 * g4 - g1 * g3
-        a = g0 * g0 + g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4 + g5 * g5 + g6 * g6 + g7 * g7 + g8 * g8
-        bb = c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3 + c4 * c4 + c5 * c5 + c6 * c6 + c7 * c7 + c8 * c8
-        return t + sqrt(a + 2.0 * sqrt(bb))
+        g0, g2, g3, g5 = cxx * u + czx * st, cxz * u + czz * st, -cxx * sf, -cxz * sf
+        g6, g8 = bx + kzx * ct - kxx * v, bz + kzz * ct - kxz * v
+        if matrix or not flat:
+            g = (g0, -cyy * ct * sf, g2, g3, -cyy * cf, g5, g6, kyy * st * sf, g8)
+            return (t, g) if matrix else t + float(np.linalg.eigvalsh(_horn(g))[-1])
+        # the nonzero cofactors: the cross product of G's x and z columns
+        c1, c4, c7 = g5 * g6 - g3 * g8, g8 * g0 - g6 * g2, g2 * g3 - g0 * g5
+        a = g0 * g0 + g2 * g2 + g3 * g3 + g5 * g5 + g6 * g6 + g8 * g8
+        return t + sqrt(a + 2.0 * sqrt(c1 * c1 + c4 * c4 + c7 * c7))
 
     return profile
 

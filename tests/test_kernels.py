@@ -2,6 +2,7 @@
 
 import inspect
 from bisect import bisect_right
+from math import cos, sin, sqrt
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from chshlab.entanglement import (
     UnitaryParams,
     canonical_setting,
     local_unitary,
+    max_chsh_over_unitaries,
     rotated_chsh,
     schmidt_state,
 )
@@ -181,16 +183,19 @@ def _random_operator(rng):
 @settings(max_examples=300, deadline=None)
 @given(theta=_QUARTER, phi=_QUARTER, e=_E, phi1=_ANGLE, th1=_ANGLE)
 def test_bob_maximum_is_svd_maximum_on_canonical_settings(theta, phi, e, phi1, th1):
-    # a canonical setting's K has a zero y row and column, so det G is
-    # exactly 0 and the maximum is sqrt(a + 2b), with no eigensolve
+    # a canonical setting's K has a zero y row and column, so G's y column
+    # is exactly 0 at every angle, det G is 0, and the maximum is sqrt(a +
+    # 2b) from G's x and z columns, with no eigensolve
     value, t, g = _profile_terms(_operator(theta, phi), e, phi1, th1)
+    assert not g[:, 1].any()
     assert np.linalg.det(g) == 0.0
     assert value - t == pytest.approx(_svd_maximum(g), abs=1e-12)
 
 
 def test_bob_maximum_is_svd_maximum_on_random_operators(rng):
-    # det G != 0 but at E = 0, where G's x and y rows vanish: the largest
-    # eigenvalue of Horn's matrix, read by eigvalsh
+    # k_yy != 0, so every evaluation reads the largest eigenvalue of Horn's
+    # matrix by eigvalsh: det G != 0, and at E = 0, where G's x and y rows
+    # vanish, det G = 0
     for k in range(2000):
         s = _random_operator(rng)
         e = (0.0, 0.5, float(rng.uniform(0.0, 0.5)))[k % 3]
@@ -321,6 +326,39 @@ def _by_value(verts, vals):
     return [verts[k] for k in order], [vals[k] for k in order]
 
 
+def _reference_profile(coef):
+    """_kernels._alice_profile with Bob's maximum worked out per evaluation from all nine entries of G.
+
+    The form the shipped profile's flat route must match bit for bit:
+    every evaluation tests det G from G's nine entries, and where it is 0
+    takes sqrt(a + 2b) from all nine cofactors; elsewhere it reads
+    eigvalsh.
+    """
+    c00, ax, az, bx, bz, conc, kxx, kxz, kzx, kzz, kyy = coef
+    cxx, cxz, czx, czz, cyy = conc * kxx, conc * kxz, conc * kzx, conc * kzz, conc * kyy
+
+    def profile(phi1, th1, matrix=False):
+        ct, st, cf, sf = cos(th1), sin(th1), cos(phi1), sin(phi1)
+        u, v = ct * cf, st * cf
+        t = c00 - ax * v + az * ct
+        g0, g1, g2 = cxx * u + czx * st, -cyy * ct * sf, cxz * u + czz * st
+        g3, g4, g5 = -cxx * sf, -cyy * cf, -cxz * sf
+        g6, g7, g8 = bx + kzx * ct - kxx * v, kyy * st * sf, bz + kzz * ct - kxz * v
+        if matrix:
+            return t, (g0, g1, g2, g3, g4, g5, g6, g7, g8)
+        # cofactors, row by row: cross products of the other two rows
+        c0, c1, c2 = g4 * g8 - g5 * g7, g5 * g6 - g3 * g8, g3 * g7 - g4 * g6
+        if g0 * c0 + g1 * c1 + g2 * c2 != 0.0:
+            return t + float(np.linalg.eigvalsh(_kernels._horn((g0, g1, g2, g3, g4, g5, g6, g7, g8)))[-1])
+        c3, c4, c5 = g7 * g2 - g8 * g1, g8 * g0 - g6 * g2, g6 * g1 - g7 * g0
+        c6, c7, c8 = g1 * g5 - g2 * g4, g2 * g3 - g0 * g5, g0 * g4 - g1 * g3
+        a = g0 * g0 + g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4 + g5 * g5 + g6 * g6 + g7 * g7 + g8 * g8
+        bb = c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3 + c4 * c4 + c5 * c5 + c6 * c6 + c7 * c7 + c8 * c8
+        return t + sqrt(a + 2.0 * sqrt(bb))
+
+    return profile
+
+
 def _reference_maximize(s, e, x0):
     """maximize_chsh's simplex with its vertices in sorted lists, on the shipped profile.
 
@@ -395,9 +433,9 @@ def _symmetric(entries):
 @settings(max_examples=400, deadline=None)
 @given(
     s=st.one_of(
-        # canonical S: det G = 0, the sqrt(a + 2b) route
+        # canonical S: k_yy = 0, the sqrt(a + 2b) route
         st.builds(_operator, _QUARTER, _QUARTER),
-        # any real-symmetric S: det G != 0 for E > 0, the eigvalsh route
+        # any real-symmetric S: k_yy != 0, the eigvalsh route
         st.builds(_symmetric, st.lists(st.floats(-3.0, 3.0), min_size=16, max_size=16)),
     ),
     e=_E,
@@ -444,6 +482,60 @@ def test_maximize_takes_the_reference_steps_on_flat_faces(monkeypatch, theta, ph
     seen = _counting_profiles(monkeypatch)
     assert [_kernels.maximize_chsh(s, e, x0) for x0 in starts] == want
     assert len(set(seen)) < len(seen) / 2  # ties: most values are repeats
+
+
+_FACE = st.one_of(st.sampled_from([0.0, np.pi / 2]), _QUARTER)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=_FACE, phi=_FACE, e=_E, phi1=_ANGLE, th1=_ANGLE, x=st.lists(_ANGLE, min_size=6, max_size=6))
+def test_flat_route_is_the_nine_entry_form_bit_for_bit(theta, phi, e, phi1, th1, x):
+    # on a canonical setting the flat route drops only +0.0 terms, added
+    # in the same order: the same floats at every point, all nine entries
+    # with matrix=True, and so the same search step for step
+    s = _operator(theta, phi)
+    coef = _kernels._pauli_coefficients(s, e)
+    shipped, reference = _kernels._alice_profile(coef), _reference_profile(coef)
+    assert shipped(phi1, th1) == reference(phi1, th1)
+    t, g = shipped(phi1, th1, matrix=True)
+    assert (t, g) == reference(phi1, th1, matrix=True)
+    assert g[1] == g[4] == g[7] == 0.0
+    want = _kernels.maximize_chsh(s, e, x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_alice_profile", _reference_profile)
+        assert _kernels.maximize_chsh(s, e, x) == want
+
+
+def _counting_eigvalsh(monkeypatch):
+    """Patch numpy.linalg.eigvalsh to record its calls; returns the record."""
+    calls = []
+    shipped = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return shipped(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+@pytest.mark.parametrize("theta, phi, e", [*_FLAT_FACES, (np.pi / 3, np.pi / 4, 0.3)])
+def test_canonical_search_reads_no_eigvalsh(monkeypatch, theta, phi, e):
+    # k_yy = 0 fixes the closed-form route for the whole search
+    calls = _counting_eigvalsh(monkeypatch)
+    max_chsh_over_unitaries(e, CanonicalAngles(theta=theta, phi=phi))
+    assert calls == []
+
+
+@pytest.mark.parametrize("e", [0.0, 0.4, 0.5])
+def test_off_plane_search_reads_eigvalsh_per_evaluation(monkeypatch, rng, e):
+    # k_yy != 0: every scalar evaluation reads eigvalsh, even at E = 0,
+    # where det G = 0; the closing rotation reads eigh, not eigvalsh
+    seen = _counting_profiles(monkeypatch)
+    calls = _counting_eigvalsh(monkeypatch)
+    _, _, evals = _kernels.maximize_chsh(_HEISENBERG.ravel(), e, rng.uniform(0, 2 * np.pi, 6))
+    assert calls == [(4, 4)] * len(seen)
+    assert len(seen) == evals - 1
 
 
 def test_evaluations_count_profile_calls(monkeypatch, rng):
