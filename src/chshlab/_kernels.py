@@ -33,16 +33,17 @@ for every setting with axes in the xz plane, G's y column is 0 and that
 eigenvalue has a closed form in G's other six entries; elsewhere numpy's
 eigvalsh reads it.  The simplex climbs that maximum over Alice's (phi1,
 theta1) alone, its three vertices held in nine local floats (per
-evaluation it builds no tuple and sorts no list).  At its end Bob's
-rotation comes from N's top eigenvector (numpy's eigh), its Euler angles
-are read, and psi2 moves to Alice, so Bob's returned psi is 0.  The
-simplex needs no derivatives, and no step of the search reads the
-closed-form maximum, so it remains an independent oracle for it.
+evaluation it builds no tuple and sorts no list).  At its end N's top
+eigenvector (numpy's eigh) is the quaternion of Bob's best rotation, its
+Euler angles are read straight off it (_bob_angles), and psi2 moves to
+Alice, so Bob's returned psi is 0.  The simplex needs no derivatives, and
+no step of the search reads the closed-form maximum, so it remains an
+independent oracle for it.
 """
 
 from __future__ import annotations
 
-from math import atan2, cos, sin, sqrt
+from math import atan2, cos, hypot, sin, sqrt
 from operator import mul
 
 import numpy as np
@@ -87,7 +88,7 @@ def _pauli_coefficients(s, e):
 
 
 def _rotation(psi, theta, phi):
-    """Rz(psi) Ry(theta) Rz(phi) row-major: the rotation _zyz reads the angles of."""
+    """Rz(psi) Ry(theta) Rz(phi) row-major: the rotation whose angles _bob_angles reads."""
     cp, sp, ct, st, cf, sf = cos(psi), sin(psi), cos(theta), sin(theta), cos(phi), sin(phi)
     u, v = cp * ct, sp * ct
     return (
@@ -167,7 +168,8 @@ def _alice_profile(coef):
 def _horn(g):
     """Horn's symmetric 4x4 matrix N for G row-major: q^T N q = tr(G R(q)^T) for a unit quaternion q.
 
-    R(q) is the rotation of q = (w, i, j, k) that _bob_rotation writes out.
+    R(q) is the rotation of q = (w, i, j, k), whose ZYZ angles _bob_angles
+    reads off q.
     """
     g0, g1, g2, g3, g4, g5, g6, g7, g8 = g
     return np.array([
@@ -178,36 +180,21 @@ def _horn(g):
     ])
 
 
-def _bob_rotation(g):
-    """An M in SO(3) maximizing tr(G M^T), for G row-major; M row-major.
+def _bob_angles(g):
+    """(psi, theta, phi) with _rotation(psi, theta, phi) maximizing tr(G M^T), for G row-major.
 
-    M is the rotation of the top eigenvector of _horn(G), from numpy's eigh.
-    Any unit vector of the top eigenspace attains the maximum, so a
-    degenerate top eigenvalue (rank-1 G, as at E = 0, or G = 0) needs no
-    special case.
+    Horn's top eigenvector q = (w, i, j, k) of _horn(G), from numpy's eigh,
+    is the quaternion of the maximizing rotation.  That of Rz(psi) Ry(theta)
+    Rz(phi) is (cos(theta/2) cos s, -sin(theta/2) sin d, sin(theta/2) cos d,
+    cos(theta/2) sin s) with s = (psi + phi)/2 and d = (psi - phi)/2, so the
+    angles are read straight off q, theta in [0, pi].  At theta = 0 or pi
+    one atan2 reads (+-0, +-0), and any value it returns is correct.  Any
+    unit vector of the top eigenspace attains the maximum, so a degenerate
+    top eigenvalue (rank-1 G, as at E = 0, or G = 0) needs no special case.
     """
     w, i, j, k = np.linalg.eigh(_horn(g))[1][:, -1].tolist()
-    return (
-        w * w + i * i - j * j - k * k, 2.0 * (i * j - w * k), 2.0 * (i * k + w * j),
-        2.0 * (i * j + w * k), w * w - i * i + j * j - k * k, 2.0 * (j * k - w * i),
-        2.0 * (i * k - w * j), 2.0 * (j * k + w * i), w * w - i * i - j * j + k * k,
-    )
-
-
-def _zyz(r):
-    """(psi, theta, phi) with _rotation(psi, theta, phi) = r, for r in SO(3) row-major.
-
-    psi is read from r's z column, and theta and phi from Rz(-psi) r =
-    Ry(theta) Rz(phi), whose y row is (sin phi, cos phi, 0).  So the three
-    angles rebuild r to roundoff even at theta = 0 or pi, where r's z
-    column gives psi no direction and any psi serves.
-    """
-    r0, r1, r2, r3, r4, r5, _, _, r8 = r
-    psi = atan2(r5, r2)
-    cp, sp = cos(psi), sin(psi)
-    phi = atan2(cp * r3 - sp * r0, cp * r4 - sp * r1)
-    theta = atan2(cp * r2 + sp * r5, r8)
-    return psi, theta, phi
+    s, d = atan2(k, w), atan2(-i, j)
+    return s + d, 2.0 * atan2(hypot(i, j), hypot(w, k)), s - d
 
 
 def _ranked(p, q, r):
@@ -231,9 +218,10 @@ def maximize_chsh(s, e, x0):
     (_alice_profile; module docstring): the start is x0's phi1 and theta1,
     and its other four entries are not read.  Stops when the
     max-coordinate diameter of the simplex drops below _NM_DIAMETER_TOL or
-    after _NM_MAX_ITER iterations.  Then Bob's rotation at the best vertex
-    comes from Horn's matrix (_bob_rotation), its ZYZ angles (psi2, theta2,
-    phi2) from _zyz, and psi2 moves to Alice, as only psi1 + psi2 enters.
+    after _NM_MAX_ITER iterations.  Then Bob's ZYZ angles (psi2, theta2,
+    phi2) at the best vertex are read off the top eigenvector of Horn's
+    matrix (_bob_angles), and psi2 moves to Alice, as only psi1 + psi2
+    enters.
     The value returned is chsh_objective at the six returned parameters.
     Returns (best_value, best_params[6], evaluations), with psi2 = 0.0 in
     params; evaluations counts the simplex's evaluations and that final
@@ -302,7 +290,7 @@ def maximize_chsh(s, e, x0):
                 )
                 n_eval += 2
 
-    psi, th2, phi2 = _zyz(_bob_rotation(profile(ax, ay, matrix=True)[1]))
+    psi, th2, phi2 = _bob_angles(profile(ax, ay, matrix=True)[1])
     return _objective(profile, psi, ax, ay, th2, phi2), [psi, ax, ay, 0.0, phi2, th2], n_eval + 1
 
 

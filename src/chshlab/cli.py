@@ -69,7 +69,7 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------- token parsing ----------
 
-_PI_TOKEN = re.compile(r"^([+-]?\d*\.?\d*)\s*pi\s*(?:/\s*(\d*\.?\d+))?$")
+_PI_TOKEN = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)?)\s*pi\s*(?:/\s*(\d*\.?\d+))?$")
 
 _NAMED_AXES = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}
 

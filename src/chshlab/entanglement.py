@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import atan2, cos, isfinite, pi, sin, sqrt
+from operator import itemgetter
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .measurement import ChshSetting, X_AXIS, Z_AXIS
 
 TRACE_IMAG_ERROR = 1e-8
 DELTA_SINGULAR_TOL = 1e-12
-DEFAULT_RESTARTS = 20
+RESTARTS = 20  # Nelder-Mead starts per max_chsh_over_unitaries call
 
 # search box per unitary: psi in [0,4pi), phi in [0,2pi], theta in [0,pi]
 _PARAM_BOX = np.array([4 * pi, 2 * pi, pi, 4 * pi, 2 * pi, pi])
@@ -144,44 +145,30 @@ def rotated_chsh(e: float, angles: CanonicalAngles, p1: UnitaryParams, p2: Unita
 def max_chsh_over_unitaries(
     e: float,
     angles: CanonicalAngles,
-    restarts: int = DEFAULT_RESTARTS,
+    *,
     seed: int = 0,
 ) -> tuple[float, tuple[UnitaryParams, UnitaryParams]]:
     """Numerical maximum of rotated_chsh over both local unitaries.
 
-    Multistart Nelder-Mead: `restarts` seeded random starts in the
+    Multistart Nelder-Mead: RESTARTS seeded random starts in the
     6-parameter box, best value wins (ties keep the earliest start).
     The landscape has symmetric local optima, so multistart is mandatory.
-    Deterministic for fixed (restarts, seed).  Each search walks only
-    Alice's phi and theta (`_kernels.maximize_chsh`), from the start's
-    two entries for them: the objective is linear in Bob's rotation, so
-    its maximum over Bob's unitary is exact at every step, and Bob's
-    angles are read from that rotation at the end.  Only psi1 + psi2
-    enters, so the returned p2 has psi = 0 and p1's psi carries the
-    pair's sum.  restarts and seed must be Python or numpy integers, as
-    in `chsh.sample_estimate`.
+    Deterministic for fixed seed.  Each search walks only Alice's phi and
+    theta (`_kernels.maximize_chsh`), from the start's two entries for
+    them: the objective is linear in Bob's rotation, so its maximum over
+    Bob's unitary is exact at every step, and Bob's angles are read off
+    that rotation's quaternion at the end.  Only psi1 + psi2 enters, so
+    the returned p2 has psi = 0 and p1's psi carries the pair's sum.  seed
+    must be a Python or numpy integer, as in `chsh.sample_estimate`.
     """
-    restarts = _integer("restarts", restarts)
     seed = _integer("seed", seed)
-    if restarts < 1:
-        raise OutOfRangeError(f"restarts must be >= 1, got {restarts}")
     if seed < 0:
         raise OutOfRangeError(f"seed must be >= 0, got {seed}")
     _concurrence(e)  # range check
     s_flat = chsh_operator(canonical_setting(angles)).real.ravel().tolist()
-    rng = np.random.default_rng(seed)
-    best_value = -np.inf
-    best_x: list[float] | None = None
-    for _ in range(restarts):
-        x0 = rng.uniform(0.0, 1.0, 6) * _PARAM_BOX
-        value, x, _ = _kernels.maximize_chsh(s_flat, e, x0)
-        if value > best_value:
-            best_value = value
-            best_x = x
-    assert best_x is not None
-    p1 = UnitaryParams(psi=best_x[0], phi=best_x[1], theta=best_x[2])
-    p2 = UnitaryParams(psi=best_x[3], phi=best_x[4], theta=best_x[5])
-    return float(best_value), (p1, p2)
+    starts = np.random.default_rng(seed).uniform(0.0, 1.0, (RESTARTS, 6)) * _PARAM_BOX
+    value, x, _ = max((_kernels.maximize_chsh(s_flat, e, x0) for x0 in starts), key=itemgetter(0))
+    return value, (UnitaryParams(*x[:3]), UnitaryParams(*x[3:]))
 
 
 def max_chsh_closed_form(e: float, delta: float) -> float:

@@ -46,7 +46,7 @@ def f1(seed: int) -> list[dict]:
         for th in np.linspace(0.0, pi / 2, 5):
             for ph in np.linspace(0.0, pi / 2, 5):
                 angles = CanonicalAngles(theta=float(th), phi=float(ph))
-                got, (p1, p2) = max_chsh_over_unitaries(float(e), angles, restarts=20, seed=seed)
+                got, (p1, p2) = max_chsh_over_unitaries(float(e), angles, seed=seed)
                 want = max_chsh_closed_form(float(e), angles.delta)
                 worst = max(worst, abs(got - want))
                 worst_argmax = max(worst_argmax, abs(rotated_chsh(float(e), angles, p1, p2) - got))

@@ -342,6 +342,16 @@ class TestChsh:
         assert len(lines) == 1
         assert json.loads(lines[0])["code"] == "usage"
 
+    @pytest.mark.parametrize("command", ["chsh", "sample"])
+    @pytest.mark.parametrize("angle", [".pi", "+.pi", "-.pi/2"])
+    def test_bare_dot_before_pi_refused(self, capsys, command, angle):
+        # a sign and a dot are no coefficient: refused like any other
+        # unparseable angle, where float('.') once raised past main
+        argv = [command, f"--canonical={angle},1", "--max" if command == "chsh" else "--state=phi+"]
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {"code": "usage", "message": f"cannot parse angle {angle!r}"}
+
     def test_needs_state_or_max(self, capsys):
         rc, _, err = run(capsys, ["chsh", "--canonical", "0,0"])
         assert rc == 2
@@ -942,7 +952,9 @@ def _number(lo, hi):
 
 _ANGLE_TOKEN = st.one_of(
     _number(0.0, 1.5707963267948966),
-    st.sampled_from(["pi/2", "0.5pi", "pi/4", "2pi", "-pi", "pi/0", "1e308pi", "90deg", "pi/1e-300"]),
+    st.sampled_from(
+        ["pi/2", "0.5pi", "pi/4", "2pi", "-pi", "pi/0", "1e308pi", "90deg", "pi/1e-300", ".pi", "+.pi", "-.pi/2"]
+    ),
 )
 _STATE_TOKEN = st.one_of(
     st.just("phi+"),

@@ -38,7 +38,7 @@ IDENTITY_PARAMS = UnitaryParams(0.0, 0.0, 0.0)
         schmidt_state,
         lambda e: max_chsh_closed_form(e, 0.5),
         incompatibility_monotonicity,
-        lambda e: max_chsh_over_unitaries(e, CanonicalAngles(theta=1.0, phi=1.0), restarts=1),
+        lambda e: max_chsh_over_unitaries(e, CanonicalAngles(theta=1.0, phi=1.0)),
     ],
     ids=["schmidt_state", "max_chsh_closed_form", "incompatibility_monotonicity", "max_chsh_over_unitaries"],
 )
@@ -202,24 +202,24 @@ class TestClosedForm:
 class TestMaximizeOverUnitaries:
     def test_tsirelson(self):
         angles = CanonicalAngles(theta=np.pi / 2, phi=np.pi / 2)
-        value, _ = max_chsh_over_unitaries(0.5, angles, restarts=10, seed=3)
+        value, _ = max_chsh_over_unitaries(0.5, angles, seed=3)
         assert value == pytest.approx(TSIRELSON, abs=1e-6)
 
     def test_matches_closed_form_sample(self):
         angles = CanonicalAngles(theta=np.pi / 2, phi=np.pi / 6)  # delta = 0.5
-        value, _ = max_chsh_over_unitaries(0.25, angles, restarts=10, seed=3)
+        value, _ = max_chsh_over_unitaries(0.25, angles, seed=3)
         assert value == pytest.approx(max_chsh_closed_form(0.25, 0.5), abs=1e-6)
 
     def test_product_state_stays_local(self):
         angles = CanonicalAngles(theta=np.pi / 3, phi=np.pi / 2)
-        value, _ = max_chsh_over_unitaries(0.0, angles, restarts=10, seed=3)
+        value, _ = max_chsh_over_unitaries(0.0, angles, seed=3)
         assert value <= 2.0 + 1e-9
         assert value == pytest.approx(max_chsh_closed_form(0.0, angles.delta), abs=1e-6)
 
     def test_deterministic_given_seed(self):
         angles = CanonicalAngles(theta=1.1, phi=0.7)
-        a = max_chsh_over_unitaries(0.3, angles, restarts=5, seed=9)
-        b = max_chsh_over_unitaries(0.3, angles, restarts=5, seed=9)
+        a = max_chsh_over_unitaries(0.3, angles, seed=9)
+        b = max_chsh_over_unitaries(0.3, angles, seed=9)
         assert a[0] == b[0]
         assert a[1] == b[1]
 
@@ -235,7 +235,7 @@ class TestMaximizeOverUnitaries:
     def test_argmax_attains_value(self, e, theta, phi):
         # the dense route re-scores the returned unitaries, on the f1 subgrid too
         angles = CanonicalAngles(theta=theta, phi=phi)
-        value, (p1, p2) = max_chsh_over_unitaries(e, angles, restarts=10, seed=1)
+        value, (p1, p2) = max_chsh_over_unitaries(e, angles, seed=1)
         assert rotated_chsh(e, angles, p1, p2) == pytest.approx(value, abs=1e-12)
 
     def test_matches_closed_form_on_f1_subgrid(self):
@@ -244,7 +244,7 @@ class TestMaximizeOverUnitaries:
             for theta in (0.0, np.pi / 4, np.pi / 2):
                 for phi in (0.0, np.pi / 4, np.pi / 2):
                     angles = CanonicalAngles(theta=theta, phi=phi)
-                    value, _ = max_chsh_over_unitaries(e, angles, restarts=20)
+                    value, _ = max_chsh_over_unitaries(e, angles)
                     assert value == pytest.approx(max_chsh_closed_form(e, angles.delta), abs=1e-12)
 
     @pytest.mark.parametrize("seed", [21, 22], ids=["uniform", "near-maximal"])
@@ -257,25 +257,18 @@ class TestMaximizeOverUnitaries:
             e = float(rng.uniform(0.0, 0.5)) if seed == 21 else 0.5 - 10 ** rng.uniform(-6, -1)
             theta, phi = rng.uniform(0.0, np.pi / 2, 2)
             angles = CanonicalAngles(theta=float(theta), phi=float(phi))
-            value, _ = max_chsh_over_unitaries(e, angles, restarts=20, seed=0)
+            value, _ = max_chsh_over_unitaries(e, angles, seed=0)
             assert value == pytest.approx(max_chsh_closed_form(e, angles.delta), abs=1e-12)
-
-    def test_rejects_bad_restarts(self):
-        with pytest.raises(OutOfRangeError):
-            max_chsh_over_unitaries(0.3, CanonicalAngles(1.0, 1.0), restarts=0)
 
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            # numpy's TypeError, ValueError and TypeError escaped for these
-            ({"restarts": 2.5}, "restarts must be an integer, got 2.5"),
+            # numpy's ValueError and TypeError escaped for these
             ({"seed": -1}, "seed must be >= 0, got -1"),
             ({"seed": 1.5}, "seed must be an integer, got 1.5"),
-            ({"restarts": 2.0}, "restarts must be an integer, got 2.0"),
             ({"seed": "1"}, "seed must be an integer, got '1'"),
-            ({"restarts": np.int64(-2)}, "restarts must be >= 1, got -2"),
         ],
-        ids=["fractional-restarts", "negative-seed", "fractional-seed", "float-restarts", "str-seed", "numpy-restarts"],
+        ids=["negative-seed", "fractional-seed", "str-seed"],
     )
     def test_rejects_non_integer_arguments(self, kwargs, message):
         with pytest.raises(OutOfRangeError) as exc:
@@ -284,8 +277,8 @@ class TestMaximizeOverUnitaries:
 
     def test_accepts_numpy_integers(self):
         angles = CanonicalAngles(theta=1.0, phi=0.5)
-        want = max_chsh_over_unitaries(0.3, angles, restarts=3, seed=7)
-        got = max_chsh_over_unitaries(0.3, angles, restarts=np.int32(3), seed=np.uint64(7))
+        want = max_chsh_over_unitaries(0.3, angles, seed=7)
+        got = max_chsh_over_unitaries(0.3, angles, seed=np.uint64(7))
         assert got[0] == want[0] and got[1][0].theta == want[1][0].theta
 
 

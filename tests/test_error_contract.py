@@ -236,8 +236,7 @@ _junk_integer = st.sampled_from([True, False, np.True_, np.False_, 1.0, "1", Non
 _INTEGER_READERS = {
     "shots_per_pair": lambda n: sample_estimate(_POVMS, _RHO, n, 0),
     "seed": lambda n: sample_estimate(_POVMS, _RHO, 10, n),
-    "restarts": lambda n: max_chsh_over_unitaries(0.3, _ANGLES, restarts=n),
-    "unitary-seed": lambda n: max_chsh_over_unitaries(0.3, _ANGLES, restarts=1, seed=n),
+    "unitary-seed": lambda n: max_chsh_over_unitaries(0.3, _ANGLES, seed=n),
 }
 
 _junk_index = st.one_of(
